@@ -129,7 +129,7 @@ func (c *streamCore) ApproxEstimate(key string) (float64, error) {
 // ApproxTopK returns the k highest-ranked window keys by approximate
 // mass with per-entry error bounds. ApproxSpaceSaving and the sampler
 // kinds support ranking; ApproxCountMin and ApproxHLL return nil
-// entries (they keep no key list).
+// entries (they keep no key list); k <= 0 asks for none.
 func (c *streamCore) ApproxTopK(k int) ([]ApproxEntry, error) {
 	est := c.eng.ApproxState()
 	if est == nil {

@@ -265,3 +265,44 @@ func TestApproxReconfigureFrozen(t *testing.T) {
 		t.Errorf("replaying current approx kind: %v", err)
 	}
 }
+
+// TestTopKNonPositiveK: a ranking asked for zero or fewer entries is
+// empty, on both stream kinds, for the exact window and for every
+// approximate operator. Before the guard, the exact TopK and the
+// Space-Saving and sampler rankings sliced entries[:k] and a negative k
+// panicked out of the public API.
+func TestTopKNonPositiveK(t *testing.T) {
+	batch := approxBatches(1)[0]
+	for _, kind := range prompt.ApproxKinds() {
+		q := prompt.WordCount(time.Second, time.Second)
+		single, err := prompt.NewWithOptions(q, prompt.WithApproxQuery(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		multi, err := prompt.NewMultiWithOptions([]prompt.Query{q}, prompt.WithApproxQuery(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := single.ProcessBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := multi.ProcessBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			rank func(k int) (int, error)
+		}{
+			{"Stream.TopK", func(k int) (int, error) { e, err := single.TopK(k); return len(e), err }},
+			{"MultiStream.TopK", func(k int) (int, error) { e, err := multi.TopK(0, k); return len(e), err }},
+			{"Stream.ApproxTopK", func(k int) (int, error) { e, err := single.ApproxTopK(k); return len(e), err }},
+			{"MultiStream.ApproxTopK", func(k int) (int, error) { e, err := multi.ApproxTopK(k); return len(e), err }},
+		} {
+			for _, k := range []int{0, -1, math.MinInt} {
+				if n, err := tc.rank(k); err != nil || n != 0 {
+					t.Errorf("%s: %s(%d) = %d entries, error %v; want none", kind, tc.name, k, n, err)
+				}
+			}
+		}
+	}
+}

@@ -179,8 +179,9 @@ func (e *Estimator) Estimate(key string) float64 {
 
 // TopK answers a heavy-hitter query over the current window. Count-Min
 // and HLL have no key inventory, so only Space-Saving and the samplers
-// return entries.
+// return entries; k <= 0 asks for none.
 func (e *Estimator) TopK(k int) []Entry {
+	k = max(k, 0)
 	switch e.spec.Kind {
 	case SpaceSavingKind:
 		entries := e.ss.Entries()

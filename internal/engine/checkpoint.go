@@ -2,21 +2,37 @@ package engine
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 
 	"prompt/internal/approx"
 	"prompt/internal/backpressure"
 	"prompt/internal/intern"
+	"prompt/internal/migrate"
 	"prompt/internal/tuple"
 	"prompt/internal/window"
 )
+
+// checkpointVersion tags the checkpoint layout. Version 2 carries the
+// windows as per-slot migrate images (Slots); the layout before it had no
+// version field and carried them as gob-encoded per-batch maps, which this
+// engine no longer reads.
+const checkpointVersion = 2
+
+// ErrCheckpointVersion reports a checkpoint written in a layout this
+// engine does not read. Restoring such an image fails instead of resuming
+// with the sections it could not interpret left empty.
+var ErrCheckpointVersion = errors.New("engine: unsupported checkpoint version")
 
 // checkpointImage is the serialized driver state. Query functions cannot
 // be serialized; Restore receives the same queries from the caller and
 // reattaches them, which is safe because query identity (not closure
 // state) determines the computation.
 type checkpointImage struct {
+	// Version is checkpointVersion. gob leaves a field the stream lacks at
+	// zero, so an image from before the field existed reads as version 0.
+	Version     int
 	BatchIdx    int
 	Now         tuple.Time
 	ProcFree    tuple.Time
@@ -24,8 +40,13 @@ type checkpointImage struct {
 	CoresLost   int
 	QueryCount  int
 	LastResults []map[string]float64
-	Windows     [][]window.BatchState // nil entry = windowless query
-	Reports     []BatchReport
+	// Slots is the window section: one encoded migrate image per virtual
+	// slot, in slot order, each carrying every windowed query's retained
+	// batches for that slot's keys — the very images a rescale hands off,
+	// in their own versioned codec rather than raw gob.
+	Slots [][]byte
+	// Reports is the bounded report tail (see Engine.Reports).
+	Reports []BatchReport
 	// Interned is the key dictionary in ID order (intern.Dict.Snapshot),
 	// so a restored engine resolves every already-issued key ID exactly
 	// as the checkpointed one did.
@@ -65,11 +86,13 @@ type checkpointImage struct {
 
 // Checkpoint serializes the engine's driver state — batch position,
 // pipeline occupancy, per-query last results, window contents, and the
-// report history — so a restarted process can resume exactly where this
-// one stopped. It must be called between batches (the paper's state
+// bounded report tail (Reports), so the image's size follows the state,
+// not the run length — so a restarted process can resume exactly where
+// this one stopped. It must be called between batches (the paper's state
 // isolation point: all per-batch structures are empty at the heartbeat).
 func (e *Engine) Checkpoint(w io.Writer) error {
 	img := checkpointImage{
+		Version:     checkpointVersion,
 		BatchIdx:    e.batchIdx,
 		Now:         e.now,
 		ProcFree:    e.procFree,
@@ -77,14 +100,9 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 		CoresLost:   e.coresLost,
 		QueryCount:  len(e.queries),
 		LastResults: e.lastResults,
-		Windows:     make([][]window.BatchState, len(e.queries)),
-		Reports:     e.reports,
+		Slots:       exportWindows(e.aggs, e.dict),
+		Reports:     e.Reports(),
 		Interned:    e.dict.Snapshot(),
-	}
-	for i, agg := range e.aggs {
-		if agg != nil {
-			img.Windows[i] = agg.State()
-		}
 	}
 	if e.reorder != nil {
 		img.HasReorder = true
@@ -120,32 +138,24 @@ func Restore(cfg Config, queries []Query, r io.Reader) (*Engine, error) {
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return nil, fmt.Errorf("engine: reading checkpoint: %w", err)
 	}
+	if img.Version != checkpointVersion {
+		return nil, fmt.Errorf("%w: image is version %d, this engine reads version %d",
+			ErrCheckpointVersion, img.Version, checkpointVersion)
+	}
 	if len(queries) != img.QueryCount {
 		return nil, fmt.Errorf("engine: checkpoint has %d queries, caller supplied %d",
 			img.QueryCount, len(queries))
 	}
-	e, err := NewMulti(cfg, queries)
+	dict, err := intern.FromSnapshot(img.Interned)
+	if err != nil {
+		return nil, fmt.Errorf("engine: restoring key dictionary: %w", err)
+	}
+	e, err := newMulti(cfg, queries, dict)
 	if err != nil {
 		return nil, err
 	}
-	if len(img.Interned) > 0 {
-		dict, err := intern.FromSnapshot(img.Interned)
-		if err != nil {
-			return nil, fmt.Errorf("engine: restoring key dictionary: %w", err)
-		}
-		e.dict = dict
-	}
-	for i, states := range img.Windows {
-		switch {
-		case states == nil:
-			continue
-		case e.aggs[i] == nil:
-			return nil, fmt.Errorf("engine: checkpointed query %d has a window, supplied query does not", i)
-		default:
-			if err := e.aggs[i].Restore(states); err != nil {
-				return nil, err
-			}
-		}
+	if err := restoreWindows(img.Slots, e.aggs, e.dict); err != nil {
+		return nil, fmt.Errorf("engine: restoring windows: %w", err)
 	}
 	e.batchIdx = img.BatchIdx
 	e.now = img.Now
@@ -193,4 +203,53 @@ func Restore(cfg Config, queries []Query, r io.Reader) (*Engine, error) {
 		}
 	}
 	return e, nil
+}
+
+// exportWindows serializes the windows as one migrate image per virtual
+// slot, exported without disturbing them. The images' hand-off fields
+// (epoch, from, to) stay zero: a checkpoint moves nothing, and the engine's
+// position and owner count have their own fields in the envelope.
+func exportWindows(aggs []*window.Aggregator, dict *intern.Dict) [][]byte {
+	images := make([][]byte, migrate.NumSlots)
+	for slot := range images {
+		images[slot] = migrate.Export(slot, 0, 0, 0, aggs, dict).Encode()
+	}
+	return images
+}
+
+// restoreWindows rebuilds freshly built (empty) aggregators from a
+// checkpoint's slot images.
+func restoreWindows(images [][]byte, aggs []*window.Aggregator, dict *intern.Dict) error {
+	if len(images) != migrate.NumSlots {
+		return fmt.Errorf("checkpoint carries %d slot images, want %d", len(images), migrate.NumSlots)
+	}
+	for slot, enc := range images {
+		img, err := migrate.Decode(enc)
+		if err != nil {
+			return fmt.Errorf("slot %d: %w", slot, err)
+		}
+		if img.Slot != slot {
+			return fmt.Errorf("slot %d: image says it is slot %d", slot, img.Slot)
+		}
+		if slot == 0 {
+			// Every image lists every retained batch end of every windowed
+			// query, keys or no keys; the first one lays the batch lists
+			// out, and every image — itself included — must then align
+			// with them. A query index Apply would refuse is left to it.
+			for _, q := range img.Queries {
+				if q.Query < 0 || q.Query >= len(aggs) || aggs[q.Query] == nil {
+					continue
+				}
+				for _, b := range q.Batches {
+					if err := aggs[q.Query].AddBatch(b.End, nil); err != nil {
+						return fmt.Errorf("query %d: %w", q.Query, err)
+					}
+				}
+			}
+		}
+		if err := migrate.Apply(img, aggs, dict); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -2,12 +2,16 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"testing"
 	"time"
 
 	"prompt/internal/backpressure"
+	"prompt/internal/intern"
 	"prompt/internal/tuple"
 	"prompt/internal/window"
 	"prompt/internal/workload"
@@ -244,9 +248,13 @@ func TestRestoreValidatesQueries(t *testing.T) {
 	}
 }
 
+// TestWindowStateRoundTrip carries a window through the checkpoint's
+// window section — slot images out, slot images back into a fresh
+// aggregator over a fresh dictionary — and keeps sliding it.
 func TestWindowStateRoundTrip(t *testing.T) {
-	ag, err := window.NewAggregator(window.Sliding(3*tuple.Second, tuple.Second),
-		window.Sum, window.SumInverse)
+	spec := window.Sliding(3*tuple.Second, tuple.Second)
+	dict := intern.NewDict(0)
+	ag, err := window.NewAggregatorDict(spec, window.Sum, window.SumInverse, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,13 +263,16 @@ func TestWindowStateRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	state := ag.State()
-	ag2, err := window.NewAggregator(window.Sliding(3*tuple.Second, tuple.Second),
-		window.Sum, window.SumInverse)
+	images := exportWindows([]*window.Aggregator{ag}, dict)
+	if v, _ := ag.Value("a"); v != 6 {
+		t.Errorf("export disturbed the window: value = %v, want 6", v)
+	}
+	dict2 := intern.NewDict(0)
+	ag2, err := window.NewAggregatorDict(spec, window.Sum, window.SumInverse, dict2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ag2.Restore(state); err != nil {
+	if err := restoreWindows(images, []*window.Aggregator{ag2}, dict2); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := ag2.Value("a"); v != 6 {
@@ -277,4 +288,107 @@ func TestWindowStateRoundTrip(t *testing.T) {
 	if v, _ := ag2.Value("a"); v != 9 { // 2+3+4
 		t.Errorf("after continued batch = %v, want 9", v)
 	}
+	if err := restoreWindows(images[:3], []*window.Aggregator{ag2}, dict2); err == nil {
+		t.Error("a window section with slot images missing was accepted")
+	}
+}
+
+// TestRestoreRejectsPreSlotImageCheckpoint: testdata/checkpoint_pr11.gob
+// was written by the engine as it stood before the window section became
+// slot images (three batches of the shared test workload, a 3 s window).
+// gob would decode it without complaint — fields the image lacks stay zero
+// — and the engine would resume with empty windows; the version check turns
+// that into a typed refusal.
+func TestRestoreRejectsPreSlotImageCheckpoint(t *testing.T) {
+	old, err := os.ReadFile("testdata/checkpoint_pr11.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := WordCount(window.Sliding(3*tuple.Second, tuple.Second))
+	if _, err := Restore(testConfig(), []Query{q}, bytes.NewReader(old)); !errors.Is(err, ErrCheckpointVersion) {
+		t.Fatalf("restoring a pre-slot-image checkpoint: error %v, want ErrCheckpointVersion", err)
+	}
+	// The same state checkpointed today restores.
+	eng, err := New(testConfig(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elasticRun(t, eng, 3, nil)
+	var buf bytes.Buffer
+	if err := eng.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Restore(testConfig(), []Query{q}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resumed.WindowSnapshot(), eng.WindowSnapshot(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored window %v, want %v", got, want)
+	}
+}
+
+// TestReportHistoryAndCheckpointAreBounded: the engine keeps a fixed tail
+// of reports, so on a steady stream neither Reports nor the checkpoint
+// image — which embeds them — grows with the run once the tail is full.
+// Before the bound both grew by one report per batch, forever.
+func TestReportHistoryAndCheckpointAreBounded(t *testing.T) {
+	restore := StubClock(func() time.Time { return time.Unix(0, 0) })
+	defer restore()
+	cfg := testConfig()
+	cfg.ValidateBatches = false
+	eng, err := New(cfg, WordCount(window.Sliding(2*tuple.Second, tuple.Second)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same eight tuples every batch: every report, and every window,
+	// has the same size, so only the history can make the image grow.
+	run := func(upTo int) (reports, image int) {
+		for eng.batchIdx < upTo {
+			start := eng.Now()
+			ts := make([]tuple.Tuple, 8)
+			for j := range ts {
+				ts[j] = tuple.NewTuple(start+tuple.Time(j), fmt.Sprintf("k%d", j%4), 1)
+			}
+			if _, err := eng.Step(ts, start, start+tuple.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return len(eng.Reports()), checkpointOf(t, eng).Len()
+	}
+	const n = reportTail + 200 // past the bound
+	reportsN, imageN := run(n)
+	reports2N, image2N := run(2 * n)
+	if reportsN != reportTail || reports2N != reportTail {
+		t.Errorf("len(Reports()) = %d after %d batches and %d after %d, want %d both times",
+			reportsN, n, reports2N, 2*n, reportTail)
+	}
+	// Batch indices and times grow, and with them a few varint bytes per
+	// report; a history that grew would add hundreds of kilobytes.
+	if grow := image2N - imageN; grow < 0 || grow > imageN/50 {
+		t.Errorf("checkpoint is %d bytes after %d batches and %d after %d: it grows with the run",
+			imageN, n, image2N, 2*n)
+	}
+	last := eng.Reports()
+	if got := last[len(last)-1].Index; got != 2*n-1 {
+		t.Errorf("newest report is batch %d, want %d", got, 2*n-1)
+	}
+	if got := last[0].Index; got != 2*n-reportTail {
+		t.Errorf("oldest kept report is batch %d, want %d", got, 2*n-reportTail)
+	}
+	resumed, err := Restore(cfg, []Query{WordCount(window.Sliding(2*tuple.Second, tuple.Second))}, checkpointOf(t, eng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed.Reports(), last) {
+		t.Error("restored report tail differs from the checkpointed one")
+	}
+}
+
+func checkpointOf(t *testing.T, eng *Engine) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := eng.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
 }

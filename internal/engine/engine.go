@@ -50,7 +50,10 @@ type Engine struct {
 	procFree tuple.Time // when the processing pipeline becomes free
 
 	lastResults []map[string]float64
-	reports     []BatchReport
+	// reports is the bounded report history: recordReport keeps at least
+	// the last reportTail reports and never more than twice that, and
+	// Reports exposes exactly the tail.
+	reports []BatchReport
 
 	acc   *stats.Accumulator
 	shacc *stats.ShardedAccumulator
@@ -142,6 +145,13 @@ func New(cfg Config, q Query) (*Engine, error) {
 // NewMulti builds an engine running several queries over one stream,
 // sharing the batching phase.
 func NewMulti(cfg Config, queries []Query) (*Engine, error) {
+	return newMulti(cfg, queries, intern.NewDict(0))
+}
+
+// newMulti is NewMulti over a given key dictionary — a fresh one, or the
+// checkpointed one under Restore. The window aggregators are built over
+// it, so the dictionary must be final before they are.
+func newMulti(cfg Config, queries []Query, dict *intern.Dict) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -156,11 +166,11 @@ func NewMulti(cfg Config, queries []Query) (*Engine, error) {
 		lastResults: make([]map[string]float64, len(queries)),
 		pool:        poolFor(cfg.Workers),
 		pipeline:    defaultPipeline(),
-		dict:        intern.NewDict(0),
+		dict:        dict,
 	}
 	for i, q := range queries {
 		q = q.normalized()
-		agg, err := q.newAggregator(cfg.BatchInterval)
+		agg, err := q.newAggregator(cfg.BatchInterval, dict)
 		if err != nil {
 			return nil, fmt.Errorf("engine: query %d (%s): %w", i, q.Name, err)
 		}
@@ -384,8 +394,28 @@ func (e *Engine) Window() *window.Aggregator { return e.aggs[0] }
 // WindowOf returns query i's window aggregator (nil without a window).
 func (e *Engine) WindowOf(i int) *window.Aggregator { return e.aggs[i] }
 
-// Reports returns all batch reports so far.
-func (e *Engine) Reports() []BatchReport { return e.reports }
+// reportTail bounds the report history the engine retains — and embeds in
+// every checkpoint — so neither grows with run length.
+const reportTail = 1024
+
+// Reports returns the most recent batch reports, oldest first: all of them
+// until the run is longer than a fixed tail (1024 batches), the last 1024
+// from then on.
+func (e *Engine) Reports() []BatchReport {
+	return e.reports[max(0, len(e.reports)-reportTail):]
+}
+
+// recordReport appends one committed batch's report to the bounded
+// history. The history holds up to twice the tail; when it fills, the
+// newest half moves to a fresh array (slices Reports handed out earlier
+// keep their contents), so the cost per batch is O(1) amortized and the
+// memory is flat.
+func (e *Engine) recordReport(rep BatchReport) {
+	if len(e.reports) >= 2*reportTail {
+		e.reports = append(make([]BatchReport, 0, 2*reportTail), e.reports[len(e.reports)-reportTail:]...)
+	}
+	e.reports = append(e.reports, rep)
+}
 
 // RunBatches pulls n consecutive batch intervals from the source and
 // processes them, returning their reports.
@@ -576,7 +606,7 @@ func (e *Engine) step(ctx context.Context, tuples []tuple.Tuple, cb *tuple.Colum
 	if err := e.runPipeline(bc); err != nil {
 		return BatchReport{}, err
 	}
-	e.reports = append(e.reports, bc.Report)
+	e.recordReport(bc.Report)
 	e.batchIdx++
 	e.now = end
 	return bc.Report, nil

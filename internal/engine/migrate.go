@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"prompt/internal/migrate"
@@ -43,11 +44,10 @@ func (e *Engine) Migrations() int { return e.migrations }
 
 // applyRescale commits a pending owner-count change at a batch boundary.
 // It runs at the very end of the commit stage — after the BatchReport is
-// assembled — so migration can never perturb a report: every handoff
-// extracts the moving slots' window state, round-trips it through the
-// migrate codec (even in-process, so the serialization path always has
-// teeth), re-applies it, and best-effort replicates the image to the
-// recipient shard when the executor supports it.
+// assembled — so migration can never perturb a report. Each moving slot is
+// handed off on its own (handOff), so the work is proportional to the state
+// that moves; a slot that fails to land is put back and the rescale stops
+// there with every window intact.
 func (e *Engine) applyRescale(epoch int) error {
 	target := e.pendingOwners
 	if target == 0 {
@@ -59,19 +59,8 @@ func (e *Engine) applyRescale(epoch int) error {
 		from = 1 // tracking was off: the whole key space had one owner
 	}
 	for _, h := range migrate.Plan(from, target) {
-		img := migrate.Extract(h.Slot, epoch, h.From, h.To, e.aggs, e.dict)
-		enc := img.Encode()
-		dec, err := migrate.Decode(enc)
-		if err != nil {
-			return fmt.Errorf("engine: batch %d: slot %d image corrupt in flight: %w", epoch, h.Slot, err)
-		}
-		if err := migrate.Apply(dec, e.aggs, e.dict); err != nil {
+		if err := e.handOff(h, epoch); err != nil {
 			return fmt.Errorf("engine: batch %d: %w", epoch, err)
-		}
-		if sm, ok := e.exec.(SlotMigrator); ok {
-			// Best-effort: the state is already safe on the driver, so a
-			// dead or unreachable recipient only skips the replica.
-			_ = sm.MigrateSlot(h.Slot, epoch, h.From, h.To, enc, migrate.Digest(enc))
 		}
 		e.migrations++
 	}
@@ -82,4 +71,41 @@ func (e *Engine) applyRescale(epoch int) error {
 		}
 	}
 	return nil
+}
+
+// handOff moves one slot between owners: detach it from the windows, pack
+// and encode its image, land the encoding (landImage), and best-effort
+// replicate it to the recipient shard when the executor supports it.
+func (e *Engine) handOff(h migrate.Handoff, epoch int) error {
+	img := migrate.Extract(h.Slot, epoch, h.From, h.To, e.aggs, e.dict)
+	enc := img.Encode()
+	if err := e.landImage(img, enc); err != nil {
+		return err
+	}
+	if sm, ok := e.exec.(SlotMigrator); ok {
+		// Best-effort: the state is already safe on the driver, so a
+		// dead or unreachable recipient only skips the replica.
+		_ = sm.MigrateSlot(h.Slot, epoch, h.From, h.To, enc, migrate.Digest(enc))
+	}
+	return nil
+}
+
+// landImage decodes an in-flight slot image and applies it — the round
+// trip through the migrate codec runs even in-process, so the
+// serialization path always has teeth. The hand-off is all-or-nothing: if
+// the encoding is rejected, the extracted original is attached back, so
+// the slot's state is never dropped.
+func (e *Engine) landImage(extracted *migrate.Image, enc []byte) error {
+	dec, err := migrate.Decode(enc)
+	if err == nil {
+		err = migrate.Apply(dec, e.aggs, e.dict)
+	}
+	if err == nil {
+		return nil
+	}
+	err = fmt.Errorf("slot %d image rejected in flight: %w", extracted.Slot, err)
+	if back := migrate.Apply(extracted, e.aggs, e.dict); back != nil {
+		return errors.Join(err, fmt.Errorf("reattaching the slot failed too: %w", back))
+	}
+	return err
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -216,5 +217,149 @@ func TestCheckpointMidMigration(t *testing.T) {
 	}
 	if got, want := resumed.WindowSnapshot(), static.WindowSnapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("window diverged across checkpoint-mid-migration:\n got  %v\n want %v", got, want)
+	}
+}
+
+// TestRescaleCostFollowsMovedState is the deterministic cost guard of the
+// slot-partitioned window: a 1→2 rescale moves 32 of the 64 slots of a
+// 30-batch window over 5 000 keys, and what it allocates is a few dozen
+// slices per moved slot (about 1 600 in all). The implementation this
+// layout replaced found each slot's keys by scanning every key of every
+// retained batch — one map per batch and slot on the way out, another on
+// the way in, a sorted key list per batch — and measured 28 248
+// allocations on this very window, an order of magnitude above the
+// ceiling.
+func TestRescaleCostFollowsMovedState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement skipped in -short mode")
+	}
+	const (
+		batches = 30
+		keys    = 5000
+		ceiling = 2500
+	)
+	cfg := testConfig()
+	cfg.ValidateBatches = false
+	eng, err := New(cfg, WordCount(window.Sliding(batches*tuple.Second, tuple.Second)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := StubClock(func() time.Time { return time.Unix(0, 0) })
+	defer restore()
+	for b := 0; b < batches; b++ {
+		start := tuple.Time(b) * tuple.Second
+		ts := make([]tuple.Tuple, keys)
+		for i := range ts {
+			ts[i] = tuple.NewTuple(start+tuple.Time(i), fmt.Sprintf("key-%04d", i), 1)
+		}
+		if _, err := eng.Step(ts, start, start+tuple.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := eng.WindowSnapshot()
+	owners := 1
+	rescale := func() {
+		owners = 3 - owners // 1→2, 2→1, …: 32 slots move either way
+		if err := eng.Rescale(owners); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.applyRescale(batches); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rescale() // warm: sizes the cell table and the recycled columns
+	avg := testing.AllocsPerRun(4, rescale)
+	t.Logf("allocations per 32-slot rescale of a %d-batch × %d-key window: %.0f (ceiling %d)", batches, keys, avg, ceiling)
+	if avg > ceiling {
+		t.Errorf("rescale allocates %.0f, ceiling %d: the hand-off cost no longer follows the moved state", avg, ceiling)
+	}
+	if got := eng.Migrations(); got != 6*len(migrate.Plan(1, 2)) {
+		t.Fatalf("migrations = %d, want %d", got, 6*len(migrate.Plan(1, 2)))
+	}
+	if got := eng.WindowSnapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatal("window changed across the rescales")
+	}
+}
+
+// TestRejectedImageIsReattached: the hand-off is all-or-nothing. A slot
+// image that is rejected after the slot left the windows — here the
+// encoding is damaged in flight, once so that it no longer decodes and once
+// so that it decodes but no longer applies — must not cost the slot's
+// state: the extracted original goes back, the error is returned, and the
+// windows answer as before.
+func TestRejectedImageIsReattached(t *testing.T) {
+	eng, err := NewMulti(testConfig(), []Query{
+		WordCount(window.Sliding(4*tuple.Second, tuple.Second)),
+		{Name: "plain"},
+		WordCount(window.Sliding(2*tuple.Second, tuple.Second)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	elasticRun(t, eng, 5, nil)
+	views := func() []map[string]float64 {
+		return []map[string]float64{eng.WindowOf(0).Snapshot(), eng.WindowOf(0).Recompute(),
+			eng.WindowOf(2).Snapshot(), eng.WindowOf(2).Recompute()}
+	}
+	want := views()
+	slot := -1
+	for s := 0; s < migrate.NumSlots && slot < 0; s++ {
+		if len(eng.WindowOf(0).ExportSlot(s).IDs) > 0 {
+			slot = s
+		}
+	}
+	if slot < 0 {
+		t.Fatal("no slot holds a key; the test is vacuous")
+	}
+	for name, damage := range map[string]func(*migrate.Image) []byte{
+		"undecodable": func(img *migrate.Image) []byte { enc := img.Encode(); return enc[:len(enc)-3] },
+		"misaligned": func(img *migrate.Image) []byte {
+			moved := *img
+			moved.Queries = append([]migrate.QueryImage(nil), img.Queries...)
+			last := &moved.Queries[len(moved.Queries)-1]
+			last.Batches = last.Batches[1:] // the second window loses a batch
+			return moved.Encode()
+		},
+	} {
+		img := migrate.Extract(slot, 5, 0, 1, eng.aggs, eng.dict)
+		if img.Keys() == 0 || reflect.DeepEqual(views(), want) {
+			t.Fatalf("%s: extracting slot %d took nothing out", name, slot)
+		}
+		if err := eng.landImage(img, damage(img)); err == nil {
+			t.Fatalf("%s: damaged image landed", name)
+		}
+		if got := views(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: slot %d was not put back:\n got  %v\n want %v", name, slot, got, want)
+		}
+	}
+	// The engine keeps running and sliding as if nothing had happened.
+	static, err := NewMulti(testConfig(), []Query{
+		WordCount(window.Sliding(4*tuple.Second, tuple.Second)),
+		{Name: "plain"},
+		WordCount(window.Sliding(2*tuple.Second, tuple.Second)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	elasticRun(t, static, 8, nil)
+	restore := StubClock(func() time.Time { return time.Unix(0, 0) })
+	defer restore()
+	src := testSource(3000, 40, 11)
+	for i := 0; i < 8; i++ {
+		ts, err := src.Slice(tuple.Time(i)*tuple.Second, tuple.Time(i+1)*tuple.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < 5 {
+			continue // already processed; Slice is called to advance the source
+		}
+		if _, err := eng.Step(ts, tuple.Time(i)*tuple.Second, tuple.Time(i+1)*tuple.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, qi := range []int{0, 2} {
+		if got, want := eng.WindowOf(qi).Snapshot(), static.WindowOf(qi).Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d diverged from a run that never handed off:\n got  %v\n want %v", qi, got, want)
+		}
 	}
 }

@@ -292,7 +292,7 @@ func (e *Engine) backendBatch(bc *BatchContext, split int, obs Observer) (err er
 	if obs != nil {
 		e.observeBatchEnd(obs, bc)
 	}
-	e.reports = append(e.reports, bc.Report)
+	e.recordReport(bc.Report)
 	e.batchIdx++
 	e.now = bc.Batch.End
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"prompt/internal/partition"
@@ -58,10 +59,12 @@ func pipeScenarios() []pipeScenario {
 
 // runState is everything a run leaves behind that depth must not change:
 // the reports, the final window and last batch answers, the interned
-// dictionary (checkpoints serialize it, so matching snapshots mean
-// matching checkpoint state), and the engine's committed position. The
-// restored field holds the same observables after a checkpoint/restore
-// round trip, proving pipelined runs checkpoint cleanly.
+// dictionary in ID order (window state and checkpoint slot images are
+// keyed by ID) and the engine's committed position. In the one cell where
+// statistics shards intern concurrently the dictionary is compared as a
+// key set instead, see runAtDepth. The restored field holds the window
+// after a checkpoint/restore round trip, proving pipelined runs checkpoint
+// cleanly.
 type runState struct {
 	reports  []BatchReport
 	win      map[string]float64
@@ -102,13 +105,34 @@ func runAtDepth(t *testing.T, sc pipeScenario, depth, workers, n int) runState {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Whatever order this run interned in, a restore must reproduce it ID
+	// for ID: the window's slot images name keys by ID and Restore verifies
+	// them against the dictionary section.
+	dict := eng.Dict().Snapshot()
+	if got := rest.Dict().Snapshot(); !slices.Equal(got, dict) {
+		t.Errorf("depth %d: restored dictionary differs from the checkpointed one (%d vs %d keys)", depth, len(got), len(dict))
+	}
+	win := eng.WindowSnapshot()
+	restored := rest.WindowSnapshot()
+	if !reflect.DeepEqual(restored, win) {
+		t.Errorf("depth %d: restored window differs from the checkpointed one", depth)
+	}
+	if cfg.StatsShards > 1 && workers > 1 {
+		// With more than one worker the statistics shards intern their keys
+		// concurrently on the pool (ShardedAccumulator.AddAll), so which key
+		// gets which ID is a scheduling accident at any depth, depth 1
+		// included; only the key set is a property of the run. A nil pool or
+		// a single worker runs the shards inline in index order and keeps
+		// the ordered comparison.
+		slices.Sort(dict)
+	}
 	return runState{
 		reports:  eng.Reports(),
-		win:      eng.WindowSnapshot(),
+		win:      win,
 		last:     eng.LastResult(),
-		dict:     eng.Dict().Snapshot(),
+		dict:     dict,
 		now:      eng.Now(),
-		restored: rest.WindowSnapshot(),
+		restored: restored,
 	}
 }
 

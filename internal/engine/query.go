@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"prompt/internal/intern"
 	"prompt/internal/tuple"
 	"prompt/internal/window"
 )
@@ -69,9 +70,9 @@ func (q Query) normalized() Query {
 	return q
 }
 
-// newAggregator builds the query's window aggregator; a zero window yields
-// nil (per-batch output only).
-func (q Query) newAggregator(batchInterval tuple.Time) (*window.Aggregator, error) {
+// newAggregator builds the query's window aggregator over the stream's key
+// dictionary; a zero window yields nil (per-batch output only).
+func (q Query) newAggregator(batchInterval tuple.Time, dict *intern.Dict) (*window.Aggregator, error) {
 	if q.Window == (window.Spec{}) {
 		return nil, nil
 	}
@@ -79,5 +80,5 @@ func (q Query) newAggregator(batchInterval tuple.Time) (*window.Aggregator, erro
 		return nil, fmt.Errorf("engine: window length %v shorter than batch interval %v",
 			q.Window.Length, batchInterval)
 	}
-	return window.NewAggregator(q.Window, q.Reduce, q.Inverse)
+	return window.NewAggregatorDict(q.Window, q.Reduce, q.Inverse, dict)
 }

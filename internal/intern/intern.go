@@ -15,51 +15,82 @@
 // shards intern in parallel); resolution is lock-free for IDs observed
 // through a happens-before edge (e.g. handed across the worker pool's
 // barrier).
+//
+// The dictionary also fixes each key's state placement: keys hash onto
+// Slots virtual slots — the unit the window state is partitioned by and
+// that rescaling moves between owners — and because the dictionary is
+// append-only the slot is computed once, at intern time, and cached
+// beside the string, so no later layer hashes a key for placement again.
 package intern
 
 import (
 	"fmt"
 	"sync"
+
+	"prompt/internal/hashutil"
 )
+
+// Slots is the fixed virtual-slot count keys hash onto. Ownership of a
+// slot is a pure function of slot and owner count (internal/migrate), so
+// state moves in slot units, never single keys.
+const Slots = 64
+
+// SlotOf maps a key to its virtual slot.
+func SlotOf(key string) int {
+	return int(hashutil.Hash(key) % Slots)
+}
 
 // Dict is an append-only string ↔ uint32 dictionary. The zero value is
 // ready to use.
 type Dict struct {
-	mu   sync.RWMutex
-	ids  map[string]uint32
-	strs []string
+	mu    sync.RWMutex
+	ids   map[string]uint32
+	strs  []string
+	slots []uint8 // slots[id] = SlotOf(strs[id]), cached at intern time
 }
 
 // NewDict returns a dictionary pre-sized for the given expected key
 // cardinality (0 is fine).
 func NewDict(hint int) *Dict {
 	return &Dict{
-		ids:  make(map[string]uint32, hint),
-		strs: make([]string, 0, hint),
+		ids:   make(map[string]uint32, hint),
+		strs:  make([]string, 0, hint),
+		slots: make([]uint8, 0, hint),
 	}
 }
 
 // Intern returns the dense ID for key, assigning the next free ID on
 // first sight. IDs start at 0 and grow by one per distinct key.
 func (d *Dict) Intern(key string) uint32 {
+	id, _ := d.InternSlot(key)
+	return id
+}
+
+// InternSlot is Intern that also returns the key's virtual slot, read
+// from the cache under the same lock acquisition.
+func (d *Dict) InternSlot(key string) (uint32, int) {
 	d.mu.RLock()
 	id, ok := d.ids[key]
-	d.mu.RUnlock()
 	if ok {
-		return id
+		slot := int(d.slots[id])
+		d.mu.RUnlock()
+		return id, slot
 	}
+	d.mu.RUnlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if id, ok = d.ids[key]; ok {
-		return id
+		return id, int(d.slots[id])
 	}
 	if d.ids == nil {
 		d.ids = make(map[string]uint32)
 	}
 	id = uint32(len(d.strs))
+	slot := SlotOf(key)
 	d.ids[key] = id
 	d.strs = append(d.strs, key)
-	return id
+	d.slots = append(d.slots, uint8(slot))
+	return id, slot
 }
 
 // Lookup returns the ID for key without interning it.
@@ -76,6 +107,28 @@ func (d *Dict) Lookup(key string) (uint32, bool) {
 func (d *Dict) Resolve(id uint32) string {
 	d.mu.RLock()
 	s := d.strs[id]
+	d.mu.RUnlock()
+	return s
+}
+
+// Strings returns the interned strings in ID order — index i holds the key
+// with ID i — without copying them. The dictionary is append-only, so the
+// view stays valid and unchanged while later keys are interned; it covers
+// the IDs issued before the call, and callers must not modify it. It is
+// Resolve for a caller about to resolve many IDs: one lock acquisition
+// instead of one per ID.
+func (d *Dict) Strings() []string {
+	d.mu.RLock()
+	strs := d.strs
+	d.mu.RUnlock()
+	return strs
+}
+
+// Slot returns the virtual slot of the key with the given id. Like
+// Resolve it panics on an ID the dictionary never issued.
+func (d *Dict) Slot(id uint32) int {
+	d.mu.RLock()
+	s := int(d.slots[id])
 	d.mu.RUnlock()
 	return s
 }
@@ -110,6 +163,7 @@ func FromSnapshot(strs []string) (*Dict, error) {
 		}
 		d.ids[s] = uint32(i)
 		d.strs = append(d.strs, s)
+		d.slots = append(d.slots, uint8(SlotOf(s)))
 	}
 	return d, nil
 }

@@ -143,3 +143,48 @@ func FuzzInternResolveIdentity(f *testing.F) {
 		}
 	})
 }
+
+// TestSlotCacheAndStringsView: the slot cached at intern time is SlotOf of
+// the key on every path that adds a key (Intern, InternSlot, FromSnapshot),
+// and a Strings view taken earlier keeps reading the same keys while the
+// dictionary grows past it.
+func TestSlotCacheAndStringsView(t *testing.T) {
+	d := NewDict(0)
+	for i := 0; i < 300; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		var id uint32
+		if i%2 == 0 {
+			id = d.Intern(key)
+		} else {
+			var slot int
+			if id, slot = d.InternSlot(key); slot != SlotOf(key) {
+				t.Fatalf("InternSlot(%q) slot = %d, want %d", key, slot, SlotOf(key))
+			}
+		}
+		if got := d.Slot(id); got != SlotOf(key) || got < 0 || got >= Slots {
+			t.Fatalf("Slot(%d) = %d, want SlotOf(%q) = %d", id, got, key, SlotOf(key))
+		}
+		if _, slot := d.InternSlot(key); slot != SlotOf(key) {
+			t.Fatalf("re-interning %q gave slot %d", key, slot)
+		}
+	}
+	view := d.Strings()
+	restored, err := FromSnapshot(d.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 300; i < 2000; i++ {
+		d.Intern(fmt.Sprintf("key-%d", i)) // forces the backing arrays to move
+	}
+	if len(view) != 300 {
+		t.Fatalf("view grew to %d keys", len(view))
+	}
+	for id, key := range view {
+		if key != d.Resolve(uint32(id)) {
+			t.Fatalf("view[%d] = %q, dictionary says %q", id, key, d.Resolve(uint32(id)))
+		}
+		if restored.Slot(uint32(id)) != SlotOf(key) {
+			t.Fatalf("restored dictionary caches slot %d for %q, want %d", restored.Slot(uint32(id)), key, SlotOf(key))
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"prompt/internal/tuple"
+	"prompt/internal/window"
 )
 
 // imageVersion tags the image encoding so a future layout change fails
@@ -21,7 +22,24 @@ var ErrImage = errors.New("migrate: malformed image")
 // domain is signed), length-prefixed strings, IEEE-754 bits for floats,
 // every length validated against the remaining payload on decode.
 func (img *Image) Encode() []byte {
-	b := []byte{imageVersion}
+	// Sized up front from the element counts (per entry, a reference no
+	// longer than the table length's own varint plus eight float bytes), so
+	// a large slot encodes without regrowing.
+	refLen := 1
+	for n := len(img.Dict) >> 7; n > 0; n >>= 7 {
+		refLen++
+	}
+	size := 1 + 6*binary.MaxVarintLen64
+	for _, d := range img.Dict {
+		size += 2*binary.MaxVarintLen32 + len(d.Key)
+	}
+	for _, q := range img.Queries {
+		size += 2 * binary.MaxVarintLen64
+		for _, bk := range q.Batches {
+			size += 2*binary.MaxVarintLen64 + len(bk.Refs)*(refLen+8)
+		}
+	}
+	b := append(make([]byte, 0, size), imageVersion)
 	b = binary.AppendVarint(b, int64(img.Slot))
 	b = binary.AppendVarint(b, int64(img.Epoch))
 	b = binary.AppendVarint(b, int64(img.From))
@@ -38,10 +56,10 @@ func (img *Image) Encode() []byte {
 		b = binary.AppendUvarint(b, uint64(len(q.Batches)))
 		for _, bk := range q.Batches {
 			b = binary.AppendVarint(b, int64(bk.End))
-			b = binary.AppendUvarint(b, uint64(len(bk.Entries)))
-			for _, e := range bk.Entries {
-				b = binary.AppendUvarint(b, uint64(e.Dict))
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Val))
+			b = binary.AppendUvarint(b, uint64(len(bk.Refs)))
+			for i, ref := range bk.Refs {
+				b = binary.AppendUvarint(b, uint64(ref))
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(bk.Vals[i]))
 			}
 		}
 	}
@@ -58,7 +76,7 @@ func (r *imgReader) remaining() int { return len(r.b) - r.off }
 
 func (r *imgReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || !r.minimal(n) {
 		return 0, ErrImage
 	}
 	r.off += n
@@ -67,11 +85,19 @@ func (r *imgReader) uvarint() (uint64, error) {
 
 func (r *imgReader) varint() (int64, error) {
 	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || !r.minimal(n) {
 		return 0, ErrImage
 	}
 	r.off += n
 	return v, nil
+}
+
+// minimal reports whether the n-byte varint at the cursor is the shortest
+// encoding of its value: a padded one ends in a zero byte. Encode never
+// pads, and Decode accepts only what Encode writes, so an image has one
+// encoding and its digest identifies it.
+func (r *imgReader) minimal(n int) bool {
+	return n == 1 || r.b[r.off+n-1] != 0
 }
 
 func (r *imgReader) intv() (int, error) {
@@ -110,19 +136,6 @@ func (r *imgReader) float() (float64, error) {
 	return math.Float64frombits(v), nil
 }
 
-func (r *imgReader) string() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.remaining()) {
-		return "", ErrImage
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
 // Decode parses an encoded image, failing cleanly on truncation, bad
 // versions, and length bombs.
 func Decode(b []byte) (*Image, error) {
@@ -152,6 +165,13 @@ func Decode(b []byte) (*Image, error) {
 		return nil, err
 	}
 	img.Dict = make([]DictSlot, nd)
+	// The keys are cut from one copy of the table's bytes rather than
+	// copied out one by one. An image is short-lived and its usual
+	// recipient already knows every key, so nothing outlives it; Apply
+	// clones the keys it does have to intern.
+	type span struct{ off, n int }
+	spans := make([]span, nd)
+	tableStart := r.off
 	for i := range img.Dict {
 		id, err := r.uvarint()
 		if err != nil {
@@ -160,11 +180,20 @@ func Decode(b []byte) (*Image, error) {
 		if id > math.MaxUint32 {
 			return nil, fmt.Errorf("%w: dict id %d overflows uint32", ErrImage, id)
 		}
-		key, err := r.string()
+		n, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		img.Dict[i] = DictSlot{ID: uint32(id), Key: key}
+		if n > uint64(r.remaining()) {
+			return nil, ErrImage
+		}
+		img.Dict[i].ID = uint32(id)
+		spans[i] = span{r.off - tableStart, int(n)}
+		r.off += int(n)
+	}
+	table := string(r.b[tableStart:r.off])
+	for i, sp := range spans {
+		img.Dict[i].Key = table[sp.off : sp.off+sp.n]
 	}
 	nq, err := r.count(2)
 	if err != nil {
@@ -180,20 +209,22 @@ func Decode(b []byte) (*Image, error) {
 		if err != nil {
 			return nil, err
 		}
-		q.Batches = make([]BatchKV, nb)
+		q.Batches = make([]window.SlotBatch, nb)
+		// A query's columns share one backing array per kind, grown as the
+		// batches are read and cut into per-batch pieces at the end.
+		refs, vals := []uint32{}, []float64{}
+		cuts := make([]int, nb+1)
 		for bi := range q.Batches {
-			bk := &q.Batches[bi]
 			end, err := r.varint()
 			if err != nil {
 				return nil, err
 			}
-			bk.End = tuple.Time(end)
+			q.Batches[bi].End = tuple.Time(end)
 			ne, err := r.count(9)
 			if err != nil {
 				return nil, err
 			}
-			bk.Entries = make([]KV, ne)
-			for ei := range bk.Entries {
+			for ei := 0; ei < ne; ei++ {
 				d, err := r.uvarint()
 				if err != nil {
 					return nil, err
@@ -205,8 +236,13 @@ func Decode(b []byte) (*Image, error) {
 				if err != nil {
 					return nil, err
 				}
-				bk.Entries[ei] = KV{Dict: int(d), Val: v}
+				refs, vals = append(refs, uint32(d)), append(vals, v)
 			}
+			cuts[bi+1] = len(refs)
+		}
+		for bi := range q.Batches {
+			from, to := cuts[bi], cuts[bi+1]
+			q.Batches[bi].Refs, q.Batches[bi].Vals = refs[from:to:to], vals[from:to:to]
 		}
 	}
 	if r.remaining() != 0 {

@@ -10,35 +10,30 @@
 // calls for — and Plan enumerates exactly those handoffs.
 //
 // A slot's state travels as an Image: the per-query window contributions
-// of the slot's keys (aligned with window.BatchState) plus the intern
-// slots (id, key) those keys occupy, serialized with the same
-// length-checked varint discipline as internal/wire (this package cannot
-// import wire — wire imports engine — so it carries its own primitives).
-// Extract removes the state from the donor's aggregators, Apply
-// reinserts it on the recipient's; the engine round-trips every image
-// through Encode/Decode even for in-process handoffs, so the codec path
-// is always the one exercised.
+// of the slot's keys (window.SlotBatch columns) plus the intern slots
+// (id, key) those keys occupy, serialized with the same length-checked
+// varint discipline as internal/wire (this package cannot import wire —
+// wire imports engine — so it carries its own primitives). The slots are
+// the physical partitions of the window state, so Extract detaches one and
+// Apply attaches one in time proportional to that slot's keys; Export is
+// the non-destructive Extract the checkpoint writer uses. The engine
+// round-trips every image through Encode/Decode even for in-process
+// handoffs, so the codec path is always the one exercised.
 package migrate
 
 import (
 	"fmt"
 	"slices"
+	"strings"
 
-	"prompt/internal/hashutil"
 	"prompt/internal/intern"
-	"prompt/internal/tuple"
 	"prompt/internal/window"
 )
 
 // NumSlots is the fixed virtual-slot count keys hash onto. It bounds
 // migration granularity: a rescale moves state in slot units, never
 // single keys, and ownership is a pure function of slot and owner count.
-const NumSlots = 64
-
-// SlotOf maps a key to its virtual slot.
-func SlotOf(key string) int {
-	return int(hashutil.Hash(key) % NumSlots)
-}
+const NumSlots = intern.Slots
 
 // Owner returns the executor owning slot s among n owners (n >= 1).
 func Owner(slot, owners int) int {
@@ -81,24 +76,12 @@ type DictSlot struct {
 	Key string
 }
 
-// KV is one key's contribution inside a retained batch, referencing the
-// key by its index in the image's Dict table.
-type KV struct {
-	Dict int
-	Val  float64
-}
-
-// BatchKV is the extracted contributions of one retained window batch.
-type BatchKV struct {
-	End     tuple.Time
-	Entries []KV
-}
-
-// QueryImage is one query's extracted window state: one BatchKV per
-// retained batch, positionally aligned with the aggregator's batch list.
+// QueryImage is one query's extracted window state: one SlotBatch per
+// retained batch, positionally aligned with the aggregator's batch list,
+// its Refs indexing the image's Dict table.
 type QueryImage struct {
 	Query   int
-	Batches []BatchKV
+	Batches []window.SlotBatch
 }
 
 // Image is the serialized state of one slot handoff: the epoch (batch
@@ -116,97 +99,128 @@ type Image struct {
 // Keys returns how many distinct keys the image carries.
 func (img *Image) Keys() int { return len(img.Dict) }
 
-// Extract removes the slot's keys from every windowed aggregator and
-// packs their state — window contributions plus intern slots — into an
-// image. Aggregator entries may be nil (windowless queries). The dict is
-// not mutated (intern dictionaries are append-only); the image records
-// the (id, key) pairs so the recipient can verify or extend its mirror.
+// Extract detaches the slot from every windowed aggregator and packs its
+// state — window contributions plus intern slots — into an image.
+// Aggregator entries may be nil (windowless queries). The image records
+// each key's (id, key) pair in dict so the recipient can verify or extend
+// its mirror; a window key dict has never seen is interned there.
 func Extract(slot, epoch, from, to int, aggs []*window.Aggregator, dict *intern.Dict) *Image {
+	return pack(slot, epoch, from, to, aggs, dict, (*window.Aggregator).DetachSlot)
+}
+
+// Export is Extract that leaves the window untouched: the checkpoint
+// writer's copy of a slot.
+func Export(slot, epoch, from, to int, aggs []*window.Aggregator, dict *intern.Dict) *Image {
+	return pack(slot, epoch, from, to, aggs, dict, (*window.Aggregator).ExportSlot)
+}
+
+// pack builds a slot's image from each aggregator's SlotState. The image's
+// key table is the union of the queries' key sets in ascending dict-ID
+// order; a query whose own table already is that union (the single-query
+// case, and queries over the same keys) keeps its references as exported.
+func pack(slot, epoch, from, to int, aggs []*window.Aggregator, dict *intern.Dict,
+	take func(*window.Aggregator, int) window.SlotState) *Image {
 	img := &Image{Slot: slot, Epoch: epoch, From: from, To: to}
-	index := make(map[string]int)
-	ref := func(key string) int {
-		if i, ok := index[key]; ok {
-			return i
-		}
-		i := len(img.Dict)
-		id, ok := dict.Lookup(key)
-		if !ok {
-			// A window key the engine never interned cannot occur — every
-			// key enters the windows through the interning accumulator —
-			// but a zero ID keeps the image well-formed if it somehow does.
-			id = 0
-		}
-		img.Dict = append(img.Dict, DictSlot{ID: id, Key: key})
-		index[key] = i
-		return i
-	}
+	var tables [][]uint32 // per query image: its key table in dict's IDs
+	var union []uint32
 	for qi, ag := range aggs {
 		if ag == nil {
 			continue
 		}
-		states := ag.ExtractKeys(func(k string) bool { return SlotOf(k) == slot })
-		q := QueryImage{Query: qi, Batches: make([]BatchKV, len(states))}
-		for bi, s := range states {
-			bk := BatchKV{End: s.End}
-			// Deterministic entry order: dict-reference order is first-seen
-			// per image, so iterate keys sorted for stable encodings.
-			for _, k := range sortedKeys(s.Result) {
-				bk.Entries = append(bk.Entries, KV{Dict: ref(k), Val: s.Result[k]})
+		st := take(ag, slot)
+		ids := st.IDs
+		if own := ag.Dict(); own != dict {
+			// A standalone aggregator numbers keys in its private
+			// dictionary; the image speaks dict's numbering.
+			ids = make([]uint32, len(st.IDs))
+			for i, id := range st.IDs {
+				ids[i] = dict.Intern(own.Resolve(id))
 			}
-			q.Batches[bi] = bk
 		}
-		img.Queries = append(img.Queries, q)
+		tables = append(tables, ids)
+		union = append(union, ids...)
+		img.Queries = append(img.Queries, QueryImage{Query: qi, Batches: st.Batches})
+	}
+	slices.Sort(union)
+	union = slices.Compact(union)
+	img.Dict = make([]DictSlot, len(union))
+	keys := dict.Strings()
+	for i, id := range union {
+		img.Dict[i] = DictSlot{ID: id, Key: keys[id]}
+	}
+	for qi, ids := range tables {
+		if slices.Equal(ids, union) {
+			continue
+		}
+		remap := make([]uint32, len(ids))
+		for i, id := range ids {
+			at, _ := slices.BinarySearch(union, id)
+			remap[i] = uint32(at)
+		}
+		for _, b := range img.Queries[qi].Batches {
+			for j, r := range b.Refs {
+				b.Refs[j] = remap[r]
+			}
+		}
 	}
 	return img
 }
 
-// Apply reinserts an image's state into the recipient's aggregators,
+// Apply attaches an image's state to the recipient's aggregators,
 // verifying the image's intern slots against the dictionary (interning
 // any key the recipient has not seen — a fresh owner's dictionary may
-// trail the donor's).
+// trail the donor's). It is all-or-nothing: every check that does not
+// need an aggregator runs first, each aggregator validates its share
+// before changing anything (window.AttachSlot), and if a later query
+// still refuses, the queries already attached are detached again, so a
+// rejected image leaves every window as it was. The one trace a rejected
+// image may leave is its keys interned — a dictionary entry answers
+// nothing by itself. A key interned here is cloned first: a decoded
+// image's keys are substrings of one copy of its key table (Decode), and
+// the append-only dictionary must not keep that table alive.
 func Apply(img *Image, aggs []*window.Aggregator, dict *intern.Dict) error {
-	for _, d := range img.Dict {
-		if have, ok := dict.Lookup(d.Key); ok {
-			if have != d.ID {
-				return fmt.Errorf("migrate: slot %d: key %q interned as %d here, image says %d",
-					img.Slot, d.Key, have, d.ID)
-			}
-			continue
-		}
-		dict.Intern(d.Key)
+	if img.Slot < 0 || img.Slot >= NumSlots {
+		return fmt.Errorf("migrate: slot %d out of range [0,%d)", img.Slot, NumSlots)
 	}
 	for _, q := range img.Queries {
 		if q.Query < 0 || q.Query >= len(aggs) {
 			return fmt.Errorf("migrate: slot %d: query index %d out of range [0,%d)", img.Slot, q.Query, len(aggs))
 		}
-		ag := aggs[q.Query]
-		if ag == nil {
+		if aggs[q.Query] == nil {
 			return fmt.Errorf("migrate: slot %d: query %d has no window here but the image carries one", img.Slot, q.Query)
 		}
-		states := make([]window.BatchState, len(q.Batches))
-		for bi, b := range q.Batches {
-			m := make(map[string]float64, len(b.Entries))
-			for _, e := range b.Entries {
-				if e.Dict < 0 || e.Dict >= len(img.Dict) {
-					return fmt.Errorf("migrate: slot %d: dict reference %d out of range [0,%d)", img.Slot, e.Dict, len(img.Dict))
-				}
-				m[img.Dict[e.Dict].Key] = e.Val
-			}
-			states[bi] = window.BatchState{End: b.End, Result: m}
+	}
+	ids := make([]uint32, len(img.Dict))
+	for i, d := range img.Dict {
+		have, ok := dict.Lookup(d.Key)
+		switch {
+		case !ok:
+			have = dict.Intern(strings.Clone(d.Key))
+		case have != d.ID:
+			return fmt.Errorf("migrate: slot %d: key %q interned as %d here, image says %d",
+				img.Slot, d.Key, have, d.ID)
 		}
-		if err := ag.ApplyKeys(states); err != nil {
+		ids[i] = have
+	}
+	for i, q := range img.Queries {
+		ag := aggs[q.Query]
+		table := ids
+		if own := ag.Dict(); own != dict {
+			table = make([]uint32, len(img.Dict))
+			for j, d := range img.Dict {
+				id, ok := own.Lookup(d.Key)
+				if !ok {
+					id = own.Intern(strings.Clone(d.Key))
+				}
+				table[j] = id
+			}
+		}
+		if err := ag.AttachSlot(img.Slot, window.SlotState{IDs: table, Batches: q.Batches}); err != nil {
+			for _, done := range img.Queries[:i] {
+				aggs[done.Query].DetachSlot(img.Slot)
+			}
 			return fmt.Errorf("migrate: slot %d query %d: %w", img.Slot, q.Query, err)
 		}
 	}
 	return nil
-}
-
-// sortedKeys returns the map's keys in ascending order.
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
 }

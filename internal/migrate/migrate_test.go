@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"prompt/internal/intern"
 	"prompt/internal/tuple"
@@ -59,12 +60,31 @@ func keysInSlot(t *testing.T, slot, n int) []string {
 	var out []string
 	for i := 0; len(out) < n && i < 100000; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if SlotOf(k) == slot {
+		if intern.SlotOf(k) == slot {
 			out = append(out, k)
 		}
 	}
 	if len(out) < n {
 		t.Fatalf("could not find %d keys in slot %d", n, slot)
+	}
+	return out
+}
+
+// retained returns the aggregator's retained batch outputs as one
+// string-keyed map per batch, oldest first, read back through the slot
+// exports — the per-batch view of the window, not just its folded answer.
+func retained(ag *window.Aggregator) []map[string]float64 {
+	out := make([]map[string]float64, ag.Batches())
+	for i := range out {
+		out[i] = map[string]float64{}
+	}
+	for slot := 0; slot < NumSlots; slot++ {
+		st := ag.ExportSlot(slot)
+		for bi, b := range st.Batches {
+			for j, ref := range b.Refs {
+				out[bi][ag.Dict().Resolve(st.IDs[ref])] = b.Vals[j]
+			}
+		}
 	}
 	return out
 }
@@ -163,7 +183,7 @@ func TestExtractApplyRoundTrip(t *testing.T) {
 			if got, want := ag.Snapshot(), ref.Snapshot(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("post-migration snapshot mismatch:\n  got  %v\n  want %v", got, want)
 			}
-			if got, want := ag.State(), ref.State(); !reflect.DeepEqual(got, want) {
+			if got, want := retained(ag), retained(ref); !reflect.DeepEqual(got, want) {
 				t.Fatalf("post-migration batch state mismatch:\n  got  %v\n  want %v", got, want)
 			}
 		})
@@ -245,23 +265,123 @@ func TestApplyOntoFreshOwner(t *testing.T) {
 			t.Fatalf("key %q not interned on recipient", k)
 		}
 	}
+	// A decoded image's keys are substrings of one copy of its key table;
+	// the append-only dictionaries must hold their own copies, or every
+	// image with one unknown key would pin its whole table for good.
+	for _, d := range dec.Dict {
+		id, _ := recDict.Lookup(d.Key)
+		own, _ := recipient.Dict().Lookup(d.Key)
+		for _, held := range []string{recDict.Resolve(id), recipient.Dict().Resolve(own)} {
+			if unsafe.StringData(held) == unsafe.StringData(d.Key) {
+				t.Fatalf("key %q interned as a substring of the image's table", d.Key)
+			}
+		}
+	}
 }
 
+// TestApplyRejectsCorruptImages: Apply validates before it mutates. Every
+// rejected image — including ones whose first batches or first query are
+// fine — must leave the recipient's windows exactly as they were, and the
+// windows must keep working (add, evict, incremental == recomputed)
+// afterwards.
 func TestApplyRejectsCorruptImages(t *testing.T) {
-	ag := newAgg(t, window.SumInverse)
-	if err := ag.AddBatch(tuple.Second, map[string]float64{}); err != nil {
-		t.Fatal(err)
+	const slot = 1
+	in := keysInSlot(t, slot, 2)
+	elsewhere := keysInSlot(t, slot+1, 2)
+	sec := tuple.Second
+	batch := func(end tuple.Time, refs []uint32, vals ...float64) window.SlotBatch {
+		return window.SlotBatch{End: end, Refs: refs, Vals: vals}
 	}
-	dict := intern.NewDict(0)
-	for _, img := range []*Image{
-		{Slot: 1, Queries: []QueryImage{{Query: 5}}},  // query out of range
-		{Slot: 1, Queries: []QueryImage{{Query: -1}}}, // negative query
-		{Slot: 1, Dict: []DictSlot{{ID: 0, Key: "k"}},
-			Queries: []QueryImage{{Query: 0, Batches: []BatchKV{{End: tuple.Second, Entries: []KV{{Dict: 3, Val: 1}}}}}}}, // dict ref out of range
+	// The recipient's dictionary holds elsewhere[0] as ID 0 (see below), so
+	// a donor that shares its numbering issued 1 and 2 next.
+	table := []DictSlot{{ID: 1, Key: in[0]}, {ID: 2, Key: in[1]}}
+	good := []window.SlotBatch{batch(sec, []uint32{0, 1}, 1, 2), batch(2*sec, []uint32{0}, 3)}
+
+	for _, tc := range []struct {
+		name string
+		img  *Image
+	}{
+		{"query out of range", &Image{Slot: slot, Queries: []QueryImage{{Query: 5}}}},
+		{"negative query", &Image{Slot: slot, Queries: []QueryImage{{Query: -1}}}},
+		{"slot out of range", &Image{Slot: NumSlots, Dict: table, Queries: []QueryImage{{Query: 0, Batches: good}}}},
+		{"query without a window", &Image{Slot: slot, Dict: table, Queries: []QueryImage{{Query: 2, Batches: good}}}},
+		{"dict reference out of range", &Image{Slot: slot, Dict: table[:1],
+			Queries: []QueryImage{{Query: 0, Batches: []window.SlotBatch{batch(sec, []uint32{3}, 1), batch(2*sec, nil)}}}}},
+		{"dict id disagrees with the recipient", &Image{Slot: slot, Dict: []DictSlot{{ID: 7, Key: elsewhere[0]}},
+			Queries: []QueryImage{{Query: 0, Batches: []window.SlotBatch{batch(sec, nil), batch(2*sec, nil)}}}}},
+		{"too few batches", &Image{Slot: slot, Dict: table, Queries: []QueryImage{{Query: 0, Batches: good[:1]}}}},
+		{"second batch misaligned", &Image{Slot: slot, Dict: table,
+			Queries: []QueryImage{{Query: 0, Batches: []window.SlotBatch{good[0], batch(3*sec, []uint32{0}, 3)}}}}},
+		{"key twice in the second batch", &Image{Slot: slot, Dict: table,
+			Queries: []QueryImage{{Query: 0, Batches: []window.SlotBatch{good[0], batch(2*sec, []uint32{1, 1}, 3, 4)}}}}},
+		{"key twice in the table", &Image{Slot: slot, Dict: []DictSlot{table[0], table[0]},
+			Queries: []QueryImage{{Query: 0, Batches: good}}}},
+		{"columns of unequal length", &Image{Slot: slot, Dict: table,
+			Queries: []QueryImage{{Query: 0, Batches: []window.SlotBatch{good[0], batch(2*sec, []uint32{0, 1}, 3)}}}}},
+		{"key of another slot", &Image{Slot: slot, Dict: []DictSlot{{ID: 0, Key: "stranger-" + elsewhere[1]}},
+			Queries: []QueryImage{{Query: 0, Batches: []window.SlotBatch{batch(sec, []uint32{0}, 1), batch(2*sec, nil)}}}}},
+		{"second query misaligned after a good first", &Image{Slot: slot, Dict: table,
+			Queries: []QueryImage{{Query: 0, Batches: good}, {Query: 1, Batches: good[:1]}}}},
+		{"slot already owned here", &Image{Slot: slot + 1, Dict: []DictSlot{{ID: 0, Key: elsewhere[1]}},
+			Queries: []QueryImage{{Query: 0, Batches: []window.SlotBatch{batch(sec, []uint32{0}, 1), batch(2*sec, nil)}}}}},
 	} {
-		if err := Apply(img, []*window.Aggregator{ag}, dict); err == nil {
-			t.Fatalf("Apply accepted corrupt image %+v", img)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "key of another slot" && intern.SlotOf(tc.img.Dict[0].Key) == slot {
+				t.Skip("the stranger key happens to hash to the slot")
+			}
+			// Two windowed queries and a windowless one, sharing a dictionary
+			// that already holds a key of another slot — which the windows hold
+			// live, so "unchanged" is not vacuous.
+			dict := intern.NewDict(0)
+			aggs := make([]*window.Aggregator, 3)
+			for i := range aggs[:2] {
+				ag, err := window.NewAggregatorDict(window.Sliding(3*sec, sec), window.Sum, window.SumInverse, dict)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for b := 1; b <= 2; b++ {
+					if err := ag.AddBatch(tuple.Time(b)*sec, map[string]float64{elsewhere[0]: float64(b)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				aggs[i] = ag
+			}
+			type view struct{ snap, recomputed map[string]float64 }
+			look := func() []view {
+				var out []view
+				for _, ag := range aggs[:2] {
+					out = append(out, view{ag.Snapshot(), ag.Recompute()})
+				}
+				return out
+			}
+			before := look()
+			if err := Apply(tc.img, aggs, dict); err == nil {
+				t.Fatalf("Apply accepted corrupt image %+v", tc.img)
+			}
+			if after := look(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("rejected image changed the windows:\n  before %v\n  after  %v", before, after)
+			}
+			// The windows must still take the good image, then slide past
+			// everything they hold with incremental and recomputed state in
+			// step.
+			ok := &Image{Slot: slot, Dict: table, Queries: []QueryImage{{Query: 0, Batches: good}, {Query: 1, Batches: good}}}
+			if err := Apply(ok, aggs, dict); err != nil {
+				t.Fatalf("Apply of a good image after the rejected one: %v", err)
+			}
+			for b := 3; b <= 6; b++ {
+				for qi, ag := range aggs[:2] {
+					if err := ag.AddBatch(tuple.Time(b)*sec, map[string]float64{in[0]: 1}); err != nil {
+						t.Fatal(err)
+					}
+					if snap, rec := ag.Snapshot(), ag.Recompute(); !reflect.DeepEqual(snap, rec) {
+						t.Fatalf("query %d, batch %d: incremental %v, recomputed %v", qi, b, snap, rec)
+					}
+				}
+			}
+			if got, want := aggs[0].Snapshot(), map[string]float64{in[0]: 3}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("window after sliding past the applied state = %v, want %v", got, want)
+			}
+		})
 	}
 }
 
@@ -269,8 +389,8 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	img := &Image{
 		Slot: 5, Epoch: 2, From: 1, To: 2,
 		Dict: []DictSlot{{ID: 1, Key: "alpha"}, {ID: 2, Key: "beta"}},
-		Queries: []QueryImage{{Query: 0, Batches: []BatchKV{
-			{End: tuple.Second, Entries: []KV{{Dict: 0, Val: 1.5}, {Dict: 1, Val: -2}}},
+		Queries: []QueryImage{{Query: 0, Batches: []window.SlotBatch{
+			{End: tuple.Second, Refs: []uint32{0, 1}, Vals: []float64{1.5, -2}},
 		}}},
 	}
 	enc := img.Encode()
@@ -290,13 +410,15 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 // FuzzImage throws mutated encodings at Decode: it must never panic, and
-// everything it accepts must re-encode canonically.
+// everything it accepts must re-encode canonically. What Decode accepts is
+// what a checkpoint restore and a hand-off feed to Apply, so Apply must
+// turn any of it into state or an error, never a panic.
 func FuzzImage(f *testing.F) {
 	img := &Image{
 		Slot: 5, Epoch: 2, From: 1, To: 2,
 		Dict: []DictSlot{{ID: 1, Key: "alpha"}},
-		Queries: []QueryImage{{Query: 0, Batches: []BatchKV{
-			{End: tuple.Second, Entries: []KV{{Dict: 0, Val: 1.5}}},
+		Queries: []QueryImage{{Query: 0, Batches: []window.SlotBatch{
+			{End: tuple.Second, Refs: []uint32{0}, Vals: []float64{1.5}},
 		}}},
 	}
 	f.Add(img.Encode())
@@ -309,6 +431,18 @@ func FuzzImage(f *testing.F) {
 		re := dec.Encode()
 		if !bytes.Equal(re, b) {
 			t.Fatalf("accepted non-canonical encoding:\n  in  %x\n  out %x", b, re)
+		}
+		ag, err := window.NewAggregator(window.Sliding(3*tuple.Second, tuple.Second), window.Sum, window.SumInverse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ag.AddBatch(tuple.Second, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := Apply(dec, []*window.Aggregator{ag, nil}, intern.NewDict(0)); err == nil {
+			if snap, rec := ag.Snapshot(), ag.Recompute(); len(snap) != len(rec) {
+				t.Fatalf("applied image left %d keys live, %d retained", len(snap), len(rec))
+			}
 		}
 	})
 }

@@ -4,6 +4,14 @@
 // Batches that exit the window are reflected onto the answer with an
 // inverse Reduce function, avoiding re-evaluation; when no inverse exists,
 // the aggregator falls back to recomputing from the retained batch outputs.
+//
+// The state is keyed by intern ID and physically partitioned by the
+// dictionary's virtual slots (intern.Slots): every retained batch keeps one
+// pair of columns per slot, so a slot — the unit rescaling moves and
+// checkpoints serialize — is detached, exported and attached in time
+// proportional to that slot alone (slot.go). Key strings appear only at the
+// edges: AddBatch's input map, Snapshot, Value, Recompute and the k results
+// of TopK.
 package window
 
 import (
@@ -14,6 +22,7 @@ import (
 	"strings"
 	"sync"
 
+	"prompt/internal/intern"
 	"prompt/internal/tuple"
 )
 
@@ -61,51 +70,81 @@ func Tumbling(length tuple.Time) Spec { return Spec{Length: length, Slide: lengt
 // Sliding returns a sliding window spec.
 func Sliding(length, slide tuple.Time) Spec { return Spec{Length: length, Slide: slide} }
 
-// batchOutput is one batch's per-key partial aggregate, kept while the
-// batch is inside the window (it doubles as the replicated batch state the
-// paper's consistency section describes).
-type batchOutput struct {
-	end    tuple.Time
-	result map[string]float64
+// cell is one key's incremental window state, addressed by intern ID.
+type cell struct {
+	val float64
+	n   int32 // retained batches contributing to the key; 0 = not live
+	pos int32 // index in its slot's live list while n > 0, scratch otherwise
+}
+
+// column is one retained batch's contributions to one slot: parallel
+// columns, one entry per key the batch carried for that slot.
+type column struct {
+	ids  []uint32
+	vals []float64
+}
+
+// batch is one batch output kept while the batch is inside the window (it
+// doubles as the replicated batch state the paper's consistency section
+// describes), partitioned by slot.
+type batch struct {
+	end  tuple.Time
+	cols [intern.Slots]column
 }
 
 // Aggregator maintains the per-key window state across batch outputs.
-// It is safe for concurrent use: merges (AddBatch, Restore) take an
-// exclusive lock while reads (Snapshot, Value, TopK, State, Recompute)
-// share one, so the parallel runtime can merge different queries' windows
-// on worker goroutines while observers read current answers. Batch ends
-// must still be non-decreasing, so each aggregator has one logical writer
-// per batch — the engine's driver barrier provides that ordering.
+// It is safe for concurrent use: writers (AddBatch and the slot hand-off
+// calls of slot.go) take an exclusive lock while reads (Snapshot, Value,
+// TopK, Recompute) share one, so the parallel runtime can merge different
+// queries' windows on worker goroutines while observers read current
+// answers. Batch ends must still be non-decreasing, so each aggregator has
+// one logical writer per batch — the engine's driver barrier provides that
+// ordering.
 type Aggregator struct {
 	mu      sync.RWMutex
 	spec    Spec
 	reduce  ReduceFn
 	inverse ReduceFn // nil => recompute on evict
-	batches []batchOutput
-	state   map[string]float64
-	contrib map[string]int // batches currently contributing to each key
+	dict    *intern.Dict
+
+	batches []*batch // retained batch outputs, oldest first
+	// free holds evicted batches: the next AddBatch refills their columns,
+	// so steady-state add + evict allocates nothing per key.
+	free  []*batch
+	cells []cell // by intern ID; grown on demand, never shrunk
+	// live[s] lists the IDs of slot s whose cell is live, in no particular
+	// order (cell.pos points back), so reads and hand-offs visit live keys
+	// only, never the whole dictionary.
+	live [intern.Slots][]uint32
 }
 
-// NewAggregator returns a window aggregator. inverse may be nil for
-// non-invertible reduce functions.
+// NewAggregator returns a window aggregator with a private key
+// dictionary. inverse may be nil for non-invertible reduce functions.
 func NewAggregator(spec Spec, reduce, inverse ReduceFn) (*Aggregator, error) {
+	return NewAggregatorDict(spec, reduce, inverse, intern.NewDict(0))
+}
+
+// NewAggregatorDict is NewAggregator over a shared dictionary — the
+// stream's, whose IDs the batch pipeline already issued — so every
+// aggregator of an engine addresses a key by the same ID.
+func NewAggregatorDict(spec Spec, reduce, inverse ReduceFn, dict *intern.Dict) (*Aggregator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if reduce == nil {
 		return nil, fmt.Errorf("window: reduce function is required")
 	}
-	return &Aggregator{
-		spec:    spec,
-		reduce:  reduce,
-		inverse: inverse,
-		state:   make(map[string]float64),
-		contrib: make(map[string]int),
-	}, nil
+	if dict == nil {
+		return nil, fmt.Errorf("window: key dictionary is required")
+	}
+	return &Aggregator{spec: spec, reduce: reduce, inverse: inverse, dict: dict}, nil
 }
 
 // Spec returns the window specification.
 func (ag *Aggregator) Spec() Spec { return ag.spec }
+
+// Dict returns the dictionary the aggregator's key IDs belong to.
+func (ag *Aggregator) Dict() *intern.Dict { return ag.dict }
 
 // Batches returns the number of batch outputs currently inside the window.
 func (ag *Aggregator) Batches() int {
@@ -116,32 +155,51 @@ func (ag *Aggregator) Batches() int {
 
 // AddBatch merges one batch output (keyed partial aggregates) ending at the
 // given time into the window state and evicts batches that have fallen out
-// of [end-Length, end). Batch ends must be non-decreasing.
+// of [end-Length, end). Batch ends must be non-decreasing. The map is not
+// retained; a key the dictionary has never seen is interned.
 func (ag *Aggregator) AddBatch(end tuple.Time, result map[string]float64) error {
 	ag.mu.Lock()
 	defer ag.mu.Unlock()
-	return ag.addBatchLocked(end, result)
-}
-
-// addBatchLocked is AddBatch's body; the caller holds the write lock.
-func (ag *Aggregator) addBatchLocked(end tuple.Time, result map[string]float64) error {
 	if n := len(ag.batches); n > 0 && end < ag.batches[n-1].end {
 		return fmt.Errorf("window: batch end %v precedes previous %v", end, ag.batches[n-1].end)
 	}
-	// Retain a copy: the caller may reuse its map.
-	cp := make(map[string]float64, len(result))
-	for k, v := range result {
-		cp[k] = v
-		if _, ok := ag.state[k]; ok {
-			ag.state[k] = ag.reduce(ag.state[k], v)
-		} else {
-			ag.state[k] = v
-		}
-		ag.contrib[k]++
+	var b *batch
+	if n := len(ag.free); n > 0 {
+		b, ag.free = ag.free[n-1], ag.free[:n-1]
+	} else {
+		b = new(batch)
 	}
-	ag.batches = append(ag.batches, batchOutput{end: end, result: cp})
+	b.end = end
+	for k, v := range result {
+		id, slot := ag.dict.InternSlot(k)
+		ag.fold(id, slot, v)
+		col := &b.cols[slot]
+		col.ids = append(col.ids, id)
+		col.vals = append(col.vals, v)
+	}
+	ag.batches = append(ag.batches, b)
 	ag.evict(end)
 	return nil
+}
+
+// fold merges one contribution into the key's cell, reviving the cell if
+// the key was not live. Every path that builds incremental state — AddBatch,
+// the no-inverse rebuild, AttachSlot — folds through here in batch order, so
+// a key's value never depends on which path produced it.
+func (ag *Aggregator) fold(id uint32, slot int, v float64) {
+	if int(id) >= len(ag.cells) {
+		n := max(int(id)+1, ag.dict.Len())
+		ag.cells = append(ag.cells, make([]cell, n-len(ag.cells))...)
+	}
+	c := &ag.cells[id]
+	if c.n == 0 {
+		c.val = v
+		c.pos = int32(len(ag.live[slot]))
+		ag.live[slot] = append(ag.live[slot], id)
+	} else {
+		c.val = ag.reduce(c.val, v)
+	}
+	c.n++
 }
 
 // evict removes batches whose end time is at or before now-Length.
@@ -154,57 +212,101 @@ func (ag *Aggregator) evict(now tuple.Time) {
 	if i == 0 {
 		return
 	}
-	expired := ag.batches[:i]
-	ag.batches = ag.batches[i:]
-	if ag.inverse != nil {
-		for _, b := range expired {
-			for k, v := range b.result {
-				ag.state[k] = ag.inverse(ag.state[k], v)
-				ag.contrib[k]--
-				if ag.contrib[k] == 0 {
-					delete(ag.state, k)
-					delete(ag.contrib, k)
-				}
+	for _, b := range ag.batches[:i] {
+		for s := range b.cols {
+			col := &b.cols[s]
+			if ag.inverse != nil {
+				ag.retract(s, col)
 			}
+			col.ids, col.vals = col.ids[:0], col.vals[:0]
 		}
+		ag.free = append(ag.free, b)
+	}
+	n := copy(ag.batches, ag.batches[i:])
+	clear(ag.batches[n:])
+	ag.batches = ag.batches[:n]
+	if ag.inverse != nil {
 		return
 	}
-	// No inverse: recompute from the retained batches. The maps are
-	// cleared and refilled in place — steady-state evictions must not
-	// allocate (the hot-path discipline of DESIGN.md §7), and a window's
-	// key universe is stable enough that the retained capacity is the
-	// right size for the next eviction too.
-	clear(ag.state)
-	clear(ag.contrib)
+	// No inverse: recompute from the retained batches. The cells are
+	// reset and refilled in place — steady-state evictions must not
+	// allocate (the hot-path discipline of DESIGN.md §7).
+	for s := range ag.live {
+		ag.dropLive(s)
+	}
 	for _, b := range ag.batches {
-		for k, v := range b.result {
-			if _, ok := ag.state[k]; ok {
-				ag.state[k] = ag.reduce(ag.state[k], v)
-			} else {
-				ag.state[k] = v
+		for s := range b.cols {
+			col := &b.cols[s]
+			for j, id := range col.ids {
+				ag.fold(id, s, col.vals[j])
 			}
-			ag.contrib[k]++
 		}
 	}
+}
+
+// retract reflects one expired column onto the cells with the inverse
+// function, retiring keys no retained batch contributes to any more.
+func (ag *Aggregator) retract(slot int, col *column) {
+	for j, id := range col.ids {
+		c := &ag.cells[id]
+		c.val = ag.inverse(c.val, col.vals[j])
+		c.n--
+		if c.n > 0 {
+			continue
+		}
+		// Swap-remove from the slot's live list.
+		l := ag.live[slot]
+		last := l[len(l)-1]
+		l[c.pos] = last
+		ag.cells[last].pos = c.pos
+		ag.live[slot] = l[:len(l)-1]
+	}
+}
+
+// dropLive retires every live cell of one slot, keeping the list's
+// capacity.
+func (ag *Aggregator) dropLive(slot int) {
+	for _, id := range ag.live[slot] {
+		ag.cells[id].n = 0
+	}
+	ag.live[slot] = ag.live[slot][:0]
+}
+
+// liveKeys counts the live cells; the caller holds the lock.
+func (ag *Aggregator) liveKeys() int {
+	n := 0
+	for s := range ag.live {
+		n += len(ag.live[s])
+	}
+	return n
 }
 
 // Snapshot returns a copy of the current window answer.
 func (ag *Aggregator) Snapshot() map[string]float64 {
 	ag.mu.RLock()
 	defer ag.mu.RUnlock()
-	out := make(map[string]float64, len(ag.state))
-	for k, v := range ag.state {
-		out[k] = v
+	keys := ag.dict.Strings()
+	out := make(map[string]float64, ag.liveKeys())
+	for s := range ag.live {
+		for _, id := range ag.live[s] {
+			out[keys[id]] = ag.cells[id].val
+		}
 	}
 	return out
 }
 
 // Value returns the current aggregate for one key.
 func (ag *Aggregator) Value(key string) (float64, bool) {
+	id, ok := ag.dict.Lookup(key)
+	if !ok {
+		return 0, false
+	}
 	ag.mu.RLock()
 	defer ag.mu.RUnlock()
-	v, ok := ag.state[key]
-	return v, ok
+	if int(id) >= len(ag.cells) || ag.cells[id].n == 0 {
+		return 0, false
+	}
+	return ag.cells[id].val, true
 }
 
 // Recompute returns the window answer computed from scratch over the
@@ -213,141 +315,22 @@ func (ag *Aggregator) Value(key string) (float64, bool) {
 func (ag *Aggregator) Recompute() map[string]float64 {
 	ag.mu.RLock()
 	defer ag.mu.RUnlock()
+	keys := ag.dict.Strings()
 	out := make(map[string]float64)
 	for _, b := range ag.batches {
-		for k, v := range b.result {
-			if cur, ok := out[k]; ok {
-				out[k] = ag.reduce(cur, v)
-			} else {
-				out[k] = v
+		for s := range b.cols {
+			col := &b.cols[s]
+			for j, id := range col.ids {
+				k, v := keys[id], col.vals[j]
+				if cur, ok := out[k]; ok {
+					out[k] = ag.reduce(cur, v)
+				} else {
+					out[k] = v
+				}
 			}
 		}
 	}
 	return out
-}
-
-// BatchState is one retained batch output, exported for checkpointing.
-type BatchState struct {
-	End    tuple.Time
-	Result map[string]float64
-}
-
-// State returns the retained batch outputs in order — everything needed
-// to reconstruct the aggregator after a restart.
-func (ag *Aggregator) State() []BatchState {
-	ag.mu.RLock()
-	defer ag.mu.RUnlock()
-	out := make([]BatchState, len(ag.batches))
-	for i, b := range ag.batches {
-		cp := make(map[string]float64, len(b.result))
-		for k, v := range b.result {
-			cp[k] = v
-		}
-		out[i] = BatchState{End: b.end, Result: cp}
-	}
-	return out
-}
-
-// Restore replaces the aggregator's contents with the checkpointed batch
-// outputs, replaying them through the normal add/evict path so the
-// incremental state is rebuilt consistently.
-func (ag *Aggregator) Restore(states []BatchState) error {
-	ag.mu.Lock()
-	defer ag.mu.Unlock()
-	ag.batches = nil
-	ag.state = make(map[string]float64)
-	ag.contrib = make(map[string]int)
-	for _, s := range states {
-		if err := ag.addBatchLocked(s.End, s.Result); err != nil {
-			return fmt.Errorf("window: restoring batch ending %v: %w", s.End, err)
-		}
-	}
-	return nil
-}
-
-// ExtractKeys removes every key matched by the predicate from the
-// retained batch outputs and from the incremental state, returning the
-// removed per-batch contributions in batch order (aligned with State's
-// shape: one BatchState per retained batch, carrying only the extracted
-// keys; batches with no matching key appear with an empty map so the
-// extraction is positionally complete). It is the donor half of a
-// key-range state migration: ApplyKeys on the same batch list rebuilds
-// exactly the state this call removed.
-func (ag *Aggregator) ExtractKeys(match func(string) bool) []BatchState {
-	ag.mu.Lock()
-	defer ag.mu.Unlock()
-	out := make([]BatchState, len(ag.batches))
-	for i := range ag.batches {
-		b := &ag.batches[i]
-		taken := make(map[string]float64)
-		for k, v := range b.result {
-			if match(k) {
-				taken[k] = v
-			}
-		}
-		for k := range taken {
-			delete(b.result, k)
-		}
-		out[i] = BatchState{End: b.end, Result: taken}
-	}
-	for k := range ag.state {
-		if match(k) {
-			delete(ag.state, k)
-			delete(ag.contrib, k)
-		}
-	}
-	return out
-}
-
-// ApplyKeys reinserts per-key contributions previously removed by
-// ExtractKeys. The states must align positionally with the currently
-// retained batches (same length, same End times) — migration extracts
-// and applies within one batch boundary, so the batch list cannot have
-// moved between the two halves. Reinserted keys must be absent; the
-// incremental state for them is rebuilt by folding the retained batches
-// in order, exactly as the recompute-on-evict path does, so integral
-// aggregates land bit-identical to the never-extracted run.
-func (ag *Aggregator) ApplyKeys(states []BatchState) error {
-	ag.mu.Lock()
-	defer ag.mu.Unlock()
-	if len(states) != len(ag.batches) {
-		return fmt.Errorf("window: applying %d batch states onto %d retained batches", len(states), len(ag.batches))
-	}
-	keys := make(map[string]bool)
-	for i, s := range states {
-		b := &ag.batches[i]
-		if s.End != b.end {
-			return fmt.Errorf("window: batch %d ends at %v, incoming state says %v", i, b.end, s.End)
-		}
-		for k, v := range s.Result {
-			if _, ok := b.result[k]; ok {
-				return fmt.Errorf("window: key %q already present in batch ending %v", k, b.end)
-			}
-			b.result[k] = v
-			keys[k] = true
-		}
-	}
-	// Rebuild the incremental state of the reinserted keys from the
-	// retained batches in order — the same fold Recompute and the
-	// no-inverse evict path perform.
-	for k := range keys {
-		delete(ag.state, k)
-		delete(ag.contrib, k)
-	}
-	for _, b := range ag.batches {
-		for k, v := range b.result {
-			if !keys[k] {
-				continue
-			}
-			if cur, ok := ag.state[k]; ok {
-				ag.state[k] = ag.reduce(cur, v)
-			} else {
-				ag.state[k] = v
-			}
-			ag.contrib[k]++
-		}
-	}
-	return nil
 }
 
 // Entry is one (key, value) pair of a window answer.
@@ -356,26 +339,80 @@ type Entry struct {
 	Val float64
 }
 
+// ranked is a TopK candidate: a live cell's value and ID.
+type ranked struct {
+	val float64
+	id  uint32
+}
+
 // TopK returns the k largest entries of the current window answer, ordered
 // by value descending with key ascending as tie-break (the TopKCount
-// workload of the evaluation).
+// workload of the evaluation); k <= 0 yields none. It keeps a bounded
+// min-heap of the k best cells seen so far — O(live · log k) with no copy
+// of the state — and resolves key strings only to break value ties and
+// for the k results.
 func (ag *Aggregator) TopK(k int) []Entry {
+	if k <= 0 {
+		return []Entry{}
+	}
 	ag.mu.RLock()
 	defer ag.mu.RUnlock()
-	entries := make([]Entry, 0, len(ag.state))
-	for key, v := range ag.state {
-		entries = append(entries, Entry{Key: key, Val: v})
+	keys := ag.dict.Strings()
+	// before reports whether a ranks strictly ahead of b.
+	before := func(a, b ranked) bool {
+		if c := compareValDesc(a.val, b.val); c != 0 {
+			return c < 0
+		}
+		return keys[a.id] < keys[b.id]
 	}
-	slices.SortFunc(entries, func(a, b Entry) int {
+	// Once k candidates are in, heap is a heap with the worst-ranked one
+	// kept at heap[0]; a better candidate replaces it and sinks.
+	heap := make([]ranked, 0, min(k, ag.liveKeys()))
+	sink := func(i int) {
+		for {
+			worst := i
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < len(heap) && before(heap[worst], heap[c]) {
+					worst = c
+				}
+			}
+			if worst == i {
+				return
+			}
+			heap[i], heap[worst] = heap[worst], heap[i]
+			i = worst
+		}
+	}
+	for s := range ag.live {
+		for _, id := range ag.live[s] {
+			r := ranked{val: ag.cells[id].val, id: id}
+			switch {
+			case len(heap) < k:
+				if heap = append(heap, r); len(heap) == k {
+					for i := k/2 - 1; i >= 0; i-- {
+						sink(i)
+					}
+				}
+			case r.val < heap[0].val:
+				// The common case, settled without the total order's NaN
+				// and tie handling.
+			case before(r, heap[0]):
+				heap[0] = r
+				sink(0)
+			}
+		}
+	}
+	out := make([]Entry, len(heap))
+	for i, r := range heap {
+		out[i] = Entry{Key: keys[r.id], Val: r.val}
+	}
+	slices.SortFunc(out, func(a, b Entry) int {
 		if c := compareValDesc(a.Val, b.Val); c != 0 {
 			return c
 		}
 		return strings.Compare(a.Key, b.Key)
 	})
-	if k < len(entries) {
-		entries = entries[:k]
-	}
-	return entries
+	return out
 }
 
 // compareValDesc orders window values descending under a total order:

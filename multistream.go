@@ -55,7 +55,8 @@ func (m *MultiStream) Window(i int) (map[string]float64, error) {
 	return agg.Snapshot(), nil
 }
 
-// TopK returns the k largest entries of query i's window answer.
+// TopK returns the k largest entries of query i's window answer (none for
+// k <= 0).
 func (m *MultiStream) TopK(i, k int) ([]WindowEntry, error) {
 	if err := m.check(i); err != nil {
 		return nil, err

@@ -60,8 +60,9 @@ func (s *Stream) Window() map[string]float64 { return s.eng.WindowSnapshot() }
 // does not, Window returns nil and TopK returns ErrNoWindow.
 func (s *Stream) HasWindow() bool { return s.eng.Window() != nil }
 
-// TopK returns the k largest entries of the current window answer. For a
-// windowless query it returns an error wrapping ErrNoWindow.
+// TopK returns the k largest entries of the current window answer (none
+// for k <= 0). For a windowless query it returns an error wrapping
+// ErrNoWindow.
 func (s *Stream) TopK(k int) ([]WindowEntry, error) {
 	agg := s.eng.Window()
 	if agg == nil {

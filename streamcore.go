@@ -28,6 +28,9 @@ type streamCore struct {
 	// act. Reconfigure diffs requested options against it.
 	cfg    Config
 	policy elastic.Policy // non-nil when cfg.Elasticity is enabled
+	// imageLen is the length of the last Checkpoint image; the next one
+	// starts with a buffer that size instead of growing into it.
+	imageLen int
 }
 
 // newCore is the single construction path every public constructor —
@@ -335,7 +338,11 @@ func (c *streamCore) Owners() int { return c.eng.Owners() }
 // applied since the stream started.
 func (c *streamCore) Migrations() int { return c.eng.Migrations() }
 
-// Reports returns all batch reports since the stream started.
+// Reports returns the most recent batch reports, oldest first. The history
+// is a bounded tail: every report until the stream has run more than 1024
+// batches, the last 1024 from then on, so a long-running stream's memory
+// and checkpoint size do not grow with its age. Callers that need every
+// report keep the ones ProcessBatch and Run return.
 func (c *streamCore) Reports() []BatchReport {
 	return newBatchReports(c.scheme.Name, c.eng.Reports())
 }
@@ -378,15 +385,22 @@ func (c *streamCore) Close() error {
 }
 
 // Checkpoint serializes the stream's driver state — batch position,
-// window contents, report history, reorder buffer, throttle, pending
-// rescales — so a new process can Restore and resume exactly where this
-// one stopped. Call it between batches. Cluster shards hold no
+// window contents, the bounded report tail (see Reports), reorder buffer,
+// throttle, pending rescales — so a new process can Restore and resume
+// exactly where this one stopped; the image's size follows the state, not
+// the stream's age. Call it between batches. Cluster shards hold no
 // checkpointable state: the image is entirely driver-side, so a stream
-// may checkpoint under one topology and restore under another.
+// may checkpoint under one topology and restore under another. Restore
+// reads only images in the current layout and rejects any other with an
+// error rather than resuming from a partial state.
 func (c *streamCore) Checkpoint() ([]byte, error) {
 	var buf bytes.Buffer
+	// Consecutive images are close in size; an eighth of headroom absorbs
+	// the window's batch-to-batch variation without a regrow.
+	buf.Grow(c.imageLen + c.imageLen/8)
 	if err := c.eng.Checkpoint(&buf); err != nil {
 		return nil, err
 	}
+	c.imageLen = buf.Len()
 	return buf.Bytes(), nil
 }
