@@ -157,7 +157,7 @@ func TestStreamSetWorkersMidRun(t *testing.T) {
 	st := testStream(t, prompt.SchemePrompt)
 	ref := testStream(t, prompt.SchemePrompt)
 	for batch := 0; batch < 4; batch++ {
-		if err := st.SetWorkers(batch % 3); err != nil { // 0, 1, 2, 0 workers
+		if err := st.Reconfigure(prompt.WithWorkers(batch % 3)); err != nil { // 0, 1, 2, 0 workers
 			t.Fatal(err)
 		}
 		tuples := apiTestBatch(st, batch)
@@ -203,9 +203,7 @@ type streamAPI interface {
 	Run(prompt.BatchSource, int) ([]prompt.BatchReport, error)
 	Reports() []prompt.BatchReport
 	Reconfigure(...prompt.Option) error
-	SetParallelism(int, int) error
 	SetCores(int) error
-	SetWorkers(int) error
 	SetObserver(prompt.Observer)
 	Rescale(int) error
 	Owners() int
@@ -268,7 +266,6 @@ func TestUnifiedSurface(t *testing.T) {
 				prompt.WithBatchInterval(2 * time.Second),
 				prompt.WithStatsShards(3),
 				prompt.WithValidation(true),
-				prompt.WithColumnar(true),
 				prompt.WithShards(2),
 				prompt.WithElasticity(prompt.ElasticThreshold, 1, 8),
 			} {
@@ -285,17 +282,9 @@ func TestUnifiedSurface(t *testing.T) {
 				t.Fatalf("Reconfigure(replayed defaults): %v", err)
 			}
 
-			// Deprecated setters remain as wrappers.
-			if err := s.SetParallelism(6, 6); err != nil {
-				t.Fatal(err)
-			}
-			if m, r := s.Parallelism(); m != 6 || r != 6 {
-				t.Fatalf("SetParallelism: Parallelism() = %d, %d; want 6, 6", m, r)
-			}
-			if err := s.SetWorkers(0); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.SetCores(6); err != nil {
+			// The two setters Reconfigure cannot replace: re-provisioning the
+			// same core count, and detaching the observer.
+			if err := s.SetCores(8); err != nil {
 				t.Fatal(err)
 			}
 			s.SetObserver(nil)

@@ -149,7 +149,7 @@ func TestApproxAnswersWithinBounds(t *testing.T) {
 }
 
 // TestApproxDeterminismAcrossRuntimes pins bit-identical approximate
-// answers across worker counts, columnar ingestion, and a mid-run
+// answers across worker counts, shard clusters, and a mid-run
 // checkpoint/restore.
 func TestApproxDeterminismAcrossRuntimes(t *testing.T) {
 	batches := approxBatches(4)
@@ -172,8 +172,8 @@ func TestApproxDeterminismAcrossRuntimes(t *testing.T) {
 	}
 	baseWin, baseTop := run()
 	for name, opts := range map[string][]prompt.Option{
-		"workers":  {prompt.WithWorkers(4)},
-		"columnar": {prompt.WithColumnar(true)},
+		"workers": {prompt.WithWorkers(4)},
+		"shards":  {prompt.WithShards(2)},
 	} {
 		win, top := run(opts...)
 		if !reflect.DeepEqual(win, baseWin) || !reflect.DeepEqual(top, baseTop) {

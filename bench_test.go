@@ -244,7 +244,9 @@ func BenchmarkPostSortBaseline(b *testing.B) {
 	batch := benchBatch(b, 100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.PostSort(batch)
+		if _, err := stats.PostSort(batch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -252,7 +254,10 @@ func BenchmarkPostSortBaseline(b *testing.B) {
 
 func BenchmarkPartitioners(b *testing.B) {
 	batch := benchBatch(b, 100_000)
-	sorted := stats.PostSort(batch)
+	sorted, err := stats.PostSort(batch)
+	if err != nil {
+		b.Fatal(err)
+	}
 	in := partition.Input{Batch: batch, Sorted: sorted}
 	for _, name := range partition.Names() {
 		pt := partition.Registry()[name]

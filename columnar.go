@@ -2,6 +2,7 @@ package prompt
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 
 	"prompt/internal/ring"
@@ -9,8 +10,8 @@ import (
 )
 
 // Receiver is the concurrent columnar intake: a bounded lock-free ring
-// per producer goroutine, drained by the stream's driver into the
-// struct-of-arrays batch representation the columnar hot path consumes.
+// per producer goroutine, drained by the stream's driver straight into the
+// struct-of-arrays batch representation the engine consumes.
 // Producers never contend on a shared lock — each owns its ring — and a
 // full ring blocks its producer (bounded-buffer backpressure) instead of
 // dropping tuples.
@@ -78,9 +79,13 @@ func (p *Producer) Close() { p.r.Close() }
 
 // ProcessReceived drains the receiver's rings (blocking until every
 // producer has closed) directly into a pooled column batch and runs the
-// full micro-batch lifecycle over it — the columnar twin of
-// ProcessBatch. Tuples must be stamped within [Now, Now+BatchInterval).
-// The receiver must be Reset before the next interval's producers start.
+// full micro-batch lifecycle over it through the engine's column edge —
+// the drain is the transpose: rows go from the rings straight into
+// columns. Tuples must be stamped within [Now, Now+BatchInterval). A
+// Weight that does not fit the int32 weight column fails the batch with
+// ErrWeightOverflow once the drain completes, committing nothing (keys
+// drained before it stay interned). The receiver must be Reset before the
+// next interval's producers start.
 func (s *Stream) ProcessReceived(r *Receiver) (BatchReport, error) {
 	return s.ProcessReceivedContext(context.Background(), r)
 }
@@ -94,36 +99,20 @@ func (s *Stream) ProcessReceivedContext(ctx context.Context, r *Receiver) (Batch
 	cb := tuple.GetColumnBatch()
 	defer tuple.PutColumnBatch(cb)
 	dict := s.eng.Dict()
+	var bad error
 	r.m.Drain(func(t tuple.Tuple) {
-		cb.Append(dict.Intern(t.Key), t.TS, t.Val, int32(t.Weight))
+		// Keep draining after a bad weight — the producers block until the
+		// rings empty — but append nothing more.
+		if bad != nil {
+			return
+		}
+		if bad = tuple.CheckWeight(t.Weight); bad == nil {
+			cb.Append(dict.Intern(t.Key), t.TS, t.Val, int32(t.Weight))
+		}
 	})
-	rep, err := s.eng.StepColumnsContext(ctx, cb, start, end)
-	if err != nil {
-		return BatchReport{}, err
+	if bad != nil {
+		return BatchReport{}, fmt.Errorf("prompt: received tuple %d: %w", cb.Len(), bad)
 	}
-	br := newBatchReport(s.scheme.Name, rep)
-	if err := s.observeElastic(br); err != nil {
-		return br, err
-	}
-	return br, nil
-}
-
-// ProcessBatchColumnar ingests one batch interval of rows through the
-// columnar hot path: the rows are transposed once at the boundary and
-// the statistics, sorting, and partitioning folds run over dense
-// columns. Reports and answers are bit-identical to ProcessBatch.
-func (s *Stream) ProcessBatchColumnar(tuples []Tuple) (BatchReport, error) {
-	return s.ProcessBatchColumnarContext(context.Background(), tuples)
-}
-
-// ProcessBatchColumnarContext is ProcessBatchColumnar with cooperative
-// cancellation.
-func (s *Stream) ProcessBatchColumnarContext(ctx context.Context, tuples []Tuple) (BatchReport, error) {
-	start := s.eng.Now()
-	end := start + s.eng.Config().BatchInterval
-	cb := tuple.GetColumnBatch()
-	defer tuple.PutColumnBatch(cb)
-	cb.AppendRows(tuples, s.eng.Dict().Intern)
 	rep, err := s.eng.StepColumnsContext(ctx, cb, start, end)
 	if err != nil {
 		return BatchReport{}, err

@@ -1,6 +1,8 @@
 package prompt_test
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -8,26 +10,10 @@ import (
 
 	"prompt"
 	"prompt/internal/tuple"
-	"prompt/internal/workload"
 )
 
-// scrubWall zeroes the wall-clock-measured report fields (and everything
-// derived from them) that legitimately differ between two runs of the
-// same computation. All simulated fields stay for the bit-identity
-// comparison. The engine-internal golden tests freeze the pipeline clock
-// instead; the public API offers no such hook.
-func scrubWall(reps []prompt.BatchReport) []prompt.BatchReport {
-	out := append([]prompt.BatchReport(nil), reps...)
-	for i := range out {
-		out[i].PartitionTime = 0
-		out[i].PartitionOverflow = 0
-	}
-	return out
-}
-
-// columnarConfig is the shared configuration of the public columnar
-// equivalence tests.
-func columnarConfig() prompt.Config {
+// receiverConfig is the shared configuration of the column-edge tests.
+func receiverConfig() prompt.Config {
 	return prompt.Config{
 		BatchInterval: time.Second,
 		MapTasks:      4,
@@ -36,93 +22,19 @@ func columnarConfig() prompt.Config {
 	}
 }
 
-// TestColumnarConfigEquivalence proves Config.Columnar is behaviourally
-// invisible: the same source through row mode and columnar mode yields
-// identical reports and window answers, for Prompt and a per-tuple
-// baseline scheme.
-func TestColumnarConfigEquivalence(t *testing.T) {
-	for _, scheme := range []prompt.Scheme{prompt.SchemePrompt, prompt.SchemeHash} {
-		run := func(columnar bool) ([]prompt.BatchReport, map[string]float64) {
-			cfg := columnarConfig()
-			cfg.Scheme = scheme
-			cfg.Columnar = columnar
-			st, err := prompt.New(cfg, prompt.WordCount(5*time.Second, time.Second))
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := zipfSource(t, 42)
-			reps, err := st.Run(func(s, e prompt.Time) ([]prompt.Tuple, error) { return src.Slice(s, e) }, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return reps, st.Window()
-		}
-		rowReps, rowWin := run(false)
-		colReps, colWin := run(true)
-		rowReps, colReps = scrubWall(rowReps), scrubWall(colReps)
-		if !reflect.DeepEqual(colReps, rowReps) {
-			t.Errorf("scheme %s: columnar reports diverge from row mode", scheme)
-		}
-		if !reflect.DeepEqual(colWin, rowWin) {
-			t.Errorf("scheme %s: columnar window diverges from row mode", scheme)
-		}
-	}
-}
-
-// TestProcessBatchColumnarEquivalence checks the explicit columnar entry
-// point against ProcessBatch on the same batches.
-func TestProcessBatchColumnarEquivalence(t *testing.T) {
-	mkStream := func() (*prompt.Stream, *workload.Source) {
-		st, err := prompt.New(columnarConfig(), prompt.WordCount(5*time.Second, time.Second))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, zipfSource(t, 7)
-	}
-	rowSt, rowSrc := mkStream()
-	colSt, colSrc := mkStream()
-	for i := 0; i < 4; i++ {
-		start, end := rowSt.Now(), rowSt.Now()+tuple.Second
-		tuples, err := rowSrc.Slice(start, end)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rowRep, err := rowSt.ProcessBatch(tuples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tuples2, err := colSrc.Slice(start, end)
-		if err != nil {
-			t.Fatal(err)
-		}
-		colRep, err := colSt.ProcessBatchColumnar(tuples2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := scrubWall([]prompt.BatchReport{colRep})
-		want := scrubWall([]prompt.BatchReport{rowRep})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("batch %d: columnar report diverges from row mode\n got: %+v\nwant: %+v", i, got[0], want[0])
-		}
-	}
-	if !reflect.DeepEqual(colSt.Window(), rowSt.Window()) {
-		t.Error("columnar window diverges from row mode")
-	}
-}
-
 // TestReceiverProcessReceived pushes each batch through concurrent
 // producers feeding the lock-free rings and checks the stream's answers
-// against a single-goroutine row-mode reference. Tuples are dealt to
+// against a single-goroutine ProcessBatch reference. Tuples are dealt to
 // producers round-robin, so the drained order differs from arrival
 // order — reports must not care (batch results are order-independent
 // within an interval).
 func TestReceiverProcessReceived(t *testing.T) {
 	const producers, batches = 3, 4
-	rowSt, err := prompt.New(columnarConfig(), prompt.WordCount(5*time.Second, time.Second))
+	rowSt, err := prompt.New(receiverConfig(), prompt.WordCount(5*time.Second, time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	colSt, err := prompt.New(columnarConfig(), prompt.WordCount(5*time.Second, time.Second))
+	colSt, err := prompt.New(receiverConfig(), prompt.WordCount(5*time.Second, time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,23 +58,7 @@ func TestReceiverProcessReceived(t *testing.T) {
 		if b > 0 {
 			recv.Reset()
 		}
-		var wg sync.WaitGroup
-		for p := 0; p < producers; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				prod := recv.Producer(p)
-				defer prod.Close()
-				for i := p; i < len(tuples2); i += producers {
-					if !prod.Push(tuples2[i]) {
-						t.Error("push on open producer failed")
-						return
-					}
-				}
-			}(p)
-		}
-		rep, err := colSt.ProcessReceived(recv)
-		wg.Wait()
+		rep, err := pushAndProcess(t, colSt, recv, tuples2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,6 +67,104 @@ func TestReceiverProcessReceived(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(colSt.Window(), rowSt.Window()) {
-		t.Error("receiver-fed window diverges from row-mode reference")
+		t.Error("receiver-fed window diverges from the ProcessBatch reference")
+	}
+}
+
+// pushAndProcess deals tuples round-robin to the receiver's producers on
+// their own goroutines while the stream drains and processes the batch.
+func pushAndProcess(t *testing.T, st *prompt.Stream, recv *prompt.Receiver, tuples []prompt.Tuple) (prompt.BatchReport, error) {
+	t.Helper()
+	producers := recv.Producers()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			prod := recv.Producer(p)
+			defer prod.Close()
+			for i := p; i < len(tuples); i += producers {
+				if !prod.Push(tuples[i]) {
+					t.Error("push on open producer failed")
+					return
+				}
+			}
+		}(p)
+	}
+	rep, err := st.ProcessReceived(recv)
+	wg.Wait()
+	return rep, err
+}
+
+// wideWeightBatch is one batch interval whose middle tuple's weight does
+// not fit the engine's int32 weight column.
+func wideWeightBatch(now prompt.Time) []prompt.Tuple {
+	return []prompt.Tuple{
+		prompt.NewTuple(now, "a", 1),
+		{TS: now + 1, Key: "b", Val: 1, Weight: 1 << 31},
+		prompt.NewTuple(now+2, "c", 1),
+	}
+}
+
+// TestWideWeightRejectedAtEveryEdge is the regression test for weights
+// silently narrowed to int32 by the transpose: ProcessBatch, Run (at
+// depths 1 and 2), and ProcessReceived on a Stream, and ProcessBatch on a
+// MultiStream, must return ErrWeightOverflow and commit nothing — Now is
+// unchanged and the next valid batch still processes.
+func TestWideWeightRejectedAtEveryEdge(t *testing.T) {
+	type edge struct {
+		name string
+		now  func() prompt.Time
+		call func(batch []prompt.Tuple) error
+	}
+	var edges []edge
+	for _, depth := range []int{1, 2} {
+		st, err := prompt.NewWithOptions(prompt.WordCount(5*time.Second, time.Second), prompt.WithPipelineDepth(depth))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges = append(edges, edge{fmt.Sprintf("Stream.Run/depth%d", depth), st.Now, func(b []prompt.Tuple) error {
+			_, err := st.Run(prompt.FixedBatches(b), 1)
+			return err
+		}})
+	}
+	st, err := prompt.New(receiverConfig(), prompt.WordCount(5*time.Second, time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges = append(edges, edge{"Stream.ProcessBatch", st.Now, func(b []prompt.Tuple) error {
+		_, err := st.ProcessBatch(b)
+		return err
+	}})
+	recvSt, err := prompt.New(receiverConfig(), prompt.WordCount(5*time.Second, time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := prompt.NewReceiver(2, 4)
+	edges = append(edges, edge{"Stream.ProcessReceived", recvSt.Now, func(b []prompt.Tuple) error {
+		recv.Reset()
+		_, err := pushAndProcess(t, recvSt, recv, b)
+		return err
+	}})
+	ms, err := prompt.NewMulti(receiverConfig(), prompt.WordCount(5*time.Second, time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges = append(edges, edge{"MultiStream.ProcessBatch", ms.Now, func(b []prompt.Tuple) error {
+		_, err := ms.ProcessBatch(b)
+		return err
+	}})
+
+	for _, e := range edges {
+		before := e.now()
+		if err := e.call(wideWeightBatch(before)); !errors.Is(err, prompt.ErrWeightOverflow) {
+			t.Errorf("%s: got %v, want ErrWeightOverflow", e.name, err)
+		}
+		if got := e.now(); got != before {
+			t.Errorf("%s: Now moved from %v to %v on a rejected batch", e.name, before, got)
+		}
+		if err := e.call([]prompt.Tuple{prompt.NewTuple(before, "a", 1)}); err != nil {
+			t.Errorf("%s: valid batch after the rejection: %v", e.name, err)
+		}
 	}
 }

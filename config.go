@@ -43,14 +43,6 @@ type Config struct {
 	// Validate enables per-batch invariant checks (tuples placed exactly
 	// once, key locality at the Reduce stage).
 	Validate bool
-	// Columnar routes row ingestion (ProcessBatch, Run) through the
-	// columnar hot path: each batch is transposed into a
-	// struct-of-arrays layout at the boundary and the statistics and
-	// partitioning folds run over dense columns. Reports and answers are
-	// bit-identical to row mode. Callers that can build columns upstream
-	// should prefer ProcessBatchColumnar or a Receiver, which skip the
-	// transpose.
-	Columnar bool
 	// PipelineDepth bounds how many consecutive batches may be in flight
 	// at once when the stream drives itself from a source (Run,
 	// RunContext): while batch k executes and commits, batch k+1 may
@@ -77,15 +69,15 @@ type Config struct {
 	// Topology, when non-zero, scatters the data-plane folds across a
 	// shard cluster — in-process (Local) or over sockets (Shards) — with
 	// bit-identical reports and answers. See Topology, WithShards, and
-	// WithTransport. The zero value keeps everything in-process.
+	// WithTopology. The zero value keeps everything in-process.
 	Topology Topology
 	// Approx, when its Kind is set, runs an approximate query next to the
 	// exact one: a bounded-memory summary (sketch or sampler) folded from
 	// the exact per-key results at every batch commit, answering
 	// point-frequency, top-k, and distinct-count questions with
 	// advertised error bounds through the Approx accessors. Approximate
-	// answers are bit-identical across worker counts, ingestion layouts,
-	// pipelining, topologies, and checkpoint/restore. See ApproxQuery and
+	// answers are bit-identical across worker counts, pipelining,
+	// topologies, and checkpoint/restore. See ApproxQuery and
 	// WithApproxQuery. The zero value disables the tier.
 	Approx ApproxQuery
 	// Elasticity, when enabled, turns the stream elastic: after every
@@ -120,7 +112,6 @@ func (c Config) build() (engine.Config, core.Scheme, error) {
 		Cost:                 c.Cost,
 		EarlyReleaseFraction: c.EarlyReleaseFraction,
 		ValidateBatches:      c.Validate,
-		ColumnarIngest:       c.Columnar,
 		PipelineDepth:        c.PipelineDepth,
 		Observer:             c.Observer,
 		Faults:               c.Faults,

@@ -41,6 +41,10 @@
 //	if err != nil { ... }
 //	rep, err := st.ProcessBatch(tuples) // tuples from your receiver
 //
+// ProcessBatch transposes the caller's rows once into the engine's column
+// batch; everything after that edge — statistics, partitioning, Map —
+// reads columns.
+//
 // NewMultiWithOptions accepts the same options and runs several queries
 // over one shared batching phase; New and NewMulti remain as thin
 // Config-struct wrappers for callers that load configuration wholesale.
@@ -67,13 +71,13 @@
 // # Runtime parallelism
 //
 // By default the whole batch lifecycle runs on the calling goroutine, like
-// the classic Spark driver. Config.Workers (or WithWorkers, or
-// SetWorkers mid-run) executes the pipeline on a shared worker pool
-// instead: Map tasks, per-bucket Reduce folds, per-query jobs, window
-// merges, and — with Config.StatsShards > 1 — the Algorithm 1 statistics
-// pass all fan out across real goroutines. Results merge
-// deterministically, so the worker count changes wall-clock time only:
-// every BatchReport field is identical at any Workers setting.
+// the classic Spark driver. Config.Workers (or WithWorkers, at
+// construction or through Reconfigure mid-run) executes the pipeline on a
+// shared worker pool instead: Map tasks, per-bucket Reduce folds,
+// per-query jobs, window merges, and — with Config.StatsShards > 1 — the
+// Algorithm 1 statistics pass all fan out across real goroutines. Results
+// merge deterministically, so the worker count changes wall-clock time
+// only: every BatchReport field is identical at any Workers setting.
 //
 // See examples/ for runnable programs and EXPERIMENTS.md for the harness
 // that regenerates the paper's tables and figures.

@@ -1,6 +1,10 @@
 package prompt
 
-import "errors"
+import (
+	"errors"
+
+	"prompt/internal/tuple"
+)
 
 // Sentinel errors for programmatic handling with errors.Is. Error strings
 // remain descriptive, but callers should match on these values instead of
@@ -28,4 +32,10 @@ var (
 	// the transport's backoff. New and Restore wrap cluster connection
 	// failures in it (topology shape problems wrap ErrBadConfig instead).
 	ErrCluster = errors.New("prompt: cluster unavailable")
+
+	// ErrWeightOverflow reports a tuple whose Weight does not fit the
+	// engine's int32 weight column. ProcessBatch, Run, and
+	// ProcessReceived wrap it and commit nothing of the batch: Now is
+	// unchanged and the batch may be retried with valid weights.
+	ErrWeightOverflow = tuple.ErrWeightOverflow
 )

@@ -7,9 +7,9 @@
 //
 // Every operator is deterministic under the seeded splittable hash of
 // internal/hashutil — no random state, so two runs over the same batch
-// outputs produce bit-identical summaries regardless of worker count,
-// ingestion layout, or transport. Every operator is mergeable, so sharded
-// and columnar paths can build partials independently and combine them,
+// outputs produce bit-identical summaries regardless of worker count or
+// transport. Every operator is mergeable, so sharded paths can build
+// partials independently and combine them,
 // and checkpointable through a versioned, length-bomb-guarded codec
 // mirroring internal/migrate's discipline.
 package approx

@@ -36,10 +36,9 @@ func approxArm(cfg engine.Config, sc Scenario, batches [][]tuple.Tuple) ([][]byt
 
 // checkApproxInvariant is invariant 10: the approximate summary folded at
 // every batch commit must be bit-identical — per batch, at the codec
-// level — across worker counts, ingest layouts, and a mid-run
-// checkpoint/restore, and the final answers must sit inside the
-// operator's advertised error bounds of the exact window answer from the
-// very same run.
+// level — across worker counts and a mid-run checkpoint/restore, and the
+// final answers must sit inside the operator's advertised error bounds of
+// the exact window answer from the very same run.
 func checkApproxInvariant(sc Scenario, batches [][]tuple.Tuple) []string {
 	if sc.Approx == "" {
 		return nil
@@ -48,13 +47,12 @@ func checkApproxInvariant(sc Scenario, batches [][]tuple.Tuple) []string {
 	if err != nil {
 		return []string{err.Error()}
 	}
-	config := func(workers int, columnar bool) engine.Config {
-		cfg := scheme.Apply(baseConfig(sc, workers))
-		cfg.ColumnarIngest = columnar
+	config := func(workers int) engine.Config {
+		cfg := scheme.Apply(baseConfig(workers))
 		cfg.Approx = approxSpec(sc)
 		return cfg
 	}
-	refEnc, refEng, err := approxArm(config(0, sc.Columnar), sc, batches)
+	refEnc, refEng, err := approxArm(config(0), sc, batches)
 	if err != nil {
 		return []string{fmt.Sprintf("approx reference failed: %v", err)}
 	}
@@ -71,19 +69,14 @@ func checkApproxInvariant(sc Scenario, batches [][]tuple.Tuple) []string {
 	}
 
 	if sc.Workers != 0 {
-		enc, _, err := approxArm(config(sc.Workers, sc.Columnar), sc, batches)
+		enc, _, err := approxArm(config(sc.Workers), sc, batches)
 		if err != nil {
 			return []string{fmt.Sprintf("approx workers=%d run failed: %v", sc.Workers, err)}
 		}
 		diff(fmt.Sprintf("workers=%d", sc.Workers), enc)
 	}
-	enc, _, err := approxArm(config(0, !sc.Columnar), sc, batches)
-	if err != nil {
-		return []string{fmt.Sprintf("approx columnar=%v run failed: %v", !sc.Columnar, err)}
-	}
-	diff(fmt.Sprintf("columnar=%v", !sc.Columnar), enc)
 
-	violations = append(violations, approxCheckpointArm(sc, config(0, sc.Columnar), batches, refEnc)...)
+	violations = append(violations, approxCheckpointArm(sc, config(0), batches, refEnc)...)
 	violations = append(violations, approxBounds(sc, refEng)...)
 	return violations
 }

@@ -100,7 +100,7 @@ func TestShrinkFindsMinimalScenario(t *testing.T) {
 		t.Errorf("load-bearing fields not minimal: faults=%d batches=%d, want 1 and 3", got.FaultEvents, got.Batches)
 	}
 	if got.JitterMS != 0 || got.MaxDelayMS != 0 || got.Throttle || got.NonInvertible ||
-		got.Workers != 0 || got.Skew != "uniform" || got.CheckpointAt != 1 || got.Columnar ||
+		got.Workers != 0 || got.Skew != "uniform" || got.CheckpointAt != 1 ||
 		len(got.ScaleEvents) != 0 || got.Approx != "" {
 		t.Errorf("irrelevant fields not reduced: %s", got)
 	}

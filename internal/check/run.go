@@ -36,7 +36,6 @@ func Run(sc Scenario) []string {
 	violations = append(violations, checkPermutationInvariance(sc, batches)...)
 	violations = append(violations, checkCheckpointEquivalence(sc)...)
 	violations = append(violations, checkTransportEquivalence(sc, batches)...)
-	violations = append(violations, checkColumnarEquivalence(sc, batches)...)
 	violations = append(violations, checkMigrationEquivalence(sc, batches)...)
 	violations = append(violations, checkPipelineEquivalence(sc, batches)...)
 	violations = append(violations, checkApproxInvariant(sc, batches)...)
@@ -62,9 +61,8 @@ func (r replayStream) Reset() {}
 // batches must be a wall-clock-only optimization. At PipelineDepth 2 and
 // 3 — in-process and with the data-plane folds scattered over loopback
 // and pipe shard clusters — every BatchReport and the final window
-// answer must be bit-identical to the classic depth-1 run, on whichever
-// ingest path (row or columnar driver) the scenario selected. The clock
-// is frozen by Run, so "bit-identical" includes every timing field.
+// answer must be bit-identical to the classic depth-1 run. The clock is
+// frozen by Run, so "bit-identical" includes every timing field.
 func checkPipelineEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 	scheme, err := core.ByName(sc.Scheme)
 	if err != nil {
@@ -80,7 +78,7 @@ func checkPipelineEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 	for _, depth := range []int{2, 3} {
 		for _, backend := range []string{"inprocess", "loopback", "pipe"} {
 			violations := func() []string {
-				cfg := scheme.Apply(baseConfig(sc, sc.Workers))
+				cfg := scheme.Apply(baseConfig(sc.Workers))
 				cfg.PipelineDepth = depth
 				eng, err := engine.New(cfg, queries[0])
 				if err != nil {
@@ -106,13 +104,7 @@ func checkPipelineEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 					defer coord.Close()
 					eng.SetExecutor(coord)
 				}
-				src := replayStream{batches: batches}
-				var reports []engine.BatchReport
-				if sc.Columnar {
-					reports, err = eng.RunBatchesColumnar(src, len(batches))
-				} else {
-					reports, err = eng.RunBatches(src, len(batches))
-				}
+				reports, err := eng.RunBatches(replayStream{batches: batches}, len(batches))
 				if err != nil {
 					return []string{fmt.Sprintf("pipeline %s depth-%d run failed: %v", backend, depth, err)}
 				}
@@ -173,7 +165,7 @@ func checkMigrationEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 	shards := 2 + int(sc.Seed%2) // match the transport invariant's topology
 	for _, backend := range []string{"inprocess", "loopback", "pipe"} {
 		violations := func() []string {
-			cfg := scheme.Apply(baseConfig(sc, sc.Workers))
+			cfg := scheme.Apply(baseConfig(sc.Workers))
 			eng, err := engine.New(cfg, queries[0])
 			if err != nil {
 				return []string{fmt.Sprintf("migration %s engine: %v", backend, err)}
@@ -227,43 +219,6 @@ func checkMigrationEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 		}
 	}
 	return nil
-}
-
-// checkColumnarEquivalence is invariant 7: flipping the ingest layout —
-// row ↔ columnar struct-of-arrays — must not change a single bit of any
-// report or window answer. The scenario's own mode already drove every
-// other invariant, so this run exercises the opposite path over the same
-// batches and compares bit for bit (the clock is frozen by Run).
-func checkColumnarEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
-	scheme, err := core.ByName(sc.Scheme)
-	if err != nil {
-		return []string{err.Error()}
-	}
-	refSnaps, refReports, _, err := snapshotsOf(sc, scheme, 0, batches)
-	if err != nil {
-		return []string{fmt.Sprintf("columnar reference failed: %v", err)}
-	}
-	flip := sc
-	flip.Columnar = !sc.Columnar
-	snaps, reports, _, err := snapshotsOf(flip, scheme, 0, batches)
-	if err != nil {
-		return []string{fmt.Sprintf("columnar-flipped run failed: %v", err)}
-	}
-	var violations []string
-	for i := range snaps {
-		if !reflect.DeepEqual(snaps[i], refSnaps[i]) {
-			violations = append(violations, fmt.Sprintf(
-				"invariant 7 (columnar == row): scheme %s batch %d window answer differs between columnar=%v and columnar=%v",
-				sc.Scheme, i, flip.Columnar, sc.Columnar))
-			break
-		}
-	}
-	if !reflect.DeepEqual(reports, refReports) {
-		violations = append(violations, fmt.Sprintf(
-			"invariant 7 (columnar == row): scheme %s reports differ between columnar=%v and columnar=%v",
-			sc.Scheme, flip.Columnar, sc.Columnar))
-	}
-	return violations
 }
 
 // materialize pre-generates the scenario's batches so the differential
@@ -322,10 +277,8 @@ func query(sc Scenario) engine.Query {
 }
 
 // baseConfig is the shared engine configuration; scheme and faults are
-// layered on per invariant. The scenario's Columnar knob applies to
-// every invariant's engine, so the whole harness stresses whichever
-// ingest path the scenario selected.
-func baseConfig(sc Scenario, workers int) engine.Config {
+// layered on per invariant.
+func baseConfig(workers int) engine.Config {
 	return engine.Config{
 		BatchInterval:   tuple.Second,
 		MapTasks:        4,
@@ -333,7 +286,6 @@ func baseConfig(sc Scenario, workers int) engine.Config {
 		Cores:           4,
 		Workers:         workers,
 		ValidateBatches: true,
-		ColumnarIngest:  sc.Columnar,
 	}
 }
 
@@ -358,7 +310,7 @@ func stepAll(eng *engine.Engine, batches [][]tuple.Tuple, after func(i int) erro
 // answer after every batch, verifying invariant 3 (incremental state ==
 // Recompute) at each step.
 func snapshotsOf(sc Scenario, scheme core.Scheme, workers int, batches [][]tuple.Tuple) ([]map[string]float64, []engine.BatchReport, []string, error) {
-	eng, err := engine.New(scheme.Apply(baseConfig(sc, workers)), query(sc))
+	eng, err := engine.New(scheme.Apply(baseConfig(workers)), query(sc))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -435,7 +387,7 @@ func checkFaultEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 	if err != nil {
 		return []string{fmt.Sprintf("fault-free reference failed: %v", err)}
 	}
-	cfg := scheme.Apply(baseConfig(sc, 0))
+	cfg := scheme.Apply(baseConfig(0))
 	cfg.Faults = fault.RandomPlan(sc.Seed, sc.Batches, sc.FaultEvents)
 	eng, err := engine.New(cfg, query(sc))
 	if err != nil {
@@ -475,7 +427,7 @@ func checkPermutationInvariance(sc Scenario, batches [][]tuple.Tuple) []string {
 		rng.Shuffle(len(cp), func(a, b int) { cp[a], cp[b] = cp[b], cp[a] })
 		shuffled[i] = cp
 	}
-	eng, err := engine.New(scheme.Apply(baseConfig(sc, 0)), query(sc))
+	eng, err := engine.New(scheme.Apply(baseConfig(0)), query(sc))
 	if err != nil {
 		return []string{fmt.Sprintf("permuted engine: %v", err)}
 	}
@@ -524,7 +476,7 @@ func checkTransportEquivalence(sc Scenario, batches [][]tuple.Tuple) []string {
 			default:
 				tr = transport.NewPipe(5*time.Second, handlers...)
 			}
-			cfg := scheme.Apply(baseConfig(sc, sc.Workers))
+			cfg := scheme.Apply(baseConfig(sc.Workers))
 			eng, err := engine.New(cfg, queries[0])
 			if err != nil {
 				tr.Close()
@@ -629,7 +581,7 @@ func ckptConfig(sc Scenario) engine.Config {
 		// back to prompt so this arm still runs.
 		scheme = core.PromptScheme()
 	}
-	cfg := scheme.Apply(baseConfig(sc, sc.Workers))
+	cfg := scheme.Apply(baseConfig(sc.Workers))
 	if sc.FaultEvents > 0 {
 		cfg.Faults = fault.RandomPlan(sc.Seed, sc.Batches, sc.FaultEvents)
 	}

@@ -16,8 +16,9 @@
 //     batch,
 //  6. execution scattered over a shard cluster (loopback and pipe
 //     transports) equals the in-process run bit for bit,
-//  7. columnar and row ingestion produce bit-identical reports and
-//     window answers,
+//  7. retired: it compared columnar with row ingestion, and the engine now
+//     has one data plane (rows exist only at the edge, transposed once),
+//     so there is no second ingest path to compare,
 //  8. a run whose key-range owner count changes mid-stream (live
 //     rescaling with state migration, in-process and over loopback/pipe
 //     shard clusters) equals the static run bit for bit,
@@ -25,9 +26,9 @@
 //     loopback/pipe shard clusters) equals the classic depth-1 run bit
 //     for bit,
 //  10. the approximate tier's summary state is bit-identical after every
-//     batch across worker counts, ingest layouts, and a mid-run
-//     checkpoint/restore, and its final answers stay inside the
-//     operator's advertised error bounds of the exact window.
+//     batch across worker counts and a mid-run checkpoint/restore, and
+//     its final answers stay inside the operator's advertised error
+//     bounds of the exact window.
 //
 // A failing scenario prints its seed plus a shrunk minimal scenario that
 // still fails; PROMPT_CHECK_SEED replays one seed deterministically and
@@ -83,11 +84,6 @@ type Scenario struct {
 	// Throttle attaches an AIMD controller whose factor scales the
 	// offered rate, observed after every batch.
 	Throttle bool
-	// Columnar routes row ingestion through the columnar hot path
-	// (struct-of-arrays transpose at the batch boundary). Every invariant
-	// runs in the scenario's mode, and invariant 7 additionally checks
-	// the flipped mode produces bit-identical reports.
-	Columnar bool
 	// ScaleEvents scripts live rescales for invariant 8: after batch
 	// AtBatch commits, the run asks for Owners key-range owners and the
 	// migration machinery hands the affected window state off at the next
@@ -125,8 +121,11 @@ func Generate(seed int64) Scenario {
 		FaultEvents:   rng.Intn(4), // 0..3
 		JitterMS:      50 * rng.Intn(7),
 		Throttle:      rng.Intn(2) == 0,
-		Columnar:      rng.Intn(2) == 0,
 	}
+	// This draw used to pick the retired row-or-columnar ingest mode; it
+	// stays so every later field keeps its historical value per seed
+	// (replay stability of PROMPT_CHECK_SEED).
+	_ = rng.Intn(2)
 	sc.CheckpointAt = 1 + rng.Intn(sc.Batches-1)
 	// Usually generous enough to keep everything; sometimes tighter than
 	// the jitter, so the run drops tuples.
@@ -155,10 +154,10 @@ func (sc Scenario) String() string {
 		scale[i] = fmt.Sprintf("%d:%d", ev.AtBatch, ev.Owners)
 	}
 	return fmt.Sprintf("seed=%d batches=%d ckpt@%d rate=%g keys=%d skew=%s scheme=%s "+
-		"workers=%d window=%ds noninv=%v faults=%d jitter=%dms maxdelay=%dms throttle=%v columnar=%v scale=[%s] approx=%s",
+		"workers=%d window=%ds noninv=%v faults=%d jitter=%dms maxdelay=%dms throttle=%v scale=[%s] approx=%s",
 		sc.Seed, sc.Batches, sc.CheckpointAt, sc.Rate, sc.Keys, sc.Skew, sc.Scheme,
 		sc.Workers, sc.WindowSec, sc.NonInvertible, sc.FaultEvents,
-		sc.JitterMS, sc.MaxDelayMS, sc.Throttle, sc.Columnar, strings.Join(scale, ","), sc.Approx)
+		sc.JitterMS, sc.MaxDelayMS, sc.Throttle, strings.Join(scale, ","), sc.Approx)
 }
 
 // seedsFromEnv resolves the seed sweep: PROMPT_CHECK_SEED pins a single

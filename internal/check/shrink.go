@@ -2,8 +2,7 @@ package check
 
 // Shrink greedily minimizes a failing scenario: it tries one simplifying
 // mutation at a time — fewer batches, lower rate, fewer keys, fewer
-// faults, no jitter, no throttle, row ingestion — keeps a mutation only
-// if the scenario
+// faults, no jitter, no throttle — keeps a mutation only if the scenario
 // still fails, and repeats until no mutation helps. The result is the
 // smallest scenario this search finds that still violates an invariant,
 // which is what a human wants to debug instead of the original.
@@ -87,13 +86,6 @@ func Shrink(sc Scenario, fails func(Scenario) bool) Scenario {
 				return s, false
 			}
 			s.Workers = 0
-			return s, true
-		},
-		func(s Scenario) (Scenario, bool) {
-			if !s.Columnar {
-				return s, false
-			}
-			s.Columnar = false
 			return s, true
 		},
 		func(s Scenario) (Scenario, bool) {

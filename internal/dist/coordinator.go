@@ -413,72 +413,27 @@ func (c *Coordinator) mapOnShard(batch, qi int, blocks []*tuple.Block, idxs []in
 	l := c.links[idxs[0]%len(c.links)]
 
 	// Intern every key before building the frame so the delta computed at
-	// send time covers all IDs the frame references. Blocks whose key runs
-	// stayed columnar (the partitioner ran on the column hot path) travel
-	// as a MapTaskCols frame referencing the columns directly — zero row
-	// materialization on either side; a batch with any row-form key run
-	// falls back to the legacy row frame.
-	columnar := true
-	for _, i := range idxs {
+	// send time covers all IDs the frame references. Key runs travel as
+	// the blocks hold them — column views, delta-encoded by the codec — so
+	// neither side materializes rows.
+	wbs := make([]wire.ColBlock, len(idxs))
+	for bi, i := range idxs {
 		bl := blocks[i]
+		wb := wire.ColBlock{ID: bl.ID, Keys: make([]wire.ColKeySlice, len(bl.Keys))}
 		for k := range bl.Keys {
-			if bl.Keys[k].Tuples != nil {
-				columnar = false
+			ks := &bl.Keys[k]
+			wb.Keys[k] = wire.ColKeySlice{
+				KeyID: c.dict.Intern(ks.Key),
+				Dense: ks.ID,
+				Cols:  ks.Cols,
 			}
 		}
+		wbs[bi] = wb
 	}
 
-	var task func(d wire.DictDelta) wire.Msg
-	if columnar {
-		wbs := make([]wire.ColBlock, len(idxs))
-		for bi, i := range idxs {
-			bl := blocks[i]
-			wb := wire.ColBlock{ID: bl.ID, Keys: make([]wire.ColKeySlice, len(bl.Keys))}
-			for k := range bl.Keys {
-				ks := &bl.Keys[k]
-				wb.Keys[k] = wire.ColKeySlice{
-					KeyID: c.dict.Intern(ks.Key),
-					Dense: ks.ID,
-					Cols:  ks.Cols,
-				}
-			}
-			wbs[bi] = wb
-		}
-		task = func(d wire.DictDelta) wire.Msg {
-			return &wire.MapTaskCols{Batch: batch, Query: qi, Dict: d, Blocks: wbs}
-		}
-	} else {
-		wbs := make([]wire.Block, len(idxs))
-		for bi, i := range idxs {
-			bl := blocks[i]
-			wb := wire.Block{ID: bl.ID, Keys: make([]wire.KeySlice, len(bl.Keys))}
-			for k := range bl.Keys {
-				ks := &bl.Keys[k]
-				wts := make([]wire.Tuple, ks.Len())
-				if ks.Tuples != nil {
-					for j := range ks.Tuples {
-						t := &ks.Tuples[j]
-						wts[j] = wire.Tuple{TS: t.TS, Val: t.Val, Weight: t.Weight}
-					}
-				} else {
-					for j := 0; j < ks.Cols.Len(); j++ {
-						wts[j] = wire.Tuple{TS: ks.Cols.TS[j], Val: ks.Cols.Vals[j], Weight: int(ks.Cols.W[j])}
-					}
-				}
-				wb.Keys[k] = wire.KeySlice{
-					KeyID:  c.dict.Intern(ks.Key),
-					Dense:  ks.ID,
-					Tuples: wts,
-				}
-			}
-			wbs[bi] = wb
-		}
-		task = func(d wire.DictDelta) wire.Msg {
-			return &wire.MapTask{Batch: batch, Query: qi, Dict: d, Blocks: wbs}
-		}
-	}
-
-	reply, err := c.exchange(l, task)
+	reply, err := c.exchange(l, func(d wire.DictDelta) wire.Msg {
+		return &wire.MapTaskCols{Batch: batch, Query: qi, Dict: d, Blocks: wbs}
+	})
 	if err != nil {
 		// A wire.Error means the shard is healthy but rejected the task —
 		// a protocol bug that must fail loudly, not be papered over.

@@ -82,10 +82,8 @@ func (s *Shard) Handle(req wire.Msg) (wire.Msg, error) {
 	switch m := req.(type) {
 	case *wire.Hello:
 		return s.handleHello(m)
-	case *wire.MapTask:
-		return s.handleMap(m)
 	case *wire.MapTaskCols:
-		return s.handleMapCols(m)
+		return s.handleMap(m)
 	case *wire.ReduceTask:
 		return s.handleReduce(m)
 	case *wire.Migrate:
@@ -196,58 +194,10 @@ func (s *Shard) query(qi int) (engine.Query, error) {
 	return s.queries[qi], nil
 }
 
-func (s *Shard) handleMap(m *wire.MapTask) (wire.Msg, error) {
-	if err := s.applyDelta(m.Dict); err != nil {
-		return nil, err
-	}
-	q, err := s.query(m.Query)
-	if err != nil {
-		return nil, err
-	}
-	s.observeBatch(m.Batch)
-	t0 := time.Now()
-
-	outs := make([]wire.BlockOut, len(m.Blocks))
-	for i := range m.Blocks {
-		wb := &m.Blocks[i]
-		bl := tuple.NewBlock(wb.ID)
-		bl.PreAllocate(len(wb.Keys))
-		for k := range wb.Keys {
-			ks := &wb.Keys[k]
-			if int(ks.KeyID) >= len(s.mirror) {
-				return nil, fmt.Errorf("dist: shard %d: key id %d beyond mirror size %d",
-					s.index, ks.KeyID, len(s.mirror))
-			}
-			key := s.mirror[ks.KeyID]
-			tuples := make([]tuple.Tuple, len(ks.Tuples))
-			weight := 0
-			for j := range ks.Tuples {
-				wt := &ks.Tuples[j]
-				tuples[j] = tuple.Tuple{TS: wt.TS, Key: key, Val: wt.Val, Weight: wt.Weight}
-				weight += wt.Weight
-			}
-			bl.AddDense(key, ks.Dense, tuples, weight)
-		}
-		if outs[i], err = s.foldBlock(q, bl); err != nil {
-			return nil, err
-		}
-	}
-
-	s.busy += time.Since(t0)
-	return &wire.MapResult{
-		Batch:  m.Batch,
-		Query:  m.Query,
-		Outs:   outs,
-		Factor: s.aimd.Factor,
-	}, nil
-}
-
-// handleMapCols is handleMap for the columnar task frame: block key runs
-// arrive as dense columns and feed the Map fold directly — no row
-// materialization on the shard. Fold order and cluster output match the
-// row frame exactly, so the coordinator cannot tell which frame a
-// MapResult answered.
-func (s *Shard) handleMapCols(m *wire.MapTaskCols) (wire.Msg, error) {
+// handleMap runs a Map task frame: block key runs arrive as dense
+// columns and feed the Map fold directly — no row materialization on the
+// shard.
+func (s *Shard) handleMap(m *wire.MapTaskCols) (wire.Msg, error) {
 	if err := s.applyDelta(m.Dict); err != nil {
 		return nil, err
 	}

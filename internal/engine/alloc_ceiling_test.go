@@ -9,10 +9,11 @@ import (
 
 // TestPromptSteadyStateAllocCeiling pins the steady-state per-batch
 // allocation count of the prompt scheme's hot path (Workers = 0, the
-// deterministic inline configuration). The engine first processes a
-// warm-up run so the intern dictionary, accumulator arenas, and pooled
-// buffers reach their steady shapes; the ceiling then bounds what one
-// additional batch allocates.
+// deterministic inline configuration) for rows through Step, which
+// transposes them into the engine's reused column batch. The engine first
+// processes a warm-up run so the intern dictionary, accumulator arenas,
+// and pooled buffers reach their steady shapes; the ceiling then bounds
+// what one additional batch allocates.
 //
 // The ceiling is deliberately generous (several times the ~270
 // allocations measured when it was recorded) so noise and modest feature
@@ -20,41 +21,7 @@ import (
 // rebuilding or per-key allocation — tens of thousands of allocations —
 // fails loudly.
 func TestPromptSteadyStateAllocCeiling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement skipped in -short mode")
-	}
-	const (
-		rate    = 20_000
-		card    = 5_000
-		warm    = 32
-		runs    = 8
-		ceiling = 2_000 // allocations per batch, steady state
-	)
-	hs := hotPathSchemes()[0]
-	if hs.name != "prompt" {
-		t.Fatalf("expected prompt scheme first, got %s", hs.name)
-	}
-	src := hotPathSource(t, "zipf", rate, card)
-	batches := hotPathBatches(t, src, warm+runs+1, tuple.Second)
-	eng := newHotPathEngine(t, hs, 0)
-	step := func(k int) {
-		start := tuple.Time(k) * tuple.Second
-		if _, err := eng.Step(batches[k], start, start+tuple.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := 0; k < warm; k++ {
-		step(k)
-	}
-	next := warm
-	avg := testing.AllocsPerRun(runs, func() {
-		step(next)
-		next++
-	})
-	t.Logf("prompt steady-state allocations per batch: %.0f (ceiling %d)", avg, ceiling)
-	if avg > ceiling {
-		t.Errorf("steady-state hot path allocates %.0f per batch, ceiling %d", avg, ceiling)
-	}
+	testSteadyStateAllocCeiling(t, "rows")
 }
 
 // TestMaxReduceSteadyStateAllocCeiling is the non-invertible companion of
@@ -109,13 +76,20 @@ func TestMaxReduceSteadyStateAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestColumnarSteadyStateAllocCeiling is the columnar companion of
-// TestPromptSteadyStateAllocCeiling: the same workload ingested as
-// struct-of-arrays batches through StepColumns (pure-columns path — no
-// row materialization). The accumulator's per-key column buffers and the
-// partitioner's span arenas must reach a steady shape just like the row
-// path's, under the same ceiling.
+// TestColumnarSteadyStateAllocCeiling is the columns-edge companion of
+// TestPromptSteadyStateAllocCeiling: the same workload handed in as
+// caller-built struct-of-arrays batches through StepColumns. The
+// accumulator's per-key column buffers and the partitioner's span arenas
+// must reach a steady shape under the same ceiling.
 func TestColumnarSteadyStateAllocCeiling(t *testing.T) {
+	testSteadyStateAllocCeiling(t, "columns")
+}
+
+// testSteadyStateAllocCeiling measures the prompt scheme's steady-state
+// allocations per batch at one ingest edge: "rows" (Step) or "columns"
+// (StepColumns).
+func testSteadyStateAllocCeiling(t *testing.T, edge string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("allocation measurement skipped in -short mode")
 	}
@@ -127,20 +101,30 @@ func TestColumnarSteadyStateAllocCeiling(t *testing.T) {
 		ceiling = 2_000 // allocations per batch, steady state
 	)
 	hs := hotPathSchemes()[0]
-	if !hs.columnar {
-		t.Fatalf("expected the prompt scheme to be columnar, got %+v", hs)
+	if hs.name != "prompt" {
+		t.Fatalf("expected prompt scheme first, got %s", hs.name)
 	}
 	src := hotPathSource(t, "zipf", rate, card)
 	batches := hotPathBatches(t, src, warm+runs+1, tuple.Second)
 	eng := newHotPathEngine(t, hs, 0)
 	cols := make([]*tuple.ColumnBatch, len(batches))
-	for i, bt := range batches {
-		cols[i] = &tuple.ColumnBatch{}
-		cols[i].AppendRows(bt, eng.Dict().Intern)
+	if edge == "columns" {
+		for i, bt := range batches {
+			cols[i] = &tuple.ColumnBatch{}
+			if err := cols[i].AppendRows(bt, eng.Dict().Intern); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	step := func(k int) {
 		start := tuple.Time(k) * tuple.Second
-		if _, err := eng.StepColumns(cols[k], start, start+tuple.Second); err != nil {
+		var err error
+		if edge == "rows" {
+			_, err = eng.Step(batches[k], start, start+tuple.Second)
+		} else {
+			_, err = eng.StepColumns(cols[k], start, start+tuple.Second)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,8 +136,8 @@ func TestColumnarSteadyStateAllocCeiling(t *testing.T) {
 		step(next)
 		next++
 	})
-	t.Logf("columnar steady-state allocations per batch: %.0f (ceiling %d)", avg, ceiling)
+	t.Logf("prompt steady-state allocations per batch (%s): %.0f (ceiling %d)", edge, avg, ceiling)
 	if avg > ceiling {
-		t.Errorf("steady-state columnar hot path allocates %.0f per batch, ceiling %d", avg, ceiling)
+		t.Errorf("steady-state hot path (%s) allocates %.0f per batch, ceiling %d", edge, avg, ceiling)
 	}
 }

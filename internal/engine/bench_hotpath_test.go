@@ -11,20 +11,17 @@ import (
 	"prompt/internal/workload"
 )
 
-// hotPathScheme is one cell of the BenchmarkHotPath scheme axis.
-// Columnar schemes ingest through StepColumns over pre-built
-// struct-of-arrays batches — the production hot path for frequency-aware
-// accumulation since the columnar refactor; the post-sort schemes keep
-// row ingestion (their sort wants rows).
+// hotPathScheme is one cell of the BenchmarkHotPath scheme axis. Every
+// scheme ingests rows through Step, the public edge, which transposes
+// them once into columns.
 type hotPathScheme struct {
-	name     string
-	columnar bool
-	config   func(Config) Config
+	name   string
+	config func(Config) Config
 }
 
 func hotPathSchemes() []hotPathScheme {
 	return []hotPathScheme{
-		{name: "prompt", columnar: true, config: func(cfg Config) Config {
+		{name: "prompt", config: func(cfg Config) Config {
 			cfg.Partitioner = partition.NewPrompt()
 			cfg.Assigner = reducer.NewPrompt()
 			cfg.Accum = FrequencyAware
@@ -137,36 +134,13 @@ func BenchmarkHotPath(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					var eng *Engine
-					var cols []*tuple.ColumnBatch
 					for i := 0; i < b.N; i++ {
 						k := i % cycle
 						if k == 0 {
 							eng = newHotPathEngine(b, hs, workers)
-							if hs.columnar {
-								// Rebuild the column batches against the fresh
-								// engine's dictionary; the transpose amortizes
-								// over the cycle, like a receiver filling rings
-								// once per interval.
-								if cols == nil {
-									cols = make([]*tuple.ColumnBatch, cycle)
-									for j := range cols {
-										cols[j] = &tuple.ColumnBatch{}
-									}
-								}
-								for j, bt := range batches {
-									cols[j].Reset()
-									cols[j].AppendRows(bt, eng.Dict().Intern)
-								}
-							}
 						}
 						start := tuple.Time(k) * tuple.Second
-						var err error
-						if hs.columnar {
-							_, err = eng.StepColumns(cols[k], start, start+tuple.Second)
-						} else {
-							_, err = eng.Step(batches[k], start, start+tuple.Second)
-						}
-						if err != nil {
+						if _, err := eng.Step(batches[k], start, start+tuple.Second); err != nil {
 							b.Fatal(err)
 						}
 					}

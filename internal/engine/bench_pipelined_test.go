@@ -98,13 +98,7 @@ func BenchmarkPipelinedRun(b *testing.B) {
 							eng := newPipelinedEngine(b, hs, workers, depth)
 							src.Reset()
 							b.StartTimer()
-							var err error
-							if hs.columnar {
-								_, err = eng.RunBatchesColumnar(src, runBatches)
-							} else {
-								_, err = eng.RunBatches(src, runBatches)
-							}
-							if err != nil {
+							if _, err := eng.RunBatches(src, runBatches); err != nil {
 								b.Fatal(err)
 							}
 						}

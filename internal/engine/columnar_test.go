@@ -8,28 +8,41 @@ import (
 	"prompt/internal/fault"
 	"prompt/internal/tuple"
 	"prompt/internal/window"
+	"prompt/internal/workload"
 )
 
-// columnarMode selects how the columnar golden runs feed the engine.
-type columnarMode int
+// stepEdge processes the source's next interval through one of the
+// engine's two edges: rows through Step, or — columns true — a pooled
+// column batch built against the engine's dictionary through StepColumns,
+// exercising the recycle discipline.
+func stepEdge(t *testing.T, eng *Engine, src *workload.Source, columns bool) {
+	t.Helper()
+	start := eng.Now()
+	end := start + eng.Config().BatchInterval
+	tuples, err := src.Slice(start, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if columns {
+		cb := tuple.GetColumnBatch()
+		if err = cb.AppendRows(tuples, eng.Dict().Intern); err == nil {
+			_, err = eng.StepColumns(cb, start, end)
+		}
+		tuple.PutColumnBatch(cb)
+	} else {
+		_, err = eng.Step(tuples, start, end)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
 
-const (
-	rowMode        columnarMode = iota // plain Step over rows (the reference)
-	ingestMode                         // Config.ColumnarIngest transposes at the boundary
-	stepColumnsMode                    // caller-built ColumnBatch via StepColumns
-)
-
-// runColumnar drives n batches through the engine in the given mode and
-// returns the reports plus the window answer. stepColumnsMode builds each
-// batch's columns against the engine's dictionary through the pooled
-// ColumnBatch, exercising the recycle discipline.
-func runColumnar(t *testing.T, gs goldenScheme, workers, n int, mode columnarMode, mutate func(*Config)) ([]BatchReport, map[string]float64) {
+// runEdge drives n prompt-scheme batches through one edge and returns the
+// reports plus the window answer.
+func runEdge(t *testing.T, workers, n int, columns bool, mutate func(*Config)) ([]BatchReport, map[string]float64) {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Workers = workers
-	cfg.StatsShards = gs.shards
-	cfg = gs.config(cfg)
-	cfg.ColumnarIngest = mode == ingestMode
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -39,77 +52,16 @@ func runColumnar(t *testing.T, gs goldenScheme, workers, n int, mode columnarMod
 	}
 	src := testSource(10000, 120, 77)
 	for i := 0; i < n; i++ {
-		start := eng.Now()
-		end := start + eng.Config().BatchInterval
-		tuples, err := src.Slice(start, end)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mode == stepColumnsMode {
-			cb := tuple.GetColumnBatch()
-			cb.AppendRows(tuples, eng.Dict().Intern)
-			_, err = eng.StepColumns(cb, start, end)
-			tuple.PutColumnBatch(cb)
-		} else {
-			_, err = eng.Step(tuples, start, end)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		stepEdge(t, eng, src, columns)
 	}
 	return eng.Reports(), eng.WindowSnapshot()
 }
 
-// TestGoldenColumnarEquivalence proves the columnar pipeline bit-identical
-// to row mode: for every scheme of the golden sweep at Workers 0 and 4,
-// both columnar entry points — boundary transposition (ColumnarIngest) and
-// caller-built columns (StepColumns) — must reproduce the row run's
-// BatchReport slice and window answer exactly.
-func TestGoldenColumnarEquivalence(t *testing.T) {
-	freezeClock(t)
-	const batches = 3
-	for _, gs := range goldenSchemes() {
-		for _, workers := range []int{0, 4} {
-			refReps, refWin := runColumnar(t, gs, workers, batches, rowMode, nil)
-			for mode, label := range map[columnarMode]string{ingestMode: "ingest", stepColumnsMode: "stepcolumns"} {
-				gotReps, gotWin := runColumnar(t, gs, workers, batches, mode, nil)
-				if !reflect.DeepEqual(gotReps, refReps) {
-					t.Errorf("scheme %s workers %d mode %s: columnar reports diverge from row mode",
-						gs.name, workers, label)
-				}
-				if !reflect.DeepEqual(gotWin, refWin) {
-					t.Errorf("scheme %s workers %d mode %s: columnar window diverges from row mode",
-						gs.name, workers, label)
-				}
-			}
-		}
-	}
-}
-
-// TestGoldenColumnarPureColumns covers the no-rows fast path: with batch
-// validation off and a column-aware partitioner, the batch flows through
-// as pure columns (Batch.Tuples stays nil) and must still match row mode.
-func TestGoldenColumnarPureColumns(t *testing.T) {
-	freezeClock(t)
-	gs := goldenScheme{name: "prompt", config: func(cfg Config) Config { return cfg }}
-	noValidate := func(cfg *Config) { cfg.ValidateBatches = false }
-	for _, workers := range []int{0, 4} {
-		refReps, refWin := runColumnar(t, gs, workers, 3, rowMode, noValidate)
-		gotReps, gotWin := runColumnar(t, gs, workers, 3, stepColumnsMode, noValidate)
-		if !reflect.DeepEqual(gotReps, refReps) {
-			t.Errorf("workers %d: pure-columnar reports diverge from row mode", workers)
-		}
-		if !reflect.DeepEqual(gotWin, refWin) {
-			t.Errorf("workers %d: pure-columnar window diverges from row mode", workers)
-		}
-	}
-}
-
-// TestGoldenColumnarFaulted runs the columnar path under a scripted fault
+// TestGoldenColumnarFaulted runs the column edge under a scripted fault
 // plan — an executor kill, a straggler, and a lost output with recovery —
-// and requires the faulted reports and window to match row mode exactly.
-// The fault store replicates from the materialized row view, so recompute
-// equivalence is part of the contract.
+// and requires the faulted reports and window to match the row edge's
+// exactly. The batch store replicates the column batch and the recovery
+// replays it, so recompute equivalence is part of the contract.
 func TestGoldenColumnarFaulted(t *testing.T) {
 	freezeClock(t)
 	plan, err := fault.ParsePlan("kill@1:cores=2;straggle@2:stage=map,factor=8,task=1;lose@3:fails=1")
@@ -117,56 +69,39 @@ func TestGoldenColumnarFaulted(t *testing.T) {
 		t.Fatal(err)
 	}
 	withFaults := func(cfg *Config) { cfg.Faults = plan }
-	gs := goldenScheme{name: "prompt", config: func(cfg Config) Config { return cfg }}
 	for _, workers := range []int{0, 4} {
-		refReps, refWin := runColumnar(t, gs, workers, 5, rowMode, withFaults)
-		for mode, label := range map[columnarMode]string{ingestMode: "ingest", stepColumnsMode: "stepcolumns"} {
-			gotReps, gotWin := runColumnar(t, gs, workers, 5, mode, withFaults)
-			if !reflect.DeepEqual(gotReps, refReps) {
-				t.Errorf("workers %d mode %s: faulted columnar reports diverge from row mode", workers, label)
-			}
-			if !reflect.DeepEqual(gotWin, refWin) {
-				t.Errorf("workers %d mode %s: faulted columnar window diverges from row mode", workers, label)
-			}
+		refReps, refWin := runEdge(t, workers, 5, false, withFaults)
+		gotReps, gotWin := runEdge(t, workers, 5, true, withFaults)
+		if refReps[3].RecoveryAttempts == 0 {
+			t.Fatalf("workers %d: the scripted loss at batch 3 recovered nothing", workers)
+		}
+		if !reflect.DeepEqual(gotReps, refReps) {
+			t.Errorf("workers %d: faulted column-edge reports diverge from the row edge", workers)
+		}
+		if !reflect.DeepEqual(gotWin, refWin) {
+			t.Errorf("workers %d: faulted column-edge window diverges from the row edge", workers)
 		}
 	}
 }
 
-// TestGoldenColumnarCheckpointRestore checkpoints a columnar engine
-// mid-stream, restores it, and continues in columnar mode; the stitched
-// run must match an uninterrupted row run batch for batch. The restored
-// dictionary must keep every already-issued key ID stable for the
-// caller-built columns to stay meaningful.
+// TestGoldenColumnarCheckpointRestore checkpoints an engine fed through
+// the column edge mid-stream, restores it, and continues through the same
+// edge; the stitched run must match an uninterrupted row-edge run batch
+// for batch. The restored dictionary must keep every already-issued key ID
+// stable for the caller-built columns to stay meaningful.
 func TestGoldenColumnarCheckpointRestore(t *testing.T) {
 	freezeClock(t)
 	const batches, ckptAt = 6, 3
 	cfg := testConfig()
-	refReps, refWin := runColumnar(t, goldenScheme{name: "prompt", config: func(c Config) Config { return c }},
-		0, batches, rowMode, nil)
+	refReps, refWin := runEdge(t, 0, batches, false, nil)
 
 	eng, err := New(cfg, WordCount(window.Sliding(10*tuple.Second, tuple.Second)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := testSource(10000, 120, 77)
-	step := func(e *Engine) {
-		t.Helper()
-		start := e.Now()
-		end := start + e.Config().BatchInterval
-		tuples, err := src.Slice(start, end)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cb := tuple.GetColumnBatch()
-		cb.AppendRows(tuples, e.Dict().Intern)
-		_, err = e.StepColumns(cb, start, end)
-		tuple.PutColumnBatch(cb)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 	for i := 0; i < ckptAt; i++ {
-		step(eng)
+		stepEdge(t, eng, src, true)
 	}
 	var buf bytes.Buffer
 	if err := eng.Checkpoint(&buf); err != nil {
@@ -177,12 +112,12 @@ func TestGoldenColumnarCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := ckptAt; i < batches; i++ {
-		step(restored)
+		stepEdge(t, restored, src, true)
 	}
 	if !reflect.DeepEqual(restored.Reports(), refReps) {
-		t.Error("columnar checkpoint/restore reports diverge from uninterrupted row run")
+		t.Error("column-edge checkpoint/restore reports diverge from uninterrupted row-edge run")
 	}
 	if !reflect.DeepEqual(restored.WindowSnapshot(), refWin) {
-		t.Error("columnar checkpoint/restore window diverges from uninterrupted row run")
+		t.Error("column-edge checkpoint/restore window diverges from uninterrupted row-edge run")
 	}
 }

@@ -103,25 +103,15 @@ type Config struct {
 	// on; sweeps leave it off for speed.
 	ValidateBatches bool
 	// PipelineDepth bounds how many consecutive batches may be in flight
-	// at once inside RunBatches/RunBatchesColumnar: while batch k is in
-	// its process/recover/commit stages, batch k+1 may already run
-	// accumulate and partition over its own double-buffered accumulator
-	// and column-batch state. Commits stay strictly serialized in batch
+	// at once inside RunBatches: while batch k is in its
+	// process/recover/commit stages, batch k+1 may already run accumulate
+	// and partition over its own double-buffered accumulator and
+	// column-batch state. Commits stay strictly serialized in batch
 	// order, so every report, window, and checkpoint is bit-identical to
 	// depth 1 — pipelining changes wall-clock time only, exactly like
 	// Workers. 0 or 1 keeps the classic fully serialized driver. Step and
 	// StepColumns always run one batch at a time regardless of depth.
 	PipelineDepth int
-	// ColumnarIngest converts row ingestion (Step, RunBatches, sealed
-	// reorder output) to the columnar hot path: tuples are transposed into
-	// a struct-of-arrays ColumnBatch at the batch boundary and the
-	// statistics fold, the sorted key list, and the column-aware
-	// partitioners run over the dense columns. Reports and results are
-	// bit-identical to row mode — the correctness harness proves it — so
-	// the switch trades one transpose pass for cache-friendly inner loops.
-	// Callers holding columns already should use StepColumns instead,
-	// which skips the transpose.
-	ColumnarIngest bool
 	// Stragglers injects deterministic task slowdowns (Figure 2's
 	// unbalanced-execution cases II-IV): zero value disables injection.
 	Stragglers StragglerModel
@@ -144,9 +134,8 @@ type Config struct {
 	// summary per query (Count-Min, Space-Saving, HyperLogLog, or a
 	// window sampler) folded from the exact per-key results at commit.
 	// The fold consumes the bit-identical result maps, so the summaries
-	// are themselves bit-identical across worker counts, ingestion
-	// layouts, pipelining depths, and checkpoint/restore. The zero value
-	// disables the tier.
+	// are themselves bit-identical across worker counts, pipelining
+	// depths, and checkpoint/restore. The zero value disables the tier.
 	Approx approx.Spec
 }
 

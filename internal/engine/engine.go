@@ -11,7 +11,6 @@ import (
 	"prompt/internal/fault"
 	"prompt/internal/intern"
 	"prompt/internal/metrics"
-	"prompt/internal/partition"
 	"prompt/internal/reducer"
 	"prompt/internal/stats"
 	"prompt/internal/tuple"
@@ -78,13 +77,9 @@ type Engine struct {
 	// is checkpointed so restored engines keep every ID stable.
 	dict *intern.Dict
 
-	// colScratch and rowScratch are the columnar path's reused transpose
-	// buffers: colScratch columnizes row ingestion under ColumnarIngest,
-	// rowScratch materializes rows from a ColumnBatch when some pipeline
-	// consumer still needs them (see needRows). Both are valid only within
-	// one Step call.
+	// colScratch is the reused batch the row edge transposes into (see
+	// transpose); it is valid only within one Step call.
 	colScratch *tuple.ColumnBatch
-	rowScratch []tuple.Tuple
 
 	// pool executes batch-pipeline tasks on real goroutines; nil runs the
 	// classic single-goroutine driver.
@@ -205,7 +200,7 @@ func newMulti(cfg Config, queries []Query, dict *intern.Dict) (*Engine, error) {
 				retain = q.Window.Length
 			}
 		}
-		e.store = NewBatchStore(retain)
+		e.store = NewBatchStore(retain, dict)
 	}
 	return e, nil
 }
@@ -213,9 +208,9 @@ func newMulti(cfg Config, queries []Query, dict *intern.Dict) (*Engine, error) {
 // Config returns the engine's current configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Dict returns the engine's stream-lifetime intern dictionary. Callers
-// building ColumnBatches for StepColumns must intern their keys here so
-// the batch's IDs resolve against the engine's statistics structures.
+// Dict returns the engine's stream-lifetime intern dictionary: every batch
+// ID resolves in it. Callers building ColumnBatches for StepColumns must
+// intern their keys here.
 func (e *Engine) Dict() *intern.Dict { return e.dict }
 
 // Now returns the start of the next batch interval.
@@ -291,9 +286,9 @@ func (e *Engine) SetWorkers(workers int) error {
 func (e *Engine) Workers() int { return e.pool.Workers() }
 
 // SetPipelineDepth changes the inter-batch pipelining depth for
-// subsequent RunBatches/RunBatchesColumnar calls: 0 or 1 restores the
-// fully serialized driver. Like SetWorkers it changes wall-clock time
-// only — reports, windows, and checkpoints are identical at any depth.
+// subsequent RunBatches calls: 0 or 1 restores the fully serialized
+// driver. Like SetWorkers it changes wall-clock time only — reports,
+// windows, and checkpoints are identical at any depth.
 func (e *Engine) SetPipelineDepth(depth int) error {
 	if depth < 0 || depth > MaxPipelineDepth {
 		return fmt.Errorf("engine: pipeline depth %d outside [0, %d]", depth, MaxPipelineDepth)
@@ -428,7 +423,7 @@ func (e *Engine) RunBatches(src workload.Stream, n int) ([]BatchReport, error) {
 // reports of the batches already committed.
 func (e *Engine) RunBatchesContext(ctx context.Context, src workload.Stream, n int) ([]BatchReport, error) {
 	if e.PipelineDepth() > 1 {
-		return e.runPipelined(ctx, src, n, false)
+		return e.runPipelined(ctx, src, n)
 	}
 	out := make([]BatchReport, 0, n)
 	for i := 0; i < n; i++ {
@@ -453,49 +448,11 @@ func (e *Engine) RunBatchesContext(ctx context.Context, src workload.Stream, n i
 	return out, nil
 }
 
-// RunBatchesColumnar is RunBatches on the columnar hot path: each
-// interval's rows are transposed once into a pooled ColumnBatch (keys
-// interning into the engine dictionary) and processed via StepColumns.
-// Reports are bit-identical to RunBatches; only the in-memory
-// representation — and the cache behaviour of the statistics and
-// partitioning folds — differs.
-func (e *Engine) RunBatchesColumnar(src workload.Stream, n int) ([]BatchReport, error) {
-	return e.RunBatchesColumnarContext(context.Background(), src, n)
-}
-
-// RunBatchesColumnarContext is RunBatchesColumnar with cooperative
-// cancellation, mirroring RunBatchesContext.
-func (e *Engine) RunBatchesColumnarContext(ctx context.Context, src workload.Stream, n int) ([]BatchReport, error) {
-	if e.PipelineDepth() > 1 {
-		return e.runPipelined(ctx, src, n, true)
-	}
-	out := make([]BatchReport, 0, n)
-	cb := tuple.GetColumnBatch()
-	defer tuple.PutColumnBatch(cb)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		start := e.now
-		end := start + e.cfg.BatchInterval
-		tuples, err := src.Slice(start, end)
-		if err != nil {
-			return out, err
-		}
-		cb.Reset()
-		cb.AppendRows(tuples, e.dict.Intern)
-		rep, err := e.StepColumnsContext(ctx, cb, start, end)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
 // Step processes one micro-batch whose tuples arrived in [start, end).
-// Tuples must carry timestamps inside the interval. Step only validates
-// the interval and composes the staged pipeline (stage.go): Accumulate
+// Tuples must carry timestamps inside the interval. Step is the row edge:
+// it transposes the tuples once into the engine's reused column batch —
+// interning keys in arrival order — and from there the batch is columns
+// only. It then composes the staged pipeline (stage.go): Accumulate
 // (Algorithm 1), Partition (Algorithm 2), Shuffle+Process (Algorithm 3),
 // Recover (fault answers), and Window commit each run as an explicit
 // Stage over a shared BatchContext, with observer events around every
@@ -509,17 +466,26 @@ func (e *Engine) Step(tuples []tuple.Tuple, start, end tuple.Time) (BatchReport,
 // mid-barrier, so cancellation surfaces well within one batch's work. A
 // cancelled batch commits nothing. If a pipeline task panics, StepContext
 // converts the re-raised *cluster.TaskPanic into an error and fails the
-// batch instead of unwinding the caller.
+// batch instead of unwinding the caller. A tuple whose weight does not fit
+// the int32 weight column fails the batch with an error wrapping
+// tuple.ErrWeightOverflow before anything is interned or committed.
 func (e *Engine) StepContext(ctx context.Context, tuples []tuple.Tuple, start, end tuple.Time) (BatchReport, error) {
-	return e.step(ctx, tuples, nil, start, end)
+	if err := e.checkBatch(ctx, start, end); err != nil {
+		return BatchReport{}, err
+	}
+	cb, err := e.transpose(tuples, e.batchIdx)
+	if err != nil {
+		return BatchReport{}, err
+	}
+	return e.step(ctx, cb, start, end)
 }
 
-// StepColumns processes one micro-batch already in columnar form. The
-// batch's IDs must be interned in the engine's dictionary (Dict); its
-// Start/End fields are overwritten with the given interval. Reports are
-// bit-identical to Step over the equivalent rows. The engine may retain
-// no part of cb after the call returns, so pooled batches can be recycled
-// immediately.
+// StepColumns is the column edge (the Receiver's): it processes one
+// micro-batch the caller already holds as columns. The batch's IDs must be
+// interned in the engine's dictionary (Dict); its Start/End fields are
+// overwritten with the given interval. Reports are bit-identical to Step
+// over the equivalent rows. The engine retains no part of cb after the
+// call returns, so pooled batches can be recycled immediately.
 func (e *Engine) StepColumns(cb *tuple.ColumnBatch, start, end tuple.Time) (BatchReport, error) {
 	return e.StepColumnsContext(context.Background(), cb, start, end)
 }
@@ -530,37 +496,46 @@ func (e *Engine) StepColumnsContext(ctx context.Context, cb *tuple.ColumnBatch, 
 	if cb == nil {
 		return BatchReport{}, fmt.Errorf("engine: nil column batch")
 	}
-	return e.step(ctx, nil, cb, start, end)
+	if err := e.checkBatch(ctx, start, end); err != nil {
+		return BatchReport{}, err
+	}
+	return e.step(ctx, cb, start, end)
 }
 
-// needRows reports whether the pipeline still touches row tuples on the
-// columnar path: the fault store replicates rows, post-sort and batch
-// validation walk Batch.Tuples, and partitioners without column support
-// consume rows directly. When none of these apply the batch flows through
-// as pure columns.
-func (e *Engine) needRows() bool {
-	return e.store != nil ||
-		e.cfg.Accum == PostSortMode ||
-		e.cfg.ValidateBatches ||
-		!partition.IsColumnAware(e.cfg.Partitioner)
-}
-
-// step is the shared batch core behind StepContext and
-// StepColumnsContext: exactly one of tuples/cb describes the input (under
-// ColumnarIngest row input is transposed here, and a column batch grows a
-// row view only if some pipeline consumer needs one).
-func (e *Engine) step(ctx context.Context, tuples []tuple.Tuple, cb *tuple.ColumnBatch, start, end tuple.Time) (rep BatchReport, err error) {
+// checkBatch rejects a batch before any of it is touched: an empty or
+// non-consecutive interval, or an already-cancelled context.
+func (e *Engine) checkBatch(ctx context.Context, start, end tuple.Time) error {
 	if end <= start {
-		return BatchReport{}, fmt.Errorf("engine: empty batch interval [%v,%v)", start, end)
+		return fmt.Errorf("engine: empty batch interval [%v,%v)", start, end)
 	}
 	if start != e.now {
-		return BatchReport{}, fmt.Errorf("engine: non-consecutive batch start %v, expected %v", start, e.now)
+		return fmt.Errorf("engine: non-consecutive batch start %v, expected %v", start, e.now)
 	}
 	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return BatchReport{}, cerr
-		}
+		return ctx.Err()
 	}
+	return nil
+}
+
+// transpose is the one place caller rows become columns: it fills the
+// engine's reused column batch, interning keys into the engine dictionary
+// in arrival order. The pipelined driver rotates the scratch per in-flight
+// batch; idx names the batch in errors.
+func (e *Engine) transpose(tuples []tuple.Tuple, idx int) (*tuple.ColumnBatch, error) {
+	if e.colScratch == nil {
+		e.colScratch = &tuple.ColumnBatch{}
+	}
+	cb := e.colScratch
+	cb.Reset()
+	if err := cb.AppendRows(tuples, e.dict.Intern); err != nil {
+		return nil, fmt.Errorf("engine: batch %d: %w", idx, err)
+	}
+	return cb, nil
+}
+
+// step is the one batch core behind both edges: it runs the pipeline over
+// a checked column batch and commits the report.
+func (e *Engine) step(ctx context.Context, cb *tuple.ColumnBatch, start, end tuple.Time) (rep BatchReport, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			tp, ok := v.(*cluster.TaskPanic)
@@ -570,33 +545,16 @@ func (e *Engine) step(ctx context.Context, tuples []tuple.Tuple, cb *tuple.Colum
 			rep, err = BatchReport{}, fmt.Errorf("engine: batch %d: %w", e.batchIdx, tp)
 		}
 	}()
-	if cb == nil && e.cfg.ColumnarIngest && e.cfg.Accum == FrequencyAware {
-		// Transpose row input at the batch boundary; the rows stay
-		// attached for the consumers that still want them.
-		if e.colScratch == nil {
-			e.colScratch = &tuple.ColumnBatch{}
-		}
-		cb = e.colScratch
-		cb.Reset()
-		cb.AppendRows(tuples, e.dict.Intern)
-	}
-	if cb != nil {
-		cb.Start, cb.End = start, end
-		if tuples == nil && e.needRows() {
-			e.rowScratch = cb.AppendRowsTo(e.rowScratch[:0], e.dict.Resolve)
-			tuples = e.rowScratch
-		}
-	}
+	cb.Start, cb.End = start, end
 	if e.store != nil {
 		// Replicate the raw input before any processing: the recover
 		// stage recomputes lost outputs from this copy (Put copies, so the
-		// reused row scratch is safe to hand over).
-		e.store.Put(e.batchIdx, start, end, tuples)
+		// reused column scratch is safe to hand over).
+		e.store.Put(e.batchIdx, cb)
 	}
 	bc := &BatchContext{
 		Index: e.batchIdx,
 		Ctx:   ctx,
-		Batch: &tuple.Batch{Start: start, End: end, Tuples: tuples},
 		Cols:  cb,
 		// The batch's own interval: normally cfg.BatchInterval, but the
 		// adaptive batch-sizing extension may vary it per batch, and all
@@ -863,45 +821,23 @@ func (e *Engine) resetEstimates() {
 	}
 }
 
-// postSort routes PostSortMode through the pooled dictionary-backed
-// sorter. The returned slice (and its per-key tuple groups) is owned by
-// the sorter and valid until its next use.
-func (e *Engine) postSort(b *tuple.Batch) []stats.SortedKey {
+// postSort routes PostSortMode through the pooled post-sorter. The
+// returned slice (and its per-key column groups) is owned by the sorter
+// and valid until its next use.
+func (e *Engine) postSort(cb *tuple.ColumnBatch) []stats.SortedKey {
 	if e.post == nil {
 		e.post = stats.NewPostSorter(e.dict)
 	}
-	return e.post.Sort(b)
+	return e.post.Sort(cb)
 }
 
-// accumulate routes the batch's tuples through Algorithm 1, creating or
+// accumulate routes the batch's columns through Algorithm 1, creating or
 // resetting the accumulator with estimates learned from the previous
-// batch. With StatsShards > 1 the tuples route by key hash to per-shard
-// accumulators running concurrently on the worker pool; otherwise a
-// single accumulator is fed on the driver goroutine.
-func (e *Engine) accumulate(batch *tuple.Batch) error {
-	if e.cfg.StatsShards > 1 {
-		if err := e.ensureSharded(batch.Start, batch.End); err != nil {
-			return err
-		}
-		return e.shacc.AddAll(batch.Tuples, e.pool)
-	}
-	if err := e.ensureAccumulator(batch.Start, batch.End); err != nil {
-		return err
-	}
-	for i := range batch.Tuples {
-		// Arrival time equals the tuple timestamp in the simulated stream.
-		if err := e.acc.Add(batch.Tuples[i], batch.Tuples[i].TS); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// accumulateColumns is accumulate over the columnar view: the contiguous
-// ID column drives the frequency fold directly, with no per-row string
-// hashing. The fold's per-arrival decisions are shared with the row path,
-// so the resulting statistics are bit-identical.
-func (e *Engine) accumulateColumns(cb *tuple.ColumnBatch) error {
+// batch: the contiguous ID column drives the frequency fold, with no
+// per-row string hashing. With StatsShards > 1 the rows route by key hash
+// to per-shard accumulators running concurrently on the worker pool;
+// otherwise a single accumulator is fed on the driver goroutine.
+func (e *Engine) accumulate(cb *tuple.ColumnBatch) error {
 	if e.cfg.StatsShards > 1 {
 		if err := e.ensureSharded(cb.Start, cb.End); err != nil {
 			return err

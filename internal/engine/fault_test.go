@@ -304,10 +304,10 @@ func TestBatchStoreEvictsAtWindowExit(t *testing.T) {
 		}
 	}
 	// The oldest batches must be gone, the newest still present.
-	if _, _, _, ok := eng.store.Get(0); ok {
+	if _, ok := eng.store.Get(0); ok {
 		t.Error("batch 0 replica still held after its output exited the window")
 	}
-	if _, _, _, ok := eng.store.Get(7); !ok {
+	if _, ok := eng.store.Get(7); !ok {
 		t.Error("latest batch replica missing")
 	}
 }

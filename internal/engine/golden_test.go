@@ -62,7 +62,10 @@ func legacyStep(e *Engine, tuples []tuple.Tuple, start, end tuple.Time) (BatchRe
 		wallStart = timeNow()
 		sorted, batchStats = e.acc.Finalize()
 	case PostSortMode:
-		sorted = stats.PostSort(batch)
+		var err error
+		if sorted, err = stats.PostSort(batch); err != nil {
+			return BatchReport{}, err
+		}
 		batchStats = stats.BatchStats{Tuples: batch.Len(), Keys: len(sorted), Start: start, End: end}
 	default:
 		return BatchReport{}, fmt.Errorf("engine: unknown accumulation mode %v", e.cfg.Accum)
@@ -191,7 +194,8 @@ func legacyFeedAccumulator(e *Engine, batch *tuple.Batch) error {
 	return nil
 }
 
-// legacyFeedSharded is the seed's feedSharded.
+// legacyFeedSharded is the seed's feedSharded, with the rows transposed
+// for the sharded fold's column input.
 func legacyFeedSharded(e *Engine, batch *tuple.Batch) error {
 	cfg := e.cfg.AccumConfig
 	if last := len(e.reports) - 1; last >= 0 {
@@ -203,7 +207,7 @@ func legacyFeedSharded(e *Engine, batch *tuple.Batch) error {
 		}
 	}
 	if e.shacc == nil || e.shacc.Shards() != e.cfg.StatsShards {
-		sa, err := stats.NewSharded(cfg, e.cfg.StatsShards, batch.Start, batch.End)
+		sa, err := stats.NewShardedDict(cfg, e.dict, e.cfg.StatsShards, batch.Start, batch.End)
 		if err != nil {
 			return err
 		}
@@ -211,7 +215,11 @@ func legacyFeedSharded(e *Engine, batch *tuple.Batch) error {
 	} else if err := e.shacc.Reset(cfg, batch.Start, batch.End); err != nil {
 		return err
 	}
-	return e.shacc.AddAll(batch.Tuples, e.pool)
+	cb := &tuple.ColumnBatch{Start: batch.Start, End: batch.End}
+	if err := cb.AppendRows(batch.Tuples, e.dict.Intern); err != nil {
+		return err
+	}
+	return e.shacc.AddAllColumns(cb, e.pool)
 }
 
 // goldenScheme is one scheme configuration of the equivalence sweep. The
@@ -298,11 +306,12 @@ func runGolden(t *testing.T, gs goldenScheme, workers, n int, legacy bool) ([]Ba
 // clock makes the measured partitioning cost exactly zero on both paths,
 // so the comparison covers every report field with no scrubbing.
 //
-// The legacy helpers above feed the string-keyed (map mode) accumulators
-// while the staged engine runs the interned-dictionary hot path, so this
-// sweep doubles as the interned-vs-string equivalence check: for every
-// registered scheme the two key representations must produce identical
-// reports and window answers.
+// The legacy helpers above feed rows one at a time through
+// Accumulator.Add over a private dictionary and hand the partitioners the
+// row batch, while the staged engine transposes once and runs the column
+// fold over its own dictionary, so this sweep doubles as the row-edge
+// equivalence check: for every registered scheme the two must produce
+// identical reports and window answers.
 func TestGoldenPipelineEquivalence(t *testing.T) {
 	freezeClock(t)
 	const batches = 3

@@ -176,38 +176,19 @@ func mapBlockFor(q Query, bl *tuple.Block) ([]tuple.Cluster, []float64) {
 		ks := &bl.Keys[k]
 		kept := 0
 		var folded float64
-		first := true
-		if ks.Tuples != nil {
-			for i := range ks.Tuples {
-				v, keep := q.Map(ks.Tuples[i])
-				if !keep {
-					continue
-				}
-				kept++
-				if first {
-					folded = v
-					first = false
-				} else {
-					folded = q.Reduce(folded, v)
-				}
+		// Fold the run's columns in place, in arrival order, assembling
+		// each row on the stack for the Map function.
+		for i := 0; i < ks.Cols.Len(); i++ {
+			v, keep := q.Map(ks.Cols.Tuple(ks.Key, i))
+			if !keep {
+				continue
 			}
-		} else {
-			// Columnar key slice: fold the dense columns in place,
-			// assembling each row on the stack for the Map function. Fold
-			// order matches the row path tuple for tuple.
-			for i := 0; i < ks.Cols.Len(); i++ {
-				v, keep := q.Map(ks.Cols.Tuple(ks.Key, i))
-				if !keep {
-					continue
-				}
-				kept++
-				if first {
-					folded = v
-					first = false
-				} else {
-					folded = q.Reduce(folded, v)
-				}
+			if kept == 0 {
+				folded = v
+			} else {
+				folded = q.Reduce(folded, v)
 			}
+			kept++
 		}
 		if kept == 0 {
 			continue

@@ -92,9 +92,9 @@ func (e *Engine) observeBatchStart(obs Observer, ctx *BatchContext) {
 	ctx.wallStart = timeNow()
 	obs.OnBatchStart(metrics.BatchStart{
 		Batch:  ctx.Index,
-		Start:  ctx.Batch.Start,
-		End:    ctx.Batch.End,
-		Tuples: ctx.tupleCount(),
+		Start:  ctx.Cols.Start,
+		End:    ctx.Cols.End,
+		Tuples: ctx.Cols.Len(),
 	})
 }
 
@@ -147,10 +147,7 @@ func (accumulateStage) Name() StageName { return StageAccumulate }
 func (accumulateStage) Run(e *Engine, ctx *BatchContext) error {
 	switch e.cfg.Accum {
 	case FrequencyAware:
-		if ctx.Cols != nil {
-			return e.accumulateColumns(ctx.Cols)
-		}
-		return e.accumulate(ctx.Batch)
+		return e.accumulate(ctx.Cols)
 	case PostSortMode:
 		return nil
 	default:
@@ -178,16 +175,16 @@ func (partitionStage) Run(e *Engine, ctx *BatchContext) error {
 	case FrequencyAware:
 		ctx.Sorted, ctx.Stats = e.finalizeStats()
 	case PostSortMode:
-		ctx.Sorted = e.postSort(ctx.Batch)
+		ctx.Sorted = e.postSort(ctx.Cols)
 		ctx.Stats = stats.BatchStats{
-			Tuples: ctx.Batch.Len(), Keys: len(ctx.Sorted),
-			Start: ctx.Batch.Start, End: ctx.Batch.End,
+			Tuples: ctx.Cols.Len(), Keys: len(ctx.Sorted),
+			Start: ctx.Cols.Start, End: ctx.Cols.End,
 		}
 	}
 	e.noteEstimates(ctx.Stats)
 
 	blocks, err := e.cfg.Partitioner.Partition(
-		partition.Input{Batch: ctx.Batch, Sorted: ctx.Sorted, Pool: e.pool}, e.cfg.MapTasks)
+		partition.Input{Cols: ctx.Cols, Dict: e.dict, Sorted: ctx.Sorted, Pool: e.pool}, e.cfg.MapTasks)
 	if err != nil {
 		return fmt.Errorf("engine: partitioning batch %d: %w", ctx.Index, err)
 	}
@@ -195,8 +192,7 @@ func (partitionStage) Run(e *Engine, ctx *BatchContext) error {
 	ctx.PartitionTime = tuple.FromDuration(timeNow().Sub(wallStart))
 
 	if e.cfg.ValidateBatches {
-		parted := &tuple.Partitioned{Batch: ctx.Batch, Blocks: blocks, PartitionTime: ctx.PartitionTime}
-		if err := parted.Validate(); err != nil {
+		if err := tuple.ValidateBlocks(blocks, ctx.Cols.KeyCounts(e.dict.Resolve)); err != nil {
 			return fmt.Errorf("engine: batch %d: %w", ctx.Index, err)
 		}
 	}
@@ -377,7 +373,7 @@ func (commitStage) Run(e *Engine, ctx *BatchContext) error {
 	e.pool.Do(len(e.queries), func(qi int) {
 		e.lastResults[qi] = ctx.runs[qi].result
 		if e.aggs[qi] != nil {
-			aggErrs[qi] = e.aggs[qi].AddBatch(ctx.Batch.End, ctx.runs[qi].result)
+			aggErrs[qi] = e.aggs[qi].AddBatch(ctx.Cols.End, ctx.runs[qi].result)
 		}
 	})
 	for _, aggErr := range aggErrs {
@@ -392,7 +388,7 @@ func (commitStage) Run(e *Engine, ctx *BatchContext) error {
 	var approxBound float64
 	var approxBytes int
 	for qi, est := range e.approxes {
-		if err := est.AddBatch(ctx.Batch.End, ctx.runs[qi].result); err != nil {
+		if err := est.AddBatch(ctx.Cols.End, ctx.runs[qi].result); err != nil {
 			return fmt.Errorf("engine: batch %d: %w", ctx.Index, err)
 		}
 		if qi == 0 {
@@ -404,7 +400,7 @@ func (commitStage) Run(e *Engine, ctx *BatchContext) error {
 
 	// Timing, queueing, stability: the batch becomes processable at the
 	// heartbeat and may wait for the previous batch's processing.
-	readyAt := ctx.Batch.End
+	readyAt := ctx.Cols.End
 	startProc := readyAt
 	if e.procFree > startProc {
 		startProc = e.procFree
@@ -414,8 +410,8 @@ func (commitStage) Run(e *Engine, ctx *BatchContext) error {
 
 	ctx.Report = BatchReport{
 		Index:             ctx.Index,
-		Start:             ctx.Batch.Start,
-		End:               ctx.Batch.End,
+		Start:             ctx.Cols.Start,
+		End:               ctx.Cols.End,
 		Tuples:            ctx.Stats.Tuples,
 		Keys:              ctx.Stats.Keys,
 		MapTasks:          e.cfg.MapTasks,
@@ -436,9 +432,9 @@ func (commitStage) Run(e *Engine, ctx *BatchContext) error {
 		ReduceTaskTimes:   primary.reduceDurations,
 		ProcessingTime:    ctx.Processing,
 		QueueWait:         startProc - readyAt,
-		Latency:           finish - ctx.Batch.Start,
+		Latency:           finish - ctx.Cols.Start,
 		W:                 float64(ctx.Processing) / float64(ctx.Interval),
-		Stable:            finish <= ctx.Batch.End+ctx.Interval,
+		Stable:            finish <= ctx.Cols.End+ctx.Interval,
 		ApproxErrorBound:  approxBound,
 		ApproxBytes:       approxBytes,
 	}

@@ -164,7 +164,7 @@ func TestPipelineZeroAllocWithoutObserver(t *testing.T) {
 	// An empty stage list isolates the harness overhead from the stages'
 	// own (observer-independent) allocations.
 	eng.pipeline = nil
-	ctx := &BatchContext{Batch: &tuple.Batch{}}
+	ctx := &BatchContext{Cols: &tuple.ColumnBatch{}}
 	if allocs := testing.AllocsPerRun(200, func() {
 		if err := eng.runPipeline(ctx); err != nil {
 			t.Fatal(err)
@@ -179,7 +179,7 @@ func TestPipelineZeroAllocWithoutObserver(t *testing.T) {
 	// Control: with an observer the same harness records timings (it may
 	// allocate; that cost is opt-in).
 	eng.SetObserver(metrics.NewCollector())
-	ctx2 := &BatchContext{Batch: &tuple.Batch{}}
+	ctx2 := &BatchContext{Cols: &tuple.ColumnBatch{}}
 	if err := eng.runPipeline(ctx2); err != nil {
 		t.Fatal(err)
 	}

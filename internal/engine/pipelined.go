@@ -20,30 +20,28 @@ const MaxPipelineDepth = 8
 
 // pipeSlot is the double-buffered frontend state of one in-flight batch.
 // Batch statistics structures hand out views into their own storage
-// (dictionary-mode Finalize reuses its output slice, the post-sorter its
-// per-key tuple groups, the column scratch its arrays), all valid until
-// the structure's next reset. Rotating a slot per in-flight batch keeps
-// batch k's blocks intact while batch k+1 accumulates: slot k mod depth
-// is not reused before batch k has committed, which the depth tokens
-// guarantee.
+// (Finalize reuses its output slice, the post-sorter its per-key column
+// groups, the column scratch its arrays), all valid until the structure's
+// next reset. Rotating a slot per in-flight batch keeps batch k's blocks
+// intact while batch k+1 accumulates: slot k mod depth is not reused
+// before batch k has committed, which the depth tokens guarantee.
 type pipeSlot struct {
 	acc   *stats.Accumulator
 	shacc *stats.ShardedAccumulator
 	post  *stats.PostSorter
 	col   *tuple.ColumnBatch
-	rows  []tuple.Tuple
 }
 
 // stage installs the slot's state as the engine's working scratch; only
 // the frontend goroutine touches these fields during a pipelined run.
 func (sl *pipeSlot) stage(e *Engine) {
-	e.acc, e.shacc, e.post, e.colScratch, e.rowScratch = sl.acc, sl.shacc, sl.post, sl.col, sl.rows
+	e.acc, e.shacc, e.post, e.colScratch = sl.acc, sl.shacc, sl.post, sl.col
 }
 
 // unstage captures the (possibly lazily created or regrown) scratch back
 // into the slot after the batch's frontend work.
 func (sl *pipeSlot) unstage(e *Engine) {
-	sl.acc, sl.shacc, sl.post, sl.col, sl.rows = e.acc, e.shacc, e.post, e.colScratch, e.rowScratch
+	sl.acc, sl.shacc, sl.post, sl.col = e.acc, e.shacc, e.post, e.colScratch
 }
 
 // pipeItem is one batch's frontend→backend handoff.
@@ -71,7 +69,7 @@ func (e *Engine) frontSplit() int {
 }
 
 // runPipelined is the depth-bounded inter-batch pipelining driver behind
-// RunBatches and RunBatchesColumnar when PipelineDepth > 1.
+// RunBatches when PipelineDepth > 1.
 //
 // Two lanes share the batch pipeline: the frontend goroutine runs each
 // batch's accumulate and partition stages (Algorithms 1 and 2) over that
@@ -91,7 +89,7 @@ func (e *Engine) frontSplit() int {
 // k+depth may not enter the frontend before batch k has committed, which
 // also makes the per-slot scratch rotation safe. Reports, windows, and
 // checkpoints are bit-identical to depth 1; only wall-clock time changes.
-func (e *Engine) runPipelined(ctx context.Context, src workload.Stream, n int, columnar bool) ([]BatchReport, error) {
+func (e *Engine) runPipelined(ctx context.Context, src workload.Stream, n int) ([]BatchReport, error) {
 	depth := e.PipelineDepth()
 	obs := e.cfg.Observer
 	split := e.frontSplit()
@@ -108,7 +106,7 @@ func (e *Engine) runPipelined(ctx context.Context, src workload.Stream, n int, c
 	slots := make([]pipeSlot, depth)
 	// Seed slot 0 with the engine's current scratch so a pipelined run
 	// keeps reusing what sequential Steps built up (and vice versa).
-	slots[0] = pipeSlot{acc: e.acc, shacc: e.shacc, post: e.post, col: e.colScratch, rows: e.rowScratch}
+	slots[0] = pipeSlot{acc: e.acc, shacc: e.shacc, post: e.post, col: e.colScratch}
 
 	go func() {
 		defer close(items)
@@ -140,7 +138,7 @@ func (e *Engine) runPipelined(ctx context.Context, src workload.Stream, n int, c
 			sl := &slots[i%depth]
 			sl.stage(e)
 			frontStart := timeNow()
-			bc, err := e.frontendBatch(cctx, base+i, tuples, start, end, columnar, split, obs)
+			bc, err := e.frontendBatch(cctx, base+i, tuples, start, end, split, obs)
 			sl.unstage(e)
 			if err != nil {
 				items <- &pipeItem{err: err}
@@ -196,11 +194,11 @@ func (e *Engine) runPipelined(ctx context.Context, src workload.Stream, n int, c
 	return out, nil
 }
 
-// frontendBatch runs one batch's frontend lane: input shaping (columnar
-// transpose, row materialization), then the stages before the process
-// stage. It mirrors the frontend half of step, including TaskPanic
-// conversion, and returns the handoff context for the backend lane.
-func (e *Engine) frontendBatch(cctx context.Context, idx int, tuples []tuple.Tuple, start, end tuple.Time, columnar bool, split int, obs Observer) (bc *BatchContext, err error) {
+// frontendBatch runs one batch's frontend lane: the transpose into the
+// slot's column batch, then the stages before the process stage. It
+// mirrors the frontend half of step, including TaskPanic conversion, and
+// returns the handoff context for the backend lane.
+func (e *Engine) frontendBatch(cctx context.Context, idx int, tuples []tuple.Tuple, start, end tuple.Time, split int, obs Observer) (bc *BatchContext, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			tp, ok := v.(*cluster.TaskPanic)
@@ -210,32 +208,14 @@ func (e *Engine) frontendBatch(cctx context.Context, idx int, tuples []tuple.Tup
 			bc, err = nil, fmt.Errorf("engine: batch %d: %w", idx, tp)
 		}
 	}()
-	var cb *tuple.ColumnBatch
-	if columnar || (e.cfg.ColumnarIngest && e.cfg.Accum == FrequencyAware) {
-		if e.colScratch == nil {
-			e.colScratch = &tuple.ColumnBatch{}
-		}
-		cb = e.colScratch
-		cb.Reset()
-		cb.AppendRows(tuples, e.dict.Intern)
-		if columnar {
-			// The columnar entry point hands the batch over as pure
-			// columns; rows rematerialize below only if a pipeline
-			// consumer needs them, exactly as StepColumns does.
-			tuples = nil
-		}
+	cb, err := e.transpose(tuples, idx)
+	if err != nil {
+		return nil, err
 	}
-	if cb != nil {
-		cb.Start, cb.End = start, end
-		if tuples == nil && e.needRows() {
-			e.rowScratch = cb.AppendRowsTo(e.rowScratch[:0], e.dict.Resolve)
-			tuples = e.rowScratch
-		}
-	}
+	cb.Start, cb.End = start, end
 	bc = &BatchContext{
 		Index:    idx,
 		Ctx:      cctx,
-		Batch:    &tuple.Batch{Start: start, End: end, Tuples: tuples},
 		Cols:     cb,
 		Interval: end - start,
 	}
@@ -275,7 +255,7 @@ func (e *Engine) backendBatch(bc *BatchContext, split int, obs Observer) (err er
 		// Replicate in commit order, just before the first stage that can
 		// consume the copy (the recover stage's replay), so eviction
 		// horizons advance exactly as in the sequential driver.
-		e.store.Put(bc.Index, bc.Batch.Start, bc.Batch.End, bc.Batch.Tuples)
+		e.store.Put(bc.Index, bc.Cols)
 	}
 	for _, st := range e.pipeline[split:] {
 		if err := bc.cancelled(); err != nil {
@@ -294,6 +274,6 @@ func (e *Engine) backendBatch(bc *BatchContext, split int, obs Observer) (err er
 	}
 	e.recordReport(bc.Report)
 	e.batchIdx++
-	e.now = bc.Batch.End
+	e.now = bc.Cols.End
 	return nil
 }

@@ -13,12 +13,11 @@ import (
 	"prompt/internal/window"
 )
 
-// pipeScenario is one scheme×ingest cell of the depth-equivalence matrix.
+// pipeScenario is one scheme cell of the depth-equivalence matrix.
 type pipeScenario struct {
-	name     string
-	columnar bool // drive RunBatchesColumnar instead of RunBatches
-	faults   string
-	config   func(Config) Config
+	name   string
+	faults string
+	config func(Config) Config
 }
 
 func pipeScenarios() []pipeScenario {
@@ -30,12 +29,6 @@ func pipeScenarios() []pipeScenario {
 	}
 	return []pipeScenario{
 		{name: "prompt-row", config: prompt},
-		{name: "prompt-ingest", config: func(c Config) Config {
-			c = prompt(c)
-			c.ColumnarIngest = true
-			return c
-		}},
-		{name: "prompt-columnar", columnar: true, config: prompt},
 		{name: "prompt-sharded", config: func(c Config) Config {
 			c = prompt(c)
 			c.StatsShards = 3
@@ -60,11 +53,10 @@ func pipeScenarios() []pipeScenario {
 // runState is everything a run leaves behind that depth must not change:
 // the reports, the final window and last batch answers, the interned
 // dictionary in ID order (window state and checkpoint slot images are
-// keyed by ID) and the engine's committed position. In the one cell where
-// statistics shards intern concurrently the dictionary is compared as a
-// key set instead, see runAtDepth. The restored field holds the window
-// after a checkpoint/restore round trip, proving pipelined runs checkpoint
-// cleanly.
+// keyed by ID; keys intern at the transpose, in arrival order, so the
+// order is a function of the input) and the engine's committed position.
+// The restored field holds the window after a checkpoint/restore round
+// trip, proving pipelined runs checkpoint cleanly.
 type runState struct {
 	reports  []BatchReport
 	win      map[string]float64
@@ -88,13 +80,7 @@ func runAtDepth(t *testing.T, sc pipeScenario, depth, workers, n int) runState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := testSource(6000, 60, 17)
-	if sc.columnar {
-		_, err = eng.RunBatchesColumnar(src, n)
-	} else {
-		_, err = eng.RunBatches(src, n)
-	}
-	if err != nil {
+	if _, err := eng.RunBatches(testSource(6000, 60, 17), n); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -117,15 +103,6 @@ func runAtDepth(t *testing.T, sc pipeScenario, depth, workers, n int) runState {
 	if !reflect.DeepEqual(restored, win) {
 		t.Errorf("depth %d: restored window differs from the checkpointed one", depth)
 	}
-	if cfg.StatsShards > 1 && workers > 1 {
-		// With more than one worker the statistics shards intern their keys
-		// concurrently on the pool (ShardedAccumulator.AddAll), so which key
-		// gets which ID is a scheduling accident at any depth, depth 1
-		// included; only the key set is a property of the run. A nil pool or
-		// a single worker runs the shards inline in index order and keeps
-		// the ordered comparison.
-		slices.Sort(dict)
-	}
 	return runState{
 		reports:  eng.Reports(),
 		win:      win,
@@ -139,8 +116,8 @@ func runAtDepth(t *testing.T, sc pipeScenario, depth, workers, n int) runState {
 // TestPipelinedDepthEquivalence is the engine-level golden invariant for
 // inter-batch pipelining: at depths 2 and 3, every report, the final
 // window, and the checkpoint image are bit-identical to the depth-1 run —
-// across schemes, row/columnar ingestion, sharded statistics, fault
-// plans, and worker counts. Pipelining must change wall-clock time only.
+// across schemes, sharded statistics, fault plans, and worker counts.
+// Pipelining must change wall-clock time only.
 func TestPipelinedDepthEquivalence(t *testing.T) {
 	freezeClock(t)
 	const n = 8

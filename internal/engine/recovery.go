@@ -4,33 +4,32 @@ import (
 	"fmt"
 	"sync"
 
+	"prompt/internal/intern"
 	"prompt/internal/tuple"
 )
 
 // BatchStore implements the paper's consistency mechanism (§8):
 // exactly-once semantics at batch granularity. Each batch's raw input is
-// replicated when it is ingested; if a batch's in-memory output is lost
-// (executor failure), the output is recomputed deterministically from the
-// replicated input. A batch's replica is discarded once its output has
-// exited the query window, at which point it can never be needed again.
-// A BatchStore is safe for concurrent use: recoveries may replay old
-// batches while the driver keeps ingesting new ones.
+// replicated — as a copy of its column batch — when it is ingested; if a
+// batch's in-memory output is lost (executor failure), the output is
+// recomputed deterministically from the replicated input. A batch's
+// replica is discarded once its output has exited the query window, at
+// which point it can never be needed again. A BatchStore is safe for
+// concurrent use: recoveries may replay old batches while the driver
+// keeps ingesting new ones.
 type BatchStore struct {
 	mu      sync.RWMutex
-	retain  tuple.Time // window length: how long outputs stay relevant
-	batches map[int]storedBatch
-}
-
-type storedBatch struct {
-	start, end tuple.Time
-	tuples     []tuple.Tuple
+	retain  tuple.Time   // window length: how long outputs stay relevant
+	dict    *intern.Dict // the dictionary the replicas' IDs resolve in
+	batches map[int]*tuple.ColumnBatch
 }
 
 // NewBatchStore returns a store that retains each batch until its end
 // time falls out of the retain horizon (the query's window length; 0
-// retains only the most recent batch interval).
-func NewBatchStore(retain tuple.Time) *BatchStore {
-	return &BatchStore{retain: retain, batches: make(map[int]storedBatch)}
+// retains only the most recent batch interval). dict is the dictionary
+// the stored batches' IDs are interned in — the engine's.
+func NewBatchStore(retain tuple.Time, dict *intern.Dict) *BatchStore {
+	return &BatchStore{retain: retain, dict: dict, batches: make(map[int]*tuple.ColumnBatch)}
 }
 
 // Len returns the number of replicated batches currently held.
@@ -40,15 +39,14 @@ func (s *BatchStore) Len() int {
 	return len(s.batches)
 }
 
-// Put replicates one batch's raw input. The tuples are copied: the store
-// must survive the engine mutating or releasing its buffers.
-func (s *BatchStore) Put(index int, start, end tuple.Time, tuples []tuple.Tuple) {
-	cp := make([]tuple.Tuple, len(tuples))
-	copy(cp, tuples)
+// Put replicates one batch's raw input, interval included. The columns
+// are copied: the store must survive the engine reusing its buffers.
+func (s *BatchStore) Put(index int, cb *tuple.ColumnBatch) {
+	cp := cb.Clone()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.batches[index] = storedBatch{start: start, end: end, tuples: cp}
-	s.evict(end)
+	s.batches[index] = cp
+	s.evict(cp.End)
 }
 
 // evict drops batches whose output has exited the window ending at now.
@@ -56,22 +54,20 @@ func (s *BatchStore) Put(index int, start, end tuple.Time, tuples []tuple.Tuple)
 func (s *BatchStore) evict(now tuple.Time) {
 	cutoff := now - s.retain
 	for idx, b := range s.batches {
-		if b.end <= cutoff {
+		if b.End <= cutoff {
 			delete(s.batches, idx)
 		}
 	}
 }
 
 // Get returns a stored batch's input, or false if it was never stored or
-// already expired.
-func (s *BatchStore) Get(index int) ([]tuple.Tuple, tuple.Time, tuple.Time, bool) {
+// already expired. The batch is the store's own copy; callers must not
+// modify it.
+func (s *BatchStore) Get(index int) (*tuple.ColumnBatch, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	b, ok := s.batches[index]
-	if !ok {
-		return nil, 0, 0, false
-	}
-	return b.tuples, b.start, b.end, true
+	return b, ok
 }
 
 // Recompute re-executes the query over a replicated batch and returns its
@@ -95,9 +91,7 @@ func (s *BatchStore) Recompute(index int, cfg Config, q Query) (map[string]float
 // output matters) — so the recovered outputs are bit-identical to the
 // originals.
 func (s *BatchStore) Replay(index int, cfg Config, queries []Query) ([]map[string]float64, tuple.Time, error) {
-	s.mu.RLock()
-	b, ok := s.batches[index]
-	s.mu.RUnlock()
+	b, ok := s.Get(index)
 	if !ok {
 		return nil, 0, fmt.Errorf("engine: batch %d not in the replica store (expired or never stored)", index)
 	}
@@ -108,12 +102,14 @@ func (s *BatchStore) Replay(index int, cfg Config, queries []Query) ([]map[strin
 	for i, q := range queries {
 		stripped[i] = Query{Name: q.Name, Map: q.Map, Reduce: q.Reduce}
 	}
-	replay, err := NewMulti(cfg, stripped)
+	// The replay reads the live dictionary (append-only and safe for
+	// concurrent use), so the replica's IDs need no re-interning.
+	replay, err := newMulti(cfg, stripped, s.dict)
 	if err != nil {
 		return nil, 0, err
 	}
-	replay.now = b.start
-	rep, err := replay.Step(b.tuples, b.start, b.end)
+	replay.now = b.Start
+	rep, err := replay.StepColumns(b.Clone(), b.Start, b.End)
 	if err != nil {
 		return nil, 0, fmt.Errorf("engine: recomputing batch %d: %w", index, err)
 	}
@@ -144,14 +140,21 @@ func NewRecoverable(cfg Config, q Query) (*RecoverableEngine, error) {
 	if q.Window.Length > retain {
 		retain = q.Window.Length
 	}
-	return &RecoverableEngine{Engine: eng, Store: NewBatchStore(retain)}, nil
+	return &RecoverableEngine{Engine: eng, Store: NewBatchStore(retain, eng.dict)}, nil
 }
 
-// Step replicates the batch input, then processes it.
+// Step transposes and replicates the batch input, then processes it.
 func (r *RecoverableEngine) Step(tuples []tuple.Tuple, start, end tuple.Time) (BatchReport, error) {
-	index := r.batchIdx
-	r.Store.Put(index, start, end, tuples)
-	return r.Engine.Step(tuples, start, end)
+	if err := r.checkBatch(nil, start, end); err != nil {
+		return BatchReport{}, err
+	}
+	cb, err := r.transpose(tuples, r.batchIdx)
+	if err != nil {
+		return BatchReport{}, err
+	}
+	cb.Start, cb.End = start, end
+	r.Store.Put(r.batchIdx, cb)
+	return r.step(nil, cb, start, end)
 }
 
 // Recover recomputes the primary query's output for a batch after

@@ -3,43 +3,48 @@ package engine
 import (
 	"testing"
 
+	"prompt/internal/intern"
 	"prompt/internal/tuple"
 	"prompt/internal/window"
 )
 
+// storeBatch is a one-row column batch for [start, end) with key ID id.
+func storeBatch(start, end tuple.Time, id uint32) *tuple.ColumnBatch {
+	cb := &tuple.ColumnBatch{Start: start, End: end}
+	cb.Append(id, start, 1, 1)
+	return cb
+}
+
 func TestBatchStoreEviction(t *testing.T) {
-	s := NewBatchStore(2 * tuple.Second)
-	mk := func(i int) []tuple.Tuple {
-		return []tuple.Tuple{tuple.NewTuple(tuple.Time(i)*tuple.Second, "k", 1)}
-	}
+	s := NewBatchStore(2*tuple.Second, intern.NewDict(0))
 	for i := 0; i < 5; i++ {
-		s.Put(i, tuple.Time(i)*tuple.Second, tuple.Time(i+1)*tuple.Second, mk(i))
+		s.Put(i, storeBatch(tuple.Time(i)*tuple.Second, tuple.Time(i+1)*tuple.Second, 0))
 	}
 	// At now=5s with retain 2s, batches ending at <= 3s are gone.
 	if s.Len() != 2 {
 		t.Errorf("store holds %d batches, want 2", s.Len())
 	}
-	if _, _, _, ok := s.Get(0); ok {
+	if _, ok := s.Get(0); ok {
 		t.Error("expired batch still retrievable")
 	}
-	if _, start, end, ok := s.Get(4); !ok || start != 4*tuple.Second || end != 5*tuple.Second {
-		t.Errorf("Get(4) = %v..%v, %v", start, end, ok)
+	if b, ok := s.Get(4); !ok || b.Start != 4*tuple.Second || b.End != 5*tuple.Second {
+		t.Errorf("Get(4) = %+v, %v", b, ok)
 	}
 }
 
 func TestBatchStoreCopiesInput(t *testing.T) {
-	s := NewBatchStore(tuple.Minute)
-	in := []tuple.Tuple{tuple.NewTuple(1, "a", 1)}
-	s.Put(0, 0, tuple.Second, in)
-	in[0].Key = "mutated"
-	got, _, _, ok := s.Get(0)
-	if !ok || got[0].Key != "a" {
+	s := NewBatchStore(tuple.Minute, intern.NewDict(0))
+	in := storeBatch(0, tuple.Second, 3)
+	s.Put(0, in)
+	in.IDs[0] = 9
+	got, ok := s.Get(0)
+	if !ok || got.IDs[0] != 3 {
 		t.Error("store shared the caller's buffer")
 	}
 }
 
 func TestRecomputeUnknownBatch(t *testing.T) {
-	s := NewBatchStore(tuple.Minute)
+	s := NewBatchStore(tuple.Minute, intern.NewDict(0))
 	if _, err := s.Recompute(7, Config{}, Query{}); err == nil {
 		t.Error("recompute of unknown batch succeeded")
 	}

@@ -55,17 +55,13 @@ func (r *Reorderer) Ingested() tuple.Time { return r.ingested }
 // restored reorderer needs to seal the next batch exactly as the
 // checkpointed one would have.
 //
-// New images carry the pending buffer in columnar form: Keys is an
-// image-local key table (in order of first appearance) and IDs, TS,
-// Vals, W are parallel columns — row i is the tuple {TS[i],
-// Keys[IDs[i]], Vals[i], W[i]}. The table makes the image
-// self-contained: its IDs mean nothing outside this image and need no
-// engine dictionary to decode. The row-form Pending field remains as the
-// legacy encoding; RestoreReorderer accepts either, preferring rows when
-// both are set (they cannot disagree in images this package produced).
+// The pending buffer travels in columnar form: Keys is an image-local key
+// table (in order of first appearance) and IDs, TS, Vals, W are parallel
+// columns — row i is the tuple {TS[i], Keys[IDs[i]], Vals[i], W[i]}. The
+// table makes the image self-contained: its IDs mean nothing outside this
+// image and need no engine dictionary to decode.
 type ReordererImage struct {
 	MaxDelay tuple.Time
-	Pending  []tuple.Tuple
 	Keys     []string
 	IDs      []uint32
 	TS       []tuple.Time
@@ -77,20 +73,11 @@ type ReordererImage struct {
 	Dropped  int
 }
 
-// PendingLen reports the number of buffered tuples the image carries,
-// whichever encoding holds them.
-func (img *ReordererImage) PendingLen() int {
-	if img.Pending != nil {
-		return len(img.Pending)
-	}
-	return len(img.IDs)
-}
+// PendingLen reports the number of buffered tuples the image carries.
+func (img *ReordererImage) PendingLen() int { return len(img.IDs) }
 
 // pendingRows materializes the image's buffered tuples.
 func (img *ReordererImage) pendingRows() ([]tuple.Tuple, error) {
-	if img.Pending != nil {
-		return append([]tuple.Tuple(nil), img.Pending...), nil
-	}
 	if len(img.TS) != len(img.IDs) || len(img.Vals) != len(img.IDs) || len(img.W) != len(img.IDs) {
 		return nil, fmt.Errorf("engine: restoring reorderer: ragged columns (ids %d, ts %d, vals %d, w %d)",
 			len(img.IDs), len(img.TS), len(img.Vals), len(img.W))
@@ -137,8 +124,7 @@ func (r *Reorderer) Image() ReordererImage {
 	return img
 }
 
-// RestoreReorderer rebuilds a reorderer from a checkpointed image
-// (either pending encoding).
+// RestoreReorderer rebuilds a reorderer from a checkpointed image.
 func RestoreReorderer(img ReordererImage) (*Reorderer, error) {
 	if img.MaxDelay < 0 {
 		return nil, fmt.Errorf("engine: restoring reorderer: negative max delay %v", img.MaxDelay)

@@ -339,9 +339,6 @@ func TestReordererImageColumnarRoundTrip(t *testing.T) {
 		})
 	}
 	img := r.Image()
-	if img.Pending != nil {
-		t.Fatal("fresh image still carries the legacy row encoding")
-	}
 	if img.PendingLen() != r.Pending() {
 		t.Fatalf("image pending = %d, reorderer holds %d", img.PendingLen(), r.Pending())
 	}
@@ -377,36 +374,6 @@ func TestReordererImageColumnarRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("restored reorderer seals a different batch")
-	}
-}
-
-// TestReordererImageLegacyRows proves a pre-columnar image (row-form
-// Pending) still restores.
-func TestReordererImageLegacyRows(t *testing.T) {
-	img := ReordererImage{
-		MaxDelay: 50 * tuple.Millisecond,
-		Pending: []tuple.Tuple{
-			{TS: 10, Key: "x", Val: 1, Weight: 2},
-			{TS: 5, Key: "y", Val: -1, Weight: 1},
-		},
-		Sorted:   0,
-		Sealed:   0,
-		Ingested: tuple.Second,
-		Dropped:  3,
-	}
-	r, err := RestoreReorderer(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Pending() != 2 || r.Dropped() != 3 {
-		t.Fatalf("legacy restore: pending %d dropped %d", r.Pending(), r.Dropped())
-	}
-	out, err := r.Seal(tuple.Second - 50*tuple.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0].Key != "y" {
-		t.Fatalf("legacy restore seals %v", out)
 	}
 }
 

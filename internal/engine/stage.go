@@ -58,14 +58,9 @@ type BatchContext struct {
 	// stages check it between runs and the process stage's query dispatch
 	// honors it mid-barrier. Nil means no cancellation (background).
 	Ctx context.Context
-	// Batch is the raw input: tuples with timestamps in [Start, End).
-	// On the columnar path Batch.Tuples may be nil — the rows exist only
-	// when some consumer (post-sort, validation, a row-only partitioner,
-	// the fault store) needs them; Cols then holds the batch.
-	Batch *tuple.Batch
-	// Cols is the columnar view of the batch when it was ingested through
-	// the columnar path (StepColumns or Config.ColumnarIngest); nil for
-	// row ingestion. Its IDs are interned in the engine's dictionary.
+	// Cols is the batch: rows with timestamps in [Cols.Start, Cols.End),
+	// in column form, IDs interned in the engine's dictionary. Every stage
+	// reads it; nothing downstream of the edges sees rows.
 	Cols *tuple.ColumnBatch
 	// Interval is the batch's own interval length (End - Start). It
 	// normally equals Config.BatchInterval, but adaptive batch sizing may
@@ -117,17 +112,6 @@ type BatchContext struct {
 
 	// Report is the finished batch report, filled by the commit stage.
 	Report BatchReport
-}
-
-// tupleCount returns the batch's tuple count under either representation.
-func (ctx *BatchContext) tupleCount() int {
-	if ctx.Batch.Tuples != nil {
-		return len(ctx.Batch.Tuples)
-	}
-	if ctx.Cols != nil {
-		return ctx.Cols.Len()
-	}
-	return 0
 }
 
 // Stage is one composable step of the batch pipeline. Stages run in order

@@ -53,7 +53,10 @@ func (r *AblationResult) Print(w io.Writer) {
 func ablate(title string, batch *tuple.Batch, p, r int,
 	variants []partition.Partitioner, alloc reducer.Assigner) (*AblationResult, error) {
 	res := &AblationResult{Title: title}
-	in := partition.Input{Batch: batch, Sorted: sortedFor(batch)}
+	in, err := inputFor(batch)
+	if err != nil {
+		return nil, err
+	}
 	for _, pt := range variants {
 		blocks, err := pt.Partition(in, p)
 		if err != nil {
@@ -83,11 +86,11 @@ func bucketImbalance(blocks []*tuple.Block, alloc reducer.Assigner, r int) (floa
 		seen := make(map[string]int, len(bl.Keys))
 		for _, ks := range bl.Keys {
 			if j, ok := seen[ks.Key]; ok {
-				clusters[j].Size += len(ks.Tuples)
+				clusters[j].Size += ks.Len()
 				continue
 			}
 			seen[ks.Key] = len(clusters)
-			clusters = append(clusters, tuple.Cluster{Key: ks.Key, Size: len(ks.Tuples)})
+			clusters = append(clusters, tuple.Cluster{Key: ks.Key, Size: ks.Len()})
 		}
 		if len(clusters) == 0 {
 			continue
@@ -160,7 +163,10 @@ func AblationRotation(p Params, dataset string) (*AblationResult, error) {
 		return nil, err
 	}
 	res := &AblationResult{Title: fmt.Sprintf("Ablation: reduce allocation — %s", dataset)}
-	in := partition.Input{Batch: batch, Sorted: sortedFor(batch)}
+	in, err := inputFor(batch)
+	if err != nil {
+		return nil, err
+	}
 	blocks, err := partition.NewPrompt().Partition(in, p.Blocks)
 	if err != nil {
 		return nil, err
@@ -206,7 +212,10 @@ func AblationSampling(p Params, dataset string) (*AblationResult, error) {
 		{"sampled 1%", 0.01},
 		{"sampled 0.1%", 0.001},
 	} {
-		sorted := stats.SampledSort(batch, tc.rate, p.Seed)
+		sorted, err := stats.SampledSort(batch, tc.rate, p.Seed)
+		if err != nil {
+			return nil, err
+		}
 		blocks, err := pr.Partition(partition.Input{Batch: batch, Sorted: sorted}, p.Blocks)
 		if err != nil {
 			return nil, err

@@ -20,6 +20,7 @@ import (
 	"prompt/internal/core"
 	"prompt/internal/engine"
 	"prompt/internal/metrics"
+	"prompt/internal/partition"
 	"prompt/internal/stats"
 	"prompt/internal/tuple"
 	"prompt/internal/workload"
@@ -147,9 +148,15 @@ func (p Params) oneBatch(dataset string, z float64) (*tuple.Batch, error) {
 	return &tuple.Batch{Start: 0, End: tuple.Second, Tuples: ts}, nil
 }
 
-// sortedFor derives the partitioner input for a batch, mimicking what the
-// engine's receiver would hand over.
-func sortedFor(b *tuple.Batch) []stats.SortedKey { return stats.PostSort(b) }
+// inputFor derives the partitioner input for a batch, post-sorted the way
+// the engine's receiver would hand it over.
+func inputFor(b *tuple.Batch) (partition.Input, error) {
+	sorted, err := stats.PostSort(b)
+	if err != nil {
+		return partition.Input{}, err
+	}
+	return partition.Input{Batch: b, Sorted: sorted}, nil
+}
 
 // newTabWriter returns the standard table writer for Print methods.
 func newTabWriter(w io.Writer) *tabwriter.Writer {

@@ -38,7 +38,10 @@ func Fig10(p Params, dataset string) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := partition.Input{Batch: batch, Sorted: sortedFor(batch)}
+	in, err := inputFor(batch)
+	if err != nil {
+		return nil, err
+	}
 	reg := partition.Registry()
 
 	blocksFor := func(name string) ([]*tuple.Block, error) {

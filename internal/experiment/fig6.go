@@ -48,7 +48,10 @@ func Fig6Random(p Params) (*Fig6Result, error) {
 
 func fig6On(label string, batch *tuple.Batch, blocks int) (*Fig6Result, error) {
 	res := &Fig6Result{Instance: label}
-	in := partition.Input{Batch: batch, Sorted: sortedFor(batch)}
+	in, err := inputFor(batch)
+	if err != nil {
+		return nil, err
+	}
 	for _, name := range []string{"ffd", "fragmin", "prompt"} {
 		pt := partition.Registry()[name]
 		out, err := pt.Partition(in, blocks)

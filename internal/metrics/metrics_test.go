@@ -10,13 +10,18 @@ import (
 func blockOf(id int, keys map[string]int) *tuple.Block {
 	bl := tuple.NewBlock(id)
 	for k, n := range keys {
-		ts := make([]tuple.Tuple, n)
-		for i := range ts {
-			ts[i] = tuple.NewTuple(tuple.Time(i), k, 1)
-		}
-		bl.Add(k, ts)
+		addRun(bl, k, n)
 	}
 	return bl
+}
+
+// addRun appends one key run of n unit-weight tuples to bl.
+func addRun(bl *tuple.Block, key string, n int) {
+	var c tuple.ColSlice
+	for i := 0; i < n; i++ {
+		c = c.Append(tuple.Time(i), 1, 1)
+	}
+	bl.AddDenseCols(key, 0, c, n)
 }
 
 func TestBSI(t *testing.T) {
@@ -92,8 +97,8 @@ func TestKSRWithSplits(t *testing.T) {
 
 func TestKSRCountsSameBlockFragmentsOnce(t *testing.T) {
 	bl := tuple.NewBlock(0)
-	bl.Add("a", []tuple.Tuple{tuple.NewTuple(0, "a", 1)})
-	bl.Add("a", []tuple.Tuple{tuple.NewTuple(1, "a", 1)})
+	addRun(bl, "a", 1)
+	addRun(bl, "a", 1)
 	if got := KSR([]*tuple.Block{bl}); got != 1 {
 		t.Errorf("KSR with same-block fragments = %v, want 1", got)
 	}

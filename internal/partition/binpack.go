@@ -32,16 +32,15 @@ func NewFirstFitDecreasing() *FirstFitDecreasing { return &FirstFitDecreasing{} 
 // Name implements Partitioner.
 func (*FirstFitDecreasing) Name() string { return "ffd" }
 
-// ColumnAware implements ColumnAware: the packer works on spans, so
-// columnar sorted input needs no row materialization.
-func (*FirstFitDecreasing) ColumnAware() bool { return true }
-
 // Partition implements Partitioner.
 func (f *FirstFitDecreasing) Partition(in Input, p int) ([]*tuple.Block, error) {
 	if err := checkArgs(in, p); err != nil {
 		return nil, err
 	}
-	items := in.items()
+	items, err := in.items()
+	if err != nil {
+		return nil, err
+	}
 	total := 0
 	for i := range items {
 		total += items[i].size
@@ -49,7 +48,7 @@ func (f *FirstFitDecreasing) Partition(in Input, p int) ([]*tuple.Block, error) 
 	cap := capacity(total, p)
 	a := newAssignment(p)
 	for _, it := range items {
-		rest := it.sp
+		rest := it.cols
 		restW := it.size
 		for restW > 0 {
 			// First bin with spare capacity.
@@ -69,7 +68,7 @@ func (f *FirstFitDecreasing) Partition(in Input, p int) ([]*tuple.Block, error) 
 				a.place(bin, it.key, rest, restW)
 				restW = 0
 			} else {
-				frag, remainder, fw := rest.split(room)
+				frag, remainder, fw := splitCols(rest, room)
 				a.place(bin, it.key, frag, fw)
 				rest, restW = remainder, restW-fw
 			}
@@ -92,16 +91,15 @@ func NewFragMin() *FragMin { return &FragMin{} }
 // Name implements Partitioner.
 func (*FragMin) Name() string { return "fragmin" }
 
-// ColumnAware implements ColumnAware: the packer works on spans, so
-// columnar sorted input needs no row materialization.
-func (*FragMin) ColumnAware() bool { return true }
-
 // Partition implements Partitioner.
 func (f *FragMin) Partition(in Input, p int) ([]*tuple.Block, error) {
 	if err := checkArgs(in, p); err != nil {
 		return nil, err
 	}
-	items := in.items()
+	items, err := in.items()
+	if err != nil {
+		return nil, err
+	}
 	total := 0
 	for i := range items {
 		total += items[i].size
@@ -109,7 +107,7 @@ func (f *FragMin) Partition(in Input, p int) ([]*tuple.Block, error) {
 	cap := capacity(total, p)
 	a := newAssignment(p)
 	for _, it := range items {
-		rest := it.sp
+		rest := it.cols
 		restW := it.size
 		for restW > 0 {
 			// Best fit: tightest bin that holds the whole residual.
@@ -134,7 +132,7 @@ func (f *FragMin) Partition(in Input, p int) ([]*tuple.Block, error) {
 				restW = 0
 				continue
 			}
-			frag, remainder, fw := rest.split(room)
+			frag, remainder, fw := splitCols(rest, room)
 			a.place(bin, it.key, frag, fw)
 			rest, restW = remainder, restW-fw
 		}

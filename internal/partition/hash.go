@@ -19,13 +19,17 @@ func (*Hash) Name() string { return "hash" }
 
 // Partition implements Partitioner.
 func (h *Hash) Partition(in Input, p int) ([]*tuple.Block, error) {
-	if err := checkArgs(in, p); err != nil {
+	b, err := newPerTupleBuilder(in, p)
+	if err != nil {
 		return nil, err
 	}
-	builder := newPerTupleBuilder(p)
-	for i := range in.Batch.Tuples {
-		t := in.Batch.Tuples[i]
-		builder.add(hashutil.Bucket(t.Key, p), t)
+	var block []int // batch-local key number -> block, hashed on first arrival
+	for row := range b.cb.IDs {
+		k, first := b.key(row)
+		if first {
+			block = append(block, hashutil.Bucket(b.keyString(k), p))
+		}
+		b.add(block[k], k, row)
 	}
-	return builder.build(), nil
+	return b.build(), nil
 }

@@ -28,25 +28,28 @@ func (pk *PKd) Candidates() int { return pk.d }
 
 // Partition implements Partitioner.
 func (pk *PKd) Partition(in Input, p int) ([]*tuple.Block, error) {
-	if err := checkArgs(in, p); err != nil {
-		return nil, err
-	}
 	if pk.d < 1 {
 		return nil, fmt.Errorf("partition: pk-d needs d >= 1, got %d", pk.d)
 	}
-	builder := newPerTupleBuilder(p)
-	for i := range in.Batch.Tuples {
-		t := in.Batch.Tuples[i]
+	b, err := newPerTupleBuilder(in, p)
+	if err != nil {
+		return nil, err
+	}
+	var cands []int // batch-local key number k -> cands[k*d : (k+1)*d]
+	for row := range b.cb.IDs {
+		k, first := b.key(row)
+		if first {
+			cands = append(cands, hashutil.Candidates(b.keyString(k), pk.d, p)...)
+		}
 		best, bestW := -1, 0
-		for c := 0; c < pk.d; c++ {
-			idx := hashutil.SeededBucket(t.Key, uint64(c+1), p)
-			if w := builder.weightOf(idx); best == -1 || w < bestW {
+		for _, idx := range cands[int(k)*pk.d : int(k+1)*pk.d] {
+			if w := b.weightOf(idx); best == -1 || w < bestW {
 				best, bestW = idx, w
 			}
 		}
-		builder.add(best, t)
+		b.add(best, k, row)
 	}
-	return builder.build(), nil
+	return b.build(), nil
 }
 
 // CAM implements the cardinality-aware key-splitting of Katsipoulakis et
@@ -74,34 +77,37 @@ func (c *CAM) Candidates() int { return c.d }
 
 // Partition implements Partitioner.
 func (c *CAM) Partition(in Input, p int) ([]*tuple.Block, error) {
-	if err := checkArgs(in, p); err != nil {
-		return nil, err
-	}
 	if c.d < 1 {
 		return nil, fmt.Errorf("partition: cam needs d >= 1, got %d", c.d)
 	}
-	builder := newPerTupleBuilder(p)
+	b, err := newPerTupleBuilder(in, p)
+	if err != nil {
+		return nil, err
+	}
+	var cands []int // batch-local key number k -> cands[k*d : (k+1)*d]
 	n := 0
-	for i := range in.Batch.Tuples {
-		t := in.Batch.Tuples[i]
-		n += t.Weight
+	for row, w := range b.cb.W {
+		k, first := b.key(row)
+		if first {
+			cands = append(cands, hashutil.Candidates(b.keyString(k), c.d, p)...)
+		}
+		n += int(w)
 		avg := float64(n) / float64(p)
 		best := -1
 		bestScore := 0.0
-		for cand := 0; cand < c.d; cand++ {
-			idx := hashutil.SeededBucket(t.Key, uint64(cand+1), p)
+		for _, idx := range cands[int(k)*c.d : int(k+1)*c.d] {
 			// Size term: how loaded the candidate already is, relative to
 			// the running average. Cardinality term: the aggregation cost
 			// of opening a new fragment of this key in the candidate.
-			score := float64(builder.weightOf(idx)) / (avg + 1)
-			if !builder.contains(idx, t.Key) {
-				score += c.Gamma * (1 + float64(builder.cardinalityOf(idx))/(avg+1))
+			score := float64(b.weightOf(idx)) / (avg + 1)
+			if !b.contains(idx, k) {
+				score += c.Gamma * (1 + float64(b.cardinalityOf(idx))/(avg+1))
 			}
 			if best == -1 || score < bestScore {
 				best, bestScore = idx, score
 			}
 		}
-		builder.add(best, t)
+		b.add(best, k, row)
 	}
-	return builder.build(), nil
+	return b.build(), nil
 }

@@ -5,6 +5,11 @@
 // heuristics used in the Figure 6 ablation (First-Fit-Decreasing and
 // Fragmentation-Minimization), and Prompt's own B-BPFI heuristic
 // (Algorithm 2).
+//
+// Every partitioner reads the batch as columns and emits blocks of
+// column runs (tuple.ColSlice views): the per-tuple techniques walk the ID
+// column in arrival order, the sorted-input techniques slice the
+// accumulator's per-key columns.
 package partition
 
 import (
@@ -12,29 +17,53 @@ import (
 	"slices"
 
 	"prompt/internal/cluster"
+	"prompt/internal/intern"
 	"prompt/internal/stats"
 	"prompt/internal/tuple"
 )
 
-// Input is everything a partitioner may consult. Batch is always present
-// with tuples in arrival order. Sorted is the frequency-aware accumulator's
-// quasi-sorted key list; when absent, sorted-input partitioners derive it
-// with a post-sort (the Figure 14a baseline behaviour). Pool, when set,
-// lets partitioners parallelize their data-independent passes (the per-key
-// weight computation); a nil pool runs them inline.
+// Input is everything a partitioner may consult. The batch is Cols, a
+// column batch whose IDs resolve in Dict (the engine hands over its own),
+// or — for standalone callers — Batch, rows in arrival order, which
+// Partition transposes once, on entry, over a private dictionary. Sorted
+// is the frequency-aware accumulator's quasi-sorted key list; when absent,
+// sorted-input partitioners derive it with a post-sort (the Figure 14a
+// baseline behaviour) and never need the batch otherwise. Pool, when set,
+// lets partitioners parallelize their data-independent passes (the
+// per-key weight computation); a nil pool runs them inline.
 type Input struct {
 	Batch  *tuple.Batch
+	Cols   *tuple.ColumnBatch
+	Dict   *intern.Dict
 	Sorted []stats.SortedKey
 	Pool   *cluster.WorkerPool
 }
 
-// sortedKeys returns the descending key list, computing it if the
-// accumulator did not supply one.
-func (in Input) sortedKeys() []stats.SortedKey {
-	if in.Sorted != nil {
-		return in.Sorted
+// columns returns the batch in column form and the dictionary its IDs
+// resolve in, transposing standalone row input.
+func (in Input) columns() (*tuple.ColumnBatch, *intern.Dict, error) {
+	if in.Cols != nil {
+		return in.Cols, in.Dict, nil
 	}
-	return stats.PostSort(in.Batch)
+	dict := intern.NewDict(0)
+	cb := &tuple.ColumnBatch{Start: in.Batch.Start, End: in.Batch.End}
+	if err := cb.AppendRows(in.Batch.Tuples, dict.Intern); err != nil {
+		return nil, nil, fmt.Errorf("partition: %w", err)
+	}
+	return cb, dict, nil
+}
+
+// sortedKeys returns the descending key list, post-sorting the batch if
+// the accumulator did not supply one.
+func (in Input) sortedKeys() ([]stats.SortedKey, error) {
+	if in.Sorted != nil {
+		return in.Sorted, nil
+	}
+	cb, dict, err := in.columns()
+	if err != nil {
+		return nil, err
+	}
+	return stats.NewPostSorter(dict).Sort(cb), nil
 }
 
 // Partitioner splits one micro-batch into p data blocks for the Map stage.
@@ -53,8 +82,11 @@ func checkArgs(in Input, p int) error {
 	if p <= 0 {
 		return fmt.Errorf("partition: need p > 0 blocks, got %d", p)
 	}
-	if in.Batch == nil {
+	if in.Cols == nil && in.Batch == nil {
 		return fmt.Errorf("partition: nil batch")
+	}
+	if in.Cols != nil && in.Dict == nil {
+		return fmt.Errorf("partition: column batch without its dictionary")
 	}
 	return nil
 }
@@ -68,76 +100,119 @@ func newBlocks(p int) []*tuple.Block {
 	return blocks
 }
 
-// perTupleBuilder accumulates a per-tuple assignment (tuple index -> block)
-// and materializes blocks with per-key slices in deterministic order. It is
-// shared by the online partitioners (time-based, shuffle, hash, PK-d, cAM),
-// which decide block placement tuple-at-a-time.
+// perTupleBuilder accumulates a per-tuple assignment (row -> block) over
+// the batch's ID column and materializes blocks of per-key column runs,
+// each block's runs in first-seen key order. It is shared by the online
+// partitioners (time-based, shuffle, hash, PK-d, cAM), which decide block
+// placement tuple-at-a-time.
+//
+// Keys get batch-local numbers in first-arrival order (key), so the
+// partitioners can memoize per-key work — a key's string is hashed once
+// per batch, not once per row.
 type perTupleBuilder struct {
 	p      int
-	blocks []map[string][]tuple.Tuple
-	order  [][]string // first-seen key order per block, for determinism
+	cb     *tuple.ColumnBatch
+	keys   []string         // the dictionary's strings, by intern ID
+	local  map[uint32]int32 // intern ID -> batch-local key number
+	ids    []uint32         // batch-local key number -> intern ID
+	runs   [][]keyRun       // per block, first-seen key order
+	at     [][]int32        // per block: local key -> run index + 1 (0 = none)
 	weight []int
-	card   []int
 }
 
-func newPerTupleBuilder(p int) *perTupleBuilder {
-	b := &perTupleBuilder{
+// keyRun is one key's rows placed in one block.
+type keyRun struct {
+	key  int32 // batch-local key number
+	cols tuple.ColSlice
+}
+
+// newPerTupleBuilder checks the input and returns a builder over its
+// columns.
+func newPerTupleBuilder(in Input, p int) (*perTupleBuilder, error) {
+	if err := checkArgs(in, p); err != nil {
+		return nil, err
+	}
+	cb, dict, err := in.columns()
+	if err != nil {
+		return nil, err
+	}
+	return &perTupleBuilder{
 		p:      p,
-		blocks: make([]map[string][]tuple.Tuple, p),
-		order:  make([][]string, p),
+		cb:     cb,
+		keys:   dict.Strings(),
+		local:  make(map[uint32]int32),
+		runs:   make([][]keyRun, p),
+		at:     make([][]int32, p),
 		weight: make([]int, p),
-		card:   make([]int, p),
-	}
-	for i := 0; i < p; i++ {
-		b.blocks[i] = make(map[string][]tuple.Tuple)
-	}
-	return b
+	}, nil
 }
 
-// add places one tuple into block i.
-func (b *perTupleBuilder) add(i int, t tuple.Tuple) {
-	m := b.blocks[i]
-	if _, seen := m[t.Key]; !seen {
-		b.order[i] = append(b.order[i], t.Key)
-		b.card[i]++
+// key returns the batch-local number of row's key and whether this row is
+// the key's first arrival.
+func (b *perTupleBuilder) key(row int) (k int32, first bool) {
+	id := b.cb.IDs[row]
+	if k, ok := b.local[id]; ok {
+		return k, false
 	}
-	m[t.Key] = append(m[t.Key], t)
-	b.weight[i] += t.Weight
+	k = int32(len(b.ids))
+	b.local[id] = k
+	b.ids = append(b.ids, id)
+	return k, true
+}
+
+// keyString returns the key string of a batch-local key number.
+func (b *perTupleBuilder) keyString(k int32) string { return b.keys[b.ids[k]] }
+
+// add places one row, whose key has batch-local number k, into block i.
+func (b *perTupleBuilder) add(i int, k int32, row int) {
+	at := b.at[i]
+	for len(at) <= int(k) {
+		at = append(at, 0)
+	}
+	b.at[i] = at
+	if at[k] == 0 {
+		b.runs[i] = append(b.runs[i], keyRun{key: k})
+		at[k] = int32(len(b.runs[i]))
+	}
+	r := &b.runs[i][at[k]-1]
+	r.cols = r.cols.Append(b.cb.TS[row], b.cb.Vals[row], b.cb.W[row])
+	b.weight[i] += int(b.cb.W[row])
 }
 
 // weightOf returns the current tuple weight of block i.
 func (b *perTupleBuilder) weightOf(i int) int { return b.weight[i] }
 
 // cardinalityOf returns the current distinct-key count of block i.
-func (b *perTupleBuilder) cardinalityOf(i int) int { return b.card[i] }
+func (b *perTupleBuilder) cardinalityOf(i int) int { return len(b.runs[i]) }
 
-// contains reports whether block i already holds key k.
-func (b *perTupleBuilder) contains(i int, k string) bool {
-	_, seen := b.blocks[i][k]
-	return seen
+// contains reports whether block i already holds the key with batch-local
+// number k.
+func (b *perTupleBuilder) contains(i int, k int32) bool {
+	return int(k) < len(b.at[i]) && b.at[i][k] != 0
 }
 
 // build materializes the blocks and their reference tables (split keys
 // only; see tuple.SplitInfo).
 func (b *perTupleBuilder) build() []*tuple.Block {
 	// Fragment counts across all blocks determine split labels.
-	frags := make(map[string]int)
-	sizes := make(map[string]int)
-	for i := 0; i < b.p; i++ {
-		for k, ts := range b.blocks[i] {
-			frags[k]++
-			sizes[k] += len(ts)
+	frags := make([]int, len(b.ids))
+	sizes := make([]int, len(b.ids))
+	for i := range b.runs {
+		for _, r := range b.runs[i] {
+			frags[r.key]++
+			sizes[r.key] += r.cols.Len()
 		}
 	}
 	out := newBlocks(b.p)
-	for i := 0; i < b.p; i++ {
-		for _, k := range b.order[i] {
-			out[i].Add(k, b.blocks[i][k])
-			if frags[k] > 1 {
-				out[i].Ref[k] = tuple.SplitInfo{
+	for i := range b.runs {
+		for _, r := range b.runs[i] {
+			key := b.keyString(r.key)
+			out[i].AddDenseCols(key, 0, r.cols, r.cols.Weight())
+			if frags[r.key] > 1 {
+				out[i].Ref[key] = tuple.SplitInfo{
 					Split:     true,
-					TotalSize: sizes[k],
-					Fragments: frags[k],
+					TotalSize: sizes[r.key],
+					Fragments: frags[r.key],
 				}
 			}
 		}
@@ -145,86 +220,39 @@ func (b *perTupleBuilder) build() []*tuple.Block {
 	return out
 }
 
-// span is one contiguous run of a key's tuples in either representation:
-// ts holds rows, or (when ts is nil) cols holds the columnar view. The
-// sorted-input partitioners slice and place spans without caring which
-// representation the accumulator produced.
-type span struct {
-	ts   []tuple.Tuple
-	cols tuple.ColSlice
-}
-
-func rowSpan(ts []tuple.Tuple) span     { return span{ts: ts} }
-func colSpan(c tuple.ColSlice) span     { return span{cols: c} }
-func (s span) len() int {
-	if s.ts != nil {
-		return len(s.ts)
-	}
-	return s.cols.Len()
-}
-
-// split cuts w units of weight off the front of the span, returning the
+// splitCols cuts w units of weight off the front of c, returning the
 // fragment, the remainder, and the fragment's actual weight (which may
 // exceed w by at most one tuple's weight minus one, since tuples are
 // indivisible).
-func (s span) split(w int) (frag, rest span, fw int) {
-	if s.ts != nil {
-		f, r, fw := splitFragment(s.ts, w)
-		return span{ts: f}, span{ts: r}, fw
-	}
+func splitCols(c tuple.ColSlice, w int) (frag, rest tuple.ColSlice, fw int) {
 	if w <= 0 {
-		return span{cols: s.cols.Slice(0, 0)}, s, 0
+		return c.Slice(0, 0), c, 0
 	}
 	acc := 0
-	for i := range s.cols.W {
-		acc += int(s.cols.W[i])
+	for i := range c.W {
+		acc += int(c.W[i])
 		if acc >= w {
-			return span{cols: s.cols.Slice(0, i+1)}, span{cols: s.cols.Slice(i+1, s.cols.Len())}, acc
+			return c.Slice(0, i+1), c.Slice(i+1, c.Len()), acc
 		}
 	}
-	return s, span{cols: s.cols.Slice(s.cols.Len(), s.cols.Len())}, acc
-}
-
-// concat appends o's tuples onto s (both must share a representation).
-func (s span) concat(o span) span {
-	if o.ts != nil {
-		s.ts = append(s.ts, o.ts...)
-		return s
-	}
-	s.cols = s.cols.AppendCols(o.cols)
-	return s
-}
-
-// addTo appends the span to a block as a key slice carrying the given
-// dense key number and weight.
-func (s span) addTo(bl *tuple.Block, key string, id int32, w int) {
-	if s.ts != nil {
-		bl.AddDense(key, id, s.ts, w)
-	} else {
-		bl.AddDenseCols(key, id, s.cols, w)
-	}
+	return c, c.Slice(c.Len(), c.Len()), acc
 }
 
 // keyItem is a bin-packing item: one key with its tuples. Sorted-input
 // partitioners work on these.
 type keyItem struct {
 	key  string
-	sp   span
+	cols tuple.ColSlice
 	size int // total tuple weight
 }
 
-// itemsFromSorted converts the accumulator's output into packing items,
-// preserving its descending order. The per-key weight sums touch every
-// tuple in the batch, so the pass runs on the worker pool when one is
-// supplied: each chunk of keys is independent and writes its own item
-// slots, making the output identical at any worker count.
-func itemsFromSorted(sorted []stats.SortedKey, pool *cluster.WorkerPool) []keyItem {
-	return itemsFromSortedInto(nil, sorted, pool)
-}
-
-// itemsFromSortedInto is itemsFromSorted building into dst's backing array
-// when it is large enough; the pooled hot path hands in last batch's
-// buffer.
+// itemsFromSortedInto converts the accumulator's output into packing
+// items, preserving its descending order, building into dst's backing
+// array when it is large enough (the pooled hot path hands in last
+// batch's buffer). The per-key weight sums touch every tuple in the batch,
+// so the pass runs on the worker pool when one is supplied: each chunk of
+// keys is independent and writes its own item slots, making the output
+// identical at any worker count.
 func itemsFromSortedInto(dst []keyItem, sorted []stats.SortedKey, pool *cluster.WorkerPool) []keyItem {
 	var items []keyItem
 	if cap(dst) >= len(sorted) {
@@ -235,15 +263,7 @@ func itemsFromSortedInto(dst []keyItem, sorted []stats.SortedKey, pool *cluster.
 	pool.DoRanges(len(sorted), 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sk := sorted[i]
-			if sk.Tuples == nil {
-				items[i] = keyItem{key: sk.Key, sp: colSpan(sk.Cols), size: sk.Cols.Weight()}
-				continue
-			}
-			w := 0
-			for j := range sk.Tuples {
-				w += sk.Tuples[j].Weight
-			}
-			items[i] = keyItem{key: sk.Key, sp: rowSpan(sk.Tuples), size: w}
+			items[i] = keyItem{key: sk.Key, cols: sk.Cols, size: sk.Cols.Weight()}
 		}
 	})
 	return items
@@ -251,16 +271,19 @@ func itemsFromSortedInto(dst []keyItem, sorted []stats.SortedKey, pool *cluster.
 
 // items returns the input's packing items, computing weights on the
 // input's pool.
-func (in Input) items() []keyItem {
-	return itemsFromSorted(in.sortedKeys(), in.Pool)
+func (in Input) items() ([]keyItem, error) {
+	sorted, err := in.sortedKeys()
+	if err != nil {
+		return nil, err
+	}
+	return itemsFromSortedInto(nil, sorted, in.Pool), nil
 }
 
 // assignment records fragment placements key -> block -> tuples during
-// bin packing, then materializes blocks. Placements carry spans, so the
-// bin packers run unchanged over row and columnar input.
+// bin packing, then materializes blocks.
 type assignment struct {
 	p      int
-	placed []map[string]span
+	placed []map[string]tuple.ColSlice
 	order  [][]string
 	weight []int
 }
@@ -268,22 +291,23 @@ type assignment struct {
 func newAssignment(p int) *assignment {
 	a := &assignment{
 		p:      p,
-		placed: make([]map[string]span, p),
+		placed: make([]map[string]tuple.ColSlice, p),
 		order:  make([][]string, p),
 		weight: make([]int, p),
 	}
 	for i := 0; i < p; i++ {
-		a.placed[i] = make(map[string]span)
+		a.placed[i] = make(map[string]tuple.ColSlice)
 	}
 	return a
 }
 
-// place puts a fragment of the item (span sp with weight w) into block i.
-func (a *assignment) place(i int, key string, sp span, w int) {
+// place puts a fragment of the item (columns c with weight w) into block
+// i.
+func (a *assignment) place(i int, key string, c tuple.ColSlice, w int) {
 	if _, seen := a.placed[i][key]; !seen {
 		a.order[i] = append(a.order[i], key)
 	}
-	a.placed[i][key] = a.placed[i][key].concat(sp)
+	a.placed[i][key] = a.placed[i][key].AppendCols(c)
 	a.weight[i] += w
 }
 
@@ -295,20 +319,16 @@ func (a *assignment) build() []*tuple.Block {
 	frags := make(map[string]int)
 	sizes := make(map[string]int)
 	for i := 0; i < a.p; i++ {
-		for k, sp := range a.placed[i] {
+		for k, c := range a.placed[i] {
 			frags[k]++
-			sizes[k] += sp.len()
+			sizes[k] += c.Len()
 		}
 	}
 	out := newBlocks(a.p)
 	for i := 0; i < a.p; i++ {
 		for _, k := range a.order[i] {
-			sp := a.placed[i][k]
-			if sp.ts != nil {
-				out[i].Add(k, sp.ts)
-			} else {
-				out[i].AddDenseCols(k, 0, sp.cols, sp.cols.Weight())
-			}
+			c := a.placed[i][k]
+			out[i].AddDenseCols(k, 0, c, c.Weight())
 			if frags[k] > 1 {
 				out[i].Ref[k] = tuple.SplitInfo{
 					Split:     true,
@@ -319,38 +339,6 @@ func (a *assignment) build() []*tuple.Block {
 		}
 	}
 	return out
-}
-
-// splitFragment cuts w units of weight off the front of ts, returning the
-// fragment, the remainder, and the fragment's actual weight (which may
-// exceed w by at most one tuple's weight minus one, since tuples are
-// indivisible).
-func splitFragment(ts []tuple.Tuple, w int) (frag, rest []tuple.Tuple, fw int) {
-	if w <= 0 {
-		return nil, ts, 0
-	}
-	acc := 0
-	for i := range ts {
-		acc += ts[i].Weight
-		if acc >= w {
-			return ts[:i+1], ts[i+1:], acc
-		}
-	}
-	return ts, nil, acc
-}
-
-// ColumnAware marks partitioners that consume the accumulator's columnar
-// sorted output (stats.SortedKey.Cols) directly. The engine materializes
-// row tuples before partitioning for everything else — the per-tuple
-// techniques walk Batch.Tuples, which a columnar fold leaves empty.
-type ColumnAware interface {
-	ColumnAware() bool
-}
-
-// IsColumnAware reports whether p consumes columnar sorted input.
-func IsColumnAware(p Partitioner) bool {
-	ca, ok := p.(ColumnAware)
-	return ok && ca.ColumnAware()
 }
 
 // Registry returns the standard set of partitioners used throughout the

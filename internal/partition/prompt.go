@@ -68,15 +68,10 @@ func (pr *Prompt) Name() string {
 	return "prompt"
 }
 
-// ColumnAware implements ColumnAware: Algorithm 2 slices and deals spans,
-// so it consumes the accumulator's columnar output without materializing
-// row tuples.
-func (pr *Prompt) ColumnAware() bool { return true }
-
 // fragItem is a whole key or a key fragment addressed by item index.
 type fragItem struct {
 	item int
-	sp   span
+	cols tuple.ColSlice
 	w    int
 }
 
@@ -134,8 +129,8 @@ func (b *promptBuilder) reset(p int, items []keyItem) {
 }
 
 // place records a fragment of item in block blk.
-func (b *promptBuilder) place(blk, item int, sp span, w int) {
-	b.perBlock[blk] = append(b.perBlock[blk], fragItem{item: item, sp: sp, w: w})
+func (b *promptBuilder) place(blk, item int, cols tuple.ColSlice, w int) {
+	b.perBlock[blk] = append(b.perBlock[blk], fragItem{item: item, cols: cols, w: w})
 	b.weight[blk] += w
 	switch first := b.firstBlock[item]; {
 	case first == -1:
@@ -172,11 +167,11 @@ func (b *promptBuilder) build() []*tuple.Block {
 		bl.PreAllocate(len(frags))
 		for _, fr := range frags {
 			it := &b.items[fr.item]
-			fr.sp.addTo(bl, it.key, int32(fr.item)+1, fr.w)
+			bl.AddDenseCols(it.key, int32(fr.item)+1, fr.cols, fr.w)
 			if n := b.fragments(fr.item); n > 1 {
 				bl.Ref[it.key] = tuple.SplitInfo{
 					Split:     true,
-					TotalSize: it.sp.len(),
+					TotalSize: it.cols.Len(),
 					Fragments: n,
 				}
 			}
@@ -190,9 +185,13 @@ func (pr *Prompt) Partition(in Input, p int) ([]*tuple.Block, error) {
 	if err := checkArgs(in, p); err != nil {
 		return nil, err
 	}
+	sorted, err := in.sortedKeys()
+	if err != nil {
+		return nil, err
+	}
 	b := promptBuilderPool.Get().(*promptBuilder)
 	defer promptBuilderPool.Put(b)
-	items := itemsFromSortedInto(b.items[:0], in.sortedKeys(), in.Pool)
+	items := itemsFromSortedInto(b.items[:0], sorted, in.Pool)
 	b.reset(p, items)
 	total := 0
 	for i := range items {
@@ -229,16 +228,16 @@ func (pr *Prompt) Partition(in Input, p int) ([]*tuple.Block, error) {
 	pos := 0
 	for next < k && items[next].size > frag {
 		it := &items[next]
-		rest := it.sp
+		rest := it.cols
 		restW := it.size
 		for restW > frag {
-			piece, remainder, fw := rest.split(frag)
+			piece, remainder, fw := splitCols(rest, frag)
 			b.place(pos, next, piece, fw)
 			pos = (pos + 1) % p
 			rest, restW = remainder, restW-fw
 		}
 		if restW > 0 {
-			b.residuals = append(b.residuals, fragItem{item: next, sp: rest, w: restW})
+			b.residuals = append(b.residuals, fragItem{item: next, cols: rest, w: restW})
 		}
 		next++
 	}
@@ -257,7 +256,7 @@ func (pr *Prompt) Partition(in Input, p int) ([]*tuple.Block, error) {
 		sortByLoad()
 		pos = 0
 		for i := range rest {
-			b.place(order[pos], rest[i].item, rest[i].sp, rest[i].w)
+			b.place(order[pos], rest[i].item, rest[i].cols, rest[i].w)
 			pos++
 			if pos == p {
 				pos = 0
@@ -285,7 +284,7 @@ func (pr *Prompt) Partition(in Input, p int) ([]*tuple.Block, error) {
 			if pos > 0 && b.weight[order[pos]] > avg+fr.w {
 				continue
 			}
-			b.place(order[pos], fr.item, fr.sp, fr.w)
+			b.place(order[pos], fr.item, fr.cols, fr.w)
 			placed += fr.w
 			i++
 		}
@@ -312,7 +311,7 @@ func (b *promptBuilder) mergeRemainder(next int) []fragItem {
 	i, j := 0, 0
 	for i < len(tail) && j < len(residuals) {
 		if tail[i].size >= residuals[j].w {
-			out = append(out, fragItem{item: next + i, sp: tail[i].sp, w: tail[i].size})
+			out = append(out, fragItem{item: next + i, cols: tail[i].cols, w: tail[i].size})
 			i++
 		} else {
 			out = append(out, residuals[j])
@@ -320,7 +319,7 @@ func (b *promptBuilder) mergeRemainder(next int) []fragItem {
 		}
 	}
 	for ; i < len(tail); i++ {
-		out = append(out, fragItem{item: next + i, sp: tail[i].sp, w: tail[i].size})
+		out = append(out, fragItem{item: next + i, cols: tail[i].cols, w: tail[i].size})
 	}
 	out = append(out, residuals[j:]...)
 	b.rest = out

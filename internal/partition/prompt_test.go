@@ -153,7 +153,10 @@ func TestPromptUsesQuasiSortedInput(t *testing.T) {
 	// it rather than re-sorting: feeding a deliberately different order
 	// changes the assignment.
 	b := paperBatch()
-	sorted := stats.PostSort(b)
+	sorted, err := stats.PostSort(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a, err := NewPrompt().Partition(Input{Batch: b, Sorted: sorted}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +213,10 @@ func TestPromptReferenceTableMatchesSplits(t *testing.T) {
 
 func TestPromptDenseKeyIDs(t *testing.T) {
 	b := paperBatch()
-	sorted := stats.PostSort(b)
+	sorted, err := stats.PostSort(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	blocks := mustPartition(t, NewPrompt(), b, 4)
 	// Every key slice carries 1 + the key's index in the sorted list, and
 	// all fragments of a key agree on it.

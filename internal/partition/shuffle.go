@@ -16,12 +16,13 @@ func (*Shuffle) Name() string { return "shuffle" }
 
 // Partition implements Partitioner.
 func (s *Shuffle) Partition(in Input, p int) ([]*tuple.Block, error) {
-	if err := checkArgs(in, p); err != nil {
+	b, err := newPerTupleBuilder(in, p)
+	if err != nil {
 		return nil, err
 	}
-	builder := newPerTupleBuilder(p)
-	for i := range in.Batch.Tuples {
-		builder.add(i%p, in.Batch.Tuples[i])
+	for row := range b.cb.IDs {
+		k, _ := b.key(row)
+		b.add(row%p, k, row)
 	}
-	return builder.build(), nil
+	return b.build(), nil
 }

@@ -17,17 +17,15 @@ func (*TimeBased) Name() string { return "time" }
 
 // Partition implements Partitioner.
 func (tb *TimeBased) Partition(in Input, p int) ([]*tuple.Block, error) {
-	if err := checkArgs(in, p); err != nil {
+	b, err := newPerTupleBuilder(in, p)
+	if err != nil {
 		return nil, err
 	}
-	b := in.Batch
-	span := b.Span()
-	builder := newPerTupleBuilder(p)
-	for i := range b.Tuples {
-		t := b.Tuples[i]
+	span := b.cb.End - b.cb.Start
+	for row, ts := range b.cb.TS {
 		var idx int
 		if span > 0 {
-			idx = int(int64(t.TS-b.Start) * int64(p) / int64(span))
+			idx = int(int64(ts-b.cb.Start) * int64(p) / int64(span))
 		}
 		if idx < 0 {
 			idx = 0
@@ -35,7 +33,8 @@ func (tb *TimeBased) Partition(in Input, p int) ([]*tuple.Block, error) {
 		if idx >= p {
 			idx = p - 1
 		}
-		builder.add(idx, t)
+		k, _ := b.key(row)
+		b.add(idx, k, row)
 	}
-	return builder.build(), nil
+	return b.build(), nil
 }

@@ -53,16 +53,13 @@ func (c AccumulatorConfig) initialFStep() int {
 }
 
 // SortedKey is one element of the accumulator's output: a key with its
-// exact frequency and buffered tuples. The slice handed to the partitioner
-// is ordered by the CountTree (descending, quasi-sorted).
-//
-// Exactly one of Tuples (row mode) and Cols (column mode, after an
-// AddColumns fold) holds the key's tuples.
+// exact frequency and its buffered tuples as column views. The slice handed
+// to the partitioner is ordered by the CountTree (descending,
+// quasi-sorted).
 type SortedKey struct {
-	Key    string
-	Count  int
-	Tuples []tuple.Tuple
-	Cols   tuple.ColSlice
+	Key   string
+	Count int
+	Cols  tuple.ColSlice
 }
 
 // BatchStats summarizes one accumulated batch: the statistics Algorithm 4
@@ -81,15 +78,15 @@ type BatchStats struct {
 //
 // An Accumulator is not safe for concurrent use; the receiver owns it.
 //
-// With an intern dictionary (NewAccumulatorDict) the accumulator runs the
-// zero-allocation hot path: keys are interned once at ingestion, the
-// HTable runs in dictionary mode (flat ID-indexed slots, entry arena and
-// per-key tuple buffers reused across Resets), and Finalize reuses its
-// output slice. The hand-off then aliases buffers that the NEXT Reset
-// reclaims, which is safe in the engine because a batch is fully
-// processed and reported before the next one accumulates; callers that
-// retain Finalize output across batch intervals must use the map-mode
-// accumulator, whose output is freshly allocated.
+// Keys are addressed by their IDs in an intern dictionary, and the fold
+// runs over columns: AddColumns walks a ColumnBatch, and Add is the same
+// fold for one row whose key it interns first. The HTable's entry arena
+// and per-key column buffers, and Finalize's output slice, are reused
+// across Resets, so steady-state ingestion allocates nothing. The hand-off
+// therefore aliases buffers that the next Reset reclaims, which is safe in
+// the engine because a batch is fully processed and reported before the
+// next one accumulates; callers that retain Finalize output across batch
+// intervals must use a fresh accumulator per batch.
 type Accumulator struct {
 	cfg   AccumulatorConfig
 	dict  *intern.Dict
@@ -101,47 +98,38 @@ type Accumulator struct {
 	nTuples     int
 	treeUpdates int
 	initialF    int
-	columnar    bool        // this batch was folded via AddColumns
-	out         []SortedKey // dict mode: Finalize output, reused across batches
+	out         []SortedKey // Finalize output, reused across batches
 }
 
 // NewAccumulator returns an accumulator for the batch interval
-// [start, end). It returns an error for invalid configurations.
+// [start, end) over a private intern dictionary. It returns an error for
+// invalid configurations.
 func NewAccumulator(cfg AccumulatorConfig, start, end tuple.Time) (*Accumulator, error) {
-	return newAccumulator(cfg, nil, start, end)
+	return NewAccumulatorDict(cfg, intern.NewDict(0), start, end)
 }
 
-// NewAccumulatorDict returns an accumulator on the zero-allocation hot
-// path, interning keys into dict at ingestion. The dictionary may be
-// shared (e.g. across shards, or checkpoint-restored).
+// NewAccumulatorDict returns an accumulator over the given intern
+// dictionary, which may be shared (e.g. the engine's, checkpoint-restored)
+// and must be the one that interned the IDs AddColumns receives.
 func NewAccumulatorDict(cfg AccumulatorConfig, dict *intern.Dict, start, end tuple.Time) (*Accumulator, error) {
 	if dict == nil {
 		return nil, fmt.Errorf("stats: nil intern dictionary")
 	}
-	return newAccumulator(cfg, dict, start, end)
-}
-
-func newAccumulator(cfg AccumulatorConfig, dict *intern.Dict, start, end tuple.Time) (*Accumulator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if end <= start {
 		return nil, fmt.Errorf("stats: batch interval [%v,%v) is empty", start, end)
 	}
-	a := &Accumulator{
+	return &Accumulator{
 		cfg:      cfg,
 		dict:     dict,
+		ht:       NewHTableDict(dict, cfg.EstimatedKeys),
 		ct:       &CountTree{},
 		start:    start,
 		end:      end,
 		initialF: cfg.initialFStep(),
-	}
-	if dict != nil {
-		a.ht = NewHTableDict(dict, cfg.EstimatedKeys)
-	} else {
-		a.ht = NewHTable(cfg.EstimatedKeys)
-	}
-	return a, nil
+	}, nil
 }
 
 // Reset prepares the accumulator for the next batch interval, clearing the
@@ -155,18 +143,14 @@ func (a *Accumulator) Reset(cfg AccumulatorConfig, start, end tuple.Time) error 
 		return fmt.Errorf("stats: batch interval [%v,%v) is empty", start, end)
 	}
 	a.cfg = cfg
-	a.ht.Reset(cfg.EstimatedKeys)
+	a.ht.Reset()
 	a.ct.Reset()
 	a.start, a.end = start, end
 	a.nTuples = 0
 	a.treeUpdates = 0
 	a.initialF = cfg.initialFStep()
-	a.columnar = false
 	return nil
 }
-
-// Dict returns the intern dictionary, or nil for a map-mode accumulator.
-func (a *Accumulator) Dict() *intern.Dict { return a.dict }
 
 // Interval returns the accumulator's batch interval.
 func (a *Accumulator) Interval() (start, end tuple.Time) { return a.start, a.end }
@@ -181,76 +165,53 @@ func (a *Accumulator) Keys() int { return a.ht.Len() }
 // it to verify the budget bounds the total update work.
 func (a *Accumulator) TreeUpdates() int { return a.treeUpdates }
 
-// Add ingests one tuple at arrival time now, following Algorithm 1. Tuples
-// outside the batch interval are rejected with an error (the engine routes
-// tuples to the right accumulator before calling Add).
+// Add ingests one tuple at arrival time now: it interns the key and runs
+// the column fold for that one row. Tuples outside the batch interval, or
+// whose weight does not fit the weight column, are rejected with an error.
 func (a *Accumulator) Add(t tuple.Tuple, now tuple.Time) error {
-	if t.TS < a.start || t.TS >= a.end {
-		return fmt.Errorf("stats: tuple ts %v outside batch interval [%v,%v)", t.TS, a.start, a.end)
+	if err := tuple.CheckWeight(t.Weight); err != nil {
+		return fmt.Errorf("stats: %w", err)
 	}
-	a.nTuples++
-	var e *KeyEntry
-	if a.dict != nil {
-		id := a.dict.Intern(t.Key)
-		if e = a.ht.GetID(id); e == nil {
-			// New key: the arena entry arrives with its previous batch's
-			// tuple backing array, length 0.
-			a.newEntry(a.ht.PutID(id, t.Key), t, now)
-			return nil
-		}
-	} else {
-		if e = a.ht.Get(t.Key); e == nil {
-			e = &KeyEntry{Key: t.Key, Tuples: make([]tuple.Tuple, 0, 4)}
-			a.ht.Put(e)
-			a.newEntry(e, t, now)
-			return nil
-		}
-	}
+	return a.fold(a.dict.Intern(t.Key), t.TS, now, t.Val, int32(t.Weight))
+}
 
-	// Existing key: buffer the tuple and decide whether its CountTree node
-	// is eligible for an update this arrival.
-	e.Tuples = append(e.Tuples, t)
-	a.bump(e, now)
+// AddColumns ingests a whole ColumnBatch in row order, each row arriving
+// at its own timestamp. The batch's IDs must have been interned in the
+// accumulator's dictionary.
+func (a *Accumulator) AddColumns(cb *tuple.ColumnBatch) error {
+	for i, id := range cb.IDs {
+		ts := cb.TS[i]
+		if err := a.fold(id, ts, ts, cb.Vals[i], cb.W[i]); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// AddColumns ingests a whole ColumnBatch in row order, the columnar twin
-// of calling Add on each row with now = TS[i]. The budget decision
-// sequence (and therefore the CountTree's quasi-sorted order, the tree
-// update count, and Finalize's output order) is identical to the
-// row-mode fold over the same rows; only the per-key buffering changes,
-// into ColSlice columns instead of []Tuple. Requires a dictionary-mode
-// accumulator whose dictionary interned the batch's IDs.
-func (a *Accumulator) AddColumns(cb *tuple.ColumnBatch) error {
-	if a.dict == nil {
-		return fmt.Errorf("stats: AddColumns requires a dictionary-mode accumulator")
+// fold is Algorithm 1's per-arrival step: buffer the row under its key and
+// decide whether the key's CountTree node is eligible for an update.
+func (a *Accumulator) fold(id uint32, ts, now tuple.Time, val float64, w int32) error {
+	if ts < a.start || ts >= a.end {
+		return fmt.Errorf("stats: tuple ts %v outside batch interval [%v,%v)", ts, a.start, a.end)
 	}
-	a.columnar = true
-	for i := range cb.IDs {
-		ts := cb.TS[i]
-		if ts < a.start || ts >= a.end {
-			return fmt.Errorf("stats: tuple ts %v outside batch interval [%v,%v)", ts, a.start, a.end)
-		}
-		a.nTuples++
-		id := cb.IDs[i]
-		e := a.ht.GetID(id)
-		if e == nil {
-			// First sighting: resolve the key string once, for the HTable
-			// entry and the CountTree node.
-			e = a.ht.PutID(id, a.dict.Resolve(id))
-			e.Cols = e.Cols.Append(ts, cb.Vals[i], cb.W[i])
-			a.initEntry(e, ts)
-			continue
-		}
-		e.Cols = e.Cols.Append(ts, cb.Vals[i], cb.W[i])
-		a.bump(e, ts)
+	a.nTuples++
+	e := a.ht.GetID(id)
+	if e == nil {
+		// First sighting: resolve the key string once, for the HTable entry
+		// and the CountTree node.
+		e = a.ht.PutID(id, a.dict.Resolve(id))
+		e.Cols = e.Cols.Append(ts, val, w)
+		a.initEntry(e, now)
+		return nil
 	}
+	e.Cols = e.Cols.Append(ts, val, w)
+	a.bump(e, now)
 	return nil
 }
 
 // bump counts one more arrival of an existing key at time now and decides
 // whether its CountTree node is eligible for an update — the budgeted
-// f.step / t.step discipline shared by the row and column folds.
+// f.step / t.step discipline.
 func (a *Accumulator) bump(e *KeyEntry, now tuple.Time) {
 	e.FreqCurrent++
 	deltaFreq := e.FreqCurrent - e.FreqUpdated
@@ -281,16 +242,9 @@ func (a *Accumulator) bump(e *KeyEntry, now tuple.Time) {
 	}
 }
 
-// newEntry initializes a first-sighting key entry (Algorithm 1's insert
-// arm) and registers the key in the CountTree with count 1.
-func (a *Accumulator) newEntry(e *KeyEntry, t tuple.Tuple, now tuple.Time) {
-	e.Tuples = append(e.Tuples, t)
-	a.initEntry(e, now)
-}
-
 // initEntry seeds the budget statistics of a first-sighting entry whose
-// first tuple the caller already buffered, and registers the key in the
-// CountTree with count 1.
+// first tuple the caller already buffered (Algorithm 1's insert arm), and
+// registers the key in the CountTree with count 1.
 func (a *Accumulator) initEntry(e *KeyEntry, now tuple.Time) {
 	e.FreqCurrent = 1
 	e.FreqUpdated = 1
@@ -316,13 +270,11 @@ func (a *Accumulator) updateNode(e *KeyEntry, now tuple.Time) {
 // batch release cut-off). Counts in the output are exact (taken from the
 // HTable); the ordering is the CountTree's quasi-sorted descending order.
 //
-// In dictionary mode the returned slice is owned by the accumulator and
-// valid until the next Reset.
+// The returned slice is owned by the accumulator and valid until the next
+// Reset.
 func (a *Accumulator) Finalize() ([]SortedKey, BatchStats) {
-	var out []SortedKey
-	if a.dict != nil && cap(a.out) >= a.ht.Len() {
-		out = a.out[:0]
-	} else {
+	out := a.out[:0]
+	if cap(out) < a.ht.Len() {
 		out = make([]SortedKey, 0, a.ht.Len())
 	}
 	a.ct.WalkDescending(func(key string, count int) {
@@ -330,15 +282,9 @@ func (a *Accumulator) Finalize() ([]SortedKey, BatchStats) {
 		if e == nil {
 			return // unreachable: tree and table are kept in sync
 		}
-		if a.columnar {
-			out = append(out, SortedKey{Key: e.Key, Count: e.FreqCurrent, Cols: e.Cols})
-		} else {
-			out = append(out, SortedKey{Key: e.Key, Count: e.FreqCurrent, Tuples: e.Tuples})
-		}
+		out = append(out, SortedKey{Key: e.Key, Count: e.FreqCurrent, Cols: e.Cols})
 	})
-	if a.dict != nil {
-		a.out = out
-	}
+	a.out = out
 	st := BatchStats{
 		Tuples:      a.nTuples,
 		Keys:        a.ht.Len(),
@@ -352,15 +298,16 @@ func (a *Accumulator) Finalize() ([]SortedKey, BatchStats) {
 // PostSort is the baseline the paper compares against in Figure 14a: buffer
 // tuples with no online statistics and sort the keys by exact frequency
 // after the batch interval ends. It returns the same output shape as
-// Finalize so the two can be swapped in the engine.
-func PostSort(b *tuple.Batch) []SortedKey {
-	byKey := tuple.KeyFrequency(b)
-	out := make([]SortedKey, 0, len(byKey))
-	for k, ts := range byKey {
-		out = append(out, SortedKey{Key: k, Count: len(ts), Tuples: ts})
+// Finalize so the two can be swapped in the engine. The rows are
+// transposed once over a private dictionary, so a weight that does not fit
+// the weight column is an error.
+func PostSort(b *tuple.Batch) ([]SortedKey, error) {
+	dict := intern.NewDict(0)
+	cb := &tuple.ColumnBatch{Start: b.Start, End: b.End}
+	if err := cb.AppendRows(b.Tuples, dict.Intern); err != nil {
+		return nil, fmt.Errorf("stats: %w", err)
 	}
-	SortKeysDesc(out)
-	return out
+	return NewPostSorter(dict).Sort(cb), nil
 }
 
 // SortKeysDesc sorts keys by count descending with the key string as

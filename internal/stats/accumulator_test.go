@@ -61,8 +61,8 @@ func TestAccumulatorExactCounts(t *testing.T) {
 		if sk.Count != want[sk.Key] {
 			t.Errorf("key %s count %d, want %d", sk.Key, sk.Count, want[sk.Key])
 		}
-		if len(sk.Tuples) != want[sk.Key] {
-			t.Errorf("key %s has %d tuples, want %d", sk.Key, len(sk.Tuples), want[sk.Key])
+		if sk.Cols.Len() != want[sk.Key] {
+			t.Errorf("key %s has %d tuples, want %d", sk.Key, sk.Cols.Len(), want[sk.Key])
 		}
 		total += sk.Count
 	}
@@ -175,7 +175,10 @@ func TestPostSortMatchesAccumulatorContent(t *testing.T) {
 			tuple.Time(int64(i)*int64(tuple.Second)/n),
 			fmt.Sprintf("k%d", rng.Intn(40)), 1))
 	}
-	ps := PostSort(b)
+	ps, err := PostSort(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Exact descending order.
 	for i := 1; i < len(ps); i++ {
 		if ps[i-1].Count < ps[i].Count {

@@ -29,10 +29,11 @@ func dictTestTuples(r *rand.Rand, n int, start, end tuple.Time) []tuple.Tuple {
 	return ts
 }
 
-// TestDictAccumulatorMatchesMapMode drives a dictionary-mode accumulator
-// and a map-mode accumulator through several batch intervals (exercising
-// entry-arena and tuple-buffer reuse across Resets) and asserts their
-// Finalize outputs are deeply identical every batch.
+// TestDictAccumulatorMatchesMapMode drives an accumulator over a shared
+// dictionary and one over NewAccumulator's private dictionary through
+// several batch intervals (exercising entry-arena and column-buffer reuse
+// across Resets) and asserts their Finalize outputs are deeply identical
+// every batch.
 func TestDictAccumulatorMatchesMapMode(t *testing.T) {
 	cfg := AccumulatorConfig{Budget: 4, EstimatedTuples: 2000, EstimatedKeys: 50}
 	dict := intern.NewDict(0)
@@ -80,15 +81,19 @@ func TestDictAccumulatorMatchesMapMode(t *testing.T) {
 }
 
 // TestDictShardedMatchesMapSharded does the same comparison for the
-// sharded accumulator with a shared dictionary.
+// sharded accumulator over two dictionaries that assign the batch's keys
+// different IDs: the output depends on the keys, never on their IDs.
 func TestDictShardedMatchesMapSharded(t *testing.T) {
 	cfg := AccumulatorConfig{Budget: 4, EstimatedTuples: 2000, EstimatedKeys: 50}
-	dict := intern.NewDict(0)
+	dict, other := intern.NewDict(0), intern.NewDict(0)
+	for i := 0; i < 37; i++ {
+		other.Intern(fmt.Sprintf("unrelated%d", i))
+	}
 	ds, err := NewShardedDict(cfg, dict, 4, 0, tuple.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := NewSharded(cfg, 4, 0, tuple.Second)
+	ms, err := NewShardedDict(cfg, other, 4, 0, tuple.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +110,8 @@ func TestDictShardedMatchesMapSharded(t *testing.T) {
 			}
 		}
 		tuples := dictTestTuples(r, 2000, start, end)
-		if err := ds.AddAll(tuples, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := ms.AddAll(tuples, nil); err != nil {
-			t.Fatal(err)
-		}
+		addRows(t, ds, dict, start, end, tuples, nil)
+		addRows(t, ms, other, start, end, tuples, nil)
 		dKeys, dStats := ds.Finalize(nil)
 		mKeys, mStats := ms.Finalize(nil)
 		if !reflect.DeepEqual(dStats, mStats) {

@@ -20,14 +20,10 @@ import (
 //   - LastUpdate: time of the key's last CountTree update.
 type KeyEntry struct {
 	Key string
-	// ID is the key's dense intern ID when the table runs in dictionary
-	// mode; 0 (and unused) in map mode.
-	ID     uint32
-	Tuples []tuple.Tuple
-	// Cols buffers the key's tuples in columnar form when the accumulator
-	// folds a ColumnBatch; Tuples stays empty then. Like Tuples, the
-	// backing arrays survive arena rewinds so steady-state ingestion
-	// allocates nothing.
+	// ID is the key's dense intern ID.
+	ID uint32
+	// Cols buffers the key's tuples in arrival order. The backing arrays
+	// survive arena rewinds, so steady-state ingestion allocates nothing.
 	Cols        tuple.ColSlice
 	FreqCurrent int
 	FreqUpdated int
@@ -42,33 +38,18 @@ type KeyEntry struct {
 // pointer of the paper is realized by keying both structures on the key
 // plus the FreqUpdated count, which uniquely identifies the node).
 //
-// The table runs in one of two modes:
-//
-//   - Dictionary mode (hot path): keys are addressed by their dense
-//     intern ID. Entries live in one flat arena reused batch after batch
-//     — per-key tuple buffers keep their backing arrays across Resets —
-//     and the ID → entry index translation is a flat int32 slot array,
-//     so steady-state ingestion allocates nothing.
-//   - Map mode (string path): a plain string-keyed Go map, kept for
-//     dictionary-less callers and as the reference behaviour the golden
-//     tests compare against. Reset clears the map in place so its bucket
-//     memory is reused; it only reallocates when a batch outgrows it.
+// Keys are addressed by their dense intern ID. Entries live in one flat
+// arena reused batch after batch — per-key column buffers keep their
+// backing arrays across Resets — and the ID → entry index translation is
+// a flat int32 slot array, so steady-state ingestion allocates nothing.
 type HTable struct {
-	m map[string]*KeyEntry // map mode; nil in dictionary mode
-
 	dict    *intern.Dict
 	slot    []int32    // intern ID -> entry index + 1; 0 = absent this batch
 	entries []KeyEntry // dense per-batch entry arena, reused across batches
 }
 
-// NewHTable returns an empty map-mode hash table sized for the given
-// expected cardinality (0 is fine).
-func NewHTable(hint int) *HTable {
-	return &HTable{m: make(map[string]*KeyEntry, hint)}
-}
-
-// NewHTableDict returns an empty dictionary-mode table addressing entries
-// by their intern IDs in dict.
+// NewHTableDict returns an empty table addressing entries by their intern
+// IDs in dict.
 func NewHTableDict(dict *intern.Dict, hint int) *HTable {
 	return &HTable{
 		dict:    dict,
@@ -77,32 +58,21 @@ func NewHTableDict(dict *intern.Dict, hint int) *HTable {
 	}
 }
 
-// Dict returns the intern dictionary, or nil in map mode.
-func (h *HTable) Dict() *intern.Dict { return h.dict }
-
 // Len returns the number of distinct keys.
-func (h *HTable) Len() int {
-	if h.dict != nil {
-		return len(h.entries)
-	}
-	return len(h.m)
-}
+func (h *HTable) Len() int { return len(h.entries) }
 
-// Get returns the entry for key, or nil. In dictionary mode it resolves
-// the key through the dictionary without interning it.
+// Get returns the entry for key, or nil. It resolves the key through the
+// dictionary without interning it.
 func (h *HTable) Get(key string) *KeyEntry {
-	if h.dict != nil {
-		id, ok := h.dict.Lookup(key)
-		if !ok {
-			return nil
-		}
-		return h.GetID(id)
+	id, ok := h.dict.Lookup(key)
+	if !ok {
+		return nil
 	}
-	return h.m[key]
+	return h.GetID(id)
 }
 
-// GetID returns the entry for the interned key id, or nil. Dictionary
-// mode only. The pointer is valid until the next PutID or Reset.
+// GetID returns the entry for the interned key id, or nil. The pointer is
+// valid until the next PutID or Reset.
 func (h *HTable) GetID(id uint32) *KeyEntry {
 	if int(id) >= len(h.slot) {
 		return nil
@@ -113,13 +83,9 @@ func (h *HTable) GetID(id uint32) *KeyEntry {
 	return nil
 }
 
-// Put inserts a new entry. The caller guarantees key is absent. Map mode
-// only.
-func (h *HTable) Put(e *KeyEntry) { h.m[e.Key] = e }
-
 // PutID appends a fresh entry for the interned key id and returns it,
-// zeroed except for Key, ID, and a length-0 tuple buffer that keeps
-// whatever backing array the arena slot held in an earlier batch. The
+// zeroed except for Key, ID, and a length-0 column buffer that keeps
+// whatever backing arrays the arena slot held in an earlier batch. The
 // caller guarantees the id is absent. The pointer is valid until the
 // next PutID or Reset.
 func (h *HTable) PutID(id uint32, key string) *KeyEntry {
@@ -133,9 +99,8 @@ func (h *HTable) PutID(id uint32, key string) *KeyEntry {
 		h.entries = append(h.entries, KeyEntry{})
 	}
 	e := &h.entries[n]
-	tuples := e.Tuples[:0] // reuse the slot's previous backing arrays
-	cols := e.Cols.Reset()
-	*e = KeyEntry{Key: key, ID: id, Tuples: tuples, Cols: cols}
+	cols := e.Cols.Reset() // reuse the slot's previous backing arrays
+	*e = KeyEntry{Key: key, ID: id, Cols: cols}
 	h.slot[id] = int32(n) + 1
 	return e
 }
@@ -151,32 +116,12 @@ func (h *HTable) growSlots(n int) {
 	h.slot = grown
 }
 
-// Reset clears the table for the next batch interval, reusing memory: in
-// dictionary mode only the slots of this batch's entries are cleared and
-// the entry arena rewinds (tuple buffers keep their arrays); in map mode
-// the map is cleared in place and only reallocated when the hint says
-// the next batch will not fit the current buckets anyway.
-func (h *HTable) Reset(hint int) {
-	if h.dict != nil {
-		for i := range h.entries {
-			h.slot[h.entries[i].ID] = 0
-		}
-		h.entries = h.entries[:0]
-		return
+// Reset clears the table for the next batch interval, reusing memory:
+// only the slots of this batch's entries are cleared and the entry arena
+// rewinds (column buffers keep their arrays).
+func (h *HTable) Reset() {
+	for i := range h.entries {
+		h.slot[h.entries[i].ID] = 0
 	}
-	clear(h.m)
-}
-
-// Range calls fn for every entry; iteration order is unspecified in map
-// mode and insertion order in dictionary mode.
-func (h *HTable) Range(fn func(*KeyEntry)) {
-	if h.dict != nil {
-		for i := range h.entries {
-			fn(&h.entries[i])
-		}
-		return
-	}
-	for _, e := range h.m {
-		fn(e)
-	}
+	h.entries = h.entries[:0]
 }

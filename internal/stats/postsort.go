@@ -5,18 +5,16 @@ import (
 	"prompt/internal/tuple"
 )
 
-// PostSorter is the pooled, dictionary-backed implementation of the
-// post-sort baseline: the same per-key grouping and exact-frequency
-// descending sort as PostSort, but with the string-keyed map replaced by
-// the intern dictionary's dense IDs and every per-key tuple group reused
-// batch after batch. Output is bit-identical to PostSort — grouping
-// preserves arrival order within a key and SortKeysDesc is a strict total
-// order over distinct keys — so the two are interchangeable; only the
-// allocation profile differs.
+// PostSorter is the pooled implementation of the post-sort baseline: it
+// groups a column batch per key by intern ID and sorts the keys by exact
+// frequency, descending (key ascending as tie-break), with every per-key
+// column group reused batch after batch. Grouping preserves arrival order
+// within a key and SortKeysDesc is a strict total order over distinct
+// keys, so the output depends on the batch alone, not on ID values.
 //
-// The returned slice and its per-key tuple groups are owned by the sorter
-// and valid until the next Sort call, mirroring the dictionary-mode
-// accumulator's Finalize contract.
+// The returned slice and its per-key column groups are owned by the
+// sorter and valid until the next Sort call, mirroring the accumulator's
+// Finalize contract.
 type PostSorter struct {
 	dict *intern.Dict
 	// gen marks which Sort call a slot's buffer belongs to, so slots are
@@ -27,29 +25,24 @@ type PostSorter struct {
 	out   []SortedKey
 }
 
-// postSlot is one key's reusable tuple group, addressed by intern ID.
+// postSlot is one key's reusable column group, addressed by intern ID.
 type postSlot struct {
-	gen    uint64
-	tuples []tuple.Tuple
+	gen  uint64
+	cols tuple.ColSlice
 }
 
-// NewPostSorter returns a sorter interning into the given stream
-// dictionary (nil creates a private one).
+// NewPostSorter returns a sorter resolving IDs through dict, the
+// dictionary that interned the batches it will sort.
 func NewPostSorter(dict *intern.Dict) *PostSorter {
-	if dict == nil {
-		dict = intern.NewDict(0)
-	}
 	return &PostSorter{dict: dict}
 }
 
 // Sort groups the batch per key and returns the keys by exact frequency
 // descending (key ascending as tie-break), the same contract as PostSort.
-func (p *PostSorter) Sort(b *tuple.Batch) []SortedKey {
+func (p *PostSorter) Sort(cb *tuple.ColumnBatch) []SortedKey {
 	p.gen++
 	p.seen = p.seen[:0]
-	for i := range b.Tuples {
-		t := &b.Tuples[i]
-		id := p.dict.Intern(t.Key)
+	for i, id := range cb.IDs {
 		if int(id) >= len(p.slots) {
 			n := int(id) + 1
 			if n < 2*len(p.slots) {
@@ -62,15 +55,15 @@ func (p *PostSorter) Sort(b *tuple.Batch) []SortedKey {
 		sl := &p.slots[id]
 		if sl.gen != p.gen {
 			sl.gen = p.gen
-			sl.tuples = sl.tuples[:0]
+			sl.cols = sl.cols.Reset()
 			p.seen = append(p.seen, id)
 		}
-		sl.tuples = append(sl.tuples, *t)
+		sl.cols = sl.cols.Append(cb.TS[i], cb.Vals[i], cb.W[i])
 	}
 	out := p.out[:0]
 	for _, id := range p.seen {
 		sl := &p.slots[id]
-		out = append(out, SortedKey{Key: p.dict.Resolve(id), Count: len(sl.tuples), Tuples: sl.tuples})
+		out = append(out, SortedKey{Key: p.dict.Resolve(id), Count: sl.cols.Len(), Cols: sl.cols})
 	}
 	SortKeysDesc(out)
 	p.out = out

@@ -17,7 +17,7 @@ import (
 // partitioning decision.
 //
 // rate is the sampling probability in (0, 1]; seed fixes the sample.
-func SampledSort(b *tuple.Batch, rate float64, seed int64) []SortedKey {
+func SampledSort(b *tuple.Batch, rate float64, seed int64) ([]SortedKey, error) {
 	if rate >= 1 {
 		return PostSort(b)
 	}
@@ -36,12 +36,14 @@ func SampledSort(b *tuple.Batch, rate float64, seed int64) []SortedKey {
 
 	// Group the full batch per key (the buffers exist regardless; only
 	// the ordering statistics are approximate).
-	byKey := tuple.KeyFrequency(b)
-	out := make([]SortedKey, 0, len(byKey))
-	for k, ts := range byKey {
+	out, err := PostSort(b)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
 		// Counts are the scaled estimates: what the partitioner believes.
-		out = append(out, SortedKey{Key: k, Count: int(float64(estimated[k]) / rate), Tuples: ts})
+		out[i].Count = int(float64(estimated[out[i].Key]) / rate)
 	}
 	SortKeysDesc(out)
-	return out
+	return out, nil
 }

@@ -26,19 +26,17 @@ import (
 // shard's tree sees only its own keys, so the global quasi-order is not
 // reconstructible); counts and tuple lists are identical.
 //
-// With a shared intern dictionary (NewShardedDict) every shard runs the
-// zero-allocation hot path; shards intern concurrently into the one
-// dictionary, and the merged output slice is reused across batches (valid
-// until the next Reset), matching the single accumulator's dict-mode
-// contract.
+// Every shard reads the one intern dictionary the batch's IDs were
+// interned in; the shards intern nothing themselves, so ID order is fixed
+// by the caller's transpose, not by worker scheduling. The merged output
+// slice is reused across batches (valid until the next Reset), matching
+// the single accumulator's contract.
 type ShardedAccumulator struct {
 	shards []*Accumulator
 	dict   *intern.Dict
-	// route[s] collects the tuple indices of shard s for the current batch;
-	// reused across batches to avoid reallocation.
-	route [][]tuple.Tuple
-	// routeCols[s] is route[s]'s columnar twin for AddAllColumns.
-	routeCols []tuple.ColumnBatch
+	// route[s] collects shard s's rows for the current batch, in arrival
+	// order; reused across batches to avoid reallocation.
+	route []tuple.ColumnBatch
 	// bucket caches each intern ID's shard (hashutil.Bucket of the key),
 	// computed once per key; -1 = not yet computed. Valid for the
 	// accumulator's lifetime because the shard count is fixed.
@@ -48,42 +46,32 @@ type ShardedAccumulator struct {
 	errs   []error
 	keys   [][]SortedKey
 	stats  []BatchStats
-	merged []SortedKey // dict mode only: reused merge output
+	merged []SortedKey // reused merge output
 }
 
-// NewSharded returns a sharded accumulator with the given number of shards
-// (>= 1) for the batch interval [start, end). The configured estimates are
-// split evenly across shards so each shard's initial f.step matches its
-// expected share of the batch.
-func NewSharded(cfg AccumulatorConfig, shards int, start, end tuple.Time) (*ShardedAccumulator, error) {
-	return newSharded(cfg, nil, shards, start, end)
-}
-
-// NewShardedDict is NewSharded on the zero-allocation hot path: every
-// shard interns keys into the shared dictionary.
+// NewShardedDict returns a sharded accumulator with the given number of
+// shards (>= 1) for the batch interval [start, end), over dict — the
+// dictionary that interns the batches AddAllColumns receives. The
+// configured estimates are split evenly across shards so each shard's
+// initial f.step matches its expected share of the batch.
 func NewShardedDict(cfg AccumulatorConfig, dict *intern.Dict, shards int, start, end tuple.Time) (*ShardedAccumulator, error) {
 	if dict == nil {
 		return nil, fmt.Errorf("stats: nil intern dictionary")
 	}
-	return newSharded(cfg, dict, shards, start, end)
-}
-
-func newSharded(cfg AccumulatorConfig, dict *intern.Dict, shards int, start, end tuple.Time) (*ShardedAccumulator, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("stats: need >= 1 shard, got %d", shards)
 	}
 	sa := &ShardedAccumulator{
-		shards:    make([]*Accumulator, shards),
-		dict:      dict,
-		route:     make([][]tuple.Tuple, shards),
-		routeCols: make([]tuple.ColumnBatch, shards),
-		errs:      make([]error, shards),
-		keys:      make([][]SortedKey, shards),
-		stats:     make([]BatchStats, shards),
+		shards: make([]*Accumulator, shards),
+		dict:   dict,
+		route:  make([]tuple.ColumnBatch, shards),
+		errs:   make([]error, shards),
+		keys:   make([][]SortedKey, shards),
+		stats:  make([]BatchStats, shards),
 	}
 	scfg := cfg.perShard(shards)
 	for i := range sa.shards {
-		acc, err := newAccumulator(scfg, dict, start, end)
+		acc, err := NewAccumulatorDict(scfg, dict, start, end)
 		if err != nil {
 			return nil, err
 		}
@@ -111,9 +99,6 @@ func (c AccumulatorConfig) perShard(shards int) AccumulatorConfig {
 // Shards returns the shard count.
 func (sa *ShardedAccumulator) Shards() int { return len(sa.shards) }
 
-// Dict returns the shared intern dictionary, or nil in map mode.
-func (sa *ShardedAccumulator) Dict() *intern.Dict { return sa.dict }
-
 // Reset prepares every shard for the next batch interval.
 func (sa *ShardedAccumulator) Reset(cfg AccumulatorConfig, start, end tuple.Time) error {
 	scfg := cfg.perShard(len(sa.shards))
@@ -125,55 +110,16 @@ func (sa *ShardedAccumulator) Reset(cfg AccumulatorConfig, start, end tuple.Time
 	return nil
 }
 
-// AddAll ingests one batch interval's tuples: a single routing scan splits
-// them by key hash, then each shard accumulates its slice on the pool (or
-// inline with a nil pool). Arrival time equals the tuple timestamp, as in
-// the engine's simulated stream.
-func (sa *ShardedAccumulator) AddAll(tuples []tuple.Tuple, pool *cluster.WorkerPool) error {
+// AddAllColumns ingests one batch interval's columns: a single routing
+// scan walks the contiguous ID column (each key's shard is cached after
+// its first resolution, so the steady state never hashes strings), splits
+// the rows into per-shard column buffers preserving arrival order, and
+// each shard runs its column fold on the pool (or inline with a nil pool).
+func (sa *ShardedAccumulator) AddAllColumns(cb *tuple.ColumnBatch, pool *cluster.WorkerPool) error {
 	n := len(sa.shards)
 	for s := range sa.route {
-		sa.route[s] = sa.route[s][:0]
-	}
-	for i := range tuples {
-		s := hashutil.Bucket(tuples[i].Key, n)
-		sa.route[s] = append(sa.route[s], tuples[i])
-	}
-	errs := sa.errs
-	for s := range errs {
-		errs[s] = nil
-	}
-	pool.Do(n, func(s int) {
-		acc := sa.shards[s]
-		for _, t := range sa.route[s] {
-			if err := acc.Add(t, t.TS); err != nil {
-				errs[s] = err
-				return
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AddAllColumns is AddAll for a ColumnBatch: the routing scan walks the
-// contiguous ID column (each key's shard is cached after its first
-// resolution, so the steady state never hashes strings), splits the rows
-// into per-shard column buffers preserving arrival order, and each shard
-// runs its column fold on the pool. Shard assignment is the same
-// hashutil.Bucket of the key string as AddAll, so the merged output is
-// bit-identical to the row fold's. Dictionary mode only.
-func (sa *ShardedAccumulator) AddAllColumns(cb *tuple.ColumnBatch, pool *cluster.WorkerPool) error {
-	if sa.dict == nil {
-		return fmt.Errorf("stats: AddAllColumns requires a dictionary-mode accumulator")
-	}
-	n := len(sa.shards)
-	for s := range sa.routeCols {
-		sa.routeCols[s].Reset()
-		sa.routeCols[s].Start, sa.routeCols[s].End = cb.Start, cb.End
+		sa.route[s].Reset()
+		sa.route[s].Start, sa.route[s].End = cb.Start, cb.End
 	}
 	for i := range cb.IDs {
 		id := cb.IDs[i]
@@ -189,14 +135,14 @@ func (sa *ShardedAccumulator) AddAllColumns(cb *tuple.ColumnBatch, pool *cluster
 			s = int32(hashutil.Bucket(sa.dict.Resolve(id), n))
 			sa.bucket[id] = s
 		}
-		sa.routeCols[s].Append(id, cb.TS[i], cb.Vals[i], cb.W[i])
+		sa.route[s].Append(id, cb.TS[i], cb.Vals[i], cb.W[i])
 	}
 	errs := sa.errs
 	for s := range errs {
 		errs[s] = nil
 	}
 	pool.Do(n, func(s int) {
-		errs[s] = sa.shards[s].AddColumns(&sa.routeCols[s])
+		errs[s] = sa.shards[s].AddColumns(&sa.route[s])
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -208,8 +154,8 @@ func (sa *ShardedAccumulator) AddAllColumns(cb *tuple.ColumnBatch, pool *cluster
 
 // Finalize finalizes every shard on the pool, merges the outputs, and
 // returns the exactly sorted key list plus the combined batch statistics.
-// In dictionary mode the returned slice is owned by the accumulator and
-// valid until the next Reset.
+// The returned slice is owned by the accumulator and valid until the next
+// Reset.
 func (sa *ShardedAccumulator) Finalize(pool *cluster.WorkerPool) ([]SortedKey, BatchStats) {
 	n := len(sa.shards)
 	keys, stats := sa.keys, sa.stats
@@ -220,10 +166,8 @@ func (sa *ShardedAccumulator) Finalize(pool *cluster.WorkerPool) ([]SortedKey, B
 	for s := range keys {
 		total += len(keys[s])
 	}
-	var merged []SortedKey
-	if sa.dict != nil && cap(sa.merged) >= total {
-		merged = sa.merged[:0]
-	} else {
+	merged := sa.merged[:0]
+	if cap(merged) < total {
 		merged = make([]SortedKey, 0, total)
 	}
 	var st BatchStats
@@ -237,8 +181,6 @@ func (sa *ShardedAccumulator) Finalize(pool *cluster.WorkerPool) ([]SortedKey, B
 		st.Start, st.End = stats[0].Start, stats[0].End
 	}
 	SortKeysDesc(merged)
-	if sa.dict != nil {
-		sa.merged = merged
-	}
+	sa.merged = merged
 	return merged, st
 }

@@ -6,8 +6,31 @@ import (
 	"testing"
 
 	"prompt/internal/cluster"
+	"prompt/internal/intern"
 	"prompt/internal/tuple"
 )
+
+// newShardedOver returns a sharded accumulator over dict for [start, end).
+func newShardedOver(t *testing.T, dict *intern.Dict, shards int, start, end tuple.Time) *ShardedAccumulator {
+	t.Helper()
+	sa, err := NewShardedDict(DefaultAccumulatorConfig(), dict, shards, start, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sa
+}
+
+// addRows transposes rows over dict and folds them into sa.
+func addRows(t *testing.T, sa *ShardedAccumulator, dict *intern.Dict, start, end tuple.Time, rows []tuple.Tuple, pool *cluster.WorkerPool) {
+	t.Helper()
+	cb := &tuple.ColumnBatch{Start: start, End: end}
+	if err := cb.AppendRows(rows, dict.Intern); err != nil {
+		t.Fatal(err)
+	}
+	if err := sa.AddAllColumns(cb, pool); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // shardedTestBatch builds a skewed batch with a deterministic seed.
 func shardedTestBatch(n, keys int, seed int64) []tuple.Tuple {
@@ -27,13 +50,9 @@ func TestShardedAccumulatorExactCounts(t *testing.T) {
 		want[tp.Key]++
 	}
 	for _, shards := range []int{1, 2, 4, 7} {
-		sa, err := NewSharded(DefaultAccumulatorConfig(), shards, 0, tuple.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sa.AddAll(tuples, cluster.NewWorkerPool(4)); err != nil {
-			t.Fatal(err)
-		}
+		dict := intern.NewDict(0)
+		sa := newShardedOver(t, dict, shards, 0, tuple.Second)
+		addRows(t, sa, dict, 0, tuple.Second, tuples, cluster.NewWorkerPool(4))
 		sorted, st := sa.Finalize(cluster.NewWorkerPool(4))
 		if st.Tuples != len(tuples) || st.Keys != len(want) {
 			t.Fatalf("shards=%d: stats %d tuples %d keys, want %d/%d", shards, st.Tuples, st.Keys, len(tuples), len(want))
@@ -46,10 +65,10 @@ func TestShardedAccumulatorExactCounts(t *testing.T) {
 			if sk.Count != want[sk.Key] {
 				t.Fatalf("shards=%d: key %s count %d, want %d", shards, sk.Key, sk.Count, want[sk.Key])
 			}
-			if len(sk.Tuples) != sk.Count {
-				t.Fatalf("shards=%d: key %s buffered %d tuples, count %d", shards, sk.Key, len(sk.Tuples), sk.Count)
+			if sk.Cols.Len() != sk.Count {
+				t.Fatalf("shards=%d: key %s buffered %d tuples, count %d", shards, sk.Key, sk.Cols.Len(), sk.Count)
 			}
-			buffered += len(sk.Tuples)
+			buffered += sk.Cols.Len()
 			if i > 0 && sorted[i-1].Count < sk.Count {
 				t.Fatalf("shards=%d: merge not sorted at %d", shards, i)
 			}
@@ -67,17 +86,13 @@ func TestShardedAccumulatorWorkerCountInvariance(t *testing.T) {
 	tuples := shardedTestBatch(10000, 200, 5)
 	var ref []SortedKey
 	for _, workers := range []int{1, 2, 8} {
-		sa, err := NewSharded(DefaultAccumulatorConfig(), 4, 0, tuple.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dict := intern.NewDict(0)
+		sa := newShardedOver(t, dict, 4, 0, tuple.Second)
 		var pool *cluster.WorkerPool
 		if workers > 1 {
 			pool = cluster.NewWorkerPool(workers)
 		}
-		if err := sa.AddAll(tuples, pool); err != nil {
-			t.Fatal(err)
-		}
+		addRows(t, sa, dict, 0, tuple.Second, tuples, pool)
 		sorted, _ := sa.Finalize(pool)
 		if ref == nil {
 			ref = sorted
@@ -96,14 +111,9 @@ func TestShardedAccumulatorWorkerCountInvariance(t *testing.T) {
 }
 
 func TestShardedAccumulatorReset(t *testing.T) {
-	sa, err := NewSharded(DefaultAccumulatorConfig(), 3, 0, tuple.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := shardedTestBatch(5000, 100, 1)
-	if err := sa.AddAll(first, nil); err != nil {
-		t.Fatal(err)
-	}
+	dict := intern.NewDict(0)
+	sa := newShardedOver(t, dict, 3, 0, tuple.Second)
+	addRows(t, sa, dict, 0, tuple.Second, shardedTestBatch(5000, 100, 1), nil)
 	sa.Finalize(nil)
 	if err := sa.Reset(DefaultAccumulatorConfig(), tuple.Second, 2*tuple.Second); err != nil {
 		t.Fatal(err)
@@ -112,9 +122,7 @@ func TestShardedAccumulatorReset(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		second = append(second, tuple.NewTuple(tuple.Second+tuple.Time(i), "x", 1))
 	}
-	if err := sa.AddAll(second, nil); err != nil {
-		t.Fatal(err)
-	}
+	addRows(t, sa, dict, tuple.Second, 2*tuple.Second, second, nil)
 	sorted, st := sa.Finalize(nil)
 	if st.Tuples != 100 || len(sorted) != 1 || sorted[0].Count != 100 {
 		t.Fatalf("post-reset finalize: %d tuples, %d keys: %+v", st.Tuples, len(sorted), sorted)
@@ -122,7 +130,7 @@ func TestShardedAccumulatorReset(t *testing.T) {
 }
 
 func TestNewShardedRejectsBadShardCount(t *testing.T) {
-	if _, err := NewSharded(DefaultAccumulatorConfig(), 0, 0, tuple.Second); err == nil {
+	if _, err := NewShardedDict(DefaultAccumulatorConfig(), intern.NewDict(0), 0, 0, tuple.Second); err == nil {
 		t.Fatal("accepted 0 shards")
 	}
 }

@@ -1,12 +1,18 @@
 package tuple
 
-import "sync"
+import (
+	"errors"
+	"fmt"
+	"sync"
+)
 
 // ColumnBatch is the struct-of-arrays form of a micro-batch: one dense
 // slice per field, with keys replaced by intern IDs. Row i of the batch
-// is (IDs[i], TS[i], Vals[i], W[i]). The layout exists for the hot path:
-// frequency counting walks the contiguous ID column instead of hashing a
-// string per record, and the 20 bytes per row (vs 48 for a Tuple with
+// is (IDs[i], TS[i], Vals[i], W[i]). It is the engine's only batch
+// representation: caller rows are transposed into it once, at the edge,
+// and the statistics, partitioning, and Map layers all read its columns.
+// Frequency counting walks the contiguous ID column instead of hashing a
+// string per record, and the 24 bytes per row (vs 48 for a Tuple with
 // its string header) keep more of the batch in cache.
 //
 // IDs are only meaningful against the dictionary that interned them —
@@ -20,6 +26,20 @@ type ColumnBatch struct {
 	TS   []Time
 	Vals []float64
 	W    []int32
+}
+
+// ErrWeightOverflow reports a tuple whose weight does not fit the int32
+// weight column. The transpose rejects such a batch whole instead of
+// narrowing the weight.
+var ErrWeightOverflow = errors.New("tuple: weight does not fit the int32 weight column")
+
+// CheckWeight returns an error wrapping ErrWeightOverflow when w does not
+// fit the weight column.
+func CheckWeight(w int) error {
+	if int(int32(w)) != w {
+		return fmt.Errorf("%w: weight %d", ErrWeightOverflow, w)
+	}
+	return nil
 }
 
 // Len returns the number of rows.
@@ -60,45 +80,50 @@ func (cb *ColumnBatch) Append(id uint32, ts Time, val float64, w int32) {
 	cb.W = append(cb.W, w)
 }
 
-// AppendRows converts row tuples into columns, interning each key through
-// intern (typically the owning engine's dictionary). Row order is
-// preserved, which is what makes column-mode runs bit-identical to
-// row-mode runs.
-func (cb *ColumnBatch) AppendRows(rows []Tuple, intern func(string) uint32) {
+// AppendRows is the transpose: it converts row tuples into columns,
+// interning each key through intern (typically the owning engine's
+// dictionary) in arrival order, so ID order is a function of the input
+// alone. Row order is preserved. If any weight does not fit the weight
+// column it returns an error wrapping ErrWeightOverflow before interning
+// or appending anything.
+func (cb *ColumnBatch) AppendRows(rows []Tuple, intern func(string) uint32) error {
+	for i := range rows {
+		if err := CheckWeight(rows[i].Weight); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
+		}
+	}
 	cb.Grow(len(rows))
 	for i := range rows {
 		t := &rows[i]
 		cb.Append(intern(t.Key), t.TS, t.Val, int32(t.Weight))
 	}
+	return nil
 }
 
-// AppendRowsTo materializes the batch back into row tuples, resolving IDs
-// through resolve. It appends to dst (pass dst[:0] to reuse a buffer) and
-// preserves row order.
-func (cb *ColumnBatch) AppendRowsTo(dst []Tuple, resolve func(uint32) string) []Tuple {
-	if need := len(dst) + len(cb.IDs); cap(dst) < need {
-		grown := make([]Tuple, len(dst), need)
-		copy(grown, dst)
-		dst = grown
+// Clone returns a deep copy of the batch.
+func (cb *ColumnBatch) Clone() *ColumnBatch {
+	return &ColumnBatch{
+		Start: cb.Start,
+		End:   cb.End,
+		IDs:   append([]uint32(nil), cb.IDs...),
+		TS:    append([]Time(nil), cb.TS...),
+		Vals:  append([]float64(nil), cb.Vals...),
+		W:     append([]int32(nil), cb.W...),
 	}
-	for i := range cb.IDs {
-		dst = append(dst, Tuple{
-			TS:     cb.TS[i],
-			Key:    resolve(cb.IDs[i]),
-			Val:    cb.Vals[i],
-			Weight: int(cb.W[i]),
-		})
-	}
-	return dst
 }
 
-// TotalWeight sums the weight column.
-func (cb *ColumnBatch) TotalWeight() int {
-	w := 0
-	for _, x := range cb.W {
-		w += int(x)
+// KeyCounts returns every key's row count. It counts per ID and resolves
+// each distinct ID once.
+func (cb *ColumnBatch) KeyCounts(resolve func(uint32) string) map[string]int {
+	perID := make(map[uint32]int)
+	for _, id := range cb.IDs {
+		perID[id]++
 	}
-	return w
+	out := make(map[string]int, len(perID))
+	for id, n := range perID {
+		out[resolve(id)] = n
+	}
+	return out
 }
 
 var columnBatchPool = sync.Pool{New: func() any { return new(ColumnBatch) }}
@@ -168,16 +193,8 @@ func (c ColSlice) AppendCols(o ColSlice) ColSlice {
 	}
 }
 
-// Tuple materializes row i as a Tuple with the given key.
+// Tuple materializes row i as a Tuple with the given key (the Map
+// function's argument).
 func (c ColSlice) Tuple(key string, i int) Tuple {
 	return Tuple{TS: c.TS[i], Key: key, Val: c.Vals[i], Weight: int(c.W[i])}
-}
-
-// AppendTuples materializes every row as a Tuple with the given key,
-// appending to dst.
-func (c ColSlice) AppendTuples(dst []Tuple, key string) []Tuple {
-	for i := range c.TS {
-		dst = append(dst, c.Tuple(key, i))
-	}
-	return dst
 }

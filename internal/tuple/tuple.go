@@ -129,7 +129,7 @@ type SplitInfo struct {
 }
 
 // Block is one partition of a micro-batch: the input to a single Map task.
-// Keys holds the per-key tuple lists in assignment order; Ref is the block
+// Keys holds the per-key column runs in assignment order; Ref is the block
 // reference table labelling split keys (and only split keys — see
 // SplitInfo).
 type Block struct {
@@ -142,33 +142,22 @@ type Block struct {
 	cardOK bool
 }
 
-// KeySlice is the set of tuples for one key (or one fragment of a split
-// key) placed in a block.
+// KeySlice is the run of one key's tuples (or one fragment of a split
+// key) placed in a block, as a ColSlice view of its columns.
 //
 // ID is the key's dense per-batch number when the partitioner works from
 // the sorted key list: 1 + the key's index in that list, identical for
 // every fragment of the key across all blocks of the batch. 0 means the
 // partitioner assigned no dense numbers (the per-tuple techniques), and
 // downstream consumers fall back to string-keyed routing.
-// Cols is the columnar twin of Tuples: when the partitioner ran in
-// column mode the key's tuples live in Cols and Tuples is nil. Exactly
-// one of the two representations is populated; Len and the block
-// aggregates work over either.
 type KeySlice struct {
-	Key    string
-	Tuples []Tuple
-	ID     int32
-	Cols   ColSlice
+	Key  string
+	ID   int32
+	Cols ColSlice
 }
 
-// Len returns the number of tuples in the slice, whichever
-// representation holds them.
-func (ks *KeySlice) Len() int {
-	if ks.Tuples != nil {
-		return len(ks.Tuples)
-	}
-	return ks.Cols.Len()
-}
+// Len returns the number of tuples in the slice.
+func (ks *KeySlice) Len() int { return ks.Cols.Len() }
 
 // NewBlock returns an empty block with the given id.
 func NewBlock(id int) *Block {
@@ -177,7 +166,7 @@ func NewBlock(id int) *Block {
 
 // PreAllocate sizes the block's key list and reference table for n key
 // slices, avoiding incremental growth on the partitioning hot path. It
-// must be called before the first Add.
+// must be called before the first AddDenseCols.
 func (bl *Block) PreAllocate(n int) {
 	if len(bl.Keys) == 0 && cap(bl.Keys) < n {
 		bl.Keys = make([]KeySlice, 0, n)
@@ -187,33 +176,10 @@ func (bl *Block) PreAllocate(n int) {
 	}
 }
 
-// Add appends a key slice to the block and updates its weight.
-func (bl *Block) Add(key string, tuples []Tuple) {
-	w := 0
-	for i := range tuples {
-		w += tuples[i].Weight
-	}
-	bl.AddWeighted(key, tuples, w)
-}
-
-// AddWeighted appends a key slice whose total weight the caller already
-// knows, skipping the per-tuple summation. The hot partitioning paths use
-// it with fragments that reference the buffered tuple lists directly.
-func (bl *Block) AddWeighted(key string, tuples []Tuple, weight int) {
-	bl.AddDense(key, 0, tuples, weight)
-}
-
-// AddDense is AddWeighted carrying the key's dense per-batch number (see
-// KeySlice.ID); sorted-input partitioners use it so the shuffle can route
-// clusters without hashing key strings.
-func (bl *Block) AddDense(key string, id int32, tuples []Tuple, weight int) {
-	bl.Keys = append(bl.Keys, KeySlice{Key: key, Tuples: tuples, ID: id})
-	bl.weight += weight
-	bl.cardOK = false
-}
-
-// AddDenseCols is AddDense for a columnar fragment: the key's tuples
-// arrive as a ColSlice view instead of a []Tuple.
+// AddDenseCols appends a key run whose total weight the caller already
+// knows, carrying the key's dense per-batch number (see KeySlice.ID; 0 for
+// none). The partitioners hand in views of the buffered columns, so
+// placing a run copies no tuple data.
 func (bl *Block) AddDenseCols(key string, id int32, cols ColSlice, weight int) {
 	bl.Keys = append(bl.Keys, KeySlice{Key: key, ID: id, Cols: cols})
 	bl.weight += weight
@@ -249,21 +215,6 @@ func (bl *Block) Cardinality() int {
 	return bl.card
 }
 
-// Tuples flattens the block back to a tuple slice, preserving key order.
-// Columnar key slices are materialized into rows.
-func (bl *Block) Tuples() []Tuple {
-	out := make([]Tuple, 0, bl.Size())
-	for i := range bl.Keys {
-		ks := &bl.Keys[i]
-		if ks.Tuples != nil {
-			out = append(out, ks.Tuples...)
-		} else {
-			out = ks.Cols.AppendTuples(out, ks.Key)
-		}
-	}
-	return out
-}
-
 // Partitioned is a fully partitioned micro-batch: the unit handed from the
 // batching phase to the processing phase.
 type Partitioned struct {
@@ -277,14 +228,31 @@ type Partitioned struct {
 // NumBlocks returns the number of data blocks.
 func (p *Partitioned) NumBlocks() int { return len(p.Blocks) }
 
-// Validate checks structural invariants: every tuple placed exactly once
-// and reference tables consistent with actual fragment counts. It is used
-// by tests and by the engine's paranoid mode.
+// Validate checks structural invariants against the row batch: every
+// tuple placed exactly once and reference tables consistent with actual
+// fragment counts. It is ValidateBlocks with the expected counts taken
+// from the rows.
 func (p *Partitioned) Validate() error {
-	total := 0
+	want := make(map[string]int)
+	for i := range p.Batch.Tuples {
+		want[p.Batch.Tuples[i].Key]++
+	}
+	return ValidateBlocks(p.Blocks, want)
+}
+
+// ValidateBlocks checks a partitioned batch whose keys have the given
+// tuple counts: the blocks hold exactly those tuples, each key's fragments
+// sum to its count, and the reference tables label exactly the keys that
+// are split. The engine's paranoid mode (ValidateBatches) and the tests
+// use it.
+func ValidateBlocks(blocks []*Block, want map[string]int) error {
+	total, wantTotal := 0, 0
+	for _, n := range want {
+		wantTotal += n
+	}
 	frags := make(map[string]int)
 	sizes := make(map[string]int)
-	for _, bl := range p.Blocks {
+	for _, bl := range blocks {
 		perBlock := make(map[string]bool)
 		for i := range bl.Keys {
 			ks := &bl.Keys[i]
@@ -296,19 +264,15 @@ func (p *Partitioned) Validate() error {
 			}
 		}
 	}
-	if total != p.Batch.Len() {
-		return fmt.Errorf("tuple: partitioned batch has %d tuples, want %d", total, p.Batch.Len())
-	}
-	want := make(map[string]int, len(sizes))
-	for i := range p.Batch.Tuples {
-		want[p.Batch.Tuples[i].Key]++
+	if total != wantTotal {
+		return fmt.Errorf("tuple: partitioned batch has %d tuples, want %d", total, wantTotal)
 	}
 	for k, n := range want {
 		if sizes[k] != n {
 			return fmt.Errorf("tuple: key %q has %d tuples across blocks, want %d", k, sizes[k], n)
 		}
 	}
-	for _, bl := range p.Blocks {
+	for _, bl := range blocks {
 		for k, info := range bl.Ref {
 			if info.Split != (frags[k] > 1) {
 				return fmt.Errorf("tuple: block %d labels key %q split=%v but key has %d fragments",
@@ -328,16 +292,4 @@ func (p *Partitioned) Validate() error {
 		}
 	}
 	return nil
-}
-
-// KeyFrequency aggregates a batch into per-key tuple lists, preserving
-// arrival order inside each key. It is the reference ("post-sort")
-// implementation of what the frequency-aware accumulator computes online.
-func KeyFrequency(b *Batch) map[string][]Tuple {
-	m := make(map[string][]Tuple)
-	for i := range b.Tuples {
-		t := b.Tuples[i]
-		m[t.Key] = append(m[t.Key], t)
-	}
-	return m
 }

@@ -1,9 +1,19 @@
 package tuple
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
+
+// addRows places rows as one key run of bl.
+func addRows(bl *Block, key string, rows ...Tuple) {
+	var c ColSlice
+	for _, t := range rows {
+		c = c.Append(t.TS, t.Val, int32(t.Weight))
+	}
+	bl.AddDenseCols(key, 0, c, c.Weight())
+}
 
 func TestTimeConversions(t *testing.T) {
 	if got := FromDuration(1500 * time.Millisecond); got != 1500*Millisecond {
@@ -65,8 +75,8 @@ func TestBlockAccounting(t *testing.T) {
 	if bl.ID != 3 {
 		t.Fatalf("ID = %d", bl.ID)
 	}
-	bl.Add("a", []Tuple{NewTuple(0, "a", 1), NewTuple(1, "a", 1)})
-	bl.Add("b", []Tuple{NewTuple(2, "b", 1)})
+	addRows(bl, "a", NewTuple(0, "a", 1), NewTuple(1, "a", 1))
+	addRows(bl, "b", NewTuple(2, "b", 1))
 	if bl.Weight() != 3 || bl.Size() != 3 {
 		t.Errorf("Weight=%d Size=%d, want 3/3", bl.Weight(), bl.Size())
 	}
@@ -74,18 +84,18 @@ func TestBlockAccounting(t *testing.T) {
 		t.Errorf("Cardinality = %d, want 2", bl.Cardinality())
 	}
 	// A second fragment of "a" in the same block still counts once.
-	bl.Add("a", []Tuple{NewTuple(3, "a", 1)})
+	addRows(bl, "a", NewTuple(3, "a", 1))
 	if bl.Cardinality() != 2 {
 		t.Errorf("Cardinality after same-key add = %d, want 2", bl.Cardinality())
 	}
-	if got := len(bl.Tuples()); got != 4 {
-		t.Errorf("Tuples() len = %d, want 4", got)
+	if got := bl.Size(); got != 4 {
+		t.Errorf("Size = %d, want 4", got)
 	}
 }
 
 func TestBlockVariableWeights(t *testing.T) {
 	bl := NewBlock(0)
-	bl.Add("a", []Tuple{{TS: 0, Key: "a", Weight: 5}, {TS: 1, Key: "a", Weight: 3}})
+	addRows(bl, "a", Tuple{TS: 0, Key: "a", Weight: 5}, Tuple{TS: 1, Key: "a", Weight: 3})
 	if bl.Weight() != 8 {
 		t.Errorf("Weight = %d, want 8", bl.Weight())
 	}
@@ -97,10 +107,10 @@ func TestBlockVariableWeights(t *testing.T) {
 func TestPartitionedValidateOK(t *testing.T) {
 	b := makeBatch("a", "b", "a", "c")
 	bl0, bl1 := NewBlock(0), NewBlock(1)
-	bl0.Add("a", []Tuple{b.Tuples[0], b.Tuples[2]})
+	addRows(bl0, "a", b.Tuples[0], b.Tuples[2])
 	bl0.Ref["a"] = SplitInfo{Split: false, TotalSize: 2, Fragments: 1}
-	bl1.Add("b", []Tuple{b.Tuples[1]})
-	bl1.Add("c", []Tuple{b.Tuples[3]})
+	addRows(bl1, "b", b.Tuples[1])
+	addRows(bl1, "c", b.Tuples[3])
 	p := &Partitioned{Batch: b, Blocks: []*Block{bl0, bl1}}
 	if err := p.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -110,7 +120,7 @@ func TestPartitionedValidateOK(t *testing.T) {
 func TestPartitionedValidateDetectsLoss(t *testing.T) {
 	b := makeBatch("a", "b")
 	bl := NewBlock(0)
-	bl.Add("a", []Tuple{b.Tuples[0]})
+	addRows(bl, "a", b.Tuples[0])
 	p := &Partitioned{Batch: b, Blocks: []*Block{bl}}
 	if err := p.Validate(); err == nil {
 		t.Error("Validate accepted a partition that dropped a tuple")
@@ -120,8 +130,8 @@ func TestPartitionedValidateDetectsLoss(t *testing.T) {
 func TestPartitionedValidateDetectsWrongRef(t *testing.T) {
 	b := makeBatch("a", "a")
 	bl0, bl1 := NewBlock(0), NewBlock(1)
-	bl0.Add("a", []Tuple{b.Tuples[0]})
-	bl1.Add("a", []Tuple{b.Tuples[1]})
+	addRows(bl0, "a", b.Tuples[0])
+	addRows(bl1, "a", b.Tuples[1])
 	// Key "a" is split across two blocks but labelled non-split.
 	bl0.Ref["a"] = SplitInfo{Split: false, TotalSize: 2, Fragments: 1}
 	p := &Partitioned{Batch: b, Blocks: []*Block{bl0, bl1}}
@@ -133,25 +143,57 @@ func TestPartitionedValidateDetectsWrongRef(t *testing.T) {
 func TestPartitionedValidateDetectsDuplicates(t *testing.T) {
 	b := makeBatch("a")
 	bl0, bl1 := NewBlock(0), NewBlock(1)
-	bl0.Add("a", []Tuple{b.Tuples[0]})
-	bl1.Add("a", []Tuple{b.Tuples[0]}) // same tuple placed twice
+	addRows(bl0, "a", b.Tuples[0])
+	addRows(bl1, "a", b.Tuples[0]) // same tuple placed twice
 	p := &Partitioned{Batch: b, Blocks: []*Block{bl0, bl1}}
 	if err := p.Validate(); err == nil {
 		t.Error("Validate accepted a duplicated tuple")
 	}
 }
 
+// TestKeyFrequency pins the per-key frequency of a transposed batch: the
+// transpose interns keys in arrival order, and KeyCounts counts rows per
+// key.
 func TestKeyFrequency(t *testing.T) {
 	b := makeBatch("x", "y", "x", "x")
-	m := KeyFrequency(b)
-	if len(m) != 2 {
-		t.Fatalf("KeyFrequency returned %d keys, want 2", len(m))
+	var keys []string
+	intern := func(k string) uint32 {
+		for i, have := range keys {
+			if have == k {
+				return uint32(i)
+			}
+		}
+		keys = append(keys, k)
+		return uint32(len(keys) - 1)
 	}
-	if len(m["x"]) != 3 || len(m["y"]) != 1 {
-		t.Errorf("frequencies: x=%d y=%d, want 3/1", len(m["x"]), len(m["y"]))
+	var cb ColumnBatch
+	if err := cb.AppendRows(b.Tuples, intern); err != nil {
+		t.Fatal(err)
 	}
-	// Arrival order preserved inside a key.
-	if m["x"][0].TS != 0 || m["x"][1].TS != 2 || m["x"][2].TS != 3 {
-		t.Errorf("arrival order not preserved: %+v", m["x"])
+	if len(keys) != 2 || keys[0] != "x" || keys[1] != "y" {
+		t.Fatalf("keys interned %v, want arrival order [x y]", keys)
+	}
+	m := cb.KeyCounts(func(id uint32) string { return keys[id] })
+	if len(m) != 2 || m["x"] != 3 || m["y"] != 1 {
+		t.Errorf("KeyCounts = %v, want x=3 y=1", m)
+	}
+}
+
+// TestAppendRowsRejectsWideWeight pins the transpose's weight check: a
+// weight outside int32 fails the whole batch before anything is interned
+// or appended, instead of being narrowed.
+func TestAppendRowsRejectsWideWeight(t *testing.T) {
+	rows := []Tuple{NewTuple(0, "a", 1), {TS: 1, Key: "b", Val: 1, Weight: 1 << 31}}
+	interned := 0
+	var cb ColumnBatch
+	err := cb.AppendRows(rows, func(string) uint32 { interned++; return 0 })
+	if !errors.Is(err, ErrWeightOverflow) {
+		t.Fatalf("AppendRows = %v, want ErrWeightOverflow", err)
+	}
+	if interned != 0 || cb.Len() != 0 {
+		t.Errorf("rejected batch interned %d keys and appended %d rows", interned, cb.Len())
+	}
+	if err := CheckWeight(-1 << 31); err != nil {
+		t.Errorf("CheckWeight(MinInt32) = %v, want nil", err)
 	}
 }

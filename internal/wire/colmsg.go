@@ -20,11 +20,11 @@ type ColKeySlice struct {
 	Cols  tuple.ColSlice
 }
 
-// ColBlock is a data block in columnar form: the Map-task input when the
-// coordinator's partitioner ran on the columnar hot path. It mirrors
-// Block exactly except that each key's tuples stay in their dense
-// column layout end to end — no row materialization on either side of
-// the wire.
+// ColBlock is a data block in transit: the Map-task input. The reference
+// table does not travel — bucket assignment is a coordinator concern — so
+// a block is its ID and its key runs, each in the dense column layout the
+// engine holds it in — no row materialization on either side of the
+// wire.
 type ColBlock struct {
 	ID   int
 	Keys []ColKeySlice
@@ -113,12 +113,12 @@ func decodeColBlock(r *reader, bl *ColBlock) (err error) {
 	return nil
 }
 
-// MapTaskCols is MapTask with columnar payload: the frame the
-// coordinator sends when its blocks carry ColSlice key runs (the
-// partitioner ran in column mode), sparing both sides the transpose.
-// Semantics — one frame per shard per stage, dictionary delta first —
-// are identical to MapTask, and a shard answers either frame with the
-// same MapResult.
+// MapTaskCols carries one batch-query-stage's worth of Map work for one
+// shard: every block routed to it, in global block order, prefixed by the
+// dictionary delta its IDs need. Batching the whole stage into a single
+// frame keeps the protocol strict request-reply — one send, one receive
+// per shard per stage — which synchronous in-memory pipes require. The
+// shard answers with a MapResult.
 type MapTaskCols struct {
 	Batch int
 	Query int

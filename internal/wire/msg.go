@@ -144,9 +144,7 @@ type KeySlice struct {
 	Tuples []Tuple
 }
 
-// Block is a data block in transit: the Map-task input. The reference
-// table does not travel — bucket assignment is a coordinator concern —
-// so a block is just its ID and key runs.
+// Block is ColBlock's row form, the payload of the retired MapTask frame.
 type Block struct {
 	ID   int
 	Keys []KeySlice
@@ -215,11 +213,11 @@ func decodeBlock(r *reader, bl *Block) (err error) {
 	return nil
 }
 
-// MapTask carries one batch-query-stage's worth of Map work for one
-// shard: every block routed to it, in global block order, prefixed by the
-// dictionary delta its IDs need. Batching the whole stage into a single
-// frame keeps the protocol strict request-reply — one send, one receive
-// per shard per stage — which synchronous in-memory pipes require.
+// MapTask is the row form of MapTaskCols: the same Map work with every
+// key run as a list of row tuples. Nothing sends it any more — the
+// coordinator sends MapTaskCols and shards reject this frame — and the
+// type and its codec stay only because bench/layers/tap.go still
+// type-switches on it; they go once that tap is retargeted.
 type MapTask struct {
 	Batch int
 	Query int

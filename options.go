@@ -150,15 +150,6 @@ func WithValidation(on bool) Option {
 	}
 }
 
-// WithColumnar toggles the columnar hot path for row ingestion; see
-// Config.Columnar.
-func WithColumnar(on bool) Option {
-	return func(c *Config) error {
-		c.Columnar = on
-		return nil
-	}
-}
-
 // WithPipelineDepth bounds how many consecutive batches Run may keep in
 // flight at once; see Config.PipelineDepth. Depth 0 or 1 keeps the
 // classic one-batch-at-a-time driver. Pipelining never changes reports,

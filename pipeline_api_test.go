@@ -44,36 +44,32 @@ func scrubWallPipe(reps []prompt.BatchReport) []prompt.BatchReport {
 // TestPipelinedStreamMatchesSequential pins the public contract of
 // WithPipelineDepth: a Run at depth 2 or 3 produces the same reports
 // (modulo measured wall time), window, and answers as the default
-// driver, for row and columnar ingestion.
+// driver.
 func TestPipelinedStreamMatchesSequential(t *testing.T) {
 	const batches = 8
 	q := prompt.WordCount(10*time.Second, time.Second)
-	for _, columnar := range []bool{false, true} {
-		run := func(depth int) ([]prompt.BatchReport, map[string]float64) {
-			st, err := prompt.NewWithOptions(q,
-				prompt.WithWorkers(4),
-				prompt.WithColumnar(columnar),
-				prompt.WithPipelineDepth(depth),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reps, err := st.Run(pipeSource(t, 97), batches)
-			if err != nil {
-				t.Fatal(err)
-			}
-			win := st.Window()
-			return reps, win
+	run := func(depth int) ([]prompt.BatchReport, map[string]float64) {
+		st, err := prompt.NewWithOptions(q,
+			prompt.WithWorkers(4),
+			prompt.WithPipelineDepth(depth),
+		)
+		if err != nil {
+			t.Fatal(err)
 		}
-		refReps, refWin := run(1)
-		for _, depth := range []int{2, 3} {
-			reps, win := run(depth)
-			if !reflect.DeepEqual(scrubWallPipe(reps), scrubWallPipe(refReps)) {
-				t.Errorf("columnar=%v depth %d: reports diverge from depth 1", columnar, depth)
-			}
-			if !reflect.DeepEqual(win, refWin) {
-				t.Errorf("columnar=%v depth %d: window diverges from depth 1", columnar, depth)
-			}
+		reps, err := st.Run(pipeSource(t, 97), batches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reps, st.Window()
+	}
+	refReps, refWin := run(1)
+	for _, depth := range []int{2, 3} {
+		reps, win := run(depth)
+		if !reflect.DeepEqual(scrubWallPipe(reps), scrubWallPipe(refReps)) {
+			t.Errorf("depth %d: reports diverge from depth 1", depth)
+		}
+		if !reflect.DeepEqual(win, refWin) {
+			t.Errorf("depth %d: window diverges from depth 1", depth)
 		}
 	}
 }

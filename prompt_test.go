@@ -201,7 +201,7 @@ func TestResultIsPerBatch(t *testing.T) {
 
 func TestSetParallelismThroughAPI(t *testing.T) {
 	st := testStream(t, "prompt")
-	if err := st.SetParallelism(6, 3); err != nil {
+	if err := st.Reconfigure(prompt.WithParallelism(6, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.SetCores(12); err != nil {

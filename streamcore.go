@@ -114,8 +114,12 @@ func (c *streamCore) Parallelism() (mapTasks, reduceTasks int) {
 
 // ProcessBatch ingests the tuples of the next batch interval and runs the
 // full micro-batch lifecycle: statistics, partitioning, Map stage, bucket
-// assignment, Reduce stage, fault recovery, and window maintenance.
-// Tuples must be stamped within [Now, Now+BatchInterval).
+// assignment, Reduce stage, fault recovery, and window maintenance. The
+// rows are transposed once, at this edge, into the engine's column batch;
+// nothing past it sees rows. Tuples must be stamped within
+// [Now, Now+BatchInterval), and a Weight that does not fit the int32
+// weight column fails the batch with ErrWeightOverflow, committing
+// nothing.
 func (c *streamCore) ProcessBatch(tuples []Tuple) (BatchReport, error) {
 	return c.ProcessBatchContext(context.Background(), tuples)
 }
@@ -222,7 +226,7 @@ func (c *streamCore) observeElastic(rep BatchReport) error {
 // boundary. Only the runtime-changeable options are accepted —
 // WithParallelism, WithCores, WithWorkers, WithObserver,
 // WithPipelineDepth; every other
-// option (scheme, batch interval, topology, columnar mode, …) describes
+// option (scheme, batch interval, topology, …) describes
 // construction-time structure, and asking for a different value returns
 // an error wrapping ErrBadConfig with the stream unchanged. Passing a
 // construction-time option with its current value is a no-op, so a saved
@@ -273,20 +277,10 @@ func (c *streamCore) Reconfigure(opts ...Option) error {
 	return nil
 }
 
-// SetParallelism changes the Map/Reduce task counts for subsequent
-// batches.
-//
-// Deprecated: use Reconfigure(WithParallelism(mapTasks, reduceTasks)).
-func (c *streamCore) SetParallelism(mapTasks, reduceTasks int) error {
-	return c.Reconfigure(WithParallelism(mapTasks, reduceTasks))
-}
-
 // SetCores changes the simulated core budget for subsequent batches and
 // restores any cores lost to injected kills — including when the count
-// is unchanged, which Reconfigure would treat as a no-op.
-//
-// Deprecated: use Reconfigure(WithCores(cores)); keep SetCores only for
-// re-provisioning the same core count after injected kills.
+// is unchanged, which Reconfigure(WithCores(cores)) treats as a no-op. It
+// is the resource manager's re-provisioning act.
 func (c *streamCore) SetCores(cores int) error {
 	if err := c.eng.SetCores(cores); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadConfig, err)
@@ -295,21 +289,10 @@ func (c *streamCore) SetCores(cores int) error {
 	return nil
 }
 
-// SetWorkers changes the number of real worker goroutines executing the
-// batch pipeline for subsequent batches: 0 restores the single-goroutine
-// driver, negative selects GOMAXPROCS. Reports are unaffected.
-//
-// Deprecated: use Reconfigure(WithWorkers(workers)).
-func (c *streamCore) SetWorkers(workers int) error {
-	return c.Reconfigure(WithWorkers(workers))
-}
-
 // SetObserver installs (or, with nil, removes) a batch-lifecycle observer
 // for subsequent batches; see Observer and Collector. Observers never
-// influence reports.
-//
-// Deprecated: use Reconfigure(WithObserver(obs)) to install an observer;
-// SetObserver(nil) remains the way to remove one.
+// influence reports. Reconfigure(WithObserver(obs)) composes observers and
+// rejects nil, so SetObserver(nil) is the way to detach them.
 func (c *streamCore) SetObserver(obs Observer) {
 	c.eng.SetObserver(obs)
 	c.cfg.Observer = obs

@@ -111,13 +111,6 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithTransport connects the stream to an external shard cluster
-// described by the topology (socket addresses, exchange deadline, dial
-// backoff). The topology is validated eagerly; dialing happens at New.
-//
-// Deprecated: use WithTopology, which accepts the same Topology.
-func WithTransport(t Topology) Option { return WithTopology(t) }
-
 // WithTopology connects the stream to the cluster the topology describes
 // — socket shard addresses or in-process Local runtimes — validating the
 // shape eagerly; dialing happens at construction. It is the canonical

@@ -153,10 +153,10 @@ func TestTopologyOptionValidation(t *testing.T) {
 	if _, err := prompt.NewWithOptions(q, prompt.WithShards(0)); !errors.Is(err, prompt.ErrBadConfig) {
 		t.Errorf("WithShards(0): got %v, want ErrBadConfig", err)
 	}
-	if _, err := prompt.NewWithOptions(q, prompt.WithTransport(prompt.Topology{})); !errors.Is(err, prompt.ErrBadConfig) {
-		t.Errorf("WithTransport(zero): got %v, want ErrBadConfig", err)
+	if _, err := prompt.NewWithOptions(q, prompt.WithTopology(prompt.Topology{})); !errors.Is(err, prompt.ErrBadConfig) {
+		t.Errorf("WithTopology(zero): got %v, want ErrBadConfig", err)
 	}
-	if _, err := prompt.NewWithOptions(q, prompt.WithTransport(prompt.Topology{
+	if _, err := prompt.NewWithOptions(q, prompt.WithTopology(prompt.Topology{
 		Shards: []string{"unix:/tmp/x.sock"}, Local: 2,
 	})); !errors.Is(err, prompt.ErrBadConfig) {
 		t.Errorf("ambiguous topology: got %v, want ErrBadConfig", err)
