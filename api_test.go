@@ -61,7 +61,6 @@ func TestNewWrapsErrBadConfig(t *testing.T) {
 	bad := []prompt.Config{
 		{Scheme: "nosuch"},
 		{BatchInterval: -time.Second},
-		{StatsShards: -1},
 	}
 	for _, cfg := range bad {
 		if _, err := prompt.New(cfg, prompt.WordCount(time.Minute, time.Second)); !errors.Is(err, prompt.ErrBadConfig) {
@@ -80,7 +79,6 @@ func TestNewWithOptions(t *testing.T) {
 		prompt.WithScheme(prompt.SchemeHash),
 		prompt.WithCores(16),
 		prompt.WithWorkers(4),
-		prompt.WithStatsShards(2),
 		prompt.WithEarlyRelease(0.05),
 		prompt.WithValidation(true),
 	)
@@ -103,7 +101,6 @@ func TestOptionsValidateEagerly(t *testing.T) {
 		prompt.WithParallelism(4, -1),
 		prompt.WithScheme("nosuch"),
 		prompt.WithCores(0),
-		prompt.WithStatsShards(0),
 		prompt.WithEarlyRelease(-0.1),
 		prompt.WithEarlyRelease(0.6),
 	}
@@ -264,7 +261,6 @@ func TestUnifiedSurface(t *testing.T) {
 			for i, bad := range []prompt.Option{
 				prompt.WithScheme(prompt.SchemeHash),
 				prompt.WithBatchInterval(2 * time.Second),
-				prompt.WithStatsShards(3),
 				prompt.WithValidation(true),
 				prompt.WithShards(2),
 				prompt.WithElasticity(prompt.ElasticThreshold, 1, 8),

@@ -1,6 +1,6 @@
 // Additional micro-benchmarks for the substrate pieces outside the
-// paper's figures: window maintenance, live execution, reordering, trace
-// parsing, and the workload generators themselves.
+// paper's figures: window maintenance, reordering, trace parsing, and the
+// workload generators themselves.
 package prompt_test
 
 import (
@@ -12,8 +12,6 @@ import (
 	"prompt"
 
 	"prompt/internal/engine"
-	"prompt/internal/partition"
-	"prompt/internal/reducer"
 	"prompt/internal/tuple"
 	"prompt/internal/window"
 	"prompt/internal/workload"
@@ -37,23 +35,6 @@ func BenchmarkWindowAddBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(10_000, "keys/op")
-}
-
-func BenchmarkRunLiveWordCount(b *testing.B) {
-	batch := benchBatch(b, 200_000)
-	blocks, err := partition.NewPrompt().Partition(partition.Input{Batch: batch}, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	parted := &tuple.Partitioned{Batch: batch, Blocks: blocks}
-	q := engine.Query{Name: "wc", Map: engine.CountMap, Reduce: window.Sum}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.RunLive(parted, q, reducer.NewPrompt(), 8, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(batch.Len()), "tuples/op")
 }
 
 func BenchmarkReordererIngestSeal(b *testing.B) {

@@ -16,14 +16,8 @@
 //	samplebench -generators zipf0.8,hotset,burst -format json
 //	samplebench -seconds 4 -format csv -o leaderboard.csv
 //
-// With -bench the rows are printed as `go test -bench`-style result
-// lines so the existing benchjson ledger can record and gate them:
-// ns/op is the measured per-tuple cost, B/op the summary footprint, and
-// allocs/op the accuracy error in parts per million — the latter two are
-// deterministic, so a ledger gate on allocs/op is an accuracy gate.
-//
-//	samplebench -bench | benchjson -file BENCH_samplebench.json \
-//	    -benchmark SampleBench -section current -max-allocs-regress 0.05
+// TestSmokeMatchesBaseline pins the error and footprint of a small
+// three-generator run, so an accuracy regression fails `go test`.
 package main
 
 import (
@@ -109,8 +103,6 @@ func main() {
 			"comma-separated generator sweep: "+strings.Join(generatorNames, ", "))
 		format = flag.String("format", "json", `output format: "json" or "csv"`)
 		out    = flag.String("o", "", "output file (default stdout)")
-		bench  = flag.Bool("bench", false,
-			"emit go-test benchmark lines for the benchjson ledger instead of a leaderboard")
 	)
 	flag.Parse()
 
@@ -138,12 +130,10 @@ func main() {
 		}()
 		w = f
 	}
-	switch {
-	case *bench:
-		err = writeBench(w, res)
-	case *format == "csv":
+	switch *format {
+	case "csv":
 		err = writeCSV(w, res)
-	case *format == "json":
+	case "json":
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		err = enc.Encode(res)
@@ -403,21 +393,6 @@ func writeCSV(w io.Writer, res *Output) error {
 	for _, r := range res.Rows {
 		if _, err := fmt.Fprintf(w, "%s,%s,%d,%.6f,%d,%.1f\n",
 			r.Generator, r.Operator, r.Rank, r.Error, r.Bytes, r.NsPerOp); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeBench renders the rows as `go test -bench` result lines for the
-// benchjson ledger: ns/op is measured per-tuple cost, B/op the summary
-// footprint, allocs/op the error in parts per million. B/op and
-// allocs/op are deterministic for a seed, so a ledger gate on allocs/op
-// gates accuracy.
-func writeBench(w io.Writer, res *Output) error {
-	for _, r := range res.Rows {
-		if _, err := fmt.Fprintf(w, "BenchmarkSampleBench/%s/%s \t       1\t%12.1f ns/op\t%8d B/op\t%8.0f allocs/op\n",
-			r.Generator, r.Operator, r.NsPerOp, r.Bytes, math.Round(r.Error*1e6)); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -78,7 +80,57 @@ func TestRunCoversSweep(t *testing.T) {
 	}
 }
 
-// TestRendering smoke-tests the three output forms.
+// TestSmokeMatchesBaseline is the accuracy gate: smallParams is the
+// committed smoke configuration, and each operator's error (in parts per
+// million) and summary footprint may exceed the recorded baseline by at
+// most 5 %. Both are deterministic for the seed, so any excess is a real
+// regression; a baseline of zero error must stay exact.
+func TestSmokeMatchesBaseline(t *testing.T) {
+	baseline := map[string]struct{ ppm, bytes float64 }{
+		"zipf0.8/countmin":    {0, 196752},
+		"zipf0.8/hll":         {2224, 12384},
+		"zipf0.8/priority":    {100000, 4296},
+		"zipf0.8/spacesaving": {200000, 5082},
+		"zipf0.8/reservoir":   {500000, 4316},
+		"zipf0.8/chain":       {900000, 4331},
+		"hotset/countmin":     {0, 196752},
+		"hotset/hll":          {3306, 12384},
+		"hotset/priority":     {500000, 4331},
+		"hotset/chain":        {800000, 4336},
+		"hotset/spacesaving":  {800000, 5095},
+		"hotset/reservoir":    {900000, 4326},
+		"burst/priority":      {0, 4294},
+		"burst/countmin":      {0, 196752},
+		"burst/hll":           {2491, 12384},
+		"burst/spacesaving":   {100000, 5064},
+		"burst/reservoir":     {400000, 4315},
+		"burst/chain":         {800000, 4331},
+	}
+	const tolerance = 1.05
+	res, err := run(smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != len(baseline) {
+		t.Fatalf("smoke run has %d rows, baseline %d", len(res.Rows), len(baseline))
+	}
+	for _, r := range res.Rows {
+		name := r.Generator + "/" + r.Operator
+		base, ok := baseline[name]
+		if !ok {
+			t.Errorf("%s: no baseline", name)
+			continue
+		}
+		if ppm := math.Round(r.Error * 1e6); ppm > base.ppm*tolerance {
+			t.Errorf("%s: error %.0f ppm, baseline %.0f", name, ppm, base.ppm)
+		}
+		if float64(r.Bytes) > base.bytes*tolerance {
+			t.Errorf("%s: footprint %d B, baseline %.0f", name, r.Bytes, base.bytes)
+		}
+	}
+}
+
+// TestRendering smoke-tests both output forms.
 func TestRendering(t *testing.T) {
 	p := smallParams()
 	p.Generators = []string{"zipf2.0"}
@@ -94,15 +146,16 @@ func TestRendering(t *testing.T) {
 	if lines := strings.Count(csv.String(), "\n"); lines != len(res.Rows)+1 {
 		t.Errorf("csv has %d lines, want %d", lines, len(res.Rows)+1)
 	}
-	var bench bytes.Buffer
-	if err := writeBench(&bench, res); err != nil {
+	var doc bytes.Buffer
+	if err := json.NewEncoder(&doc).Encode(res); err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(strings.TrimSpace(bench.String()), "\n") {
-		if !strings.HasPrefix(line, "BenchmarkSampleBench/") ||
-			!strings.Contains(line, "ns/op") || !strings.Contains(line, "allocs/op") {
-			t.Errorf("bad bench line: %q", line)
-		}
+	var back Output
+	if err := json.Unmarshal(doc.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&back, res) {
+		t.Errorf("json round trip changed the leaderboard:\n%+v\n%+v", back, *res)
 	}
 }
 

@@ -26,14 +26,10 @@ type Config struct {
 	Cores int
 	// Workers is the number of real OS worker goroutines executing the
 	// batch pipeline (Map tasks, Reduce folds, per-query jobs, window
-	// merges, statistics shards). 0 keeps the single-goroutine driver;
-	// negative selects GOMAXPROCS. Workers changes wall-clock time only:
-	// reports are identical at any worker count.
+	// merges, the partitioner's weight pass). 0 keeps the single-goroutine
+	// driver; negative selects GOMAXPROCS. Workers changes wall-clock time
+	// only: reports are identical at any worker count.
 	Workers int
-	// StatsShards splits the Algorithm 1 statistics pass across that many
-	// accumulator shards with a deterministic merge at the heartbeat.
-	// 0 or 1 keeps the single accumulator. See engine.Config.StatsShards.
-	StatsShards int
 	// Scheme selects the partitioning technique; the zero value selects
 	// SchemePrompt. See the Scheme constants and ParseScheme.
 	Scheme Scheme
@@ -108,7 +104,6 @@ func (c Config) build() (engine.Config, core.Scheme, error) {
 		ReduceTasks:          c.ReduceTasks,
 		Cores:                c.Cores,
 		Workers:              c.Workers,
-		StatsShards:          c.StatsShards,
 		Cost:                 c.Cost,
 		EarlyReleaseFraction: c.EarlyReleaseFraction,
 		ValidateBatches:      c.Validate,

@@ -74,10 +74,11 @@
 // the classic Spark driver. Config.Workers (or WithWorkers, at
 // construction or through Reconfigure mid-run) executes the pipeline on a
 // shared worker pool instead: Map tasks, per-bucket Reduce folds,
-// per-query jobs, window merges, and — with Config.StatsShards > 1 — the
-// Algorithm 1 statistics pass all fan out across real goroutines. Results
-// merge deterministically, so the worker count changes wall-clock time
-// only: every BatchReport field is identical at any Workers setting.
+// per-query jobs, window merges, and the partitioner's per-key weight
+// pass fan out across real goroutines. The Algorithm 1 statistics pass
+// stays one fold on the driver goroutine. Results merge
+// deterministically, so the worker count changes wall-clock time only:
+// every BatchReport field is identical at any Workers setting.
 //
 // See examples/ for runnable programs and EXPERIMENTS.md for the harness
 // that regenerates the paper's tables and figures.

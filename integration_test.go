@@ -9,6 +9,7 @@ package prompt_test
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,7 +22,6 @@ import (
 	"prompt/internal/engine"
 	"prompt/internal/experiment"
 	"prompt/internal/fault"
-	"prompt/internal/partition"
 	"prompt/internal/tuple"
 	"prompt/internal/window"
 	"prompt/internal/workload"
@@ -248,8 +248,9 @@ func TestIntegrationTraceDrivesPublicAPI(t *testing.T) {
 
 func TestIntegrationLiveMatchesSimulatedOrdering(t *testing.T) {
 	// The cost-model simulation claims balanced blocks beat skewed ones;
-	// verify the real (goroutine) runtime agrees at least on results, and
-	// that prompt's live bucket sizes are flatter than hash's.
+	// verify the engine's executor, running Map and Reduce on a pool of
+	// real goroutines, agrees at least on results, and that prompt's
+	// bucket sizes are flatter than hash's.
 	params := heavyCost()
 	src, err := workload.SynD(workload.ConstantRate(80_000), 1.4,
 		workload.DatasetDefaults{Cardinality: 5_000, Seed: 13})
@@ -260,34 +261,51 @@ func TestIntegrationLiveMatchesSimulatedOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := &tuple.Batch{Start: 0, End: tuple.Second, Tuples: ts}
+	want := map[string]float64{}
+	for i := range ts {
+		want[ts[i].Key]++
+	}
 	q := engine.Query{Name: "wc", Map: engine.CountMap, Reduce: window.Sum}
 
 	spreads := map[string]int{}
 	for _, scheme := range []core.Scheme{mustBaseline(t, "hash"), core.PromptScheme()} {
-		blocks, err := scheme.Partitioner.Partition(
-			partition.Input{Batch: batch}, params.Blocks)
+		eng, err := engine.New(scheme.Apply(engine.Config{
+			BatchInterval:   tuple.Second,
+			MapTasks:        params.Blocks,
+			ReduceTasks:     params.Reducers,
+			Cost:            params.Cost,
+			Workers:         4,
+			ValidateBatches: true,
+		}), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		live, err := engine.RunLive(&tuple.Partitioned{Batch: batch, Blocks: blocks},
-			q, scheme.Assigner, params.Reducers, 4)
+		rep, err := eng.Step(ts, 0, tuple.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		minB, maxB := live.BucketSizes[0], live.BucketSizes[0]
-		for _, s := range live.BucketSizes {
-			if s < minB {
-				minB = s
-			}
-			if s > maxB {
-				maxB = s
+		got := eng.LastResult()
+		if len(got) != len(want) {
+			t.Fatalf("%s: result has %d keys, want %d", scheme.Name, len(got), len(want))
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("%s: key %s = %v, want %v", scheme.Name, k, got[k], v)
 			}
 		}
-		spreads[scheme.Name] = maxB - minB
+		total := 0
+		for _, s := range rep.BucketSizes {
+			total += s
+		}
+		if len(rep.BucketSizes) != params.Reducers || total != len(ts) {
+			t.Fatalf("%s: %d buckets holding %d tuples, want %d holding %d",
+				scheme.Name, len(rep.BucketSizes), total, params.Reducers, len(ts))
+		}
+		spreads[scheme.Name] = slices.Max(rep.BucketSizes) - slices.Min(rep.BucketSizes)
 	}
+	t.Logf("bucket spread: hash %d, prompt %d", spreads["hash"], spreads["prompt"])
 	if spreads["prompt"] >= spreads["hash"] {
-		t.Errorf("live bucket spread: prompt %d not below hash %d",
+		t.Errorf("bucket spread: prompt %d not below hash %d",
 			spreads["prompt"], spreads["hash"])
 	}
 }

@@ -173,7 +173,7 @@ func (p *WorkerPool) DoContext(ctx context.Context, n int, task func(i int)) err
 // DoRanges splits [0, n) into contiguous chunks of at least minChunk
 // elements — one chunk per worker at most — and executes fn(lo, hi) for
 // each chunk. It amortizes dispatch overhead for fine-grained per-element
-// work (per-key weight sums, per-tuple statistics) where a goroutine per
+// work (per-key weight sums) where a goroutine per
 // element would cost more than the work itself.
 func (p *WorkerPool) DoRanges(n, minChunk int, fn func(lo, hi int)) {
 	if n <= 0 {

@@ -104,9 +104,8 @@ func newHotPathEngine(tb testing.TB, hs hotPathScheme, workers int) *Engine {
 // BenchmarkHotPath drives the full batch pipeline — statistics,
 // partitioning, Map, bucket assignment, shuffle, Reduce, window commit —
 // in steady state over pre-materialized batches, across the scheme ×
-// workers × key-skew matrix. Run with -benchmem; scripts/bench.sh records
-// the results in BENCH_hotpath.json and compares against the committed
-// baseline.
+// workers × key-skew matrix. Run with -benchmem; the allocation counts are
+// pinned separately by the alloc-ceiling tests.
 //
 // One engine instance processes hotPathCycle consecutive batches before a
 // fresh engine restarts the cycle, so cross-batch reuse (accumulator

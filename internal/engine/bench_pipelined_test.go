@@ -71,7 +71,6 @@ func newPipelinedEngine(tb testing.TB, hs hotPathScheme, workers, depth int) *En
 // from memory, so depth 2 only wins CPU overlap (needs spare cores);
 // ingest=remote pays a 16ms fetch round trip per slice, which depth 2
 // hides behind the previous batch's backend on any core count.
-// scripts/bench.sh records both depths in BENCH_hotpath.json.
 func BenchmarkPipelinedRun(b *testing.B) {
 	const (
 		rate       = 20_000 // tuples per one-second batch

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -217,6 +218,116 @@ func TestCheckpointCarriesReordererAndThrottle(t *testing.T) {
 	}
 	if got := Summarize(ckpt.eng.Reports()).TuplesDropped; got != ref.r.Dropped() {
 		t.Errorf("reports account %d dropped tuples, reorderer counted %d", got, ref.r.Dropped())
+	}
+}
+
+// TestCheckpointKeepsWidePendingWeight is the regression test for a
+// narrowing reorder image: a tuple whose weight does not fit the int32
+// weight column, pending in the reorder buffer across a checkpoint, used to
+// come back narrowed to a valid weight, so the restored run accepted the
+// batch the uninterrupted run rejects. Both must fail the same batch with
+// ErrWeightOverflow.
+func TestCheckpointKeepsWidePendingWeight(t *testing.T) {
+	const maxDelay = 200 * tuple.Millisecond
+	const ms = tuple.Millisecond
+	wide := tuple.Tuple{TS: 1100 * ms, Key: "w", Val: 1, Weight: 1<<32 + 3}
+	arrivals := []workload.Arrival{
+		{At: 100 * ms, Tuple: tuple.NewTuple(100*ms, "a", 1)},
+		// Arrives before batch 0 seals, so it is pending at the checkpoint.
+		{At: 1150 * ms, Tuple: wide},
+		{At: 1500 * ms, Tuple: tuple.NewTuple(1500*ms, "a", 1)},
+	}
+	q := WordCount(window.Sliding(5*tuple.Second, tuple.Second))
+	newSide := func() *Engine {
+		eng, err := New(testConfig(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReorderer(maxDelay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.AttachReorderer(r)
+		return eng
+	}
+	// step ingests every arrival the next batch's seal needs, then seals and
+	// runs that batch.
+	step := func(eng *Engine) error {
+		r := eng.Reorderer()
+		start := eng.Now()
+		end := start + eng.Config().BatchInterval
+		for _, a := range arrivals {
+			if a.At >= r.Ingested() && a.At < end+maxDelay {
+				r.Ingest(a)
+			}
+		}
+		r.AdvanceWatermark(end + maxDelay)
+		tuples, err := r.Seal(end)
+		if err != nil {
+			return err
+		}
+		_, err = eng.Step(tuples, start, end)
+		return err
+	}
+
+	ref := newSide()
+	if err := step(ref); err != nil {
+		t.Fatalf("uninterrupted batch 0: %v", err)
+	}
+	if err := step(ref); !errors.Is(err, tuple.ErrWeightOverflow) {
+		t.Fatalf("uninterrupted batch 1: %v, want ErrWeightOverflow", err)
+	}
+
+	first := newSide()
+	if err := step(first); err != nil {
+		t.Fatalf("batch 0 before the checkpoint: %v", err)
+	}
+	if first.Reorderer().Pending() != 1 {
+		t.Fatalf("%d tuples pending at the checkpoint, want the wide one", first.Reorderer().Pending())
+	}
+	var buf bytes.Buffer
+	if err := first.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Restore(testConfig(), []Query{q}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := step(resumed); !errors.Is(err, tuple.ErrWeightOverflow) {
+		t.Fatalf("restored batch 1: %v, want ErrWeightOverflow", err)
+	}
+}
+
+// TestReordererImageDecodesInt32Weights pins how an image written with
+// the earlier int32 weight column decodes: gob integers carry no width,
+// so the old W column reads into the widened one value for value.
+func TestReordererImageDecodesInt32Weights(t *testing.T) {
+	type int32Image struct {
+		MaxDelay tuple.Time
+		Keys     []string
+		IDs      []uint32
+		TS       []tuple.Time
+		Vals     []float64
+		W        []int32
+		Sorted   int
+		Sealed   tuple.Time
+		Ingested tuple.Time
+		Dropped  int
+	}
+	old := int32Image{
+		MaxDelay: 5, Keys: []string{"k"}, IDs: []uint32{0, 0}, TS: []tuple.Time{7, 8},
+		Vals: []float64{1, 2}, W: []int32{3, -4}, Sorted: 1, Sealed: 6, Ingested: 9, Dropped: 2,
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	var img ReordererImage
+	if err := gob.NewDecoder(&buf).Decode(&img); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(img.W, []int{3, -4}) || img.Sorted != 1 || img.Dropped != 2 || img.PendingLen() != 2 {
+		t.Fatalf("decoded %+v", img)
 	}
 }
 

@@ -66,19 +66,12 @@ type Config struct {
 	Cores int
 	// Workers is the number of real OS worker goroutines executing the
 	// batch pipeline: Map tasks, per-bucket Reduce folds, per-query jobs,
-	// window merges, and the parallel statistics and weight passes. 0
-	// keeps the classic single-goroutine driver (everything inline);
-	// negative selects GOMAXPROCS. Workers changes wall-clock time only —
-	// all merging is deterministic, so reports are identical at any
-	// worker count.
+	// window merges, and the partitioner's weight pass. 0 keeps the
+	// classic single-goroutine driver (everything inline); negative
+	// selects GOMAXPROCS. Workers changes wall-clock time only — all
+	// merging is deterministic, so reports are identical at any worker
+	// count.
 	Workers int
-	// StatsShards splits Algorithm 1 across that many independent
-	// accumulator shards (routed by key hash, merged at the heartbeat
-	// into an exactly sorted key list). 0 or 1 keeps the single
-	// accumulator with its CountTree quasi-sorted order. The shard count
-	// — not the worker count — determines the merged output, so a fixed
-	// StatsShards yields identical reports at any Workers setting.
-	StatsShards int
 	// Partitioner is the batching-phase partitioner (Problem I).
 	Partitioner partition.Partitioner
 	// Assigner is the processing-phase bucket assigner (Problem II).
@@ -225,9 +218,6 @@ func (c Config) Validate() error {
 	}
 	if c.EarlyReleaseFraction < 0 || c.EarlyReleaseFraction > 0.5 {
 		return fmt.Errorf("engine: early release fraction %v outside [0, 0.5]", c.EarlyReleaseFraction)
-	}
-	if c.StatsShards < 0 {
-		return fmt.Errorf("engine: stats shards must be >= 0, got %d", c.StatsShards)
 	}
 	if c.PipelineDepth < 0 || c.PipelineDepth > MaxPipelineDepth {
 		return fmt.Errorf("engine: pipeline depth %d outside [0, %d]", c.PipelineDepth, MaxPipelineDepth)

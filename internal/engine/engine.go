@@ -54,8 +54,7 @@ type Engine struct {
 	// Reports exposes exactly the tail.
 	reports []BatchReport
 
-	acc   *stats.Accumulator
-	shacc *stats.ShardedAccumulator
+	acc *stats.Accumulator
 	// post is the pooled dictionary-backed post-sorter of PostSortMode;
 	// like acc it is created lazily and its output is valid until its next
 	// use, so the pipelined driver rotates it per in-flight slot.
@@ -834,59 +833,17 @@ func (e *Engine) postSort(cb *tuple.ColumnBatch) []stats.SortedKey {
 // accumulate routes the batch's columns through Algorithm 1, creating or
 // resetting the accumulator with estimates learned from the previous
 // batch: the contiguous ID column drives the frequency fold, with no
-// per-row string hashing. With StatsShards > 1 the rows route by key hash
-// to per-shard accumulators running concurrently on the worker pool;
-// otherwise a single accumulator is fed on the driver goroutine.
+// per-row string hashing, on the driver goroutine.
 func (e *Engine) accumulate(cb *tuple.ColumnBatch) error {
-	if e.cfg.StatsShards > 1 {
-		if err := e.ensureSharded(cb.Start, cb.End); err != nil {
-			return err
-		}
-		return e.shacc.AddAllColumns(cb, e.pool)
-	}
-	if err := e.ensureAccumulator(cb.Start, cb.End); err != nil {
-		return err
-	}
-	return e.acc.AddColumns(cb)
-}
-
-// ensureSharded creates or resets the sharded accumulator for the batch
-// interval.
-func (e *Engine) ensureSharded(start, end tuple.Time) error {
-	cfg := e.accumCfg()
-	if e.shacc == nil || e.shacc.Shards() != e.cfg.StatsShards {
-		sa, err := stats.NewShardedDict(cfg, e.dict, e.cfg.StatsShards, start, end)
-		if err != nil {
-			return err
-		}
-		e.shacc = sa
-		return nil
-	}
-	return e.shacc.Reset(cfg, start, end)
-}
-
-// ensureAccumulator creates or resets the single accumulator for the
-// batch interval.
-func (e *Engine) ensureAccumulator(start, end tuple.Time) error {
 	cfg := e.accumCfg()
 	if e.acc == nil {
-		acc, err := stats.NewAccumulatorDict(cfg, e.dict, start, end)
+		acc, err := stats.NewAccumulatorDict(cfg, e.dict, cb.Start, cb.End)
 		if err != nil {
 			return err
 		}
 		e.acc = acc
-		return nil
+	} else if err := e.acc.Reset(cfg, cb.Start, cb.End); err != nil {
+		return err
 	}
-	return e.acc.Reset(cfg, start, end)
-}
-
-// finalizeStats closes Algorithm 1 at the heartbeat, returning the
-// descending key list and batch statistics. Only finalization happens at
-// the release point — the per-tuple accumulation overlapped the batching
-// interval — so the partition stage times this call.
-func (e *Engine) finalizeStats() ([]stats.SortedKey, stats.BatchStats) {
-	if e.cfg.StatsShards > 1 {
-		return e.shacc.Finalize(e.pool)
-	}
-	return e.acc.Finalize()
+	return e.acc.AddColumns(cb)
 }

@@ -73,9 +73,47 @@ func (e *Engine) executor() JobExecutor {
 
 // MapBlock computes one block's key clusters and folded partial values
 // for a query — the stateless per-block Map fold shared by the local
-// executor, the live runtime, and remote shards.
+// executor and remote shards.
 func MapBlock(q Query, bl *tuple.Block) ([]tuple.Cluster, []float64) {
-	return mapBlockFor(q, bl)
+	clusters := make([]tuple.Cluster, 0, len(bl.Keys))
+	values := make([]float64, 0, len(bl.Keys))
+	idx := make(map[string]int, len(bl.Keys))
+	for k := range bl.Keys {
+		ks := &bl.Keys[k]
+		kept := 0
+		var folded float64
+		// Fold the run's columns in place, in arrival order, assembling
+		// each row on the stack for the Map function.
+		for i := 0; i < ks.Cols.Len(); i++ {
+			v, keep := q.Map(ks.Cols.Tuple(ks.Key, i))
+			if !keep {
+				continue
+			}
+			if kept == 0 {
+				folded = v
+			} else {
+				folded = q.Reduce(folded, v)
+			}
+			kept++
+		}
+		if kept == 0 {
+			continue
+		}
+		if j, ok := idx[ks.Key]; ok {
+			clusters[j].Size += kept
+			values[j] = q.Reduce(values[j], folded)
+			continue
+		}
+		idx[ks.Key] = len(clusters)
+		// The dense per-batch key number rides along (0 when the
+		// partitioner assigns none): the shuffle's bucket set then indexes
+		// a flat array instead of hashing key strings, and fragments of a
+		// split key share the number by the partitioner contract — exactly
+		// what the distributed executor already sends back as Dense.
+		clusters = append(clusters, tuple.Cluster{Key: ks.Key, ID: ks.ID, Size: kept})
+		values = append(values, folded)
+	}
+	return clusters, values
 }
 
 // localExec is the default executor: Map folds (with fused bucket
@@ -92,7 +130,7 @@ func (x localExec) MapBlocks(_, qi int, blocks []*tuple.Block, reduceTasks int) 
 	errs := make([]error, len(blocks))
 	e.pool.Do(len(blocks), func(i int) {
 		bl := blocks[i]
-		clusters, values := mapBlockFor(q, bl)
+		clusters, values := MapBlock(q, bl)
 		out := BlockMapOut{Clusters: clusters, Values: values}
 		if len(clusters) > 0 {
 			out.Assign, errs[i] = e.cfg.Assigner.Assign(bl.ID, clusters, bl.Ref, reduceTasks)

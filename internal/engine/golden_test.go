@@ -48,14 +48,6 @@ func legacyStep(e *Engine, tuples []tuple.Tuple, start, end tuple.Time) (BatchRe
 	wallStart := timeNow()
 	switch e.cfg.Accum {
 	case FrequencyAware:
-		if e.cfg.StatsShards > 1 {
-			if err := legacyFeedSharded(e, batch); err != nil {
-				return BatchReport{}, err
-			}
-			wallStart = timeNow()
-			sorted, batchStats = e.shacc.Finalize(e.pool)
-			break
-		}
 		if err := legacyFeedAccumulator(e, batch); err != nil {
 			return BatchReport{}, err
 		}
@@ -194,42 +186,12 @@ func legacyFeedAccumulator(e *Engine, batch *tuple.Batch) error {
 	return nil
 }
 
-// legacyFeedSharded is the seed's feedSharded, with the rows transposed
-// for the sharded fold's column input.
-func legacyFeedSharded(e *Engine, batch *tuple.Batch) error {
-	cfg := e.cfg.AccumConfig
-	if last := len(e.reports) - 1; last >= 0 {
-		if n := e.reports[last].Tuples; n > 0 {
-			cfg.EstimatedTuples = n
-		}
-		if k := e.reports[last].Keys; k > 0 {
-			cfg.EstimatedKeys = k
-		}
-	}
-	if e.shacc == nil || e.shacc.Shards() != e.cfg.StatsShards {
-		sa, err := stats.NewShardedDict(cfg, e.dict, e.cfg.StatsShards, batch.Start, batch.End)
-		if err != nil {
-			return err
-		}
-		e.shacc = sa
-	} else if err := e.shacc.Reset(cfg, batch.Start, batch.End); err != nil {
-		return err
-	}
-	cb := &tuple.ColumnBatch{Start: batch.Start, End: batch.End}
-	if err := cb.AppendRows(batch.Tuples, e.dict.Intern); err != nil {
-		return err
-	}
-	return e.shacc.AddAllColumns(cb, e.pool)
-}
-
 // goldenScheme is one scheme configuration of the equivalence sweep. The
 // set mirrors the core registry without importing it (core depends on
 // engine): every registered partitioner as a post-sort baseline, plus the
-// full Prompt design, its post-sort ablation, and a sharded-stats Prompt
-// variant.
+// full Prompt design and its post-sort ablation.
 type goldenScheme struct {
 	name   string
-	shards int
 	config func(Config) Config
 }
 
@@ -263,7 +225,6 @@ func goldenSchemes() []goldenScheme {
 			cfg.Accum = PostSortMode
 			return cfg
 		}},
-		goldenScheme{name: "prompt-sharded", shards: 4, config: promptCfg},
 	)
 	return out
 }
@@ -274,7 +235,6 @@ func runGolden(t *testing.T, gs goldenScheme, workers, n int, legacy bool) ([]Ba
 	t.Helper()
 	cfg := testConfig()
 	cfg.Workers = workers
-	cfg.StatsShards = gs.shards
 	cfg = gs.config(cfg)
 	eng, err := New(cfg, WordCount(window.Sliding(10*tuple.Second, tuple.Second)))
 	if err != nil {

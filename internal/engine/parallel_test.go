@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"prompt/internal/tuple"
@@ -27,13 +30,12 @@ func scrubWallClock(reps []BatchReport) []BatchReport {
 }
 
 // runWorkers runs n word-count batches over the same deterministic source
-// with the given worker and stats-shard settings and returns the reports
-// plus the final window answer.
-func runWorkers(t *testing.T, workers, shards, n int) ([]BatchReport, map[string]float64) {
+// with the given worker setting and returns the reports plus the final
+// window answer.
+func runWorkers(t *testing.T, workers, n int) ([]BatchReport, map[string]float64) {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Workers = workers
-	cfg.StatsShards = shards
 	eng, err := New(cfg, WordCount(window.Sliding(10*tuple.Second, tuple.Second)))
 	if err != nil {
 		t.Fatal(err)
@@ -50,29 +52,104 @@ func TestParallelReportsMatchSequential(t *testing.T) {
 	// The acceptance invariant: Workers changes wall-clock time only.
 	// Workers=0 (inline driver), 1, and 8 must produce identical
 	// BatchReports and window answers once measured wall time is scrubbed.
-	for _, shards := range []int{1, 4} {
-		refReps, refWin := runWorkers(t, 0, shards, 5)
-		ref := scrubWallClock(refReps)
-		for _, workers := range []int{1, 3, 8} {
-			reps, win := runWorkers(t, workers, shards, 5)
-			if got := scrubWallClock(reps); !reflect.DeepEqual(got, ref) {
-				t.Fatalf("shards=%d workers=%d: reports diverge from sequential driver\n got: %+v\nwant: %+v",
-					shards, workers, got, ref)
-			}
-			if !reflect.DeepEqual(win, refWin) {
-				t.Fatalf("shards=%d workers=%d: window answer diverges", shards, workers)
-			}
+	refReps, refWin := runWorkers(t, 0, 5)
+	ref := scrubWallClock(refReps)
+	for _, workers := range []int{1, 3, 8, -1} {
+		reps, win := runWorkers(t, workers, 5)
+		if got := scrubWallClock(reps); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("workers=%d: reports diverge from sequential driver\n got: %+v\nwant: %+v",
+				workers, got, ref)
+		}
+		if !reflect.DeepEqual(win, refWin) {
+			t.Fatalf("workers=%d: window answer diverges", workers)
 		}
 	}
 }
 
-func TestShardedStatsDeterministicAcrossWorkers(t *testing.T) {
-	// With StatsShards > 1 the partitioner's input changes (exact sort vs
-	// quasi-sort) but must itself be invariant under the worker count.
-	ref, _ := runWorkers(t, 0, 8, 4)
-	got, _ := runWorkers(t, -1, 8, 4)
-	if !reflect.DeepEqual(scrubWallClock(got), scrubWallClock(ref)) {
-		t.Fatal("StatsShards=8 reports differ between Workers=0 and GOMAXPROCS")
+// skewedBatch builds one second of word-count tuples over keys distinct
+// keys, 40 % of them drawn from a small hot set.
+func skewedBatch(n, keys int) []tuple.Tuple {
+	rng := rand.New(rand.NewSource(31))
+	ts := make([]tuple.Tuple, 0, n)
+	for i := 0; i < n; i++ {
+		j := rng.Intn(keys)
+		if rng.Float64() < 0.4 {
+			j = rng.Intn(1 + keys/20)
+		}
+		at := tuple.Time(int64(i) * int64(tuple.Second) / int64(n))
+		ts = append(ts, tuple.NewTuple(at, fmt.Sprintf("k%d", j), 1))
+	}
+	return ts
+}
+
+// stepWorkers runs one skewed batch through an engine with 8 Map and 8
+// Reduce tasks on the given worker setting.
+func stepWorkers(t *testing.T, ts []tuple.Tuple, workers int) (*Engine, BatchReport) {
+	t.Helper()
+	cfg := testConfig()
+	cfg.MapTasks, cfg.ReduceTasks, cfg.Cores = 8, 8, 8
+	cfg.Workers = workers
+	eng, err := New(cfg, Query{Name: "wc", Map: CountMap, Reduce: window.Sum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Step(ts, 0, tuple.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, rep
+}
+
+func TestRunLiveMatchesSimulatedResults(t *testing.T) {
+	// Map and Reduce run as real goroutines on the engine's pool: the
+	// per-key answer must equal a direct count over the batch, the buckets
+	// must hold every tuple, and the report must match the inline driver's.
+	ts := skewedBatch(20000, 300)
+	eng, rep := stepWorkers(t, ts, 4)
+
+	want := map[string]float64{}
+	for i := range ts {
+		want[ts[i].Key]++
+	}
+	got := eng.LastResult()
+	if len(got) != len(want) {
+		t.Fatalf("result has %d keys, want %d", len(got), len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("key %s = %v, want %v", k, got[k], v)
+		}
+	}
+	if rep.MapTasks != 8 || len(rep.BucketSizes) != 8 {
+		t.Errorf("task counts: %d map, %d reduce buckets", rep.MapTasks, len(rep.BucketSizes))
+	}
+	total := 0
+	for _, s := range rep.BucketSizes {
+		total += s
+	}
+	if total != len(ts) {
+		t.Errorf("bucket sizes sum to %d, want %d", total, len(ts))
+	}
+
+	_, seq := stepWorkers(t, ts, 0)
+	if !reflect.DeepEqual(scrubWallClock([]BatchReport{rep}), scrubWallClock([]BatchReport{seq})) {
+		t.Errorf("pool report diverges from inline driver\n got: %+v\nwant: %+v", rep, seq)
+	}
+}
+
+func TestRunLiveWorkerDefault(t *testing.T) {
+	// Workers=-1 sizes the pool to GOMAXPROCS and still answers exactly.
+	ts := skewedBatch(1000, 50)
+	eng, _ := stepWorkers(t, ts, -1)
+	if got, want := eng.Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Workers() = %d, want GOMAXPROCS %d", got, want)
+	}
+	want := map[string]float64{}
+	for i := range ts {
+		want[ts[i].Key]++
+	}
+	if got := eng.LastResult(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("workers=-1 result diverges from a direct count")
 	}
 }
 

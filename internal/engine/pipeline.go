@@ -173,7 +173,9 @@ func (partitionStage) Run(e *Engine, ctx *BatchContext) error {
 	wallStart := timeNow()
 	switch e.cfg.Accum {
 	case FrequencyAware:
-		ctx.Sorted, ctx.Stats = e.finalizeStats()
+		// Only finalization happens at the release point: the per-tuple
+		// accumulation overlapped the batching interval.
+		ctx.Sorted, ctx.Stats = e.acc.Finalize()
 	case PostSortMode:
 		ctx.Sorted = e.postSort(ctx.Cols)
 		ctx.Stats = stats.BatchStats{

@@ -29,11 +29,6 @@ func pipeScenarios() []pipeScenario {
 	}
 	return []pipeScenario{
 		{name: "prompt-row", config: prompt},
-		{name: "prompt-sharded", config: func(c Config) Config {
-			c = prompt(c)
-			c.StatsShards = 3
-			return c
-		}},
 		{name: "hash-postsort", config: func(c Config) Config {
 			c.Partitioner = partition.NewHash()
 			c.Assigner = reducer.NewHash()
@@ -116,7 +111,7 @@ func runAtDepth(t *testing.T, sc pipeScenario, depth, workers, n int) runState {
 // TestPipelinedDepthEquivalence is the engine-level golden invariant for
 // inter-batch pipelining: at depths 2 and 3, every report, the final
 // window, and the checkpoint image are bit-identical to the depth-1 run —
-// across schemes, sharded statistics, fault plans, and worker counts.
+// across schemes, fault plans, and worker counts.
 // Pipelining must change wall-clock time only.
 func TestPipelinedDepthEquivalence(t *testing.T) {
 	freezeClock(t)

@@ -59,14 +59,17 @@ func (r *Reorderer) Ingested() tuple.Time { return r.ingested }
 // table (in order of first appearance) and IDs, TS, Vals, W are parallel
 // columns — row i is the tuple {TS[i], Keys[IDs[i]], Vals[i], W[i]}. The
 // table makes the image self-contained: its IDs mean nothing outside this
-// image and need no engine dictionary to decode.
+// image and need no engine dictionary to decode. W carries each weight at
+// full width: a pending weight too wide for the engine's int32 weight
+// column must fail its batch after a restore exactly as it would have
+// without one, so the image must not narrow it.
 type ReordererImage struct {
 	MaxDelay tuple.Time
 	Keys     []string
 	IDs      []uint32
 	TS       []tuple.Time
 	Vals     []float64
-	W        []int32
+	W        []int
 	Sorted   int
 	Sealed   tuple.Time
 	Ingested tuple.Time
@@ -87,7 +90,7 @@ func (img *ReordererImage) pendingRows() ([]tuple.Tuple, error) {
 		if int(id) >= len(img.Keys) {
 			return nil, fmt.Errorf("engine: restoring reorderer: key id %d beyond table of %d", id, len(img.Keys))
 		}
-		out[i] = tuple.Tuple{TS: img.TS[i], Key: img.Keys[id], Val: img.Vals[i], Weight: int(img.W[i])}
+		out[i] = tuple.Tuple{TS: img.TS[i], Key: img.Keys[id], Val: img.Vals[i], Weight: img.W[i]}
 	}
 	return out, nil
 }
@@ -101,7 +104,7 @@ func (r *Reorderer) Image() ReordererImage {
 		IDs:      make([]uint32, len(r.pending)),
 		TS:       make([]tuple.Time, len(r.pending)),
 		Vals:     make([]float64, len(r.pending)),
-		W:        make([]int32, len(r.pending)),
+		W:        make([]int, len(r.pending)),
 		Sorted:   r.sorted,
 		Sealed:   r.sealed,
 		Ingested: r.ingested,
@@ -119,7 +122,7 @@ func (r *Reorderer) Image() ReordererImage {
 		img.IDs[i] = id
 		img.TS[i] = t.TS
 		img.Vals[i] = t.Val
-		img.W[i] = int32(t.Weight)
+		img.W[i] = t.Weight
 	}
 	return img
 }

@@ -386,7 +386,7 @@ func TestReordererImageRejectsBadColumns(t *testing.T) {
 		IDs:  []uint32{0, 0},
 		TS:   []tuple.Time{1, 2},
 		Vals: []float64{1, 2},
-		W:    []int32{1, 1},
+		W:    []int{1, 1},
 	}
 	ragged := base
 	ragged.TS = ragged.TS[:1]

@@ -11,10 +11,9 @@
 // string-keyed map with an ID-indexed slot array that is reused batch
 // after batch.
 //
-// A Dict is safe for concurrent interning (the sharded accumulator's
-// shards intern in parallel); resolution is lock-free for IDs observed
-// through a happens-before edge (e.g. handed across the worker pool's
-// barrier).
+// A Dict is safe for concurrent interning; resolution is lock-free for
+// IDs observed through a happens-before edge (e.g. handed across the
+// worker pool's barrier).
 //
 // The dictionary also fixes each key's state placement: keys hash onto
 // Slots virtual slots — the unit the window state is partitioned by and

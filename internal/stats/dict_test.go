@@ -80,49 +80,6 @@ func TestDictAccumulatorMatchesMapMode(t *testing.T) {
 	}
 }
 
-// TestDictShardedMatchesMapSharded does the same comparison for the
-// sharded accumulator over two dictionaries that assign the batch's keys
-// different IDs: the output depends on the keys, never on their IDs.
-func TestDictShardedMatchesMapSharded(t *testing.T) {
-	cfg := AccumulatorConfig{Budget: 4, EstimatedTuples: 2000, EstimatedKeys: 50}
-	dict, other := intern.NewDict(0), intern.NewDict(0)
-	for i := 0; i < 37; i++ {
-		other.Intern(fmt.Sprintf("unrelated%d", i))
-	}
-	ds, err := NewShardedDict(cfg, dict, 4, 0, tuple.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := NewShardedDict(cfg, other, 4, 0, tuple.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(11))
-	for batch := 0; batch < 5; batch++ {
-		start := tuple.Time(batch) * tuple.Second
-		end := start + tuple.Second
-		if batch > 0 {
-			if err := ds.Reset(cfg, start, end); err != nil {
-				t.Fatal(err)
-			}
-			if err := ms.Reset(cfg, start, end); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tuples := dictTestTuples(r, 2000, start, end)
-		addRows(t, ds, dict, start, end, tuples, nil)
-		addRows(t, ms, other, start, end, tuples, nil)
-		dKeys, dStats := ds.Finalize(nil)
-		mKeys, mStats := ms.Finalize(nil)
-		if !reflect.DeepEqual(dStats, mStats) {
-			t.Fatalf("batch %d: stats diverge: dict %+v map %+v", batch, dStats, mStats)
-		}
-		if !reflect.DeepEqual(dKeys, mKeys) {
-			t.Fatalf("batch %d: sorted keys diverge", batch)
-		}
-	}
-}
-
 // TestDictAccumulatorSteadyStateReuse checks the memory contract: after
 // the first batch established capacity, a repeat batch with the same key
 // set must not grow the HTable arena or the CountTree (free-listed nodes

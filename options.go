@@ -98,18 +98,6 @@ func WithWorkers(workers int) Option {
 	}
 }
 
-// WithStatsShards splits the Algorithm 1 statistics pass across shards
-// (>= 1) merged deterministically at the heartbeat.
-func WithStatsShards(shards int) Option {
-	return func(c *Config) error {
-		if shards < 1 {
-			return fmt.Errorf("%w: WithStatsShards(%d): need >= 1 shard", ErrBadConfig, shards)
-		}
-		c.StatsShards = shards
-		return nil
-	}
-}
-
 // WithEarlyRelease sets the fraction of the batch interval reserved for
 // partitioning (the paper bounds it at 0.05).
 func WithEarlyRelease(fraction float64) Option {

@@ -83,7 +83,6 @@ func finishCore(cfg Config, eng *engine.Engine, scheme core.Scheme, queries []Qu
 	cfg.MapTasks, cfg.ReduceTasks = ec.MapTasks, ec.ReduceTasks
 	cfg.Cores = ec.Cores
 	cfg.Workers = ec.Workers
-	cfg.StatsShards = ec.StatsShards
 	cfg.PipelineDepth = ec.PipelineDepth
 	cfg.EarlyReleaseFraction = ec.EarlyReleaseFraction
 	cfg.Cost = ec.Cost
