@@ -10,8 +10,8 @@
 // outputs produce bit-identical summaries regardless of worker count or
 // transport. Every operator is mergeable, so sharded paths can build
 // partials independently and combine them,
-// and checkpointable through a versioned, length-bomb-guarded codec
-// mirroring internal/migrate's discipline.
+// and checkpointable through a versioned image on internal/codec that
+// has exactly one encoding per estimator.
 package approx
 
 import (

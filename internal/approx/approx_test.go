@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"testing"
 
+	"prompt/internal/codec"
 	"prompt/internal/tuple"
 )
 
@@ -387,7 +388,7 @@ func TestDecodeRejectsMalformedImages(t *testing.T) {
 	}
 	// A length bomb: claim 2^40 partials in a tiny image.
 	bomb := []byte{codecVersion}
-	bomb = appendString(bomb, string(CountMinKind))
+	bomb = codec.AppendString(bomb, string(CountMinKind))
 	for _, v := range []uint64{32, 4, 2048, 12, 1} {
 		bomb = binary.AppendUvarint(bomb, v)
 	}

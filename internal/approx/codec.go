@@ -1,11 +1,10 @@
 package approx
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
+	"prompt/internal/codec"
 	"prompt/internal/tuple"
 )
 
@@ -38,16 +37,16 @@ var ErrCodec = errors.New("approx: bad estimator image")
 // items — their hash priorities are recomputed from the spec.
 func (e *Estimator) Encode() []byte {
 	b := []byte{codecVersion}
-	b = appendString(b, string(e.spec.Kind))
-	b = binary.AppendUvarint(b, uint64(e.spec.K))
-	b = binary.AppendUvarint(b, uint64(e.spec.Depth))
-	b = binary.AppendUvarint(b, uint64(e.spec.Width))
-	b = binary.AppendUvarint(b, uint64(e.spec.Precision))
-	b = binary.AppendUvarint(b, e.spec.Seed)
-	b = binary.AppendVarint(b, int64(e.win))
-	b = binary.AppendUvarint(b, uint64(len(e.parts)))
+	b = codec.AppendString(b, string(e.spec.Kind))
+	b = codec.AppendUvarint(b, uint64(e.spec.K))
+	b = codec.AppendUvarint(b, uint64(e.spec.Depth))
+	b = codec.AppendUvarint(b, uint64(e.spec.Width))
+	b = codec.AppendUvarint(b, uint64(e.spec.Precision))
+	b = codec.AppendUvarint(b, e.spec.Seed)
+	b = codec.AppendVarint(b, int64(e.win))
+	b = codec.AppendUvarint(b, uint64(len(e.parts)))
 	for _, p := range e.parts {
-		b = binary.AppendVarint(b, int64(p.end))
+		b = codec.AppendVarint(b, int64(p.end))
 		switch e.spec.Kind {
 		case CountMinKind:
 			b = appendCountMin(b, p.cm)
@@ -62,15 +61,6 @@ func (e *Estimator) Encode() []byte {
 	return b
 }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
 func appendCountMin(b []byte, c *CountMin) []byte {
 	cells := 0
 	for _, row := range c.rows {
@@ -80,29 +70,29 @@ func appendCountMin(b []byte, c *CountMin) []byte {
 			}
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(cells))
+	b = codec.AppendUvarint(b, uint64(cells))
 	for i, row := range c.rows {
 		for j, v := range row {
 			if v == 0 {
 				continue
 			}
-			b = binary.AppendUvarint(b, uint64(i))
-			b = binary.AppendUvarint(b, uint64(j))
-			b = appendFloat(b, v)
+			b = codec.AppendUvarint(b, uint64(i))
+			b = codec.AppendUvarint(b, uint64(j))
+			b = codec.AppendFloat(b, v)
 		}
 	}
-	return appendFloat(b, c.total)
+	return codec.AppendFloat(b, c.total)
 }
 
 func appendSpaceSaving(b []byte, s *SpaceSaving) []byte {
 	entries := s.Entries()
-	b = binary.AppendUvarint(b, uint64(len(entries)))
+	b = codec.AppendUvarint(b, uint64(len(entries)))
 	for _, e := range entries {
-		b = appendString(b, e.Key)
-		b = appendFloat(b, e.Est)
-		b = appendFloat(b, e.Err)
+		b = codec.AppendString(b, e.Key)
+		b = codec.AppendFloat(b, e.Est)
+		b = codec.AppendFloat(b, e.Err)
 	}
-	return appendFloat(b, s.off)
+	return codec.AppendFloat(b, s.off)
 }
 
 func appendHLL(b []byte, h *HLL) []byte {
@@ -112,107 +102,33 @@ func appendHLL(b []byte, h *HLL) []byte {
 			nz++
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(nz))
+	b = codec.AppendUvarint(b, uint64(nz))
 	for i, r := range h.regs {
 		if r == 0 {
 			continue
 		}
-		b = binary.AppendUvarint(b, uint64(i))
-		b = binary.AppendUvarint(b, uint64(r))
+		b = codec.AppendUvarint(b, uint64(i))
+		b = codec.AppendUvarint(b, uint64(r))
 	}
 	return b
 }
 
 func appendSample(b []byte, s *Sample) []byte {
 	items := s.Items()
-	b = binary.AppendUvarint(b, uint64(len(items)))
+	b = codec.AppendUvarint(b, uint64(len(items)))
 	for _, it := range items {
-		b = appendString(b, it.Key)
-		b = appendFloat(b, it.Val)
+		b = codec.AppendString(b, it.Key)
+		b = codec.AppendFloat(b, it.Val)
 	}
 	return b
-}
-
-// imgReader is a bounds-checked cursor over one image, mirroring
-// internal/migrate: every announced count is validated against the bytes
-// that could possibly hold it before any slice is allocated.
-type imgReader struct {
-	b   []byte
-	off int
-}
-
-func (r *imgReader) remaining() int { return len(r.b) - r.off }
-
-func (r *imgReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated uvarint", ErrCodec)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *imgReader) varint() (int64, error) {
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint", ErrCodec)
-	}
-	r.off += n
-	return v, nil
-}
-
-// count reads an element count whose encoding occupies at least minBytes
-// per element — the length-bomb guard.
-func (r *imgReader) count(minBytes int) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
-	if v > uint64(r.remaining()/minBytes) {
-		return 0, fmt.Errorf("%w: count %d exceeds payload", ErrCodec, v)
-	}
-	return int(v), nil
-}
-
-func (r *imgReader) float() (float64, error) {
-	if r.remaining() < 8 {
-		return 0, fmt.Errorf("%w: truncated float", ErrCodec)
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return math.Float64frombits(v), nil
-}
-
-func (r *imgReader) string() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.remaining()) {
-		return "", fmt.Errorf("%w: string length %d exceeds payload", ErrCodec, n)
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *imgReader) intv() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt32 {
-		return 0, fmt.Errorf("%w: value %d overflows", ErrCodec, v)
-	}
-	return int(v), nil
 }
 
 // Decode rebuilds an estimator from an image produced by Encode. The
 // image is self-contained (spec and window travel inside it); callers
 // holding an expected spec should compare against Spec() afterwards.
+// Decode accepts exactly what Encode writes — minimal varints, a spec
+// with its defaults applied, cells, registers, entries and items in the
+// encoder's order — so a decoded image re-encodes to the same bytes.
 func Decode(img []byte) (*Estimator, error) {
 	if len(img) < 1 {
 		return nil, fmt.Errorf("%w: empty image", ErrCodec)
@@ -220,206 +136,150 @@ func Decode(img []byte) (*Estimator, error) {
 	if img[0] != codecVersion {
 		return nil, fmt.Errorf("%w: version %d, speak %d", ErrCodec, img[0], codecVersion)
 	}
-	r := &imgReader{b: img, off: 1}
-	kindName, err := r.string()
-	if err != nil {
-		return nil, err
+	r := codec.NewReader(img[1:], ErrCodec)
+	spec := Spec{Kind: Kind(r.Str()), K: r.Uint(), Depth: r.Uint(), Width: r.Uint(), Precision: r.Uint(), Seed: r.Uvarint()}
+	win := tuple.Time(r.Varint())
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	kind, err := ParseKind(kindName)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCodec, err)
-	}
-	spec := Spec{Kind: kind}
-	if spec.K, err = r.intv(); err != nil {
-		return nil, err
-	}
-	if spec.Depth, err = r.intv(); err != nil {
-		return nil, err
-	}
-	if spec.Width, err = r.intv(); err != nil {
-		return nil, err
-	}
-	if spec.Precision, err = r.intv(); err != nil {
-		return nil, err
-	}
-	if spec.Seed, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	winRaw, err := r.varint()
-	if err != nil {
-		return nil, err
-	}
-	e, err := NewEstimator(spec, tuple.Time(winRaw))
+	e, err := NewEstimator(spec, win)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCodec, err)
 	}
-	nparts, err := r.count(2)
-	if err != nil {
-		return nil, err
+	if e.spec != spec {
+		return nil, fmt.Errorf("%w: spec %+v is not in its defaulted form", ErrCodec, spec)
 	}
+	nparts := r.Count(2)
 	// Allocation guard beyond the per-element count checks: the dense
 	// structures (Count-Min rows, HLL registers) are sized by the spec,
 	// not the payload, so bound partials × cells before building any.
 	const maxCells = 1 << 22
 	switch {
-	case kind == CountMinKind && nparts > 0 && nparts*e.spec.Depth*e.spec.Width > maxCells:
+	case spec.Kind == CountMinKind && nparts > 0 && nparts*spec.Depth*spec.Width > maxCells:
 		return nil, fmt.Errorf("%w: %d partials of a %dx%d sketch exceed the decode budget",
-			ErrCodec, nparts, e.spec.Depth, e.spec.Width)
-	case kind == HLLKind && nparts > 0 && nparts<<e.spec.Precision > maxCells:
+			ErrCodec, nparts, spec.Depth, spec.Width)
+	case spec.Kind == HLLKind && nparts > 0 && nparts<<spec.Precision > maxCells:
 		return nil, fmt.Errorf("%w: %d partials of a 2^%d-register hll exceed the decode budget",
-			ErrCodec, nparts, e.spec.Precision)
+			ErrCodec, nparts, spec.Precision)
 	}
-	var prevEnd tuple.Time
-	for i := 0; i < nparts; i++ {
-		endRaw, err := r.varint()
-		if err != nil {
-			return nil, err
+	for i := 0; i < nparts && r.Err() == nil; i++ {
+		p := partial{end: tuple.Time(r.Varint())}
+		if i > 0 && p.end < e.parts[i-1].end {
+			r.Failf("partial ends out of order")
 		}
-		end := tuple.Time(endRaw)
-		if i > 0 && end < prevEnd {
-			return nil, fmt.Errorf("%w: partial ends out of order", ErrCodec)
-		}
-		prevEnd = end
-		p := partial{end: end}
-		switch kind {
+		switch spec.Kind {
 		case CountMinKind:
-			if p.cm, err = decodeCountMin(r, e.spec); err != nil {
-				return nil, err
-			}
+			p.cm = decodeCountMin(r, spec)
 		case SpaceSavingKind:
-			if p.ss, err = decodeSpaceSaving(r, e.spec); err != nil {
-				return nil, err
-			}
+			p.ss = decodeSpaceSaving(r, spec)
 		case HLLKind:
-			if p.hll, err = decodeHLL(r, e.spec); err != nil {
-				return nil, err
-			}
+			p.hll = decodeHLL(r, spec)
 		default:
-			if p.samp, err = decodeSample(r, e.spec, end); err != nil {
-				return nil, err
-			}
+			p.samp = decodeSample(r, spec, p.end)
 		}
 		e.parts = append(e.parts, p)
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, r.remaining())
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	e.rebuild()
 	return e, nil
 }
 
-func decodeCountMin(r *imgReader, spec Spec) (*CountMin, error) {
+// decodeCountMin reads the non-zero cells, which Encode writes in (row,
+// col) order.
+func decodeCountMin(r *codec.Reader, spec Spec) *CountMin {
 	c := NewCountMin(spec.Depth, spec.Width, spec.Seed)
-	cells, err := r.count(10)
-	if err != nil {
-		return nil, err
+	prev := -1
+	for range r.Count(10) {
+		row, col := r.Uint(), r.Uint()
+		cell := row*spec.Width + col
+		switch {
+		case row >= spec.Depth || col >= spec.Width:
+			r.Failf("cell (%d,%d) outside %dx%d sketch", row, col, spec.Depth, spec.Width)
+		case cell <= prev:
+			r.Failf("cell (%d,%d) repeated or out of order", row, col)
+		}
+		v := r.Float()
+		if r.Err() != nil {
+			break
+		}
+		if v == 0 {
+			r.Failf("zero cell (%d,%d)", row, col)
+			break
+		}
+		c.rows[row][col], prev = v, cell
 	}
-	for i := 0; i < cells; i++ {
-		row, err := r.intv()
-		if err != nil {
-			return nil, err
-		}
-		col, err := r.intv()
-		if err != nil {
-			return nil, err
-		}
-		if row >= spec.Depth || col >= spec.Width {
-			return nil, fmt.Errorf("%w: cell (%d,%d) outside %dx%d sketch", ErrCodec, row, col, spec.Depth, spec.Width)
-		}
-		if c.rows[row][col], err = r.float(); err != nil {
-			return nil, err
-		}
-	}
-	if c.total, err = r.float(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c.total = r.Float()
+	return c
 }
 
-func decodeSpaceSaving(r *imgReader, spec Spec) (*SpaceSaving, error) {
+// decodeSpaceSaving reads the entries, which Encode writes in the
+// canonical ranking order.
+func decodeSpaceSaving(r *codec.Reader, spec Spec) *SpaceSaving {
 	s := NewSpaceSaving(spec.K)
-	n, err := r.count(17)
-	if err != nil {
-		return nil, err
-	}
+	n := r.Count(17)
 	if n > spec.K {
-		return nil, fmt.Errorf("%w: %d space-saving entries exceed budget %d", ErrCodec, n, spec.K)
+		r.Failf("%d space-saving entries exceed budget %d", n, spec.K)
 	}
-	for i := 0; i < n; i++ {
-		key, err := r.string()
-		if err != nil {
-			return nil, err
+	var prev SSEntry
+	for i := 0; i < n && r.Err() == nil; i++ {
+		e := &SSEntry{Key: r.Str(), Est: r.Float(), Err: r.Float()}
+		if _, ok := s.counts[e.Key]; ok {
+			r.Failf("duplicate space-saving key %q", e.Key)
+		} else if i > 0 && !ssLess(prev.Key, prev.Est, e.Key, e.Est) {
+			r.Failf("space-saving key %q out of ranking order", e.Key)
 		}
-		if _, ok := s.counts[key]; ok {
-			return nil, fmt.Errorf("%w: duplicate space-saving key %q", ErrCodec, key)
-		}
-		e := &SSEntry{Key: key}
-		if e.Est, err = r.float(); err != nil {
-			return nil, err
-		}
-		if e.Err, err = r.float(); err != nil {
-			return nil, err
-		}
-		s.counts[key] = e
+		s.counts[e.Key] = e
+		prev = *e
 	}
-	if s.off, err = r.float(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	s.off = r.Float()
+	return s
 }
 
-func decodeHLL(r *imgReader, spec Spec) (*HLL, error) {
+// decodeHLL reads the non-zero registers, which Encode writes in index
+// order.
+func decodeHLL(r *codec.Reader, spec Spec) *HLL {
 	h := NewHLL(spec.Precision, spec.Seed)
-	n, err := r.count(2)
-	if err != nil {
-		return nil, err
+	prev := -1
+	for range r.Count(2) {
+		idx, rank := r.Uint(), r.Uvarint()
+		switch {
+		case idx >= len(h.regs):
+			r.Failf("register %d outside 2^%d", idx, spec.Precision)
+		case idx <= prev:
+			r.Failf("register %d repeated or out of order", idx)
+		case rank == 0 || rank > uint64(64-spec.Precision+1):
+			r.Failf("register rank %d outside [1, %d]", rank, 64-spec.Precision+1)
+		}
+		if r.Err() != nil {
+			break
+		}
+		h.regs[idx], prev = uint8(rank), idx
 	}
-	for i := 0; i < n; i++ {
-		idx, err := r.intv()
-		if err != nil {
-			return nil, err
-		}
-		if idx >= len(h.regs) {
-			return nil, fmt.Errorf("%w: register %d outside 2^%d", ErrCodec, idx, spec.Precision)
-		}
-		rank, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if rank == 0 || rank > uint64(64-spec.Precision+1) {
-			return nil, fmt.Errorf("%w: register rank %d outside [1, %d]", ErrCodec, rank, 64-spec.Precision+1)
-		}
-		h.regs[idx] = uint8(rank)
-	}
-	return h, nil
+	return h
 }
 
-func decodeSample(r *imgReader, spec Spec, end tuple.Time) (*Sample, error) {
+// decodeSample reads the items, which Encode writes in ascending key
+// order.
+func decodeSample(r *codec.Reader, spec Spec, end tuple.Time) *Sample {
 	salt := uint64(0)
 	if spec.Kind == ChainKind {
 		salt = uint64(end)
 	}
 	s := NewSample(spec.Kind, spec.K, spec.Seed, salt)
-	n, err := r.count(9)
-	if err != nil {
-		return nil, err
-	}
+	n := r.Count(9)
 	if n > spec.K {
-		return nil, fmt.Errorf("%w: %d sampled items exceed budget %d", ErrCodec, n, spec.K)
+		r.Failf("%d sampled items exceed budget %d", n, spec.K)
 	}
-	for i := 0; i < n; i++ {
-		key, err := r.string()
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := s.items[key]; ok {
-			return nil, fmt.Errorf("%w: duplicate sampled key %q", ErrCodec, key)
-		}
-		val, err := r.float()
-		if err != nil {
-			return nil, err
+	prev := ""
+	for i := 0; i < n && r.Err() == nil; i++ {
+		key, val := r.Str(), r.Float()
+		if i > 0 && key <= prev {
+			r.Failf("sampled key %q repeated or out of order", key)
 		}
 		s.items[key] = &sampleItem{Item: Item{Key: key, Val: val}, pri: s.pri(key)}
+		prev = key
 	}
-	return s, nil
+	return s
 }

@@ -94,11 +94,7 @@ func (s *Sample) trim() {
 	}
 	if s.kind == PriorityKind {
 		sort.Slice(ranked, func(i, j int) bool {
-			pi, pj := ranked[i].priority(), ranked[j].priority()
-			if pi != pj {
-				return pi > pj
-			}
-			return ranked[i].Key < ranked[j].Key
+			return ssLess(ranked[i].Key, ranked[i].priority(), ranked[j].Key, ranked[j].priority())
 		})
 	} else {
 		sort.Slice(ranked, func(i, j int) bool {

@@ -5,9 +5,9 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"strings"
 
 	"prompt/internal/hashutil"
+	"prompt/internal/window"
 )
 
 // --- Count-Min ------------------------------------------------------------
@@ -146,7 +146,7 @@ func (s *SpaceSaving) Offer(key string, val float64) {
 	}
 	var min *SSEntry
 	for _, e := range s.counts {
-		if min == nil || e.Est < min.Est || (e.Est == min.Est && e.Key < min.Key) {
+		if min == nil || evictsBefore(e, min) {
 			min = e
 		}
 	}
@@ -155,6 +155,15 @@ func (s *SpaceSaving) Offer(key string, val float64) {
 	}
 	delete(s.counts, min.Key)
 	s.counts[key] = &SSEntry{Key: key, Est: min.Est + val, Err: min.Est}
+}
+
+// evictsBefore reports whether a is a better eviction victim than b: the
+// smaller estimate (NaN smallest of all), the smaller key on ties.
+func evictsBefore(a, b *SSEntry) bool {
+	if c := window.CompareValDesc(a.Est, b.Est); c != 0 {
+		return c > 0
+	}
+	return a.Key < b.Key
 }
 
 // Offset bounds the true mass of any key the summary does not track.
@@ -167,12 +176,7 @@ func (s *SpaceSaving) Entries() []SSEntry {
 	for _, e := range s.counts {
 		out = append(out, *e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Est != out[j].Est {
-			return out[i].Est > out[j].Est
-		}
-		return out[i].Key < out[j].Key
-	})
+	sort.Slice(out, func(i, j int) bool { return ssLess(out[i].Key, out[i].Est, out[j].Key, out[j].Est) })
 	return out
 }
 
@@ -218,10 +222,7 @@ func MergeSpaceSaving(a, b *SpaceSaving) *SpaceSaving {
 		ranked = append(ranked, e)
 	}
 	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Est != ranked[j].Est {
-			return ranked[i].Est > ranked[j].Est
-		}
-		return ranked[i].Key < ranked[j].Key
+		return ssLess(ranked[i].Key, ranked[i].Est, ranked[j].Key, ranked[j].Est)
 	})
 	out := NewSpaceSaving(a.k)
 	out.off = a.off + b.off
@@ -347,11 +348,16 @@ func (h *HLL) ErrorBound() float64 {
 // Bytes approximates the in-memory footprint.
 func (h *HLL) Bytes() int { return len(h.regs) + 32 }
 
-// ssLess is the canonical (value desc, key asc) offer order builders use
-// when folding a batch's exact result into a Space-Saving partial.
+// ssLess is the canonical (value desc, key asc) ranking: the order a
+// batch's exact result is offered to a Space-Saving partial in, and the
+// order Entries, merges and the codec list counters in. Values compare
+// under window.Aggregator.TopK's total order, NaN after every number and
+// tied with other NaNs, so the key decides between them; a bare != / >
+// pair is not total under NaN, and a ranking built on it followed map
+// iteration order.
 func ssLess(ki string, vi float64, kj string, vj float64) bool {
-	if vi != vj {
-		return vi > vj
+	if c := window.CompareValDesc(vi, vj); c != 0 {
+		return c < 0
 	}
-	return strings.Compare(ki, kj) < 0
+	return ki < kj
 }

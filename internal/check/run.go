@@ -611,7 +611,8 @@ func (s *ckptSide) step(sc Scenario) error {
 // the scenario runs once uninterrupted and once with a checkpoint/restore
 // at batch CheckpointAt — with the reorder buffer mid-flight and the
 // throttle mid-backoff — and the two runs must agree on every BatchReport
-// bit for bit and on the final window answer.
+// bit for bit, on the final window answer, and on the bytes of a
+// checkpoint taken after the last batch: equal states write equal images.
 func checkCheckpointEquivalence(sc Scenario) []string {
 	ref, err := newCkptSide(sc)
 	if err != nil {
@@ -680,6 +681,18 @@ func checkCheckpointEquivalence(sc Scenario) []string {
 	if !reflect.DeepEqual(arm.eng.WindowSnapshot(), ref.eng.WindowSnapshot()) {
 		violations = append(violations, fmt.Sprintf(
 			"invariant 2 (checkpoint/restore): final window answer diverged (checkpoint at %d)", sc.CheckpointAt))
+	}
+	var refImg, armImg bytes.Buffer
+	if err := ref.eng.Checkpoint(&refImg); err != nil {
+		return append(violations, fmt.Sprintf("final reference checkpoint failed: %v", err))
+	}
+	if err := arm.eng.Checkpoint(&armImg); err != nil {
+		return append(violations, fmt.Sprintf("final restored checkpoint failed: %v", err))
+	}
+	if !bytes.Equal(armImg.Bytes(), refImg.Bytes()) {
+		violations = append(violations, fmt.Sprintf(
+			"invariant 2 (checkpoint/restore): final checkpoints differ (%d vs %d bytes, checkpoint at %d)",
+			armImg.Len(), refImg.Len(), sc.CheckpointAt))
 	}
 	return violations
 }

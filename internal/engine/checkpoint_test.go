@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -298,39 +297,6 @@ func TestCheckpointKeepsWidePendingWeight(t *testing.T) {
 	}
 }
 
-// TestReordererImageDecodesInt32Weights pins how an image written with
-// the earlier int32 weight column decodes: gob integers carry no width,
-// so the old W column reads into the widened one value for value.
-func TestReordererImageDecodesInt32Weights(t *testing.T) {
-	type int32Image struct {
-		MaxDelay tuple.Time
-		Keys     []string
-		IDs      []uint32
-		TS       []tuple.Time
-		Vals     []float64
-		W        []int32
-		Sorted   int
-		Sealed   tuple.Time
-		Ingested tuple.Time
-		Dropped  int
-	}
-	old := int32Image{
-		MaxDelay: 5, Keys: []string{"k"}, IDs: []uint32{0, 0}, TS: []tuple.Time{7, 8},
-		Vals: []float64{1, 2}, W: []int32{3, -4}, Sorted: 1, Sealed: 6, Ingested: 9, Dropped: 2,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
-		t.Fatal(err)
-	}
-	var img ReordererImage
-	if err := gob.NewDecoder(&buf).Decode(&img); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(img.W, []int{3, -4}) || img.Sorted != 1 || img.Dropped != 2 || img.PendingLen() != 2 {
-		t.Fatalf("decoded %+v", img)
-	}
-}
-
 func TestRestoreValidatesQueries(t *testing.T) {
 	cfg := testConfig()
 	q := WordCount(window.Sliding(5*tuple.Second, tuple.Second))
@@ -361,7 +327,8 @@ func TestRestoreValidatesQueries(t *testing.T) {
 
 // TestWindowStateRoundTrip carries a window through the checkpoint's
 // window section — slot images out, slot images back into a fresh
-// aggregator over a fresh dictionary — and keeps sliding it.
+// aggregator over the dictionary as the dictionary section restores it —
+// and keeps sliding it.
 func TestWindowStateRoundTrip(t *testing.T) {
 	spec := window.Sliding(3*tuple.Second, tuple.Second)
 	dict := intern.NewDict(0)
@@ -378,7 +345,10 @@ func TestWindowStateRoundTrip(t *testing.T) {
 	if v, _ := ag.Value("a"); v != 6 {
 		t.Errorf("export disturbed the window: value = %v, want 6", v)
 	}
-	dict2 := intern.NewDict(0)
+	dict2, err := intern.FromSnapshot(dict.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ag2, err := window.NewAggregatorDict(spec, window.Sum, window.SumInverse, dict2)
 	if err != nil {
 		t.Fatal(err)

@@ -121,6 +121,10 @@ type Engine struct {
 	// report's TuplesDropped and resets the counter.
 	pendingDrops int
 
+	// checkpointSize is the length of the last checkpoint: the next one
+	// starts its buffer at that capacity instead of growing into it.
+	checkpointSize int
+
 	// owners is the current virtual-slot owner count of the elastic
 	// runtime (0 = ownership tracking off, the static default);
 	// pendingOwners is a requested change applied at the next commit

@@ -49,107 +49,6 @@ func (r *Reorderer) Sealed() tuple.Time { return r.sealed }
 // fed in (or its absence observed via AdvanceWatermark).
 func (r *Reorderer) Ingested() tuple.Time { return r.ingested }
 
-// ReordererImage is the serializable state of a Reorderer, exported for
-// checkpointing: the buffered tuples, how much of the buffer is already
-// sorted, both horizons, and the drop count. It captures everything a
-// restored reorderer needs to seal the next batch exactly as the
-// checkpointed one would have.
-//
-// The pending buffer travels in columnar form: Keys is an image-local key
-// table (in order of first appearance) and IDs, TS, Vals, W are parallel
-// columns — row i is the tuple {TS[i], Keys[IDs[i]], Vals[i], W[i]}. The
-// table makes the image self-contained: its IDs mean nothing outside this
-// image and need no engine dictionary to decode. W carries each weight at
-// full width: a pending weight too wide for the engine's int32 weight
-// column must fail its batch after a restore exactly as it would have
-// without one, so the image must not narrow it.
-type ReordererImage struct {
-	MaxDelay tuple.Time
-	Keys     []string
-	IDs      []uint32
-	TS       []tuple.Time
-	Vals     []float64
-	W        []int
-	Sorted   int
-	Sealed   tuple.Time
-	Ingested tuple.Time
-	Dropped  int
-}
-
-// PendingLen reports the number of buffered tuples the image carries.
-func (img *ReordererImage) PendingLen() int { return len(img.IDs) }
-
-// pendingRows materializes the image's buffered tuples.
-func (img *ReordererImage) pendingRows() ([]tuple.Tuple, error) {
-	if len(img.TS) != len(img.IDs) || len(img.Vals) != len(img.IDs) || len(img.W) != len(img.IDs) {
-		return nil, fmt.Errorf("engine: restoring reorderer: ragged columns (ids %d, ts %d, vals %d, w %d)",
-			len(img.IDs), len(img.TS), len(img.Vals), len(img.W))
-	}
-	out := make([]tuple.Tuple, len(img.IDs))
-	for i, id := range img.IDs {
-		if int(id) >= len(img.Keys) {
-			return nil, fmt.Errorf("engine: restoring reorderer: key id %d beyond table of %d", id, len(img.Keys))
-		}
-		out[i] = tuple.Tuple{TS: img.TS[i], Key: img.Keys[id], Val: img.Vals[i], Weight: img.W[i]}
-	}
-	return out, nil
-}
-
-// Image snapshots the reorderer for a checkpoint in columnar form. The
-// pending buffer is copied, so the live reorderer may keep ingesting
-// after the snapshot.
-func (r *Reorderer) Image() ReordererImage {
-	img := ReordererImage{
-		MaxDelay: r.MaxDelay,
-		IDs:      make([]uint32, len(r.pending)),
-		TS:       make([]tuple.Time, len(r.pending)),
-		Vals:     make([]float64, len(r.pending)),
-		W:        make([]int, len(r.pending)),
-		Sorted:   r.sorted,
-		Sealed:   r.sealed,
-		Ingested: r.ingested,
-		Dropped:  r.dropped,
-	}
-	table := make(map[string]uint32)
-	for i := range r.pending {
-		t := &r.pending[i]
-		id, ok := table[t.Key]
-		if !ok {
-			id = uint32(len(img.Keys))
-			img.Keys = append(img.Keys, t.Key)
-			table[t.Key] = id
-		}
-		img.IDs[i] = id
-		img.TS[i] = t.TS
-		img.Vals[i] = t.Val
-		img.W[i] = t.Weight
-	}
-	return img
-}
-
-// RestoreReorderer rebuilds a reorderer from a checkpointed image.
-func RestoreReorderer(img ReordererImage) (*Reorderer, error) {
-	if img.MaxDelay < 0 {
-		return nil, fmt.Errorf("engine: restoring reorderer: negative max delay %v", img.MaxDelay)
-	}
-	if img.Sorted < 0 || img.Sorted > img.PendingLen() {
-		return nil, fmt.Errorf("engine: restoring reorderer: sorted prefix %d outside buffer of %d",
-			img.Sorted, img.PendingLen())
-	}
-	pending, err := img.pendingRows()
-	if err != nil {
-		return nil, err
-	}
-	return &Reorderer{
-		MaxDelay: img.MaxDelay,
-		pending:  pending,
-		sorted:   img.Sorted,
-		sealed:   img.Sealed,
-		ingested: img.Ingested,
-		dropped:  img.Dropped,
-	}, nil
-}
-
 // Ingest accepts one arrival. Arrivals must be fed in non-decreasing
 // arrival order (the receiver sees them that way). A tuple later than
 // MaxDelay past its event time, or with an event time inside an already

@@ -3,7 +3,7 @@ package engine
 import (
 	"bytes"
 	"cmp"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +12,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"prompt/internal/codec"
 	"prompt/internal/tuple"
 	"prompt/internal/window"
 	"prompt/internal/workload"
@@ -314,10 +315,27 @@ func TestRunReorderedDropsBeyondBound(t *testing.T) {
 	}
 }
 
-// TestReordererImageColumnarRoundTrip proves the columnar checkpoint
-// image is lossless: snapshot a loaded reorderer, push the image through
-// gob (the checkpoint codec), restore, and compare the full internal
-// state against a restore-free twin.
+// reordererSection round-trips a reorderer through the checkpoint's
+// reorderer section alone.
+func reordererSection(t *testing.T, r *Reorderer) (*Reorderer, error) {
+	t.Helper()
+	b := (&Engine{reorder: r}).appendReorderer(nil)
+	e := &Engine{}
+	rd := codec.NewReader(b, ErrCheckpoint)
+	e.decodeReorderer(rd)
+	if err := rd.End(); err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(e.appendReorderer(nil), b) {
+		t.Fatal("restored reorderer writes a different section")
+	}
+	return e.reorder, nil
+}
+
+// TestReordererImageColumnarRoundTrip proves the checkpoint's columnar
+// reorderer section is lossless: write a loaded reorderer's section,
+// decode it on its own, and compare the full internal state against a
+// restore-free twin.
 func TestReordererImageColumnarRoundTrip(t *testing.T) {
 	r, err := NewReorderer(200 * tuple.Millisecond)
 	if err != nil {
@@ -338,29 +356,17 @@ func TestReordererImageColumnarRoundTrip(t *testing.T) {
 			},
 		})
 	}
-	img := r.Image()
-	if img.PendingLen() != r.Pending() {
-		t.Fatalf("image pending = %d, reorderer holds %d", img.PendingLen(), r.Pending())
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		t.Fatal(err)
-	}
-	var img2 ReordererImage
-	if err := gob.NewDecoder(&buf).Decode(&img2); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := RestoreReorderer(img2)
+	r2, err := reordererSection(t, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r2.pending, r.pending) {
 		t.Fatal("restored pending buffer diverges from the live one")
 	}
-	if r2.sorted != r.sorted || r2.sealed != r.sealed || r2.ingested != r.ingested || r2.dropped != r.dropped {
-		t.Fatalf("restored state (%d,%v,%v,%d) != live (%d,%v,%v,%d)",
-			r2.sorted, r2.sealed, r2.ingested, r2.dropped,
-			r.sorted, r.sealed, r.ingested, r.dropped)
+	if r2.MaxDelay != r.MaxDelay || r2.sorted != r.sorted || r2.sealed != r.sealed || r2.ingested != r.ingested || r2.dropped != r.dropped {
+		t.Fatalf("restored state (%v,%d,%v,%v,%d) != live (%v,%d,%v,%v,%d)",
+			r2.MaxDelay, r2.sorted, r2.sealed, r2.ingested, r2.dropped,
+			r.MaxDelay, r.sorted, r.sealed, r.ingested, r.dropped)
 	}
 	// Both must seal the next batch identically.
 	end := r.Ingested() - r.MaxDelay
@@ -377,25 +383,30 @@ func TestReordererImageColumnarRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReordererImageRejectsBadColumns exercises the columnar image
-// validation: ragged columns and out-of-table key ids must fail the
-// restore, not corrupt the buffer.
+// TestReordererImageRejectsBadColumns exercises the reorderer section's
+// validation: a column cut short, a negative delay bound, and a sorted
+// prefix longer than the buffer must fail the restore, not corrupt the
+// buffer.
 func TestReordererImageRejectsBadColumns(t *testing.T) {
-	base := ReordererImage{
-		Keys: []string{"k"},
-		IDs:  []uint32{0, 0},
-		TS:   []tuple.Time{1, 2},
-		Vals: []float64{1, 2},
-		W:    []int{1, 1},
+	base := &Reorderer{MaxDelay: 5, sorted: 1, pending: []tuple.Tuple{
+		{TS: 1, Key: "k", Val: 1, Weight: 1},
+		{TS: 2, Key: "k", Val: 2, Weight: 1 << 40},
+	}}
+	if _, err := reordererSection(t, base); err != nil {
+		t.Fatalf("valid section rejected: %v", err)
 	}
-	ragged := base
-	ragged.TS = ragged.TS[:1]
-	if _, err := RestoreReorderer(ragged); err == nil {
-		t.Error("ragged columns accepted")
+	short := (&Engine{reorder: base}).appendReorderer(nil)
+	rd := codec.NewReader(short[:len(short)-1], ErrCheckpoint)
+	(&Engine{}).decodeReorderer(rd)
+	if err := rd.End(); !errors.Is(err, ErrCheckpoint) {
+		t.Errorf("weight column cut short: got %v, want ErrCheckpoint", err)
 	}
-	bad := base
-	bad.IDs = []uint32{0, 7}
-	if _, err := RestoreReorderer(bad); err == nil {
-		t.Error("key id beyond table accepted")
+	for name, bad := range map[string]*Reorderer{
+		"negative delay":  {MaxDelay: -1, pending: base.pending},
+		"sorted too long": {MaxDelay: 5, sorted: 3, pending: base.pending},
+	} {
+		if _, err := reordererSection(t, bad); !errors.Is(err, ErrCheckpoint) {
+			t.Errorf("%s: got %v, want ErrCheckpoint", name, err)
+		}
 	}
 }

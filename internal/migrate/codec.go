@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
+	"prompt/internal/codec"
 	"prompt/internal/tuple"
 	"prompt/internal/window"
 )
@@ -40,203 +40,82 @@ func (img *Image) Encode() []byte {
 		}
 	}
 	b := append(make([]byte, 0, size), imageVersion)
-	b = binary.AppendVarint(b, int64(img.Slot))
-	b = binary.AppendVarint(b, int64(img.Epoch))
-	b = binary.AppendVarint(b, int64(img.From))
-	b = binary.AppendVarint(b, int64(img.To))
-	b = binary.AppendUvarint(b, uint64(len(img.Dict)))
+	b = codec.AppendVarint(b, int64(img.Slot))
+	b = codec.AppendVarint(b, int64(img.Epoch))
+	b = codec.AppendVarint(b, int64(img.From))
+	b = codec.AppendVarint(b, int64(img.To))
+	b = codec.AppendUvarint(b, uint64(len(img.Dict)))
 	for _, d := range img.Dict {
-		b = binary.AppendUvarint(b, uint64(d.ID))
-		b = binary.AppendUvarint(b, uint64(len(d.Key)))
-		b = append(b, d.Key...)
+		b = codec.AppendUvarint(b, uint64(d.ID))
+		b = codec.AppendString(b, d.Key)
 	}
-	b = binary.AppendUvarint(b, uint64(len(img.Queries)))
+	b = codec.AppendUvarint(b, uint64(len(img.Queries)))
 	for _, q := range img.Queries {
-		b = binary.AppendVarint(b, int64(q.Query))
-		b = binary.AppendUvarint(b, uint64(len(q.Batches)))
+		b = codec.AppendVarint(b, int64(q.Query))
+		b = codec.AppendUvarint(b, uint64(len(q.Batches)))
 		for _, bk := range q.Batches {
-			b = binary.AppendVarint(b, int64(bk.End))
-			b = binary.AppendUvarint(b, uint64(len(bk.Refs)))
+			b = codec.AppendVarint(b, int64(bk.End))
+			b = codec.AppendUvarint(b, uint64(len(bk.Refs)))
 			for i, ref := range bk.Refs {
-				b = binary.AppendUvarint(b, uint64(ref))
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(bk.Vals[i]))
+				b = codec.AppendUvarint(b, uint64(ref))
+				b = codec.AppendFloat(b, bk.Vals[i])
 			}
 		}
 	}
 	return b
 }
 
-// imgReader is a bounds-checked cursor over an encoded image.
-type imgReader struct {
-	b   []byte
-	off int
-}
-
-func (r *imgReader) remaining() int { return len(r.b) - r.off }
-
-func (r *imgReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 || !r.minimal(n) {
-		return 0, ErrImage
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *imgReader) varint() (int64, error) {
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 || !r.minimal(n) {
-		return 0, ErrImage
-	}
-	r.off += n
-	return v, nil
-}
-
-// minimal reports whether the n-byte varint at the cursor is the shortest
-// encoding of its value: a padded one ends in a zero byte. Encode never
-// pads, and Decode accepts only what Encode writes, so an image has one
-// encoding and its digest identifies it.
-func (r *imgReader) minimal(n int) bool {
-	return n == 1 || r.b[r.off+n-1] != 0
-}
-
-func (r *imgReader) intv() (int, error) {
-	v, err := r.varint()
-	if err != nil {
-		return 0, err
-	}
-	if int64(int(v)) != v {
-		return 0, fmt.Errorf("%w: varint %d overflows int", ErrImage, v)
-	}
-	return int(v), nil
-}
-
-// count reads an element count whose encoding occupies at least minBytes
-// bytes per element, rejecting counts the payload cannot hold.
-func (r *imgReader) count(minBytes int) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
-	if v > uint64(r.remaining()/minBytes) {
-		return 0, fmt.Errorf("%w: count %d exceeds payload", ErrImage, v)
-	}
-	return int(v), nil
-}
-
-func (r *imgReader) float() (float64, error) {
-	if r.remaining() < 8 {
-		return 0, ErrImage
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return math.Float64frombits(v), nil
-}
-
 // Decode parses an encoded image, failing cleanly on truncation, bad
-// versions, and length bombs.
+// versions, length bombs and padded varints: it accepts only what Encode
+// writes, so an image has one encoding and its digest identifies it.
 func Decode(b []byte) (*Image, error) {
 	if len(b) < 1 {
-		return nil, ErrImage
+		return nil, fmt.Errorf("%w: empty image", ErrImage)
 	}
 	if b[0] != imageVersion {
 		return nil, fmt.Errorf("%w: version %d, speak %d", ErrImage, b[0], imageVersion)
 	}
-	r := &imgReader{b: b, off: 1}
-	img := &Image{}
-	var err error
-	if img.Slot, err = r.intv(); err != nil {
-		return nil, err
-	}
-	if img.Epoch, err = r.intv(); err != nil {
-		return nil, err
-	}
-	if img.From, err = r.intv(); err != nil {
-		return nil, err
-	}
-	if img.To, err = r.intv(); err != nil {
-		return nil, err
-	}
-	nd, err := r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	img.Dict = make([]DictSlot, nd)
+	r := codec.NewReader(b[1:], ErrImage)
+	img := &Image{Slot: r.Int(), Epoch: r.Int(), From: r.Int(), To: r.Int()}
+	img.Dict = make([]DictSlot, r.Count(2))
 	// The keys are cut from one copy of the table's bytes rather than
 	// copied out one by one. An image is short-lived and its usual
 	// recipient already knows every key, so nothing outlives it; Apply
 	// clones the keys it does have to intern.
 	type span struct{ off, n int }
-	spans := make([]span, nd)
-	tableStart := r.off
+	spans := make([]span, len(img.Dict))
+	tableStart := r.Offset()
 	for i := range img.Dict {
-		id, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if id > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: dict id %d overflows uint32", ErrImage, id)
-		}
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(r.remaining()) {
-			return nil, ErrImage
-		}
-		img.Dict[i].ID = uint32(id)
-		spans[i] = span{r.off - tableStart, int(n)}
-		r.off += int(n)
+		img.Dict[i].ID = r.Uint32()
+		n := r.Count(1)
+		spans[i] = span{r.Offset() - tableStart, n}
+		r.Raw(n)
 	}
-	table := string(r.b[tableStart:r.off])
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	table := string(b[1+tableStart : 1+r.Offset()])
 	for i, sp := range spans {
 		img.Dict[i].Key = table[sp.off : sp.off+sp.n]
 	}
-	nq, err := r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	img.Queries = make([]QueryImage, nq)
+	img.Queries = make([]QueryImage, r.Count(2))
 	for qi := range img.Queries {
 		q := &img.Queries[qi]
-		if q.Query, err = r.intv(); err != nil {
-			return nil, err
-		}
-		nb, err := r.count(2)
-		if err != nil {
-			return nil, err
-		}
-		q.Batches = make([]window.SlotBatch, nb)
+		q.Query = r.Int()
+		q.Batches = make([]window.SlotBatch, r.Count(2))
 		// A query's columns share one backing array per kind, grown as the
 		// batches are read and cut into per-batch pieces at the end.
 		refs, vals := []uint32{}, []float64{}
-		cuts := make([]int, nb+1)
+		cuts := make([]int, len(q.Batches)+1)
 		for bi := range q.Batches {
-			end, err := r.varint()
-			if err != nil {
-				return nil, err
-			}
-			q.Batches[bi].End = tuple.Time(end)
-			ne, err := r.count(9)
-			if err != nil {
-				return nil, err
-			}
-			for ei := 0; ei < ne; ei++ {
-				d, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
+			q.Batches[bi].End = tuple.Time(r.Varint())
+			for range r.Count(9) {
+				d := r.Uvarint()
 				if d >= uint64(len(img.Dict)) {
-					return nil, fmt.Errorf("%w: dict reference %d out of range [0,%d)", ErrImage, d, len(img.Dict))
+					r.Failf("dict reference %d out of range [0,%d)", d, len(img.Dict))
+					break
 				}
-				v, err := r.float()
-				if err != nil {
-					return nil, err
-				}
-				refs, vals = append(refs, uint32(d)), append(vals, v)
+				refs, vals = append(refs, uint32(d)), append(vals, r.Float())
 			}
 			cuts[bi+1] = len(refs)
 		}
@@ -245,8 +124,8 @@ func Decode(b []byte) (*Image, error) {
 			q.Batches[bi].Refs, q.Batches[bi].Vals = refs[from:to:to], vals[from:to:to]
 		}
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrImage, r.remaining())
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	return img, nil
 }

@@ -11,9 +11,8 @@
 //
 // A slot's state travels as an Image: the per-query window contributions
 // of the slot's keys (window.SlotBatch columns) plus the intern slots
-// (id, key) those keys occupy, serialized with the same length-checked
-// varint discipline as internal/wire (this package cannot import wire —
-// wire imports engine — so it carries its own primitives). The slots are
+// (id, key) those keys occupy, serialized with internal/codec, the codec
+// under wire frames, estimator images and checkpoints too. The slots are
 // the physical partitions of the window state, so Extract detaches one and
 // Apply attaches one in time proportional to that slot's keys; Export is
 // the non-destructive Extract the checkpoint writer uses. The engine

@@ -360,7 +360,7 @@ func (ag *Aggregator) TopK(k int) []Entry {
 	keys := ag.dict.Strings()
 	// before reports whether a ranks strictly ahead of b.
 	before := func(a, b ranked) bool {
-		if c := compareValDesc(a.val, b.val); c != 0 {
+		if c := CompareValDesc(a.val, b.val); c != 0 {
 			return c < 0
 		}
 		return keys[a.id] < keys[b.id]
@@ -407,7 +407,7 @@ func (ag *Aggregator) TopK(k int) []Entry {
 		out[i] = Entry{Key: keys[r.id], Val: r.val}
 	}
 	slices.SortFunc(out, func(a, b Entry) int {
-		if c := compareValDesc(a.Val, b.Val); c != 0 {
+		if c := CompareValDesc(a.Val, b.Val); c != 0 {
 			return c
 		}
 		return strings.Compare(a.Key, b.Key)
@@ -415,13 +415,13 @@ func (ag *Aggregator) TopK(k int) []Entry {
 	return out
 }
 
-// compareValDesc orders window values descending under a total order:
+// CompareValDesc orders window values descending under a total order:
 // NaN sorts after every number and equal to other NaNs (letting the key
 // tie-break apply), so a reduce that ever emits NaN cannot make the
 // ranking depend on map iteration order. A bare != / cmp.Compare pair is
 // not total here — NaN != NaN while cmp.Compare(NaN, NaN) == 0, which
 // skips the tie-break and leaves NaN entries in arrival order.
-func compareValDesc(a, b float64) int {
+func CompareValDesc(a, b float64) int {
 	an, bn := math.IsNaN(a), math.IsNaN(b)
 	switch {
 	case an && bn:

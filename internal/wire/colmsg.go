@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"fmt"
-	"math"
-
+	"prompt/internal/codec"
 	"prompt/internal/tuple"
 )
 
@@ -31,54 +29,36 @@ type ColBlock struct {
 }
 
 func appendColBlock(b []byte, bl *ColBlock) []byte {
-	b = appendVarint(b, int64(bl.ID))
-	b = appendUvarint(b, uint64(len(bl.Keys)))
+	b = codec.AppendVarint(b, int64(bl.ID))
+	b = codec.AppendUvarint(b, uint64(len(bl.Keys)))
 	for i := range bl.Keys {
 		ks := &bl.Keys[i]
-		b = appendUvarint(b, uint64(ks.KeyID))
-		b = appendVarint(b, int64(ks.Dense))
-		b = appendUvarint(b, uint64(ks.Cols.Len()))
+		b = codec.AppendUvarint(b, uint64(ks.KeyID))
+		b = codec.AppendVarint(b, int64(ks.Dense))
+		b = codec.AppendUvarint(b, uint64(ks.Cols.Len()))
 		prev := tuple.Time(0)
 		for _, ts := range ks.Cols.TS {
-			b = appendVarint(b, int64(ts-prev))
+			b = codec.AppendVarint(b, int64(ts-prev))
 			prev = ts
 		}
 		for _, v := range ks.Cols.Vals {
-			b = appendFloat(b, v)
+			b = codec.AppendFloat(b, v)
 		}
 		for _, w := range ks.Cols.W {
-			b = appendUvarint(b, uint64(uint32(w)))
+			b = codec.AppendUvarint(b, uint64(uint32(w)))
 		}
 	}
 	return b
 }
 
-func decodeColBlock(r *reader, bl *ColBlock) (err error) {
-	if bl.ID, err = r.intv(); err != nil {
-		return err
-	}
-	nk, err := r.count(3)
-	if err != nil {
-		return err
-	}
-	bl.Keys = make([]ColKeySlice, nk)
+func decodeColBlock(r *codec.Reader, bl *ColBlock) {
+	bl.ID = r.Int()
+	bl.Keys = make([]ColKeySlice, r.Count(3))
 	for i := range bl.Keys {
 		ks := &bl.Keys[i]
-		if ks.KeyID, err = r.uint32v(); err != nil {
-			return err
-		}
-		dense, err := r.varint()
-		if err != nil {
-			return err
-		}
-		if int64(int32(dense)) != dense {
-			return fmt.Errorf("wire: dense id %d overflows int32", dense)
-		}
-		ks.Dense = int32(dense)
-		n, err := r.count(10) // TS delta(1+) + Val(8) + W(1+)
-		if err != nil {
-			return err
-		}
+		ks.KeyID = r.Uint32()
+		ks.Dense = r.Int32()
+		n := r.Count(10) // TS delta(1+) + Val(8) + W(1+)
 		cols := tuple.ColSlice{
 			TS:   make([]tuple.Time, n),
 			Vals: make([]float64, n),
@@ -86,31 +66,17 @@ func decodeColBlock(r *reader, bl *ColBlock) (err error) {
 		}
 		prev := tuple.Time(0)
 		for j := range cols.TS {
-			d, err := r.varint()
-			if err != nil {
-				return err
-			}
-			prev += tuple.Time(d)
+			prev += tuple.Time(r.Varint())
 			cols.TS[j] = prev
 		}
 		for j := range cols.Vals {
-			if cols.Vals[j], err = r.float(); err != nil {
-				return err
-			}
+			cols.Vals[j] = r.Float()
 		}
 		for j := range cols.W {
-			w, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			if w > math.MaxUint32 {
-				return fmt.Errorf("wire: weight %d overflows uint32", w)
-			}
-			cols.W[j] = int32(uint32(w))
+			cols.W[j] = int32(r.Uint32())
 		}
 		ks.Cols = cols
 	}
-	return nil
 }
 
 // MapTaskCols carries one batch-query-stage's worth of Map work for one
@@ -131,35 +97,22 @@ type MapTaskCols struct {
 func (*MapTaskCols) WireType() Type { return TypeMapTaskCols }
 
 func (m *MapTaskCols) append(b []byte) []byte {
-	b = appendVarint(b, int64(m.Batch))
-	b = appendVarint(b, int64(m.Query))
+	b = codec.AppendVarint(b, int64(m.Batch))
+	b = codec.AppendVarint(b, int64(m.Query))
 	b = m.Dict.append(b)
-	b = appendUvarint(b, uint64(len(m.Blocks)))
+	b = codec.AppendUvarint(b, uint64(len(m.Blocks)))
 	for i := range m.Blocks {
 		b = appendColBlock(b, &m.Blocks[i])
 	}
 	return b
 }
 
-func (m *MapTaskCols) decode(r *reader) (err error) {
-	if m.Batch, err = r.intv(); err != nil {
-		return err
-	}
-	if m.Query, err = r.intv(); err != nil {
-		return err
-	}
-	if err = m.Dict.decode(r); err != nil {
-		return err
-	}
-	n, err := r.count(2)
-	if err != nil {
-		return err
-	}
-	m.Blocks = make([]ColBlock, n)
+func (m *MapTaskCols) decode(r *codec.Reader) {
+	m.Batch = r.Int()
+	m.Query = r.Int()
+	m.Dict.decode(r)
+	m.Blocks = make([]ColBlock, r.Count(2))
 	for i := range m.Blocks {
-		if err = decodeColBlock(r, &m.Blocks[i]); err != nil {
-			return err
-		}
+		decodeColBlock(r, &m.Blocks[i])
 	}
-	return nil
 }

@@ -1,10 +1,15 @@
 package wire
 
+import (
+	"bytes"
+
+	"prompt/internal/codec"
+)
+
 // Migrate ships one virtual slot's state image to its new owner during a
 // rescale (the key-range handoff of the elasticity protocol). The image
-// bytes are internal/migrate's own encoding — opaque to this layer, which
-// only frames, sizes, and digests them — because wire depends on engine
-// and therefore cannot import the migrate package the engine also uses.
+// bytes are internal/migrate's own versioned image — opaque to this layer,
+// which only frames, sizes, and digests them.
 type Migrate struct {
 	// Batch is the epoch (batch index) the handoff commits at; a
 	// recipient replacing a stripe it already holds keeps the newest.
@@ -24,38 +29,22 @@ type Migrate struct {
 func (*Migrate) WireType() Type { return TypeMigrate }
 
 func (m *Migrate) append(b []byte) []byte {
-	b = appendVarint(b, int64(m.Batch))
-	b = appendVarint(b, int64(m.Slot))
-	b = appendVarint(b, int64(m.From))
-	b = appendVarint(b, int64(m.To))
-	b = appendUvarint(b, uint64(len(m.Image)))
-	b = append(b, m.Image...)
-	b = appendUvarint(b, m.Digest)
+	b = codec.AppendVarint(b, int64(m.Batch))
+	b = codec.AppendVarint(b, int64(m.Slot))
+	b = codec.AppendVarint(b, int64(m.From))
+	b = codec.AppendVarint(b, int64(m.To))
+	b = codec.AppendBytes(b, m.Image)
+	b = codec.AppendUvarint(b, m.Digest)
 	return b
 }
 
-func (m *Migrate) decode(r *reader) (err error) {
-	if m.Batch, err = r.intv(); err != nil {
-		return err
-	}
-	if m.Slot, err = r.intv(); err != nil {
-		return err
-	}
-	if m.From, err = r.intv(); err != nil {
-		return err
-	}
-	if m.To, err = r.intv(); err != nil {
-		return err
-	}
-	n, err := r.count(1)
-	if err != nil {
-		return err
-	}
-	m.Image = make([]byte, n)
-	copy(m.Image, r.b[r.off:r.off+n])
-	r.off += n
-	m.Digest, err = r.uvarint()
-	return err
+func (m *Migrate) decode(r *codec.Reader) {
+	m.Batch = r.Int()
+	m.Slot = r.Int()
+	m.From = r.Int()
+	m.To = r.Int()
+	m.Image = bytes.Clone(r.Bytes())
+	m.Digest = r.Uvarint()
 }
 
 // MigrateAck acknowledges a Migrate frame: the recipient echoes the slot
@@ -71,19 +60,14 @@ type MigrateAck struct {
 func (*MigrateAck) WireType() Type { return TypeMigrateAck }
 
 func (m *MigrateAck) append(b []byte) []byte {
-	b = appendVarint(b, int64(m.Slot))
-	b = appendUvarint(b, m.Digest)
-	b = appendVarint(b, int64(m.Keys))
+	b = codec.AppendVarint(b, int64(m.Slot))
+	b = codec.AppendUvarint(b, m.Digest)
+	b = codec.AppendVarint(b, int64(m.Keys))
 	return b
 }
 
-func (m *MigrateAck) decode(r *reader) (err error) {
-	if m.Slot, err = r.intv(); err != nil {
-		return err
-	}
-	if m.Digest, err = r.uvarint(); err != nil {
-		return err
-	}
-	m.Keys, err = r.intv()
-	return err
+func (m *MigrateAck) decode(r *codec.Reader) {
+	m.Slot = r.Int()
+	m.Digest = r.Uvarint()
+	m.Keys = r.Int()
 }

@@ -1,10 +1,7 @@
 package wire
 
 import (
-	"fmt"
-
-	"prompt/internal/engine"
-	"prompt/internal/metrics"
+	"prompt/internal/codec"
 	"prompt/internal/tuple"
 )
 
@@ -27,39 +24,24 @@ type Hello struct {
 func (*Hello) WireType() Type { return TypeHello }
 
 func (m *Hello) append(b []byte) []byte {
-	b = appendVarint(b, int64(m.Shard))
-	b = appendVarint(b, int64(m.Shards))
-	b = appendUvarint(b, uint64(len(m.Queries)))
+	b = codec.AppendVarint(b, int64(m.Shard))
+	b = codec.AppendVarint(b, int64(m.Shards))
+	b = codec.AppendUvarint(b, uint64(len(m.Queries)))
 	for _, q := range m.Queries {
-		b = appendString(b, q)
+		b = codec.AppendString(b, q)
 	}
-	b = appendVarint(b, int64(m.Interval))
+	b = codec.AppendVarint(b, int64(m.Interval))
 	return b
 }
 
-func (m *Hello) decode(r *reader) (err error) {
-	if m.Shard, err = r.intv(); err != nil {
-		return err
-	}
-	if m.Shards, err = r.intv(); err != nil {
-		return err
-	}
-	n, err := r.count(1)
-	if err != nil {
-		return err
-	}
-	m.Queries = make([]string, n)
+func (m *Hello) decode(r *codec.Reader) {
+	m.Shard = r.Int()
+	m.Shards = r.Int()
+	m.Queries = make([]string, r.Count(1))
 	for i := range m.Queries {
-		if m.Queries[i], err = r.string(); err != nil {
-			return err
-		}
+		m.Queries[i] = r.Str()
 	}
-	iv, err := r.varint()
-	if err != nil {
-		return err
-	}
-	m.Interval = tuple.Time(iv)
-	return nil
+	m.Interval = tuple.Time(r.Varint())
 }
 
 // HelloAck completes the handshake. DictSize is how many intern-dictionary
@@ -77,21 +59,16 @@ type HelloAck struct {
 func (*HelloAck) WireType() Type { return TypeHelloAck }
 
 func (m *HelloAck) append(b []byte) []byte {
-	b = appendVarint(b, int64(m.Shard))
-	b = appendUvarint(b, uint64(m.DictSize))
-	b = appendVarint(b, int64(m.Queries))
+	b = codec.AppendVarint(b, int64(m.Shard))
+	b = codec.AppendUvarint(b, uint64(m.DictSize))
+	b = codec.AppendVarint(b, int64(m.Queries))
 	return b
 }
 
-func (m *HelloAck) decode(r *reader) (err error) {
-	if m.Shard, err = r.intv(); err != nil {
-		return err
-	}
-	if m.DictSize, err = r.uint32v(); err != nil {
-		return err
-	}
-	m.Queries, err = r.intv()
-	return err
+func (m *HelloAck) decode(r *codec.Reader) {
+	m.Shard = r.Int()
+	m.DictSize = r.Uint32()
+	m.Queries = r.Int()
 }
 
 // DictDelta extends the receiver's mirror of the coordinator's intern
@@ -104,29 +81,20 @@ type DictDelta struct {
 }
 
 func (m *DictDelta) append(b []byte) []byte {
-	b = appendUvarint(b, uint64(m.First))
-	b = appendUvarint(b, uint64(len(m.Keys)))
+	b = codec.AppendUvarint(b, uint64(m.First))
+	b = codec.AppendUvarint(b, uint64(len(m.Keys)))
 	for _, k := range m.Keys {
-		b = appendString(b, k)
+		b = codec.AppendString(b, k)
 	}
 	return b
 }
 
-func (m *DictDelta) decode(r *reader) (err error) {
-	if m.First, err = r.uint32v(); err != nil {
-		return err
-	}
-	n, err := r.count(1)
-	if err != nil {
-		return err
-	}
-	m.Keys = make([]string, n)
+func (m *DictDelta) decode(r *codec.Reader) {
+	m.First = r.Uint32()
+	m.Keys = make([]string, r.Count(1))
 	for i := range m.Keys {
-		if m.Keys[i], err = r.string(); err != nil {
-			return err
-		}
+		m.Keys[i] = r.Str()
 	}
-	return nil
 }
 
 // Tuple is a stream tuple with its key replaced by an intern ID.
@@ -151,66 +119,38 @@ type Block struct {
 }
 
 func appendBlock(b []byte, bl *Block) []byte {
-	b = appendVarint(b, int64(bl.ID))
-	b = appendUvarint(b, uint64(len(bl.Keys)))
+	b = codec.AppendVarint(b, int64(bl.ID))
+	b = codec.AppendUvarint(b, uint64(len(bl.Keys)))
 	for i := range bl.Keys {
 		ks := &bl.Keys[i]
-		b = appendUvarint(b, uint64(ks.KeyID))
-		b = appendVarint(b, int64(ks.Dense))
-		b = appendUvarint(b, uint64(len(ks.Tuples)))
+		b = codec.AppendUvarint(b, uint64(ks.KeyID))
+		b = codec.AppendVarint(b, int64(ks.Dense))
+		b = codec.AppendUvarint(b, uint64(len(ks.Tuples)))
 		for j := range ks.Tuples {
 			t := &ks.Tuples[j]
-			b = appendVarint(b, int64(t.TS))
-			b = appendFloat(b, t.Val)
-			b = appendUvarint(b, uint64(t.Weight))
+			b = codec.AppendVarint(b, int64(t.TS))
+			b = codec.AppendFloat(b, t.Val)
+			b = codec.AppendUvarint(b, uint64(t.Weight))
 		}
 	}
 	return b
 }
 
-func decodeBlock(r *reader, bl *Block) (err error) {
-	if bl.ID, err = r.intv(); err != nil {
-		return err
-	}
-	nk, err := r.count(3)
-	if err != nil {
-		return err
-	}
-	bl.Keys = make([]KeySlice, nk)
+func decodeBlock(r *codec.Reader, bl *Block) {
+	bl.ID = r.Int()
+	bl.Keys = make([]KeySlice, r.Count(3))
 	for i := range bl.Keys {
 		ks := &bl.Keys[i]
-		if ks.KeyID, err = r.uint32v(); err != nil {
-			return err
-		}
-		dense, err := r.varint()
-		if err != nil {
-			return err
-		}
-		if int64(int32(dense)) != dense {
-			return fmt.Errorf("wire: dense id %d overflows int32", dense)
-		}
-		ks.Dense = int32(dense)
-		nt, err := r.count(10) // TS(1+) + Val(8) + Weight(1+)
-		if err != nil {
-			return err
-		}
-		ks.Tuples = make([]Tuple, nt)
+		ks.KeyID = r.Uint32()
+		ks.Dense = r.Int32()
+		ks.Tuples = make([]Tuple, r.Count(10)) // TS(1+) + Val(8) + Weight(1+)
 		for j := range ks.Tuples {
 			t := &ks.Tuples[j]
-			ts, err := r.varint()
-			if err != nil {
-				return err
-			}
-			t.TS = tuple.Time(ts)
-			if t.Val, err = r.float(); err != nil {
-				return err
-			}
-			if t.Weight, err = r.uintv(); err != nil {
-				return err
-			}
+			t.TS = tuple.Time(r.Varint())
+			t.Val = r.Float()
+			t.Weight = r.Uint()
 		}
 	}
-	return nil
 }
 
 // MapTask is the row form of MapTaskCols: the same Map work with every
@@ -230,37 +170,24 @@ type MapTask struct {
 func (*MapTask) WireType() Type { return TypeMapTask }
 
 func (m *MapTask) append(b []byte) []byte {
-	b = appendVarint(b, int64(m.Batch))
-	b = appendVarint(b, int64(m.Query))
+	b = codec.AppendVarint(b, int64(m.Batch))
+	b = codec.AppendVarint(b, int64(m.Query))
 	b = m.Dict.append(b)
-	b = appendUvarint(b, uint64(len(m.Blocks)))
+	b = codec.AppendUvarint(b, uint64(len(m.Blocks)))
 	for i := range m.Blocks {
 		b = appendBlock(b, &m.Blocks[i])
 	}
 	return b
 }
 
-func (m *MapTask) decode(r *reader) (err error) {
-	if m.Batch, err = r.intv(); err != nil {
-		return err
-	}
-	if m.Query, err = r.intv(); err != nil {
-		return err
-	}
-	if err = m.Dict.decode(r); err != nil {
-		return err
-	}
-	n, err := r.count(2)
-	if err != nil {
-		return err
-	}
-	m.Blocks = make([]Block, n)
+func (m *MapTask) decode(r *codec.Reader) {
+	m.Batch = r.Int()
+	m.Query = r.Int()
+	m.Dict.decode(r)
+	m.Blocks = make([]Block, r.Count(2))
 	for i := range m.Blocks {
-		if err = decodeBlock(r, &m.Blocks[i]); err != nil {
-			return err
-		}
+		decodeBlock(r, &m.Blocks[i])
 	}
-	return nil
 }
 
 // Cluster is one key cluster of a Map task's output with its folded
@@ -292,66 +219,40 @@ type MapResult struct {
 func (*MapResult) WireType() Type { return TypeMapResult }
 
 func (m *MapResult) append(b []byte) []byte {
-	b = appendVarint(b, int64(m.Batch))
-	b = appendVarint(b, int64(m.Query))
-	b = appendUvarint(b, uint64(len(m.Outs)))
+	b = codec.AppendVarint(b, int64(m.Batch))
+	b = codec.AppendVarint(b, int64(m.Query))
+	b = codec.AppendUvarint(b, uint64(len(m.Outs)))
 	for i := range m.Outs {
 		cs := m.Outs[i].Clusters
-		b = appendUvarint(b, uint64(len(cs)))
+		b = codec.AppendUvarint(b, uint64(len(cs)))
 		for j := range cs {
 			c := &cs[j]
-			b = appendUvarint(b, uint64(c.KeyID))
-			b = appendVarint(b, int64(c.Size))
-			b = appendVarint(b, int64(c.Dense))
-			b = appendFloat(b, c.Val)
+			b = codec.AppendUvarint(b, uint64(c.KeyID))
+			b = codec.AppendVarint(b, int64(c.Size))
+			b = codec.AppendVarint(b, int64(c.Dense))
+			b = codec.AppendFloat(b, c.Val)
 		}
 	}
-	b = appendFloat(b, m.Factor)
+	b = codec.AppendFloat(b, m.Factor)
 	return b
 }
 
-func (m *MapResult) decode(r *reader) (err error) {
-	if m.Batch, err = r.intv(); err != nil {
-		return err
-	}
-	if m.Query, err = r.intv(); err != nil {
-		return err
-	}
-	n, err := r.count(1)
-	if err != nil {
-		return err
-	}
-	m.Outs = make([]BlockOut, n)
+func (m *MapResult) decode(r *codec.Reader) {
+	m.Batch = r.Int()
+	m.Query = r.Int()
+	m.Outs = make([]BlockOut, r.Count(1))
 	for i := range m.Outs {
-		nc, err := r.count(11) // KeyID(1+) + Size(1+) + Dense(1+) + Val(8)
-		if err != nil {
-			return err
-		}
-		cs := make([]Cluster, nc)
+		cs := make([]Cluster, r.Count(11)) // KeyID(1+) + Size(1+) + Dense(1+) + Val(8)
 		for j := range cs {
 			c := &cs[j]
-			if c.KeyID, err = r.uint32v(); err != nil {
-				return err
-			}
-			if c.Size, err = r.intv(); err != nil {
-				return err
-			}
-			dense, err := r.varint()
-			if err != nil {
-				return err
-			}
-			if int64(int32(dense)) != dense {
-				return fmt.Errorf("wire: dense id %d overflows int32", dense)
-			}
-			c.Dense = int32(dense)
-			if c.Val, err = r.float(); err != nil {
-				return err
-			}
+			c.KeyID = r.Uint32()
+			c.Size = r.Int()
+			c.Dense = r.Int32()
+			c.Val = r.Float()
 		}
 		m.Outs[i].Clusters = cs
 	}
-	m.Factor, err = r.float()
-	return err
+	m.Factor = r.Float()
 }
 
 // Contrib is one cluster's contribution to a Reduce bucket.
@@ -380,59 +281,47 @@ type ReduceTask struct {
 func (*ReduceTask) WireType() Type { return TypeReduceTask }
 
 func (m *ReduceTask) append(b []byte) []byte {
-	b = appendVarint(b, int64(m.Batch))
-	b = appendVarint(b, int64(m.Query))
+	b = codec.AppendVarint(b, int64(m.Batch))
+	b = codec.AppendVarint(b, int64(m.Query))
 	b = m.Dict.append(b)
-	b = appendUvarint(b, uint64(len(m.Buckets)))
+	b = codec.AppendUvarint(b, uint64(len(m.Buckets)))
 	for i := range m.Buckets {
 		bk := &m.Buckets[i]
-		b = appendVarint(b, int64(bk.Bucket))
-		b = appendUvarint(b, uint64(len(bk.Contribs)))
-		for j := range bk.Contribs {
-			c := &bk.Contribs[j]
-			b = appendUvarint(b, uint64(c.KeyID))
-			b = appendFloat(b, c.Val)
-		}
+		b = codec.AppendVarint(b, int64(bk.Bucket))
+		b = appendContribs(b, bk.Contribs)
 	}
 	return b
 }
 
-func (m *ReduceTask) decode(r *reader) (err error) {
-	if m.Batch, err = r.intv(); err != nil {
-		return err
-	}
-	if m.Query, err = r.intv(); err != nil {
-		return err
-	}
-	if err = m.Dict.decode(r); err != nil {
-		return err
-	}
-	n, err := r.count(2)
-	if err != nil {
-		return err
-	}
-	m.Buckets = make([]Bucket, n)
+func (m *ReduceTask) decode(r *codec.Reader) {
+	m.Batch = r.Int()
+	m.Query = r.Int()
+	m.Dict.decode(r)
+	m.Buckets = make([]Bucket, r.Count(2))
 	for i := range m.Buckets {
 		bk := &m.Buckets[i]
-		if bk.Bucket, err = r.intv(); err != nil {
-			return err
-		}
-		nc, err := r.count(9) // KeyID(1+) + Val(8)
-		if err != nil {
-			return err
-		}
-		bk.Contribs = make([]Contrib, nc)
-		for j := range bk.Contribs {
-			c := &bk.Contribs[j]
-			if c.KeyID, err = r.uint32v(); err != nil {
-				return err
-			}
-			if c.Val, err = r.float(); err != nil {
-				return err
-			}
-		}
+		bk.Bucket = r.Int()
+		bk.Contribs = decodeContribs(r)
 	}
-	return nil
+}
+
+// appendContribs writes a (KeyID, Val) list; decodeContribs reads one.
+func appendContribs(b []byte, cs []Contrib) []byte {
+	b = codec.AppendUvarint(b, uint64(len(cs)))
+	for j := range cs {
+		b = codec.AppendUvarint(b, uint64(cs[j].KeyID))
+		b = codec.AppendFloat(b, cs[j].Val)
+	}
+	return b
+}
+
+func decodeContribs(r *codec.Reader) []Contrib {
+	cs := make([]Contrib, r.Count(9)) // KeyID(1+) + Val(8)
+	for j := range cs {
+		cs[j].KeyID = r.Uint32()
+		cs[j].Val = r.Float()
+	}
+	return cs
 }
 
 // BucketOut is one folded Reduce bucket: its per-key results in first-
@@ -457,195 +346,28 @@ type ReduceResult struct {
 func (*ReduceResult) WireType() Type { return TypeReduceResult }
 
 func (m *ReduceResult) append(b []byte) []byte {
-	b = appendVarint(b, int64(m.Batch))
-	b = appendVarint(b, int64(m.Query))
-	b = appendUvarint(b, uint64(len(m.Outs)))
+	b = codec.AppendVarint(b, int64(m.Batch))
+	b = codec.AppendVarint(b, int64(m.Query))
+	b = codec.AppendUvarint(b, uint64(len(m.Outs)))
 	for i := range m.Outs {
 		o := &m.Outs[i]
-		b = appendVarint(b, int64(o.Bucket))
-		b = appendUvarint(b, uint64(len(o.Entries)))
-		for j := range o.Entries {
-			c := &o.Entries[j]
-			b = appendUvarint(b, uint64(c.KeyID))
-			b = appendFloat(b, c.Val)
-		}
+		b = codec.AppendVarint(b, int64(o.Bucket))
+		b = appendContribs(b, o.Entries)
 	}
-	b = appendFloat(b, m.Factor)
+	b = codec.AppendFloat(b, m.Factor)
 	return b
 }
 
-func (m *ReduceResult) decode(r *reader) (err error) {
-	if m.Batch, err = r.intv(); err != nil {
-		return err
-	}
-	if m.Query, err = r.intv(); err != nil {
-		return err
-	}
-	n, err := r.count(2)
-	if err != nil {
-		return err
-	}
-	m.Outs = make([]BucketOut, n)
+func (m *ReduceResult) decode(r *codec.Reader) {
+	m.Batch = r.Int()
+	m.Query = r.Int()
+	m.Outs = make([]BucketOut, r.Count(2))
 	for i := range m.Outs {
 		o := &m.Outs[i]
-		if o.Bucket, err = r.intv(); err != nil {
-			return err
-		}
-		ne, err := r.count(9)
-		if err != nil {
-			return err
-		}
-		o.Entries = make([]Contrib, ne)
-		for j := range o.Entries {
-			c := &o.Entries[j]
-			if c.KeyID, err = r.uint32v(); err != nil {
-				return err
-			}
-			if c.Val, err = r.float(); err != nil {
-				return err
-			}
-		}
+		o.Bucket = r.Int()
+		o.Entries = decodeContribs(r)
 	}
-	m.Factor, err = r.float()
-	return err
-}
-
-// Report carries one engine.BatchReport — every field, bit-exact (times
-// as varints, floats as IEEE bits) — so a monitoring peer reconstructs
-// exactly what the coordinator committed.
-type Report struct {
-	Report engine.BatchReport
-}
-
-// WireType implements Msg.
-func (*Report) WireType() Type { return TypeReport }
-
-func (m *Report) append(b []byte) []byte {
-	r := &m.Report
-	b = appendVarint(b, int64(r.Index))
-	b = appendVarint(b, int64(r.Start))
-	b = appendVarint(b, int64(r.End))
-	b = appendVarint(b, int64(r.Tuples))
-	b = appendVarint(b, int64(r.Keys))
-	b = appendVarint(b, int64(r.MapTasks))
-	b = appendVarint(b, int64(r.ReduceTasks))
-	b = appendVarint(b, int64(r.Cores))
-	b = appendVarint(b, int64(r.CoresLost))
-	b = appendVarint(b, int64(r.TaskRetries))
-	b = appendVarint(b, int64(r.RecoveryAttempts))
-	b = appendVarint(b, int64(r.RecoveryTime))
-	b = appendVarint(b, int64(r.TuplesDropped))
-	b = appendFloat(b, r.Quality.BSI)
-	b = appendFloat(b, r.Quality.BCI)
-	b = appendFloat(b, r.Quality.KSR)
-	b = appendFloat(b, r.Quality.MPI)
-	b = appendUvarint(b, uint64(len(r.BucketSizes)))
-	for _, s := range r.BucketSizes {
-		b = appendVarint(b, int64(s))
-	}
-	b = appendFloat(b, r.BucketBSI)
-	b = appendVarint(b, int64(r.PartitionTime))
-	b = appendVarint(b, int64(r.PartitionOverflow))
-	b = appendVarint(b, int64(r.MapStageTime))
-	b = appendVarint(b, int64(r.ReduceStageTime))
-	b = appendUvarint(b, uint64(len(r.ReduceTaskTimes)))
-	for _, t := range r.ReduceTaskTimes {
-		b = appendVarint(b, int64(t))
-	}
-	b = appendVarint(b, int64(r.ProcessingTime))
-	b = appendVarint(b, int64(r.QueueWait))
-	b = appendVarint(b, int64(r.Latency))
-	b = appendFloat(b, r.W)
-	b = appendBool(b, r.Stable)
-	return b
-}
-
-func (m *Report) decode(rd *reader) error {
-	r := &m.Report
-	var err error
-	readTime := func(dst *tuple.Time) {
-		if err != nil {
-			return
-		}
-		var v int64
-		if v, err = rd.varint(); err == nil {
-			*dst = tuple.Time(v)
-		}
-	}
-	readInt := func(dst *int) {
-		if err != nil {
-			return
-		}
-		*dst, err = rd.intv()
-	}
-	readFloat := func(dst *float64) {
-		if err != nil {
-			return
-		}
-		*dst, err = rd.float()
-	}
-	readInt(&r.Index)
-	readTime(&r.Start)
-	readTime(&r.End)
-	readInt(&r.Tuples)
-	readInt(&r.Keys)
-	readInt(&r.MapTasks)
-	readInt(&r.ReduceTasks)
-	readInt(&r.Cores)
-	readInt(&r.CoresLost)
-	readInt(&r.TaskRetries)
-	readInt(&r.RecoveryAttempts)
-	readTime(&r.RecoveryTime)
-	readInt(&r.TuplesDropped)
-	r.Quality = metrics.Report{}
-	readFloat(&r.Quality.BSI)
-	readFloat(&r.Quality.BCI)
-	readFloat(&r.Quality.KSR)
-	readFloat(&r.Quality.MPI)
-	if err != nil {
-		return err
-	}
-	n, err := rd.count(1)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		r.BucketSizes = make([]int, n)
-		for i := range r.BucketSizes {
-			readInt(&r.BucketSizes[i])
-		}
-	} else {
-		r.BucketSizes = nil
-	}
-	readFloat(&r.BucketBSI)
-	readTime(&r.PartitionTime)
-	readTime(&r.PartitionOverflow)
-	readTime(&r.MapStageTime)
-	readTime(&r.ReduceStageTime)
-	if err != nil {
-		return err
-	}
-	n, err = rd.count(1)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		r.ReduceTaskTimes = make([]tuple.Time, n)
-		for i := range r.ReduceTaskTimes {
-			readTime(&r.ReduceTaskTimes[i])
-		}
-	} else {
-		r.ReduceTaskTimes = nil
-	}
-	readTime(&r.ProcessingTime)
-	readTime(&r.QueueWait)
-	readTime(&r.Latency)
-	readFloat(&r.W)
-	if err != nil {
-		return err
-	}
-	r.Stable, err = rd.bool()
-	return err
+	m.Factor = r.Float()
 }
 
 // Error reports a shard-side failure for the exchange in flight. The
@@ -658,12 +380,9 @@ type Error struct {
 // WireType implements Msg.
 func (*Error) WireType() Type { return TypeError }
 
-func (m *Error) append(b []byte) []byte { return appendString(b, m.Msg) }
+func (m *Error) append(b []byte) []byte { return codec.AppendString(b, m.Msg) }
 
-func (m *Error) decode(r *reader) (err error) {
-	m.Msg, err = r.string()
-	return err
-}
+func (m *Error) decode(r *codec.Reader) { m.Msg = r.Str() }
 
 // Error implements error so a decoded Error frame can propagate directly.
 func (m *Error) Error() string { return "wire: shard error: " + m.Msg }

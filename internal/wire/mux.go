@@ -1,6 +1,10 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
+
+	"prompt/internal/codec"
+)
 
 // Mux is the correlation-ID envelope of multiplexed connections: it wraps
 // one inner frame body so a single shard connection can carry several
@@ -44,27 +48,13 @@ func (m *Mux) Unwrap() (Msg, error) {
 func (m *Mux) WireType() Type { return TypeMux }
 
 func (m *Mux) append(b []byte) []byte {
-	b = appendUvarint(b, m.Corr)
-	b = appendUvarint(b, uint64(len(m.Body)))
-	return append(b, m.Body...)
+	b = codec.AppendUvarint(b, m.Corr)
+	return codec.AppendBytes(b, m.Body)
 }
 
-func (m *Mux) decode(r *reader) error {
-	corr, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if n > uint64(r.remaining()) {
-		return ErrTruncated
-	}
-	m.Corr = corr
+func (m *Mux) decode(r *codec.Reader) {
+	m.Corr = r.Uvarint()
 	// Copy out of the decoder's reusable frame buffer: the inner body may
 	// outlive this Decode call (the demultiplexer hands it to a waiter).
-	m.Body = append([]byte(nil), r.b[r.off:r.off+int(n)]...)
-	r.off += int(n)
-	return nil
+	m.Body = append([]byte(nil), r.Bytes()...)
 }

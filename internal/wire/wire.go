@@ -1,24 +1,24 @@
-// Package wire is the compact binary codec of the distributed runtime:
+// Package wire is the frame codec of the distributed runtime:
 // length-prefixed, versioned frames carrying tuple blocks, intern-
-// dictionary deltas, Map/Reduce task exchanges, back-pressure factors,
-// and BatchReports between a coordinator and its engine shards.
+// dictionary deltas, Map/Reduce task exchanges, back-pressure factors and
+// slot hand-offs between a coordinator and its engine shards.
 //
 // Frame layout (little-endian):
 //
 //	[u32 body length][u8 version][u8 type][payload]
 //
-// Integers are varint-encoded (unsigned where the domain allows, zigzag
-// otherwise), strings are length-prefixed UTF-8, and float64s travel as
-// their IEEE-754 bits in 8 fixed bytes. Key strings cross the wire at
-// most once per connection: task frames carry an intern-dictionary delta
-// (DictDelta) and every later reference is a uint32 id, mirroring the
-// engine's stream-lifetime intern.Dict.
+// Payloads are written with internal/codec's append helpers and read with
+// its bounded reader: varint integers (zigzag where signed), length-
+// prefixed strings, float64s as IEEE-754 bits. Key strings cross the wire
+// at most once per connection: task frames carry an intern-dictionary
+// delta (DictDelta) and every later reference is a uint32 id, mirroring
+// the engine's stream-lifetime intern.Dict.
 //
-// The codec is deliberately asymmetric-version tolerant: a decoder
-// rejects frames whose version it does not speak with ErrVersion instead
-// of misparsing them, and every length field is validated against the
-// remaining payload before allocation, so a corrupt or adversarial frame
-// fails cleanly (fuzzed by FuzzWireFrame).
+// A decoder rejects frames whose version it does not speak with
+// ErrVersion instead of misparsing them, checks every length field against
+// the remaining payload before allocating, and accepts only the minimal
+// encoding of every value, so a frame that decodes re-marshals to the same
+// bytes (fuzzed by FuzzWireFrame).
 package wire
 
 import (
@@ -26,7 +26,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
+
+	"prompt/internal/codec"
 )
 
 // Version is the frame format version this package speaks.
@@ -43,7 +44,8 @@ var (
 	ErrVersion = errors.New("wire: unsupported frame version")
 	// ErrType reports a frame with an unknown type byte.
 	ErrType = errors.New("wire: unknown frame type")
-	// ErrTruncated reports a payload shorter than its fields announce.
+	// ErrTruncated reports a malformed payload: shorter than its fields
+	// announce, a padded varint, a value out of range, or trailing bytes.
 	ErrTruncated = errors.New("wire: truncated payload")
 	// ErrFrameSize reports a frame body exceeding MaxFrame.
 	ErrFrameSize = errors.New("wire: frame exceeds size bound")
@@ -53,7 +55,9 @@ var (
 type Type uint8
 
 // Frame types. The zero value is invalid so an all-zero frame never
-// parses as a message.
+// parses as a message. Types 7 and 13 are reserved: they tagged a batch-
+// report frame and an estimator frame that nothing sent, and a decoder
+// rejects them with ErrType.
 const (
 	TypeHello Type = iota + 1
 	TypeHelloAck
@@ -61,13 +65,13 @@ const (
 	TypeMapResult
 	TypeReduceTask
 	TypeReduceResult
-	TypeReport
+	_ // reserved: report
 	TypeError
 	TypeMapTaskCols
 	TypeMigrate
 	TypeMigrateAck
 	TypeMux
-	TypeSketch
+	_ // reserved: sketch
 )
 
 // String implements fmt.Stringer.
@@ -85,8 +89,6 @@ func (t Type) String() string {
 		return "reduce-task"
 	case TypeReduceResult:
 		return "reduce-result"
-	case TypeReport:
-		return "report"
 	case TypeError:
 		return "error"
 	case TypeMapTaskCols:
@@ -97,8 +99,6 @@ func (t Type) String() string {
 		return "migrate-ack"
 	case TypeMux:
 		return "mux"
-	case TypeSketch:
-		return "sketch"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
@@ -110,149 +110,9 @@ type Msg interface {
 	WireType() Type
 	// append encodes the payload onto b.
 	append(b []byte) []byte
-	// decode parses the payload from r.
-	decode(r *reader) error
-}
-
-// --- primitive append helpers -------------------------------------------
-
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-func appendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
-
-func appendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-// --- primitive reader ----------------------------------------------------
-
-// reader is a bounds-checked cursor over one frame payload. Every read
-// method reports ErrTruncated instead of panicking when the payload runs
-// out, and every announced element count is checked against the bytes
-// that could possibly hold it before any slice is allocated.
-type reader struct {
-	b   []byte
-	off int
-}
-
-func (r *reader) remaining() int { return len(r.b) - r.off }
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *reader) varint() (int64, error) {
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	r.off += n
-	return v, nil
-}
-
-// count reads an element count whose per-element encoding occupies at
-// least minBytes bytes, rejecting counts the remaining payload cannot
-// hold (the length-bomb guard).
-func (r *reader) count(minBytes int) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
-	if v > uint64(r.remaining()/minBytes) {
-		return 0, ErrTruncated
-	}
-	return int(v), nil
-}
-
-func (r *reader) float() (float64, error) {
-	if r.remaining() < 8 {
-		return 0, ErrTruncated
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return math.Float64frombits(v), nil
-}
-
-func (r *reader) string() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(r.remaining()) {
-		return "", ErrTruncated
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *reader) bool() (bool, error) {
-	if r.remaining() < 1 {
-		return false, ErrTruncated
-	}
-	v := r.b[r.off]
-	r.off++
-	if v > 1 {
-		return false, fmt.Errorf("wire: bad bool byte %d", v)
-	}
-	return v == 1, nil
-}
-
-// intv reads a varint into a host int, rejecting values outside the int
-// range on 32-bit hosts.
-func (r *reader) intv() (int, error) {
-	v, err := r.varint()
-	if err != nil {
-		return 0, err
-	}
-	if int64(int(v)) != v {
-		return 0, fmt.Errorf("wire: varint %d overflows int", v)
-	}
-	return int(v), nil
-}
-
-// uintv reads a uvarint into a host int (for counts and sizes known to
-// be non-negative).
-func (r *reader) uintv() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt {
-		return 0, fmt.Errorf("wire: uvarint %d overflows int", v)
-	}
-	return int(v), nil
-}
-
-func (r *reader) uint32v() (uint32, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxUint32 {
-		return 0, fmt.Errorf("wire: uvarint %d overflows uint32", v)
-	}
-	return uint32(v), nil
+	// decode parses the payload from r, whose sticky error the caller
+	// checks.
+	decode(r *codec.Reader)
 }
 
 // --- Encoder / Decoder ---------------------------------------------------
@@ -359,8 +219,6 @@ func Unmarshal(body []byte) (Msg, error) {
 		m = &ReduceTask{}
 	case TypeReduceResult:
 		m = &ReduceResult{}
-	case TypeReport:
-		m = &Report{}
 	case TypeError:
 		m = &Error{}
 	case TypeMapTaskCols:
@@ -371,17 +229,13 @@ func Unmarshal(body []byte) (Msg, error) {
 		m = &MigrateAck{}
 	case TypeMux:
 		m = &Mux{}
-	case TypeSketch:
-		m = &Sketch{}
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrType, body[1])
 	}
-	r := &reader{b: body, off: 2}
-	if err := m.decode(r); err != nil {
-		return nil, err
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %v payload", r.remaining(), m.WireType())
+	r := codec.NewReader(body[2:], ErrTruncated)
+	m.decode(r)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("wire: %v payload: %w", m.WireType(), err)
 	}
 	return m, nil
 }

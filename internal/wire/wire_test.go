@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"prompt/internal/engine"
-	"prompt/internal/metrics"
 	"prompt/internal/tuple"
 )
 
@@ -91,30 +89,12 @@ func sampleMsgs() []Msg {
 			},
 			Factor: 1,
 		},
-		&Report{Report: engine.BatchReport{
-			Index: 12, Start: 1000, End: 2000,
-			Tuples: 5000, Keys: 120,
-			MapTasks: 8, ReduceTasks: 8, Cores: 7, CoresLost: 1,
-			TaskRetries: 2, RecoveryAttempts: 1, RecoveryTime: 333,
-			TuplesDropped: 4,
-			Quality:       metrics.Report{BSI: 0.1, BCI: 0.2, KSR: 1.5, MPI: 0.3},
-			BucketSizes:   []int{10, 20, 0, 5},
-			BucketBSI:     0.07,
-			PartitionTime: 150, PartitionOverflow: 50,
-			MapStageTime: 400, ReduceStageTime: 300,
-			ReduceTaskTimes: []tuple.Time{70, 80, 75, 75},
-			ProcessingTime:  800, QueueWait: 100, Latency: 1900,
-			W: 0.8, Stable: true,
-		}},
-		&Report{},
 		&Error{Msg: "shard 1: query index out of range"},
 		&Error{},
 		&Migrate{Batch: 6, Slot: 13, From: 1, To: 2, Image: []byte{1, 0xFF, 0, 42}, Digest: 1 << 60},
 		&Migrate{Image: []byte{}},
 		&MigrateAck{Slot: 13, Digest: 1 << 60, Keys: 9},
 		&MigrateAck{},
-		&Sketch{Query: 1, Kind: "countmin", State: []byte{1, 0, 0xFF, 7}},
-		&Sketch{Kind: "", State: []byte{}},
 	}
 }
 
@@ -180,6 +160,45 @@ func TestDecodeRejectsUnknownType(t *testing.T) {
 	}
 }
 
+// retiredBodies are frame bodies of the two retired types: a batch report
+// (type 7) and an estimator image (type 13), each full and empty.
+func retiredBodies() [][]byte {
+	return [][]byte{
+		{Version, 7, 24, 0xD0, 0x0F, 0xA0, 0x1F, 0x90, 0x4E, 0xF0, 0x01},
+		{Version, 7},
+		{Version, 13, 2, 8, 'c', 'o', 'u', 'n', 't', 'm', 'i', 'n', 4, 1, 0, 0xFF, 7},
+		{Version, 13, 0, 0, 0},
+	}
+}
+
+// TestDecodeRejectsRetiredTypes: the report and sketch frames are gone and
+// their type numbers stay reserved, so their bodies fail with ErrType.
+func TestDecodeRejectsRetiredTypes(t *testing.T) {
+	for _, body := range retiredBodies() {
+		if _, err := Unmarshal(body); !errors.Is(err, ErrType) {
+			t.Errorf("type %d: got %v, want ErrType", body[1], err)
+		}
+	}
+	if TypeMux != 12 || TypeError != 8 {
+		t.Errorf("frame types renumbered: mux %d, error %d", TypeMux, TypeError)
+	}
+}
+
+// TestDecodeRejectsPaddedVarint: a varint padded with a zero continuation
+// byte decodes to the same value but is not what Marshal writes, so the
+// frame is refused rather than accepted with two encodings.
+func TestDecodeRejectsPaddedVarint(t *testing.T) {
+	frame, err := Marshal(&HelloAck{Shard: 1, DictSize: 2, Queries: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := frame[4:]
+	padded := append([]byte{body[0], body[1], body[2] | 0x80, 0}, body[3:]...)
+	if _, err := Unmarshal(padded); !errors.Is(err, ErrTruncated) {
+		t.Errorf("padded varint: got %v, want ErrTruncated", err)
+	}
+}
+
 func TestDecodeRejectsTruncation(t *testing.T) {
 	full, err := Marshal(&MapTask{
 		Dict:   DictDelta{Keys: []string{"key"}},
@@ -202,7 +221,7 @@ func TestDecodeRejectsLengthBomb(t *testing.T) {
 	// be rejected before any allocation.
 	body := []byte{Version, byte(TypeMapTask),
 		0, 0, // batch, query
-		0,                          // dict first
+		0,                         // dict first
 		0x80, 0x80, 0x80, 0x80, 4, // dict key count: 2^30
 	}
 	if _, err := Unmarshal(body); !errors.Is(err, ErrTruncated) {
