@@ -204,10 +204,13 @@ func BenchmarkAccumulatorAdd(b *testing.B) {
 	batch := benchBatch(b, 100_000)
 	cfg := stats.DefaultAccumulatorConfig()
 	cfg.EstimatedTuples = batch.Len()
+	acc, err := stats.NewAccumulator(cfg, 0, tuple.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		acc, err := stats.NewAccumulator(cfg, 0, tuple.Second)
-		if err != nil {
+		if err := acc.Reset(cfg, 0, tuple.Second); err != nil {
 			b.Fatal(err)
 		}
 		for j := range batch.Tuples {
@@ -223,11 +226,14 @@ func BenchmarkAccumulatorFinalize(b *testing.B) {
 	batch := benchBatch(b, 100_000)
 	cfg := stats.DefaultAccumulatorConfig()
 	cfg.EstimatedTuples = batch.Len()
+	acc, err := stats.NewAccumulator(cfg, 0, tuple.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		acc, err := stats.NewAccumulator(cfg, 0, tuple.Second)
-		if err != nil {
+		if err := acc.Reset(cfg, 0, tuple.Second); err != nil {
 			b.Fatal(err)
 		}
 		for j := range batch.Tuples {
@@ -290,40 +296,5 @@ func BenchmarkReduceAllocators(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// --- Micro-benchmarks: CountTree ----------------------------------------------
-
-func BenchmarkCountTreeInsert(b *testing.B) {
-	keys := make([]string, 10_000)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%d", i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var ct stats.CountTree
-		for j, k := range keys {
-			ct.Insert(k, j%97)
-		}
-	}
-	b.ReportMetric(float64(len(keys)), "keys/op")
-}
-
-func BenchmarkCountTreeUpdate(b *testing.B) {
-	var ct stats.CountTree
-	const n = 10_000
-	keys := make([]string, n)
-	counts := make([]int, n)
-	for i := 0; i < n; i++ {
-		keys[i] = fmt.Sprintf("k%d", i)
-		counts[i] = i % 97
-		ct.Insert(keys[i], counts[i])
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % n
-		ct.Update(keys[j], counts[j], counts[j]+1)
-		counts[j]++
 	}
 }

@@ -7,9 +7,10 @@
 // partitioning decisions at four points:
 //
 //   - Algorithm 1 — frequency-aware buffering: while a batch accumulates,
-//     a hash table plus a budget-updated balanced BST (the CountTree)
-//     maintain a quasi-sorted list of key frequencies online, so no
-//     sorting is needed when the heartbeat fires.
+//     a hash table buffers each key's tuples and publishes its frequency
+//     under a per-key update budget; at the heartbeat the keys come out
+//     quasi-sorted by published frequency (the paper's CountTree order,
+//     computed here with one sort, since a batch is folded whole).
 //   - Algorithm 2 — micro-batch partitioning: a greedy heuristic for the
 //     NP-hard Balanced Bin Packing with Fragmentable Items problem splits
 //     the batch into equal-size, equal-cardinality data blocks with

@@ -53,7 +53,7 @@ type Fig14bRow struct {
 	BatchTuples int
 	Keys        int
 	// FinalizeMs is the wall time to produce the quasi-sorted list at the
-	// heartbeat (in-order CountTree traversal).
+	// heartbeat (one sort of the accumulator's keys by published frequency).
 	FinalizeMs float64
 	// PartitionMs is the wall time of Algorithm 2.
 	PartitionMs float64

@@ -1,6 +1,13 @@
+// Package stats implements the frequency-aware buffering mechanism of the
+// batching phase (Algorithm 1 of the paper): a hash table of per-key tuple
+// lists whose approximate key frequencies are published under a per-key
+// update budget, so that the total bookkeeping is bounded by Budget
+// publications per key, and which hands the partitioner the keys in the
+// paper's quasi-sorted order (by published frequency) at the heartbeat.
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -11,8 +18,9 @@ import (
 
 // AccumulatorConfig tunes the frequency-aware buffering mechanism.
 type AccumulatorConfig struct {
-	// Budget is the maximum number of CountTree updates allowed per key per
-	// batch interval (the paper's "update allowance").
+	// Budget is the paper's "update allowance": the maximum number of
+	// frequency publications (CountTree updates in the paper) allowed per
+	// key per batch interval.
 	Budget int
 	// EstimatedTuples (N_Est) is the expected number of tuples per batch
 	// given the recent data rate; it seeds the initial frequency step.
@@ -54,8 +62,8 @@ func (c AccumulatorConfig) initialFStep() int {
 
 // SortedKey is one element of the accumulator's output: a key with its
 // exact frequency and its buffered tuples as column views. The slice handed
-// to the partitioner is ordered by the CountTree (descending,
-// quasi-sorted).
+// to the partitioner is quasi-sorted: descending by the key's last
+// published frequency, not its exact one (see Accumulator.Finalize).
 type SortedKey struct {
 	Key   string
 	Count int
@@ -67,14 +75,21 @@ type SortedKey struct {
 type BatchStats struct {
 	Tuples      int // N_C: number of data tuples
 	Keys        int // |K|: number of distinct keys
-	TreeUpdates int // CountTree node moves performed (cost accounting)
+	TreeUpdates int // budgeted frequency publications (the paper's CountTree updates)
 	Start, End  tuple.Time
 }
 
 // Accumulator implements Algorithm 1 (Micro-batch Accumulator): it buffers
-// incoming tuples into the HTable and maintains the quasi-sorted CountTree
-// under the budgeted f.step / t.step update discipline, so that at the
-// heartbeat the batch is already key-sorted and ready for partitioning.
+// incoming tuples into the HTable and publishes each key's frequency under
+// the budgeted f.step / t.step update discipline; at the heartbeat it
+// hands the partitioner the keys in quasi-sorted order.
+//
+// The paper keeps the published frequencies in a balanced tree (the
+// CountTree) updated online, so that the order is ready the moment the
+// interval ends. Here a batch arrives whole and is folded on one
+// goroutine, so online upkeep hides nothing; the order the tree would
+// yield is a pure function of the final (published frequency, key)
+// pairs, and Finalize computes exactly that order with one sort.
 //
 // An Accumulator is not safe for concurrent use; the receiver owns it.
 //
@@ -90,15 +105,34 @@ type BatchStats struct {
 type Accumulator struct {
 	cfg   AccumulatorConfig
 	dict  *intern.Dict
+	strs  []string // dict.Strings() view, refreshed when an ID outgrows it
 	ht    *HTable
-	ct    *CountTree
 	start tuple.Time
 	end   tuple.Time
 
-	nTuples     int
-	treeUpdates int
-	initialF    int
-	out         []SortedKey // Finalize output, reused across batches
+	nTuples      int
+	treeUpdates  int
+	initialF     int
+	ranks, spare []rank      // Finalize sort buffers, reused across batches
+	out          []SortedKey // Finalize output, reused across batches
+}
+
+// rank is one key's Finalize sort key, complemented so that ascending is
+// the order Finalize wants: its published frequency, the first eight
+// bytes of its string, and its HTable arena index.
+type rank struct {
+	freq   uint64 // ^FreqUpdated
+	prefix uint64 // ^keyPrefix(Key)
+	idx    int32
+}
+
+// digit returns byte d of the rank's sort key, d = 0 the least
+// significant: bytes 0–7 are the prefix's, 8–15 the frequency's.
+func (r *rank) digit(d int) uint8 {
+	if d < 8 {
+		return uint8(r.prefix >> (8 * d))
+	}
+	return uint8(r.freq >> (8 * (d - 8)))
 }
 
 // NewAccumulator returns an accumulator for the batch interval
@@ -125,7 +159,6 @@ func NewAccumulatorDict(cfg AccumulatorConfig, dict *intern.Dict, start, end tup
 		cfg:      cfg,
 		dict:     dict,
 		ht:       NewHTableDict(dict, cfg.EstimatedKeys),
-		ct:       &CountTree{},
 		start:    start,
 		end:      end,
 		initialF: cfg.initialFStep(),
@@ -133,8 +166,8 @@ func NewAccumulatorDict(cfg AccumulatorConfig, dict *intern.Dict, start, end tup
 }
 
 // Reset prepares the accumulator for the next batch interval, clearing the
-// HTable and CountTree as the paper prescribes at every heartbeat. Updated
-// estimates may be supplied so f.step starts close to its converged value.
+// HTable as the paper prescribes at every heartbeat. Updated estimates may
+// be supplied so f.step starts close to its converged value.
 func (a *Accumulator) Reset(cfg AccumulatorConfig, start, end tuple.Time) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -144,7 +177,6 @@ func (a *Accumulator) Reset(cfg AccumulatorConfig, start, end tuple.Time) error 
 	}
 	a.cfg = cfg
 	a.ht.Reset()
-	a.ct.Reset()
 	a.start, a.end = start, end
 	a.nTuples = 0
 	a.treeUpdates = 0
@@ -161,8 +193,9 @@ func (a *Accumulator) Tuples() int { return a.nTuples }
 // Keys returns the number of distinct keys received so far (|K|).
 func (a *Accumulator) Keys() int { return a.ht.Len() }
 
-// TreeUpdates returns the number of CountTree node moves so far; tests use
-// it to verify the budget bounds the total update work.
+// TreeUpdates returns the number of budgeted frequency publications so
+// far, the paper's CountTree updates; tests use it to verify the budget
+// bounds the total update work.
 func (a *Accumulator) TreeUpdates() int { return a.treeUpdates }
 
 // Add ingests one tuple at arrival time now: it interns the key and runs
@@ -189,7 +222,7 @@ func (a *Accumulator) AddColumns(cb *tuple.ColumnBatch) error {
 }
 
 // fold is Algorithm 1's per-arrival step: buffer the row under its key and
-// decide whether the key's CountTree node is eligible for an update.
+// decide whether the key's frequency is due for a publication.
 func (a *Accumulator) fold(id uint32, ts, now tuple.Time, val float64, w int32) error {
 	if ts < a.start || ts >= a.end {
 		return fmt.Errorf("stats: tuple ts %v outside batch interval [%v,%v)", ts, a.start, a.end)
@@ -197,9 +230,13 @@ func (a *Accumulator) fold(id uint32, ts, now tuple.Time, val float64, w int32) 
 	a.nTuples++
 	e := a.ht.GetID(id)
 	if e == nil {
-		// First sighting: resolve the key string once, for the HTable entry
-		// and the CountTree node.
-		e = a.ht.PutID(id, a.dict.Resolve(id))
+		// First sighting: resolve the key string once, through the cached
+		// view of the append-only dictionary (one lock per growth of the
+		// dictionary, not one per key).
+		if int(id) >= len(a.strs) {
+			a.strs = a.dict.Strings()
+		}
+		e = a.ht.PutID(id, a.strs[id])
 		e.Cols = e.Cols.Append(ts, val, w)
 		a.initEntry(e, now)
 		return nil
@@ -210,8 +247,8 @@ func (a *Accumulator) fold(id uint32, ts, now tuple.Time, val float64, w int32) 
 }
 
 // bump counts one more arrival of an existing key at time now and decides
-// whether its CountTree node is eligible for an update — the budgeted
-// f.step / t.step discipline.
+// whether its frequency is due for a publication — the budgeted f.step /
+// t.step discipline.
 func (a *Accumulator) bump(e *KeyEntry, now tuple.Time) {
 	e.FreqCurrent++
 	deltaFreq := e.FreqCurrent - e.FreqUpdated
@@ -219,10 +256,10 @@ func (a *Accumulator) bump(e *KeyEntry, now tuple.Time) {
 
 	switch {
 	case e.Budget > 0 && deltaFreq >= e.FStep:
-		// Frequency step fired: move the node to the exact current count
-		// and re-estimate f.step proportionally to the key's share of the
+		// Frequency step fired: publish the exact current count and
+		// re-estimate f.step proportionally to the key's share of the
 		// batch so far (hot keys need more tuples per update).
-		a.updateNode(e, now)
+		a.publish(e, now)
 		fstep := (a.cfg.EstimatedTuples / a.cfg.Budget) * e.FreqCurrent / a.nTuples
 		if fstep < 1 {
 			fstep = 1
@@ -231,7 +268,7 @@ func (a *Accumulator) bump(e *KeyEntry, now tuple.Time) {
 	case e.Budget > 0 && deltaTime >= e.TStep:
 		// Time step fired: refresh cold keys so their counts do not go
 		// stale, spreading the remaining budget over the remaining time.
-		a.updateNode(e, now)
+		a.publish(e, now)
 		remaining := a.end - now
 		if remaining < 0 {
 			remaining = 0
@@ -243,8 +280,8 @@ func (a *Accumulator) bump(e *KeyEntry, now tuple.Time) {
 }
 
 // initEntry seeds the budget statistics of a first-sighting entry whose
-// first tuple the caller already buffered (Algorithm 1's insert arm), and
-// registers the key in the CountTree with count 1.
+// first tuple the caller already buffered (Algorithm 1's insert arm),
+// publishing count 1.
 func (a *Accumulator) initEntry(e *KeyEntry, now tuple.Time) {
 	e.FreqCurrent = 1
 	e.FreqUpdated = 1
@@ -252,13 +289,11 @@ func (a *Accumulator) initEntry(e *KeyEntry, now tuple.Time) {
 	e.FStep = a.initialF
 	e.TStep = (a.end - now) / tuple.Time(a.cfg.Budget)
 	e.LastUpdate = now
-	a.ct.Insert(e.Key, 1)
 }
 
-// updateNode moves the key's CountTree node from its stale count to the
-// exact current count and charges the key's budget.
-func (a *Accumulator) updateNode(e *KeyEntry, now tuple.Time) {
-	a.ct.Update(e.Key, e.FreqUpdated, e.FreqCurrent)
+// publish makes the key's exact current count the one Finalize orders it
+// by, and charges the key's budget: the paper's CountTree update.
+func (a *Accumulator) publish(e *KeyEntry, now tuple.Time) {
 	e.FreqUpdated = e.FreqCurrent
 	e.Budget--
 	e.LastUpdate = now
@@ -267,32 +302,129 @@ func (a *Accumulator) updateNode(e *KeyEntry, now tuple.Time) {
 
 // Finalize produces the quasi-sorted key list ⟨k, count, tupleList⟩ for the
 // partitioner plus the batch statistics, at the heartbeat (or at the early
-// batch release cut-off). Counts in the output are exact (taken from the
-// HTable); the ordering is the CountTree's quasi-sorted descending order.
+// batch release cut-off). Counts in the output are exact; the order is by
+// published frequency (FreqUpdated) descending, then key descending — the
+// reverse in-order walk of the paper's CountTree over the same (count,
+// key) pairs. The tie-break is the reverse of SortKeysDesc's.
 //
 // The returned slice is owned by the accumulator and valid until the next
 // Reset.
 func (a *Accumulator) Finalize() ([]SortedKey, BatchStats) {
-	out := a.out[:0]
-	if cap(out) < a.ht.Len() {
-		out = make([]SortedKey, 0, a.ht.Len())
+	entries := a.ht.entries
+	ranks := a.ranks[:0]
+	for i := range entries {
+		e := &entries[i]
+		ranks = append(ranks, rank{freq: ^uint64(e.FreqUpdated), prefix: ^e.prefix, idx: int32(i)})
 	}
-	a.ct.WalkDescending(func(key string, count int) {
-		e := a.ht.Get(key)
-		if e == nil {
-			return // unreachable: tree and table are kept in sync
-		}
+	a.ranks = ranks
+	ranks = a.sortRanks()
+	out := a.out[:0]
+	for _, r := range ranks {
+		e := &entries[r.idx]
 		out = append(out, SortedKey{Key: e.Key, Count: e.FreqCurrent, Cols: e.Cols})
-	})
+	}
 	a.out = out
 	st := BatchStats{
 		Tuples:      a.nTuples,
-		Keys:        a.ht.Len(),
+		Keys:        len(entries),
 		TreeUpdates: a.treeUpdates,
 		Start:       a.start,
 		End:         a.end,
 	}
 	return out, st
+}
+
+// sortRanks sorts a.ranks ascending — published frequency descending,
+// then key descending — and returns them, in either of its two buffers.
+func (a *Accumulator) sortRanks() []rank {
+	n := len(a.ranks)
+	if cap(a.spare) < n {
+		a.spare = make([]rank, n)
+	}
+	sorted, spare := radixSort(a.ranks, a.spare[:n])
+	a.breakTies(sorted, spare, 8)
+	a.ranks, a.spare = sorted, spare
+	return sorted
+}
+
+// breakTies orders each run of ranks that agree on (freq, prefix) by the
+// next eight bytes of their keys, from byte off on, recursing until the
+// keys differ. Keys still tied when all are exhausted differ only in
+// trailing NUL bytes, and the longer is the greater.
+func (a *Accumulator) breakTies(ranks, spare []rank, off int) {
+	entries := a.ht.entries
+	for i := 0; i < len(ranks); {
+		j := i + 1
+		for j < len(ranks) && ranks[j].freq == ranks[i].freq && ranks[j].prefix == ranks[i].prefix {
+			j++
+		}
+		run := ranks[i:j]
+		i = j
+		if len(run) < 2 {
+			continue
+		}
+		longest := 0
+		for k := range run {
+			key := entries[run[k].idx].Key
+			longest = max(longest, len(key))
+			run[k].prefix = ^keyPrefix(key[min(off, len(key)):])
+		}
+		if longest <= off {
+			slices.SortFunc(run, func(x, y rank) int {
+				return len(entries[y.idx].Key) - len(entries[x.idx].Key)
+			})
+			continue
+		}
+		if sorted, _ := radixSort(run, spare[:len(run)]); &sorted[0] != &run[0] {
+			copy(run, sorted)
+		}
+		a.breakTies(run, spare, off+8)
+	}
+}
+
+// radixSort sorts ranks ascending by (freq, prefix) with an LSD radix
+// sort: one stable counting pass per byte that not every rank shares
+// (short keys' zero padding and a frequency's high bytes are skipped),
+// scattering between ranks and tmp, a buffer of the same length. It
+// returns the buffer holding the result first and the other second.
+func radixSort(ranks, tmp []rank) (sorted, spare []rank) {
+	andF, andP := ^uint64(0), ^uint64(0)
+	var orF, orP uint64
+	for i := range ranks {
+		andF, orF = andF&ranks[i].freq, orF|ranks[i].freq
+		andP, orP = andP&ranks[i].prefix, orP|ranks[i].prefix
+	}
+	varying := [2]uint64{andP ^ orP, andF ^ orF}
+	var counts [256]int32
+	for d := 0; d < 16; d++ {
+		if uint8(varying[d/8]>>(8*(d%8))) == 0 {
+			continue // every rank has the same byte here
+		}
+		clear(counts[:])
+		for i := range ranks {
+			counts[ranks[i].digit(d)]++
+		}
+		var sum int32
+		for b := range counts {
+			counts[b], sum = sum, sum+counts[b]
+		}
+		for i := range ranks {
+			b := ranks[i].digit(d)
+			tmp[counts[b]] = ranks[i]
+			counts[b]++
+		}
+		ranks, tmp = tmp, ranks
+	}
+	return ranks, tmp
+}
+
+// keyPrefix is the first eight bytes of key, big-endian and zero-padded:
+// prefixes in descending order are keys in descending order, and keys
+// with equal prefixes need the full comparison.
+func keyPrefix(key string) uint64 {
+	var b [8]byte
+	copy(b[:], key)
+	return binary.BigEndian.Uint64(b[:])
 }
 
 // PostSort is the baseline the paper compares against in Figure 14a: buffer

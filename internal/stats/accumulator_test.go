@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"prompt/internal/tuple"
@@ -72,9 +73,9 @@ func TestAccumulatorExactCounts(t *testing.T) {
 }
 
 func TestAccumulatorQuasiSortedOutput(t *testing.T) {
-	// The CountTree ordering is approximate, but with a skewed stream the
-	// heavy keys must surface near the front. Measure rank displacement
-	// against the exact ordering.
+	// Finalize orders by published frequencies, which lag the exact ones,
+	// but with a skewed stream the heavy keys must surface near the front.
+	// Measure rank displacement against the exact ordering.
 	a := defaultAcc(t)
 	rng := rand.New(rand.NewSource(11))
 	const n = 20000
@@ -98,7 +99,7 @@ func TestAccumulatorQuasiSortedOutput(t *testing.T) {
 		}
 	}
 	if maxPos > 3 {
-		t.Errorf("heaviest key surfaced at position %d; CountTree ordering too stale", maxPos)
+		t.Errorf("heaviest key surfaced at position %d; published frequencies too stale", maxPos)
 	}
 	// Global quality: mean displacement between quasi-sorted positions
 	// and exact positions should be small relative to the key count.
@@ -140,7 +141,7 @@ func TestAccumulatorBudgetBoundsTreeUpdates(t *testing.T) {
 		t.Errorf("TreeUpdates = %d exceeds budget bound %d", st.TreeUpdates, limit)
 	}
 	if st.TreeUpdates == 0 {
-		t.Error("no CountTree updates at all; f.step/t.step never fired")
+		t.Error("no publications at all; f.step/t.step never fired")
 	}
 }
 
@@ -208,8 +209,8 @@ func TestPostSortMatchesAccumulatorContent(t *testing.T) {
 
 func TestAccumulatorTimeStepRefreshesColdKeys(t *testing.T) {
 	// A cold key receives a burst early, then a single late tuple. The
-	// frequency step alone would leave its CountTree node stale; the time
-	// step must refresh it once enough time has elapsed.
+	// frequency step alone would leave its published count stale; the
+	// time step must refresh it once enough time has elapsed.
 	cfg := AccumulatorConfig{Budget: 4, EstimatedTuples: 1000000, EstimatedKeys: 10}
 	a, err := NewAccumulator(cfg, 0, tuple.Second)
 	if err != nil {
@@ -229,7 +230,7 @@ func TestAccumulatorTimeStepRefreshesColdKeys(t *testing.T) {
 	}
 	before := a.TreeUpdates()
 	// Tuples arriving much later: delta time exceeds t.step
-	// ((1s - 0) / budget = 250ms), so the node refreshes.
+	// ((1s - 0) / budget = 250ms), so the count is republished.
 	add(400*tuple.Millisecond, "cold")
 	if a.TreeUpdates() <= before {
 		t.Fatal("time step did not refresh a cold key")
@@ -261,6 +262,37 @@ func TestAccumulatorBudgetExhaustionStopsUpdates(t *testing.T) {
 	sorted, _ := a.Finalize()
 	if sorted[0].Count != 1000 {
 		t.Errorf("count = %d, want 1000", sorted[0].Count)
+	}
+}
+
+// TestFinalizeTieBreakKeyDescending pins Finalize's order among keys with
+// equal published frequency: key descending, byte-wise, including keys
+// that agree in their first eight bytes or differ only past a NUL.
+func TestFinalizeTieBreakKeyDescending(t *testing.T) {
+	keys := []string{"a", "a\x00", "ab", "", "abcdefgh", "abcdefgh2", "abcdefgh1", "abcdefg\x00z", "b"}
+	a := defaultAcc(t)
+	for _, k := range keys {
+		if err := a.Add(tuple.NewTuple(0, k, 1), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Add(tuple.NewTuple(0, "hot", 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	// "hot" was seen twice but published once, at count 1, so it ties too.
+	if err := a.Add(tuple.NewTuple(0, "hot", 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string{"hot"}, keys...)
+	slices.Sort(want)
+	slices.Reverse(want)
+	sorted, _ := a.Finalize()
+	got := make([]string, len(sorted))
+	for i, sk := range sorted {
+		got[i] = sk.Key
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Finalize order %q, want %q", got, want)
 	}
 }
 

@@ -82,8 +82,9 @@ func TestDictAccumulatorMatchesMapMode(t *testing.T) {
 
 // TestDictAccumulatorSteadyStateReuse checks the memory contract: after
 // the first batch established capacity, a repeat batch with the same key
-// set must not grow the HTable arena or the CountTree (free-listed nodes
-// are reused) and Finalize must return the same backing slice.
+// set must get Finalize's output in the same backing slice, with exact
+// counts. TestAccumulatorSteadyStateAllocsZero checks that the HTable
+// arena and Finalize's sort scratch do not grow either.
 func TestDictAccumulatorSteadyStateReuse(t *testing.T) {
 	cfg := AccumulatorConfig{Budget: 4, EstimatedTuples: 1000, EstimatedKeys: 10}
 	a, err := NewAccumulatorDict(cfg, intern.NewDict(0), 0, tuple.Second)
@@ -120,5 +121,33 @@ func TestDictAccumulatorSteadyStateReuse(t *testing.T) {
 		if second[i].Count != 100 {
 			t.Fatalf("key %s count %d, want 100", second[i].Key, second[i].Count)
 		}
+	}
+}
+
+// TestAccumulatorSteadyStateAllocsZero checks that the steady state the
+// engine runs — Reset, AddColumns and Finalize on a batch whose keys the
+// accumulator has seen — allocates nothing: the entry arena, the per-key
+// column buffers, the sort scratch and the output slice are all reused.
+func TestAccumulatorSteadyStateAllocsZero(t *testing.T) {
+	in := accShape{name: "allocs", keys: 2_000, zipf: 1.0, tuples: 20_000, batches: 1}.input()
+	cb := in.batches[0]
+	cfg := DefaultAccumulatorConfig()
+	a, err := NewAccumulatorDict(cfg, in.dict, cb.Start, cb.End)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if err := a.Reset(cfg, cb.Start, cb.End); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.AddColumns(cb); err != nil {
+			t.Fatal(err)
+		}
+		_, st := a.Finalize()
+		cfg.EstimatedTuples, cfg.EstimatedKeys = st.Tuples, st.Keys
+	}
+	step() // establish capacity
+	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+		t.Errorf("steady-state Reset+AddColumns+Finalize allocates %.0f times, want 0", allocs)
 	}
 }

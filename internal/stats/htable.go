@@ -7,17 +7,18 @@ import (
 
 // KeyEntry is the per-key record stored in the HTable. It holds the key's
 // buffered tuples and the auxiliary statistics driving the budgeted
-// CountTree update mechanism of Algorithm 1:
+// frequency publication of Algorithm 1:
 //
 //   - FreqCurrent: exact number of tuples received for the key this batch.
-//   - FreqUpdated: the (approximate) count currently reflected in the
-//     CountTree node for the key.
-//   - Budget: remaining CountTree updates allowed for the key this batch.
-//   - FStep: frequency step — the node is updated once every FStep new
-//     tuples of its key.
+//   - FreqUpdated: the key's last published (approximate) count, the one
+//     Finalize orders it by; the paper keeps it in a CountTree node.
+//   - Budget: remaining publications allowed for the key this batch.
+//   - FStep: frequency step — the count is published once every FStep
+//     new tuples of its key.
 //   - TStep: time step — low-frequency keys are refreshed when TStep time
-//     has elapsed since the last update, so cold keys do not go stale.
-//   - LastUpdate: time of the key's last CountTree update.
+//     has elapsed since the last publication, so cold keys do not go
+//     stale.
+//   - LastUpdate: time of the key's last publication.
 type KeyEntry struct {
 	Key string
 	// ID is the key's dense intern ID.
@@ -31,28 +32,26 @@ type KeyEntry struct {
 	FStep       int
 	TStep       tuple.Time
 	LastUpdate  tuple.Time
+	prefix      uint64 // keyPrefix(Key), Finalize's first tie-break
 }
 
-// HTable maps partitioning keys to their entries. Every key present in the
-// HTable has a corresponding node in the CountTree (the bi-directional
-// pointer of the paper is realized by keying both structures on the key
-// plus the FreqUpdated count, which uniquely identifies the node).
+// HTable maps partitioning keys to their entries. The entry arena is the
+// whole per-batch state of Algorithm 1: Finalize sorts its indices once,
+// so no second structure mirrors the keys during the interval.
 //
 // Keys are addressed by their dense intern ID. Entries live in one flat
 // arena reused batch after batch — per-key column buffers keep their
 // backing arrays across Resets — and the ID → entry index translation is
 // a flat int32 slot array, so steady-state ingestion allocates nothing.
 type HTable struct {
-	dict    *intern.Dict
 	slot    []int32    // intern ID -> entry index + 1; 0 = absent this batch
 	entries []KeyEntry // dense per-batch entry arena, reused across batches
 }
 
 // NewHTableDict returns an empty table addressing entries by their intern
-// IDs in dict.
+// IDs in dict, sized for the keys dict already holds plus hint more.
 func NewHTableDict(dict *intern.Dict, hint int) *HTable {
 	return &HTable{
-		dict:    dict,
 		slot:    make([]int32, dict.Len()+hint),
 		entries: make([]KeyEntry, 0, hint),
 	}
@@ -60,16 +59,6 @@ func NewHTableDict(dict *intern.Dict, hint int) *HTable {
 
 // Len returns the number of distinct keys.
 func (h *HTable) Len() int { return len(h.entries) }
-
-// Get returns the entry for key, or nil. It resolves the key through the
-// dictionary without interning it.
-func (h *HTable) Get(key string) *KeyEntry {
-	id, ok := h.dict.Lookup(key)
-	if !ok {
-		return nil
-	}
-	return h.GetID(id)
-}
 
 // GetID returns the entry for the interned key id, or nil. The pointer is
 // valid until the next PutID or Reset.
@@ -84,10 +73,10 @@ func (h *HTable) GetID(id uint32) *KeyEntry {
 }
 
 // PutID appends a fresh entry for the interned key id and returns it,
-// zeroed except for Key, ID, and a length-0 column buffer that keeps
-// whatever backing arrays the arena slot held in an earlier batch. The
-// caller guarantees the id is absent. The pointer is valid until the
-// next PutID or Reset.
+// zeroed except for Key, ID, the key's prefix, and a length-0 column
+// buffer that keeps whatever backing arrays the arena slot held in an
+// earlier batch. The caller guarantees the id is absent. The pointer is
+// valid until the next PutID or Reset.
 func (h *HTable) PutID(id uint32, key string) *KeyEntry {
 	if int(id) >= len(h.slot) {
 		h.growSlots(int(id) + 1)
@@ -100,7 +89,7 @@ func (h *HTable) PutID(id uint32, key string) *KeyEntry {
 	}
 	e := &h.entries[n]
 	cols := e.Cols.Reset() // reuse the slot's previous backing arrays
-	*e = KeyEntry{Key: key, ID: id, Cols: cols}
+	*e = KeyEntry{Key: key, ID: id, Cols: cols, prefix: keyPrefix(key)}
 	h.slot[id] = int32(n) + 1
 	return e
 }
