@@ -115,9 +115,7 @@ func TestCountMinLinearity(t *testing.T) {
 func TestSpaceSavingGuarantee(t *testing.T) {
 	s := NewSpaceSaving(8)
 	batch := zipfBatch(64, 1000)
-	ranked := sortedKeys(batch)
-	sortRanked(ranked, batch)
-	for _, k := range ranked {
+	for _, k := range rankedKeys(batch) {
 		s.Offer(k, batch[k])
 	}
 	entries := s.Entries()
@@ -157,9 +155,7 @@ func TestSpaceSavingMerge(t *testing.T) {
 		s     *SpaceSaving
 		batch map[string]float64
 	}{{a, left}, {b, right}} {
-		ranked := sortedKeys(m.batch)
-		sortRanked(ranked, m.batch)
-		for _, k := range ranked {
+		for _, k := range rankedKeys(m.batch) {
 			m.s.Offer(k, m.batch[k])
 		}
 	}
@@ -397,4 +393,19 @@ func TestDecodeRejectsMalformedImages(t *testing.T) {
 	if _, err := Decode(bomb); err == nil {
 		t.Fatal("length-bomb image decoded successfully")
 	}
+}
+
+// rankedKeys returns a batch's keys in the Space-Saving offer order the
+// estimator uses.
+func rankedKeys(batch map[string]float64) []string {
+	keys := sortedKeys(batch)
+	vals := make([]float64, len(keys))
+	for i, k := range keys {
+		vals[i] = batch[k]
+	}
+	out := make([]string, len(keys))
+	for i, j := range rankOrder(keys, vals) {
+		out[i] = keys[j]
+	}
+	return out
 }

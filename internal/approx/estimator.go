@@ -2,8 +2,11 @@ package approx
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
+	"prompt/internal/intern"
 	"prompt/internal/tuple"
 )
 
@@ -68,13 +71,40 @@ func (e *Estimator) Kind() Kind { return e.spec.Kind }
 // Window returns the window length.
 func (e *Estimator) Window() tuple.Time { return e.win }
 
-// AddBatch folds one committed batch's exact per-key result into the
-// window. Batch ends must be non-decreasing, mirroring the aggregator.
+// AddColumns folds one committed batch's exact per-key result into the
+// window: key IDs resolving in dict, and their values. Batch ends must be
+// non-decreasing, mirroring the aggregator. Keys fold in ascending string
+// order, whatever the column order.
+func (e *Estimator) AddColumns(end tuple.Time, dict *intern.Dict, ids []uint32, vals []float64) error {
+	strs := dict.Strings()
+	order := make([]int, len(ids))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(strs[ids[a]], strs[ids[b]]) })
+	keys, sorted := make([]string, len(ids)), make([]float64, len(ids))
+	for i, j := range order {
+		keys[i], sorted[i] = strs[ids[j]], vals[j]
+	}
+	return e.add(end, keys, sorted)
+}
+
+// AddBatch is AddColumns for a keyed result map.
 func (e *Estimator) AddBatch(end tuple.Time, result map[string]float64) error {
+	keys := sortedKeys(result)
+	vals := make([]float64, len(keys))
+	for i, k := range keys {
+		vals[i] = result[k]
+	}
+	return e.add(end, keys, vals)
+}
+
+// add folds one batch whose keys ascend, vals aligned with them.
+func (e *Estimator) add(end tuple.Time, keys []string, vals []float64) error {
 	if n := len(e.parts); n > 0 && end < e.parts[n-1].end {
 		return fmt.Errorf("approx: batch end %v precedes previous %v", end, e.parts[n-1].end)
 	}
-	e.parts = append(e.parts, e.buildPartial(end, result))
+	e.parts = append(e.parts, e.buildPartial(end, keys, vals))
 	cutoff := end - e.win
 	i := 0
 	for i < len(e.parts) && e.parts[i].end <= cutoff {
@@ -86,24 +116,21 @@ func (e *Estimator) AddBatch(end tuple.Time, result map[string]float64) error {
 }
 
 // buildPartial summarizes one batch output under the estimator's kind,
-// folding keys in the canonical sorted order.
-func (e *Estimator) buildPartial(end tuple.Time, result map[string]float64) partial {
+// folding keys in the canonical ascending order they arrive in.
+func (e *Estimator) buildPartial(end tuple.Time, keys []string, vals []float64) partial {
 	p := partial{end: end}
-	keys := sortedKeys(result)
 	switch e.spec.Kind {
 	case CountMinKind:
 		p.cm = NewCountMin(e.spec.Depth, e.spec.Width, e.spec.Seed)
-		for _, k := range keys {
-			p.cm.Add(k, result[k])
+		for i, k := range keys {
+			p.cm.Add(k, vals[i])
 		}
 	case SpaceSavingKind:
 		p.ss = NewSpaceSaving(e.spec.K)
 		// Offer heavy keys first (value desc, key asc): a static batch
 		// folds into a partial whose top counters are exact.
-		ranked := append([]string(nil), keys...)
-		sortRanked(ranked, result)
-		for _, k := range ranked {
-			p.ss.Offer(k, result[k])
+		for _, i := range rankOrder(keys, vals) {
+			p.ss.Offer(keys[i], vals[i])
 		}
 	case HLLKind:
 		p.hll = NewHLL(e.spec.Precision, e.spec.Seed)
@@ -116,19 +143,26 @@ func (e *Estimator) buildPartial(end tuple.Time, result map[string]float64) part
 			salt = uint64(end)
 		}
 		p.samp = NewSample(e.spec.Kind, e.spec.K, e.spec.Seed, salt)
-		for _, k := range keys {
-			p.samp.Offer(k, result[k])
+		for i, k := range keys {
+			p.samp.Offer(k, vals[i])
 		}
 		p.samp.Trim()
 	}
 	return p
 }
 
-// sortRanked orders keys by (value desc, key asc).
-func sortRanked(keys []string, result map[string]float64) {
-	sort.Slice(keys, func(i, j int) bool {
-		return ssLess(keys[i], result[keys[i]], keys[j], result[keys[j]])
+// rankOrder returns the Space-Saving offer order of a batch whose keys
+// ascend: their indices by (value desc, key asc).
+func rankOrder(keys []string, vals []float64) []int {
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		return ssLess(keys[a], vals[a], keys[b], vals[b])
 	})
+	return order
 }
 
 // rebuild folds the live partials in deque order into the merged view.

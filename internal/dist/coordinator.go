@@ -17,6 +17,13 @@ import (
 // locally, so the error is informational: batch results are unaffected.
 var ErrShardDown = errors.New("dist: shard down")
 
+// ErrBadReply marks a shard reply that does not answer the task it was
+// sent: a mismatched header, an empty cluster, a cluster naming a key that
+// is not the block's (in block order), or Reduce entries that are not
+// exactly the bucket's keys. The coordinator checks every entry before
+// anything indexes by its ID.
+var ErrBadReply = errors.New("dist: bad shard reply")
+
 // Coordinator scatters a query job's data-plane folds across shards and
 // gathers the results, implementing engine.JobExecutor. Install it with
 // Engine.SetExecutor and the engine runs every simulation concern —
@@ -25,12 +32,13 @@ var ErrShardDown = errors.New("dist: shard down")
 //
 // Placement is static and deterministic: block i of a batch goes to
 // shard i mod n, bucket j to shard j mod n. Each scatter is one frame
-// per shard per stage, with the intern-dictionary delta the frame's IDs
-// need piggybacked on it. On multiplexed transports the frame is sent
-// under the link lock but awaited outside it, so parallel query jobs
-// (and pipelined batches) keep several task frames in flight on one
-// shard connection; deltas are computed in send order, which the shard's
-// arrival-order handling keeps gap-free.
+// per shard per stage. Shards mirror the engine's dictionary, handed to
+// every JobExecutor call, so wire key IDs are engine IDs; each frame
+// piggybacks the dictionary delta the shard still lacks. On multiplexed
+// transports the frame is sent under the link lock but awaited outside
+// it, so parallel query jobs (and pipelined batches) keep several task
+// frames in flight on one shard connection; deltas are computed in send
+// order, which the shard's arrival-order handling keeps gap-free.
 //
 // A shard whose exchange fails is redialed (the transport applies its
 // backoff) and re-handshaken — the HelloAck's DictSize tells the
@@ -43,7 +51,6 @@ type Coordinator struct {
 	queries  []engine.Query
 	names    []string
 	interval tuple.Time
-	dict     *intern.Dict
 	links    []*link
 
 	// mu guards active: how many shards the scatter loops currently use.
@@ -77,7 +84,6 @@ func NewCoordinator(tr transport.Transport, interval tuple.Time, queries []engin
 		queries:  make([]engine.Query, len(queries)),
 		names:    make([]string, len(queries)),
 		interval: interval,
-		dict:     intern.NewDict(0),
 		links:    make([]*link, n),
 		active:   n,
 	}
@@ -87,7 +93,7 @@ func NewCoordinator(tr transport.Transport, interval tuple.Time, queries []engin
 	}
 	for s := 0; s < n; s++ {
 		l := &link{shard: s, factor: 1}
-		if err := c.handshake(l); err != nil {
+		if err := c.handshake(l, 0); err != nil {
 			return nil, err
 		}
 		c.links[s] = l
@@ -96,10 +102,11 @@ func NewCoordinator(tr transport.Transport, interval tuple.Time, queries []engin
 }
 
 // handshake dials l.shard and runs the Hello exchange, setting the
-// link's dictionary watermark from the shard's acknowledged mirror size.
-// Callers hold l.mu (or own the link exclusively, as NewCoordinator
-// does).
-func (c *Coordinator) handshake(l *link) error {
+// link's dictionary watermark from the shard's acknowledged mirror size,
+// which may not exceed dictLen, the engine dictionary's size (0 before
+// the first task). Callers hold l.mu (or own the link exclusively, as
+// NewCoordinator does).
+func (c *Coordinator) handshake(l *link, dictLen int) error {
 	conn, err := c.tr.Dial(l.shard)
 	if err != nil {
 		return fmt.Errorf("dist: shard %d: %w", l.shard, err)
@@ -123,10 +130,10 @@ func (c *Coordinator) handshake(l *link) error {
 		conn.Close()
 		return fmt.Errorf("dist: shard %d acknowledges %d queries, want %d", l.shard, ack.Queries, len(c.names))
 	}
-	if int(ack.DictSize) > c.dict.Len() {
+	if int(ack.DictSize) > dictLen {
 		conn.Close()
 		return fmt.Errorf("dist: shard %d mirrors %d dict entries, coordinator has %d",
-			l.shard, ack.DictSize, c.dict.Len())
+			l.shard, ack.DictSize, dictLen)
 	}
 	if l.conn != nil {
 		l.conn.Close()
@@ -187,7 +194,7 @@ func (c *Coordinator) MigrateSlot(slot, epoch, from, to int, image []byte, diges
 		if errors.As(err, &we) {
 			return err
 		}
-		if herr := c.handshake(l); herr != nil {
+		if herr := c.handshake(l, l.sent); herr != nil {
 			l.down = true
 			return fmt.Errorf("dist: shard %d lost (%v) and redial failed: %w", l.shard, err, herr)
 		}
@@ -257,17 +264,13 @@ func (c *Coordinator) Close() error {
 // where the previous frame's ended. The advance is optimistic — if the
 // frame is later lost, the redial handshake resets l.sent from the
 // shard's re-acknowledged mirror size.
-func (c *Coordinator) delta(l *link) wire.DictDelta {
-	n := c.dict.Len()
+func delta(l *link, dict *intern.Dict) wire.DictDelta {
+	strs := dict.Strings()
 	d := wire.DictDelta{First: uint32(l.sent), Keys: []string{}}
-	if n > l.sent {
-		keys := make([]string, n-l.sent)
-		for i := range keys {
-			keys[i] = c.dict.Resolve(uint32(l.sent + i))
-		}
-		d.Keys = keys
+	if len(strs) > l.sent {
+		d.Keys = strs[l.sent:]
 	}
-	l.sent = n
+	l.sent = len(strs)
 	return d
 }
 
@@ -283,7 +286,7 @@ func (c *Coordinator) delta(l *link) wire.DictDelta {
 // connection generation; if that also fails the shard is marked down.
 // In-flight peers that failed alongside retry on the already-fresh
 // connection without paying a second redial.
-func (c *Coordinator) exchange(l *link, mk func(d wire.DictDelta) wire.Msg) (wire.Msg, error) {
+func (c *Coordinator) exchange(l *link, dict *intern.Dict, mk func(d wire.DictDelta) wire.Msg) (wire.Msg, error) {
 	l.mu.Lock()
 	if l.down {
 		l.mu.Unlock()
@@ -294,7 +297,7 @@ func (c *Coordinator) exchange(l *link, mk func(d wire.DictDelta) wire.Msg) (wir
 	if !muxed {
 		// Strict request-reply (loopback): the whole exchange serializes
 		// on the link.
-		reply, err := l.conn.Exchange(mk(c.delta(l)))
+		reply, err := l.conn.Exchange(mk(delta(l, dict)))
 		l.mu.Unlock()
 		if err == nil {
 			return reply, nil
@@ -305,9 +308,9 @@ func (c *Coordinator) exchange(l *link, mk func(d wire.DictDelta) wire.Msg) (wir
 			// failed. Surface it without tearing the link down.
 			return nil, err
 		}
-		return c.retryExchange(l, gen, err, mk)
+		return c.retryExchange(l, dict, gen, err, mk)
 	}
-	p, err := bg.Begin(mk(c.delta(l)))
+	p, err := bg.Begin(mk(delta(l, dict)))
 	l.mu.Unlock()
 	if err == nil {
 		var reply wire.Msg
@@ -319,7 +322,7 @@ func (c *Coordinator) exchange(l *link, mk func(d wire.DictDelta) wire.Msg) (wir
 			return nil, err
 		}
 	}
-	return c.retryExchange(l, gen, err, mk)
+	return c.retryExchange(l, dict, gen, err, mk)
 }
 
 // retryExchange is the slow path after a failed exchange on connection
@@ -328,19 +331,19 @@ func (c *Coordinator) exchange(l *link, mk func(d wire.DictDelta) wire.Msg) (wir
 // flight alongside it find the generation already advanced and go
 // straight to a strict request-reply retry on the fresh connection. A
 // second failure marks the shard down.
-func (c *Coordinator) retryExchange(l *link, gen int, cause error, mk func(d wire.DictDelta) wire.Msg) (wire.Msg, error) {
+func (c *Coordinator) retryExchange(l *link, dict *intern.Dict, gen int, cause error, mk func(d wire.DictDelta) wire.Msg) (wire.Msg, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.down {
 		return nil, fmt.Errorf("%w: shard %d (lost frame: %v)", ErrShardDown, l.shard, cause)
 	}
 	if l.gen == gen {
-		if herr := c.handshake(l); herr != nil {
+		if herr := c.handshake(l, dict.Len()); herr != nil {
 			l.down = true
 			return nil, fmt.Errorf("dist: shard %d lost (%v) and redial failed: %w", l.shard, cause, herr)
 		}
 	}
-	reply, err := l.conn.Exchange(mk(c.delta(l)))
+	reply, err := l.conn.Exchange(mk(delta(l, dict)))
 	if err == nil {
 		return reply, nil
 	}
@@ -362,46 +365,41 @@ func (l *link) noteFactor(f float64) {
 	l.mu.Unlock()
 }
 
-// resolve maps a shard-reported intern ID back to its key string,
-// erroring (not panicking) on an ID the coordinator never issued.
-func (c *Coordinator) resolve(id uint32) (string, error) {
-	if int(id) >= c.dict.Len() {
-		return "", fmt.Errorf("dist: shard reported unknown key id %d", id)
-	}
-	return c.dict.Resolve(id), nil
-}
-
-// MapBlocks implements engine.JobExecutor: block i goes to shard
-// i mod n, all of a shard's blocks in one frame, shards exchanged in
-// parallel. Blocks of down shards (or shards that die mid-exchange and
-// resist redial) are folded locally.
-func (c *Coordinator) MapBlocks(batch, qi int, blocks []*tuple.Block, reduceTasks int) ([]engine.BlockMapOut, error) {
+// scatter runs one stage across the active shards: task i of n goes to
+// shard i mod (active shards), each shard's share (its task indices, in
+// order) handled by run on its own goroutine.
+func (c *Coordinator) scatter(qi, n int, run func(idxs []int) error) error {
 	if qi < 0 || qi >= len(c.queries) {
-		return nil, fmt.Errorf("dist: query index %d out of range [0,%d)", qi, len(c.queries))
+		return fmt.Errorf("dist: query index %d out of range [0,%d)", qi, len(c.queries))
 	}
-	n := c.Active()
-	outs := make([]engine.BlockMapOut, len(blocks))
-	errs := make([]error, n)
+	shards := c.Active()
+	errs := make([]error, shards)
 	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
+	for s := 0; s < shards && s < n; s++ {
 		var idxs []int
-		for i := s; i < len(blocks); i += n {
+		for i := s; i < n; i += shards {
 			idxs = append(idxs, i)
 		}
-		if len(idxs) == 0 {
-			continue
-		}
 		wg.Add(1)
-		go func(s int, idxs []int) {
+		go func(s int) {
 			defer wg.Done()
-			errs[s] = c.mapOnShard(batch, qi, blocks, idxs, outs)
-		}(s, idxs)
+			errs[s] = run(idxs)
+		}(s)
 	}
 	wg.Wait()
-	for s := range errs {
-		if errs[s] != nil {
-			return nil, errs[s]
-		}
+	return errors.Join(errs...)
+}
+
+// MapBlocks implements engine.JobExecutor: all of a shard's blocks go in
+// one frame, shards exchanged in parallel. Blocks of down shards (or
+// shards that die mid-exchange and resist redial) are folded locally.
+func (c *Coordinator) MapBlocks(batch, qi int, dict *intern.Dict, blocks []*tuple.Block, _ int) ([]engine.BlockMapOut, error) {
+	outs := make([]engine.BlockMapOut, len(blocks))
+	err := c.scatter(qi, len(blocks), func(idxs []int) error {
+		return c.mapOnShard(batch, qi, dict, blocks, idxs, outs)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return outs, nil
 }
@@ -409,29 +407,23 @@ func (c *Coordinator) MapBlocks(batch, qi int, blocks []*tuple.Block, reduceTask
 // mapOnShard runs one shard's share of a Map stage and writes results
 // into outs at the original block indices; it falls back to local folds
 // when the shard is unreachable.
-func (c *Coordinator) mapOnShard(batch, qi int, blocks []*tuple.Block, idxs []int, outs []engine.BlockMapOut) error {
+func (c *Coordinator) mapOnShard(batch, qi int, dict *intern.Dict, blocks []*tuple.Block, idxs []int, outs []engine.BlockMapOut) error {
 	l := c.links[idxs[0]%len(c.links)]
 
-	// Intern every key before building the frame so the delta computed at
-	// send time covers all IDs the frame references. Key runs travel as
-	// the blocks hold them — column views, delta-encoded by the codec — so
-	// neither side materializes rows.
+	// Key runs travel as the blocks hold them — engine key IDs and column
+	// views, delta-encoded by the codec — so neither side materializes
+	// rows.
 	wbs := make([]wire.ColBlock, len(idxs))
 	for bi, i := range idxs {
 		bl := blocks[i]
 		wb := wire.ColBlock{ID: bl.ID, Keys: make([]wire.ColKeySlice, len(bl.Keys))}
 		for k := range bl.Keys {
-			ks := &bl.Keys[k]
-			wb.Keys[k] = wire.ColKeySlice{
-				KeyID: c.dict.Intern(ks.Key),
-				Dense: ks.ID,
-				Cols:  ks.Cols,
-			}
+			wb.Keys[k] = wire.ColKeySlice{KeyID: bl.Keys[k].ID, Cols: bl.Keys[k].Cols}
 		}
 		wbs[bi] = wb
 	}
 
-	reply, err := c.exchange(l, func(d wire.DictDelta) wire.Msg {
+	reply, err := c.exchange(l, dict, func(d wire.DictDelta) wire.Msg {
 		return &wire.MapTaskCols{Batch: batch, Query: qi, Dict: d, Blocks: wbs}
 	})
 	if err != nil {
@@ -455,79 +447,64 @@ func (c *Coordinator) mapOnShard(batch, qi int, blocks []*tuple.Block, idxs []in
 		return fmt.Errorf("dist: shard %d: unexpected %v reply to map task", l.shard, reply.WireType())
 	}
 	if mr.Batch != batch || mr.Query != qi || len(mr.Outs) != len(idxs) {
-		return fmt.Errorf("dist: shard %d: map reply (batch %d query %d outs %d) does not match task (batch %d query %d blocks %d)",
-			l.shard, mr.Batch, mr.Query, len(mr.Outs), batch, qi, len(idxs))
+		return fmt.Errorf("%w: shard %d: map reply (batch %d query %d outs %d) does not match task (batch %d query %d blocks %d)",
+			ErrBadReply, l.shard, mr.Batch, mr.Query, len(mr.Outs), batch, qi, len(idxs))
 	}
 	l.noteFactor(mr.Factor)
+	strs := dict.Strings()
 	for bi, i := range idxs {
-		cs := mr.Outs[bi].Clusters
+		keys, cs := blocks[i].Keys, mr.Outs[bi].Clusters
 		out := engine.BlockMapOut{
 			Clusters: make([]tuple.Cluster, len(cs)),
 			Values:   make([]float64, len(cs)),
 		}
-		for ci := range cs {
-			key, err := c.resolve(cs[ci].KeyID)
-			if err != nil {
-				return err
+		// MapBlock emits each key at its first run, so an honest reply's
+		// IDs are a subsequence of the block's.
+		k := 0
+		for ci, c := range cs {
+			for k < len(keys) && keys[k].ID != c.KeyID {
+				k++
 			}
-			out.Clusters[ci] = tuple.Cluster{Key: key, Size: cs[ci].Size, ID: cs[ci].Dense}
-			out.Values[ci] = cs[ci].Val
+			if k == len(keys) || c.Size < 1 {
+				return fmt.Errorf("%w: shard %d: block %d cluster %d (key id %d, size %d) is not the block's",
+					ErrBadReply, l.shard, blocks[i].ID, ci, c.KeyID, c.Size)
+			}
+			k++
+			out.Clusters[ci] = tuple.Cluster{Key: strs[c.KeyID], ID: c.KeyID, Size: c.Size}
+			out.Values[ci] = c.Val
 		}
 		outs[i] = out
 	}
 	return nil
 }
 
-// ReduceBuckets implements engine.JobExecutor: bucket j goes to shard
-// j mod n, all of a shard's buckets in one frame, shards exchanged in
-// parallel, local folds for unreachable shards.
-func (c *Coordinator) ReduceBuckets(batch, qi int, perBucket [][]engine.Contrib) ([]map[string]float64, error) {
-	if qi < 0 || qi >= len(c.queries) {
-		return nil, fmt.Errorf("dist: query index %d out of range [0,%d)", qi, len(c.queries))
-	}
-	n := c.Active()
-	partials := make([]map[string]float64, len(perBucket))
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		var idxs []int
-		for j := s; j < len(perBucket); j += n {
-			idxs = append(idxs, j)
-		}
-		if len(idxs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, idxs []int) {
-			defer wg.Done()
-			errs[s] = c.reduceOnShard(batch, qi, perBucket, idxs, partials)
-		}(s, idxs)
-	}
-	wg.Wait()
-	for s := range errs {
-		if errs[s] != nil {
-			return nil, errs[s]
-		}
+// ReduceBuckets implements engine.JobExecutor: all of a shard's buckets go
+// in one frame, shards exchanged in parallel, local folds for unreachable
+// shards.
+func (c *Coordinator) ReduceBuckets(batch, qi int, dict *intern.Dict, perBucket [][]engine.Contrib) ([]engine.Result, error) {
+	partials := make([]engine.Result, len(perBucket))
+	err := c.scatter(qi, len(perBucket), func(idxs []int) error {
+		return c.reduceOnShard(batch, qi, dict, perBucket, idxs, partials)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return partials, nil
 }
 
-func (c *Coordinator) reduceOnShard(batch, qi int, perBucket [][]engine.Contrib, idxs []int, partials []map[string]float64) error {
+func (c *Coordinator) reduceOnShard(batch, qi int, dict *intern.Dict, perBucket [][]engine.Contrib, idxs []int, partials []engine.Result) error {
 	l := c.links[idxs[0]%len(c.links)]
 
 	wbks := make([]wire.Bucket, len(idxs))
 	for bi, j := range idxs {
 		contribs := make([]wire.Contrib, len(perBucket[j]))
-		for k := range perBucket[j] {
-			contribs[k] = wire.Contrib{
-				KeyID: c.dict.Intern(perBucket[j][k].Key),
-				Val:   perBucket[j][k].Val,
-			}
+		for k, ct := range perBucket[j] {
+			contribs[k] = wire.Contrib{KeyID: ct.ID, Val: ct.Val}
 		}
 		wbks[bi] = wire.Bucket{Bucket: j, Contribs: contribs}
 	}
 
-	reply, err := c.exchange(l, func(d wire.DictDelta) wire.Msg {
+	reply, err := c.exchange(l, dict, func(d wire.DictDelta) wire.Msg {
 		return &wire.ReduceTask{Batch: batch, Query: qi, Dict: d, Buckets: wbks}
 	})
 	if err != nil {
@@ -535,9 +512,12 @@ func (c *Coordinator) reduceOnShard(batch, qi int, perBucket [][]engine.Contrib,
 		if errors.As(err, &we) {
 			return err
 		}
-		q := c.queries[qi]
-		for _, j := range idxs {
-			partials[j] = engine.FoldBucket(q, perBucket[j])
+		sub := make([][]engine.Contrib, len(idxs))
+		for bi, j := range idxs {
+			sub[bi] = perBucket[j]
+		}
+		for bi, res := range engine.ReduceLocal(nil, c.queries[qi], dict, sub) {
+			partials[idxs[bi]] = res
 		}
 		return nil
 	}
@@ -546,24 +526,53 @@ func (c *Coordinator) reduceOnShard(batch, qi int, perBucket [][]engine.Contrib,
 		return fmt.Errorf("dist: shard %d: unexpected %v reply to reduce task", l.shard, reply.WireType())
 	}
 	if rr.Batch != batch || rr.Query != qi || len(rr.Outs) != len(idxs) {
-		return fmt.Errorf("dist: shard %d: reduce reply (batch %d query %d outs %d) does not match task (batch %d query %d buckets %d)",
-			l.shard, rr.Batch, rr.Query, len(rr.Outs), batch, qi, len(idxs))
+		return fmt.Errorf("%w: shard %d: reduce reply (batch %d query %d outs %d) does not match task (batch %d query %d buckets %d)",
+			ErrBadReply, l.shard, rr.Batch, rr.Query, len(rr.Outs), batch, qi, len(idxs))
 	}
 	l.noteFactor(rr.Factor)
+	marks := engine.GetPositions(dict.Len())
+	defer engine.PutPositions(marks)
 	for bi, j := range idxs {
 		o := &rr.Outs[bi]
 		if o.Bucket != j {
-			return fmt.Errorf("dist: shard %d: reduce reply bucket %d, want %d", l.shard, o.Bucket, j)
+			return fmt.Errorf("%w: shard %d: reduce reply bucket %d, want %d", ErrBadReply, l.shard, o.Bucket, j)
 		}
-		m := make(map[string]float64, len(o.Entries))
-		for _, e := range o.Entries {
-			key, err := c.resolve(e.KeyID)
-			if err != nil {
-				return err
-			}
-			m[key] = e.Val
+		if err := checkEntries(*marks, perBucket[j], o.Entries); err != nil {
+			return fmt.Errorf("%w: shard %d: bucket %d: %v", ErrBadReply, l.shard, j, err)
 		}
-		partials[j] = m
+		res := engine.Result{IDs: make([]uint32, len(o.Entries)), Vals: make([]float64, len(o.Entries))}
+		for k, en := range o.Entries {
+			res.IDs[k], res.Vals[k] = en.KeyID, en.Val
+		}
+		partials[j] = res
+	}
+	return nil
+}
+
+// checkEntries verifies a bucket's Reduce reply: one entry per distinct
+// contributed key. marks covers every contributed ID, is all zeros on
+// entry and is left so.
+func checkEntries(marks engine.Positions, contribs []engine.Contrib, entries []wire.Contrib) error {
+	keys := 0
+	for _, ct := range contribs {
+		if marks[ct.ID] == 0 {
+			marks[ct.ID] = 1
+			keys++
+		}
+	}
+	defer func() {
+		for _, ct := range contribs {
+			marks[ct.ID] = 0
+		}
+	}()
+	if len(entries) != keys {
+		return fmt.Errorf("%d entries for %d keys", len(entries), keys)
+	}
+	for _, en := range entries {
+		if int(en.KeyID) >= len(marks) || marks[en.KeyID] != 1 {
+			return fmt.Errorf("entry key id %d is not a contributed key or repeats one", en.KeyID)
+		}
+		marks[en.KeyID] = 2
 	}
 	return nil
 }

@@ -8,11 +8,19 @@
 // single-process engine, for every scheme and worker count — the
 // property the golden differential tests pin down.
 //
-// Shards are stateless between exchanges apart from a mirror of the
-// coordinator's intern dictionary and their back-pressure controller, so
-// a shard restart costs only a dictionary resync (the coordinator
-// replays it from the HelloAck watermark) and checkpoint/restore stays a
-// purely coordinator-side concern.
+// A key has one identity end to end: its ID in the engine's stream
+// dictionary. The coordinator has no dictionary of its own — it mirrors
+// the engine's to each shard in deltas piggybacked on task frames — so
+// block key runs, clusters, Reduce contributions and results all travel
+// as engine IDs, and shards run the engine's own folds (MapBlock,
+// FoldBucket) on them. The coordinator checks every reply entry against
+// the task before anything indexes by its ID (ErrBadReply).
+//
+// Shards are stateless between exchanges apart from the dictionary mirror
+// and their back-pressure controller, so a shard restart costs only a
+// dictionary resync (the coordinator replays it from the HelloAck
+// watermark) and checkpoint/restore stays a purely coordinator-side
+// concern.
 package dist
 
 import (
@@ -38,8 +46,8 @@ type Shard struct {
 	names   []string
 
 	mu       sync.Mutex
-	mirror   []string          // intern id → key, coordinator's dict mirrored
-	ids      map[string]uint32 // key → intern id (reverse of mirror)
+	mirror   []string         // intern id → key, the engine's dict mirrored
+	pos      engine.Positions // FoldBucket's table over the mirror
 	interval tuple.Time
 	aimd     *backpressure.AIMD
 	curBatch int
@@ -57,7 +65,6 @@ func NewShard(index int, queries []engine.Query) *Shard {
 		index:    index,
 		queries:  make([]engine.Query, len(queries)),
 		names:    make([]string, len(queries)),
-		ids:      make(map[string]uint32),
 		aimd:     backpressure.NewAIMD(),
 		curBatch: -1,
 	}
@@ -166,7 +173,6 @@ func (s *Shard) applyDelta(d wire.DictDelta) error {
 			continue
 		}
 		s.mirror = append(s.mirror, k)
-		s.ids[k] = uint32(id)
 	}
 	return nil
 }
@@ -186,11 +192,18 @@ func (s *Shard) observeBatch(batch int) {
 	s.busy = 0
 }
 
-func (s *Shard) query(qi int) (engine.Query, error) {
+// task opens a task frame: it extends the mirror by the frame's
+// dictionary delta, resolves the frame's query and rolls the
+// back-pressure controller over to the frame's batch.
+func (s *Shard) task(d wire.DictDelta, batch, qi int) (engine.Query, error) {
+	if err := s.applyDelta(d); err != nil {
+		return engine.Query{}, err
+	}
 	if qi < 0 || qi >= len(s.queries) {
 		return engine.Query{}, fmt.Errorf("dist: shard %d query index %d out of range [0,%d)",
 			s.index, qi, len(s.queries))
 	}
+	s.observeBatch(batch)
 	return s.queries[qi], nil
 }
 
@@ -198,14 +211,10 @@ func (s *Shard) query(qi int) (engine.Query, error) {
 // columns and feed the Map fold directly — no row materialization on the
 // shard.
 func (s *Shard) handleMap(m *wire.MapTaskCols) (wire.Msg, error) {
-	if err := s.applyDelta(m.Dict); err != nil {
-		return nil, err
-	}
-	q, err := s.query(m.Query)
+	q, err := s.task(m.Dict, m.Batch, m.Query)
 	if err != nil {
 		return nil, err
 	}
-	s.observeBatch(m.Batch)
 	t0 := time.Now()
 
 	outs := make([]wire.BlockOut, len(m.Blocks))
@@ -215,15 +224,17 @@ func (s *Shard) handleMap(m *wire.MapTaskCols) (wire.Msg, error) {
 		bl.PreAllocate(len(wb.Keys))
 		for k := range wb.Keys {
 			ks := &wb.Keys[k]
-			if int(ks.KeyID) >= len(s.mirror) {
-				return nil, fmt.Errorf("dist: shard %d: key id %d beyond mirror size %d",
-					s.index, ks.KeyID, len(s.mirror))
+			if err := s.checkKey(ks.KeyID); err != nil {
+				return nil, err
 			}
-			bl.AddDenseCols(s.mirror[ks.KeyID], ks.Dense, ks.Cols, ks.Cols.Weight())
+			bl.AddDenseCols(s.mirror[ks.KeyID], ks.KeyID, ks.Cols, ks.Cols.Weight())
 		}
-		if outs[i], err = s.foldBlock(q, bl); err != nil {
-			return nil, err
+		clusters, values := engine.MapBlock(q, bl)
+		cs := make([]wire.Cluster, len(clusters))
+		for ci, c := range clusters {
+			cs[ci] = wire.Cluster{KeyID: c.ID, Size: c.Size, Val: values[ci]}
 		}
+		outs[i] = wire.BlockOut{Clusters: cs}
 	}
 
 	s.busy += time.Since(t0)
@@ -235,62 +246,39 @@ func (s *Shard) handleMap(m *wire.MapTaskCols) (wire.Msg, error) {
 	}, nil
 }
 
-// foldBlock runs one block's Map fold and converts the clusters to wire
-// form, interning cluster keys against the mirror.
-func (s *Shard) foldBlock(q engine.Query, bl *tuple.Block) (wire.BlockOut, error) {
-	clusters, values := engine.MapBlock(q, bl)
-	cs := make([]wire.Cluster, len(clusters))
-	for ci := range clusters {
-		id, ok := s.ids[clusters[ci].Key]
-		if !ok {
-			return wire.BlockOut{}, fmt.Errorf("dist: shard %d: map produced key %q absent from mirror",
-				s.index, clusters[ci].Key)
-		}
-		cs[ci] = wire.Cluster{
-			KeyID: id,
-			Size:  clusters[ci].Size,
-			Dense: clusters[ci].ID,
-			Val:   values[ci],
-		}
+// checkKey rejects a key ID the mirror does not hold.
+func (s *Shard) checkKey(id uint32) error {
+	if int(id) >= len(s.mirror) {
+		return fmt.Errorf("dist: shard %d: key id %d beyond mirror size %d", s.index, id, len(s.mirror))
 	}
-	return wire.BlockOut{Clusters: cs}, nil
+	return nil
 }
 
+// handleReduce runs a Reduce task frame with engine.FoldBucket, the one
+// Reduce fold: entries come back in first-seen key order, exactly what a
+// local fold of the bucket returns.
 func (s *Shard) handleReduce(m *wire.ReduceTask) (wire.Msg, error) {
-	if err := s.applyDelta(m.Dict); err != nil {
-		return nil, err
-	}
-	q, err := s.query(m.Query)
+	q, err := s.task(m.Dict, m.Batch, m.Query)
 	if err != nil {
 		return nil, err
 	}
-	s.observeBatch(m.Batch)
 	t0 := time.Now()
 
+	s.pos.Cover(len(s.mirror))
 	outs := make([]wire.BucketOut, len(m.Buckets))
 	for i := range m.Buckets {
 		bk := &m.Buckets[i]
-		// Fold in contribution order, emitting entries in first-seen key
-		// order so replies are deterministic frame for frame. The fold
-		// itself is key-agnostic (Reduce combines values), so intern IDs
-		// group exactly as strings would.
-		agg := make(map[uint32]float64, len(bk.Contribs))
-		order := make([]uint32, 0, len(bk.Contribs))
-		for _, c := range bk.Contribs {
-			if int(c.KeyID) >= len(s.mirror) {
-				return nil, fmt.Errorf("dist: shard %d: key id %d beyond mirror size %d",
-					s.index, c.KeyID, len(s.mirror))
+		contribs := make([]engine.Contrib, len(bk.Contribs))
+		for k, c := range bk.Contribs {
+			if err := s.checkKey(c.KeyID); err != nil {
+				return nil, err
 			}
-			if cur, ok := agg[c.KeyID]; ok {
-				agg[c.KeyID] = q.Reduce(cur, c.Val)
-			} else {
-				agg[c.KeyID] = c.Val
-				order = append(order, c.KeyID)
-			}
+			contribs[k] = engine.Contrib{ID: c.KeyID, Val: c.Val}
 		}
-		entries := make([]wire.Contrib, len(order))
-		for j, id := range order {
-			entries[j] = wire.Contrib{KeyID: id, Val: agg[id]}
+		res := engine.FoldBucket(q, contribs, s.pos)
+		entries := make([]wire.Contrib, len(res.IDs))
+		for j, id := range res.IDs {
+			entries[j] = wire.Contrib{KeyID: id, Val: res.Vals[j]}
 		}
 		outs[i] = wire.BucketOut{Bucket: bk.Bucket, Entries: entries}
 	}

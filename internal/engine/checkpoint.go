@@ -242,8 +242,12 @@ func decodeDict(payload []byte) (*intern.Dict, error) {
 // key column in ascending order and the matching value column.
 func (e *Engine) appendLastResults(b []byte) []byte {
 	b = codec.AppendUvarint(b, uint64(len(e.lastResults)))
-	for _, res := range e.lastResults {
-		b = codec.AppendBool(b, res != nil)
+	for _, last := range e.lastResults {
+		b = codec.AppendBool(b, last != nil)
+		var res map[string]float64
+		if last != nil {
+			res = last.Map(e.dict)
+		}
 		keys := make([]string, 0, len(res))
 		for k := range res {
 			keys = append(keys, k)
@@ -280,9 +284,15 @@ func (e *Engine) decodeLastResults(r *codec.Reader) {
 			}
 			continue
 		}
-		res := make(map[string]float64, len(keys))
-		for _, k := range keys {
-			res[k] = r.Float()
+		res := &Result{IDs: make([]uint32, len(keys)), Vals: make([]float64, len(keys))}
+		for j, k := range keys {
+			id, ok := e.dict.Lookup(k)
+			if !ok {
+				r.Failf("query %d: result key %q is not in the dictionary", i, k)
+				return
+			}
+			res.IDs[j] = id
+			res.Vals[j] = r.Float()
 		}
 		e.lastResults[i] = res
 	}

@@ -126,7 +126,7 @@ type Config struct {
 	// Approx enables the approximate-query tier: one bounded-memory
 	// summary per query (Count-Min, Space-Saving, HyperLogLog, or a
 	// window sampler) folded from the exact per-key results at commit.
-	// The fold consumes the bit-identical result maps, so the summaries
+	// The fold consumes the bit-identical batch results, so the summaries
 	// are themselves bit-identical across worker counts, pipelining
 	// depths, and checkpoint/restore. The zero value disables the tier.
 	Approx approx.Spec

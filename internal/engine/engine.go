@@ -40,7 +40,7 @@ type Engine struct {
 	aggs    []*window.Aggregator
 	// approxes holds one windowed approximate summary per query when
 	// Config.Approx is enabled (nil otherwise). The commit stage folds
-	// each query's exact result map into its estimator, so summaries see
+	// each query's exact batch result into its estimator, so summaries see
 	// only bit-identical inputs and inherit the engine's determinism.
 	approxes []*approx.Estimator
 
@@ -48,7 +48,9 @@ type Engine struct {
 	now      tuple.Time // start of the next batch interval
 	procFree tuple.Time // when the processing pipeline becomes free
 
-	lastResults []map[string]float64
+	// lastResults holds each query's latest batch output as columns (nil
+	// before the first batch); the map accessors resolve keys on demand.
+	lastResults []*Result
 	// reports is the bounded report history: recordReport keeps at least
 	// the last reportTail reports and never more than twice that, and
 	// Reports exposes exactly the tail.
@@ -161,7 +163,7 @@ func newMulti(cfg Config, queries []Query, dict *intern.Dict) (*Engine, error) {
 		cfg:         cfg,
 		queries:     make([]Query, len(queries)),
 		aggs:        make([]*window.Aggregator, len(queries)),
-		lastResults: make([]map[string]float64, len(queries)),
+		lastResults: make([]*Result, len(queries)),
 		pool:        poolFor(cfg.Workers),
 		pipeline:    defaultPipeline(),
 		dict:        dict,
@@ -358,10 +360,27 @@ func (e *Engine) NoteDropped(n int) {
 
 // LastResult returns the previous batch's per-key Reduce output of the
 // primary query.
-func (e *Engine) LastResult() map[string]float64 { return e.lastResults[0] }
+func (e *Engine) LastResult() map[string]float64 { return e.LastResultOf(0) }
 
-// LastResultOf returns the previous batch's output of query i.
-func (e *Engine) LastResultOf(i int) map[string]float64 { return e.lastResults[i] }
+// LastResultOf returns the previous batch's output of query i (nil before
+// the first batch), as a freshly built map.
+func (e *Engine) LastResultOf(i int) map[string]float64 {
+	if e.lastResults[i] == nil {
+		return nil
+	}
+	return e.lastResults[i].Map(e.dict)
+}
+
+// Map resolves a result into a key-string map, the form the answer
+// accessors hand out.
+func (r *Result) Map(dict *intern.Dict) map[string]float64 {
+	keys := dict.Strings()
+	m := make(map[string]float64, len(r.IDs))
+	for j, id := range r.IDs {
+		m[keys[id]] = r.Vals[j]
+	}
+	return m
+}
 
 // WindowSnapshot returns the primary query's current window answer, or
 // nil if it has no window.
@@ -579,7 +598,7 @@ type queryRun struct {
 	reduceMakespan  tuple.Time
 	reduceDurations []tuple.Time
 	sizes           []int
-	result          map[string]float64
+	result          Result
 	// retries are the job's simulated task re-executions (speculative
 	// backups and executor-loss retries) in deterministic task order.
 	retries []metrics.TaskRetry
@@ -675,7 +694,7 @@ func (e *Engine) runQuery(qi int, blocks []*tuple.Block, seqBase int, spec jobSp
 			e.cfg.Cost.MapTaskTime(bl.Size(), bl.Cardinality()))
 		mapDurations[i], mapSpec[i] = e.injectTask(spec.batch, fault.StageMap, i, p, base)
 	}
-	outs, err := e.executor().MapBlocks(spec.batch, qi, blocks, r)
+	outs, err := e.executor().MapBlocks(spec.batch, qi, e.dict, blocks, r)
 	if err != nil {
 		return queryRun{}, fmt.Errorf("bucket assignment: %w", err)
 	}
@@ -733,10 +752,11 @@ func (e *Engine) runQuery(qi int, blocks []*tuple.Block, seqBase int, spec jobSp
 	perBucket := scratch.perBucket
 	for i := range outs {
 		for ci, b := range outs[i].Assign {
-			if err := buckets.Place(outs[i].Clusters[ci], b); err != nil {
+			c := outs[i].Clusters[ci]
+			if err := buckets.Place(c, b); err != nil {
 				return queryRun{}, fmt.Errorf("block %d: %w", blocks[i].ID, err)
 			}
-			perBucket[b] = append(perBucket[b], Contrib{Key: outs[i].Clusters[ci].Key, Val: outs[i].Values[ci]})
+			perBucket[b] = append(perBucket[b], Contrib{ID: c.ID, Val: outs[i].Values[ci]})
 		}
 	}
 
@@ -751,7 +771,7 @@ func (e *Engine) runQuery(qi int, blocks []*tuple.Block, seqBase int, spec jobSp
 			e.cfg.Cost.ReduceTaskTime(sizes[j], extra[j]))
 		reduceDurations[j], reduceSpec[j] = e.injectTask(spec.batch, fault.StageReduce, j, r, base)
 	}
-	partials, err := e.executor().ReduceBuckets(spec.batch, qi, perBucket)
+	partials, err := e.executor().ReduceBuckets(spec.batch, qi, e.dict, perBucket)
 	if err != nil {
 		return queryRun{}, fmt.Errorf("reduce: %w", err)
 	}
@@ -771,13 +791,16 @@ func (e *Engine) runQuery(qi int, blocks []*tuple.Block, seqBase int, spec jobSp
 		return queryRun{}, err
 	}
 
-	// The batch output: union of the per-bucket aggregates (disjoint by
-	// the key-locality invariant).
-	result := make(map[string]float64)
+	// The batch output: the concatenation of the per-bucket folds
+	// (disjoint by the key-locality invariant).
+	n := 0
 	for j := range partials {
-		for k, v := range partials[j] {
-			result[k] = v
-		}
+		n += len(partials[j].IDs)
+	}
+	result := Result{IDs: make([]uint32, 0, n), Vals: make([]float64, 0, n)}
+	for j := range partials {
+		result.IDs = append(result.IDs, partials[j].IDs...)
+		result.Vals = append(result.Vals, partials[j].Vals...)
 	}
 	return queryRun{
 		mapMakespan:     mapMakespan,

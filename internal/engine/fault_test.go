@@ -331,7 +331,7 @@ func TestRecomputeAfterLossBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(recomputed[0], original) {
+	if !reflect.DeepEqual(recomputed[0].Map(eng.dict), original) {
 		t.Error("recomputed batch output differs from the original")
 	}
 }

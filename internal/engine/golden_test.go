@@ -40,6 +40,12 @@ func legacyStep(e *Engine, tuples []tuple.Tuple, start, end tuple.Time) (BatchRe
 	}
 	interval := end - start
 	batch := &tuple.Batch{Start: start, End: end, Tuples: tuples}
+	// Key IDs from Map output to the window cell are the engine
+	// dictionary's, so every batching-phase structure interns there.
+	cols := &tuple.ColumnBatch{Start: start, End: end}
+	if err := cols.AppendRows(tuples, e.dict.Intern); err != nil {
+		return BatchReport{}, err
+	}
 
 	// Batching phase: accumulate statistics (Algorithm 1) or buffer
 	// blindly, then partition (Algorithm 2 or a baseline).
@@ -54,16 +60,13 @@ func legacyStep(e *Engine, tuples []tuple.Tuple, start, end tuple.Time) (BatchRe
 		wallStart = timeNow()
 		sorted, batchStats = e.acc.Finalize()
 	case PostSortMode:
-		var err error
-		if sorted, err = stats.PostSort(batch); err != nil {
-			return BatchReport{}, err
-		}
+		sorted = stats.NewPostSorter(e.dict).Sort(cols)
 		batchStats = stats.BatchStats{Tuples: batch.Len(), Keys: len(sorted), Start: start, End: end}
 	default:
 		return BatchReport{}, fmt.Errorf("engine: unknown accumulation mode %v", e.cfg.Accum)
 	}
 
-	blocks, err := e.cfg.Partitioner.Partition(partition.Input{Batch: batch, Sorted: sorted, Pool: e.pool}, e.cfg.MapTasks)
+	blocks, err := e.cfg.Partitioner.Partition(partition.Input{Cols: cols, Dict: e.dict, Sorted: sorted, Pool: e.pool}, e.cfg.MapTasks)
 	if err != nil {
 		return BatchReport{}, fmt.Errorf("engine: partitioning batch %d: %w", e.batchIdx, err)
 	}
@@ -103,9 +106,10 @@ func legacyStep(e *Engine, tuples []tuple.Tuple, start, end tuple.Time) (BatchRe
 
 	aggErrs := make([]error, len(e.queries))
 	e.pool.Do(len(e.queries), func(qi int) {
-		e.lastResults[qi] = runs[qi].result
+		res := &runs[qi].result
+		e.lastResults[qi] = res
 		if e.aggs[qi] != nil {
-			aggErrs[qi] = e.aggs[qi].AddBatch(end, runs[qi].result)
+			aggErrs[qi] = e.aggs[qi].AddColumns(end, res.IDs, res.Vals)
 		}
 	})
 	for _, aggErr := range aggErrs {
@@ -170,7 +174,7 @@ func legacyFeedAccumulator(e *Engine, batch *tuple.Batch) error {
 		}
 	}
 	if e.acc == nil {
-		acc, err := stats.NewAccumulator(cfg, batch.Start, batch.End)
+		acc, err := stats.NewAccumulatorDict(cfg, e.dict, batch.Start, batch.End)
 		if err != nil {
 			return err
 		}

@@ -373,9 +373,10 @@ func (commitStage) Run(e *Engine, ctx *BatchContext) error {
 	// the merges run on the pool too.
 	aggErrs := make([]error, len(e.queries))
 	e.pool.Do(len(e.queries), func(qi int) {
-		e.lastResults[qi] = ctx.runs[qi].result
+		res := &ctx.runs[qi].result
+		e.lastResults[qi] = res
 		if e.aggs[qi] != nil {
-			aggErrs[qi] = e.aggs[qi].AddBatch(ctx.Cols.End, ctx.runs[qi].result)
+			aggErrs[qi] = e.aggs[qi].AddColumns(ctx.Cols.End, res.IDs, res.Vals)
 		}
 	})
 	for _, aggErr := range aggErrs {
@@ -383,14 +384,15 @@ func (commitStage) Run(e *Engine, ctx *BatchContext) error {
 			return aggErr
 		}
 	}
-	// Approximate tier: fold the exact result maps into the per-query
+	// Approximate tier: fold the exact results into the per-query
 	// summaries. Recovery already replaced any lost results, so the fold
 	// only ever sees the bit-identical committed answers; running it on
 	// the driver keeps the estimators free of synchronization.
 	var approxBound float64
 	var approxBytes int
 	for qi, est := range e.approxes {
-		if err := est.AddBatch(ctx.Cols.End, ctx.runs[qi].result); err != nil {
+		res := &ctx.runs[qi].result
+		if err := est.AddColumns(ctx.Cols.End, e.dict, res.IDs, res.Vals); err != nil {
 			return fmt.Errorf("engine: batch %d: %w", ctx.Index, err)
 		}
 		if qi == 0 {

@@ -80,7 +80,7 @@ func (s *BatchStore) Recompute(index int, cfg Config, q Query) (map[string]float
 	if err != nil {
 		return nil, err
 	}
-	return results[0], nil
+	return results[0].Map(s.dict), nil
 }
 
 // Replay recomputes every query's output for a replicated batch,
@@ -90,7 +90,7 @@ func (s *BatchStore) Recompute(index int, cfg Config, q Query) (map[string]float
 // itself), the observer, and the query windows (only the single batch's
 // output matters) — so the recovered outputs are bit-identical to the
 // originals.
-func (s *BatchStore) Replay(index int, cfg Config, queries []Query) ([]map[string]float64, tuple.Time, error) {
+func (s *BatchStore) Replay(index int, cfg Config, queries []Query) ([]Result, tuple.Time, error) {
 	b, ok := s.Get(index)
 	if !ok {
 		return nil, 0, fmt.Errorf("engine: batch %d not in the replica store (expired or never stored)", index)
@@ -113,9 +113,9 @@ func (s *BatchStore) Replay(index int, cfg Config, queries []Query) ([]map[strin
 	if err != nil {
 		return nil, 0, fmt.Errorf("engine: recomputing batch %d: %w", index, err)
 	}
-	results := make([]map[string]float64, len(queries))
+	results := make([]Result, len(queries))
 	for i := range queries {
-		results[i] = replay.LastResultOf(i)
+		results[i] = *replay.lastResults[i]
 	}
 	return results, rep.ProcessingTime, nil
 }

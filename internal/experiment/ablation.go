@@ -90,7 +90,7 @@ func bucketImbalance(blocks []*tuple.Block, alloc reducer.Assigner, r int) (floa
 				continue
 			}
 			seen[ks.Key] = len(clusters)
-			clusters = append(clusters, tuple.Cluster{Key: ks.Key, Size: ks.Len()})
+			clusters = append(clusters, tuple.Cluster{Key: ks.Key, ID: ks.ID, Size: ks.Len()})
 		}
 		if len(clusters) == 0 {
 			continue

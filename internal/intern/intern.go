@@ -2,14 +2,16 @@
 // zero-allocation batch hot path: an append-only mapping from
 // partitioning-key strings to dense uint32 IDs.
 //
-// Keys are interned once, at receiver/accumulator ingestion, and stay
-// dense integers through the statistics, partitioning, shuffle, and
-// reduce structures; the strings are resolved back only at the
-// report/window boundary. Because the dictionary is append-only and
-// shared across batches, the per-key ID is stable for the stream's
-// lifetime, which lets the statistics hash table replace its
-// string-keyed map with an ID-indexed slot array that is reused batch
-// after batch.
+// Keys are interned once, at the engine's edge, and stay dense integers
+// through the statistics, partitioning, shuffle, reduce and window
+// structures, and across the wire (shards mirror the dictionary); the
+// strings are resolved back only where something reads them — the user's
+// Map function, the bucket assigners' split-key hash, the approximate
+// tier's key-ordered fold, the answer accessors and checkpoints. Because
+// the dictionary is append-only and shared across batches, the per-key ID
+// is stable for the stream's lifetime, which lets the statistics hash
+// table replace its string-keyed map with an ID-indexed slot array that
+// is reused batch after batch.
 //
 // A Dict is safe for concurrent interning; resolution is lock-free for
 // IDs observed through a happens-before edge (e.g. handed across the

@@ -65,11 +65,11 @@ func (f *FirstFitDecreasing) Partition(in Input, p int) ([]*tuple.Block, error) 
 			}
 			room := cap - a.weightOf(bin)
 			if room <= 0 || room >= restW {
-				a.place(bin, it.key, rest, restW)
+				a.place(bin, it.key, it.id, rest, restW)
 				restW = 0
 			} else {
 				frag, remainder, fw := splitCols(rest, room)
-				a.place(bin, it.key, frag, fw)
+				a.place(bin, it.key, it.id, frag, fw)
 				rest, restW = remainder, restW-fw
 			}
 		}
@@ -119,7 +119,7 @@ func (f *FragMin) Partition(in Input, p int) ([]*tuple.Block, error) {
 				}
 			}
 			if bin >= 0 {
-				a.place(bin, it.key, rest, restW)
+				a.place(bin, it.key, it.id, rest, restW)
 				restW = 0
 				continue
 			}
@@ -128,12 +128,12 @@ func (f *FragMin) Partition(in Input, p int) ([]*tuple.Block, error) {
 			room = cap - a.weightOf(bin)
 			if room <= 0 {
 				// Rounding corner case: place the rest in the lightest bin.
-				a.place(bin, it.key, rest, restW)
+				a.place(bin, it.key, it.id, rest, restW)
 				restW = 0
 				continue
 			}
 			frag, remainder, fw := splitCols(rest, room)
-			a.place(bin, it.key, frag, fw)
+			a.place(bin, it.key, it.id, frag, fw)
 			rest, restW = remainder, restW-fw
 		}
 	}

@@ -207,7 +207,7 @@ func (b *perTupleBuilder) build() []*tuple.Block {
 	for i := range b.runs {
 		for _, r := range b.runs[i] {
 			key := b.keyString(r.key)
-			out[i].AddDenseCols(key, 0, r.cols, r.cols.Weight())
+			out[i].AddDenseCols(key, b.ids[r.key], r.cols, r.cols.Weight())
 			if frags[r.key] > 1 {
 				out[i].Ref[key] = tuple.SplitInfo{
 					Split:     true,
@@ -242,6 +242,7 @@ func splitCols(c tuple.ColSlice, w int) (frag, rest tuple.ColSlice, fw int) {
 // partitioners work on these.
 type keyItem struct {
 	key  string
+	id   uint32 // dictionary ID
 	cols tuple.ColSlice
 	size int // total tuple weight
 }
@@ -263,7 +264,7 @@ func itemsFromSortedInto(dst []keyItem, sorted []stats.SortedKey, pool *cluster.
 	pool.DoRanges(len(sorted), 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sk := sorted[i]
-			items[i] = keyItem{key: sk.Key, cols: sk.Cols, size: sk.Cols.Weight()}
+			items[i] = keyItem{key: sk.Key, id: sk.ID, cols: sk.Cols, size: sk.Cols.Weight()}
 		}
 	})
 	return items
@@ -285,6 +286,7 @@ type assignment struct {
 	p      int
 	placed []map[string]tuple.ColSlice
 	order  [][]string
+	ids    map[string]uint32 // each placed key's dictionary ID
 	weight []int
 }
 
@@ -293,6 +295,7 @@ func newAssignment(p int) *assignment {
 		p:      p,
 		placed: make([]map[string]tuple.ColSlice, p),
 		order:  make([][]string, p),
+		ids:    make(map[string]uint32),
 		weight: make([]int, p),
 	}
 	for i := 0; i < p; i++ {
@@ -303,11 +306,12 @@ func newAssignment(p int) *assignment {
 
 // place puts a fragment of the item (columns c with weight w) into block
 // i.
-func (a *assignment) place(i int, key string, c tuple.ColSlice, w int) {
+func (a *assignment) place(i int, key string, id uint32, c tuple.ColSlice, w int) {
 	if _, seen := a.placed[i][key]; !seen {
 		a.order[i] = append(a.order[i], key)
 	}
 	a.placed[i][key] = a.placed[i][key].AppendCols(c)
+	a.ids[key] = id
 	a.weight[i] += w
 }
 
@@ -328,7 +332,7 @@ func (a *assignment) build() []*tuple.Block {
 	for i := 0; i < a.p; i++ {
 		for _, k := range a.order[i] {
 			c := a.placed[i][k]
-			out[i].AddDenseCols(k, 0, c, c.Weight())
+			out[i].AddDenseCols(k, a.ids[k], c, c.Weight())
 			if frags[k] > 1 {
 				out[i].Ref[k] = tuple.SplitInfo{
 					Split:     true,

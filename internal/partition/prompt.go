@@ -41,11 +41,8 @@ import (
 // their index in the sorted list and every fragment references the
 // already-buffered tuple lists, so partitioning copies no tuple data, and
 // all working state (items, per-block fragment lists, dealing order) comes
-// from a pooled scratch arena reused across batches. The emitted blocks
-// carry the keys' dense per-batch numbers (KeySlice.ID = sorted index + 1)
-// so the shuffle can route clusters without string hashing. These
-// properties keep the measured overhead inside the early-batch-release
-// slack (Figure 14b).
+// from a pooled scratch arena reused across batches. These properties keep
+// the measured overhead inside the early-batch-release slack (Figure 14b).
 type Prompt struct {
 	// FragDivisor sets the fragment-size floor F = P_Size/FragDivisor.
 	// 0 means the default of 8.
@@ -158,8 +155,7 @@ func (b *promptBuilder) fragments(item int) int {
 
 // build materializes the blocks with their reference tables (split keys
 // only). Fragments reference the buffered tuple lists directly; duplicate
-// same-block fragments stay separate KeySlices (Block handles that). Key
-// slices carry the dense per-batch key number (item index + 1).
+// same-block fragments stay separate KeySlices (Block handles that).
 func (b *promptBuilder) build() []*tuple.Block {
 	out := newBlocks(len(b.perBlock))
 	for blk, frags := range b.perBlock {
@@ -167,7 +163,7 @@ func (b *promptBuilder) build() []*tuple.Block {
 		bl.PreAllocate(len(frags))
 		for _, fr := range frags {
 			it := &b.items[fr.item]
-			bl.AddDenseCols(it.key, int32(fr.item)+1, fr.cols, fr.w)
+			bl.AddDenseCols(it.key, it.id, fr.cols, fr.w)
 			if n := b.fragments(fr.item); n > 1 {
 				bl.Ref[it.key] = tuple.SplitInfo{
 					Split:     true,

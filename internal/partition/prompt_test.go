@@ -218,16 +218,16 @@ func TestPromptDenseKeyIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocks := mustPartition(t, NewPrompt(), b, 4)
-	// Every key slice carries 1 + the key's index in the sorted list, and
-	// all fragments of a key agree on it.
-	pos := make(map[string]int32, len(sorted))
+	// Every key slice carries the key's dictionary ID (both sides intern
+	// the batch in arrival order), and all fragments of a key agree on it.
+	ids := make(map[string]uint32, len(sorted))
 	for i := range sorted {
-		pos[sorted[i].Key] = int32(i) + 1
+		ids[sorted[i].Key] = sorted[i].ID
 	}
 	for _, bl := range blocks {
 		for _, ks := range bl.Keys {
-			if ks.ID != pos[ks.Key] {
-				t.Errorf("block %d key %s has dense ID %d, want %d", bl.ID, ks.Key, ks.ID, pos[ks.Key])
+			if ks.ID != ids[ks.Key] {
+				t.Errorf("block %d key %s has ID %d, want %d", bl.ID, ks.Key, ks.ID, ids[ks.Key])
 			}
 		}
 	}

@@ -12,32 +12,21 @@ import (
 // number of cross-Map fragments per key (which drives the per-key
 // aggregation overhead in the cost model). It also enforces the key
 // locality invariant — a key's clusters must land in exactly one bucket no
-// matter which Map task emitted them.
-//
-// Locality is tracked two ways: clusters carrying a dense per-batch key
-// number (tuple.Cluster.ID > 0, from the sorted-input partitioners) index
-// a flat array, and ID-less clusters fall back to a string-keyed map. The
-// two spaces are disjoint within a batch — one partitioner produced every
-// block — so the check stays sound either way.
+// matter which Map task emitted them. Keys are tracked by dictionary ID
+// (tuple.Cluster.ID) in a flat array.
 type BucketSet struct {
 	r         int
 	sizes     []int
-	clusters  []int
-	fragments []int          // per bucket: cluster arrivals beyond a key's first
-	keyBucket map[string]int // ID-less keys -> bucket (locality tracking)
-	idBucket  []int32        // dense key number -> bucket + 1 (0 = unseen)
-	nKeys     int
+	fragments []int    // per bucket: cluster arrivals beyond a key's first
+	idBucket  []int32  // key ID -> bucket + 1 (0 = unseen)
+	touched   []uint32 // IDs placed this batch, in first-placed order
 }
 
 // NewBucketSet returns an empty bucket set with r buckets.
 func NewBucketSet(r int) *BucketSet {
-	return &BucketSet{
-		r:         r,
-		sizes:     make([]int, r),
-		clusters:  make([]int, r),
-		fragments: make([]int, r),
-		keyBucket: make(map[string]int),
-	}
+	bs := new(BucketSet)
+	bs.reset(r)
+	return bs
 }
 
 var bucketSetPool = sync.Pool{New: func() any { return new(BucketSet) }}
@@ -45,8 +34,7 @@ var bucketSetPool = sync.Pool{New: func() any { return new(BucketSet) }}
 // GetBucketSet returns a pooled bucket set reset for r buckets. Release
 // returns it to the pool; the engine uses this pair so the per-batch
 // shuffle bookkeeping reuses its arrays batch after batch. The slices
-// returned by Sizes, Clusters, and ExtraFragments are only valid until
-// Release.
+// returned by Sizes and ExtraFragments are only valid until Release.
 func GetBucketSet(r int) *BucketSet {
 	bs := bucketSetPool.Get().(*BucketSet)
 	bs.reset(r)
@@ -60,30 +48,19 @@ func (bs *BucketSet) reset(r int) {
 	bs.r = r
 	if cap(bs.sizes) < r {
 		bs.sizes = make([]int, r)
-		bs.clusters = make([]int, r)
 		bs.fragments = make([]int, r)
 	}
 	bs.sizes = bs.sizes[:r]
-	bs.clusters = bs.clusters[:r]
 	bs.fragments = bs.fragments[:r]
 	for i := 0; i < r; i++ {
 		bs.sizes[i] = 0
-		bs.clusters[i] = 0
 		bs.fragments[i] = 0
 	}
-	if bs.keyBucket == nil {
-		bs.keyBucket = make(map[string]int)
-	} else {
-		clear(bs.keyBucket)
+	for _, id := range bs.touched {
+		bs.idBucket[id] = 0
 	}
-	for i := range bs.idBucket {
-		bs.idBucket[i] = 0
-	}
-	bs.nKeys = 0
+	bs.touched = bs.touched[:0]
 }
-
-// R returns the number of buckets.
-func (bs *BucketSet) R() int { return bs.r }
 
 // Place records that a Map task assigned cluster c to bucket b. It returns
 // an error if the bucket index is out of range or if the key was previously
@@ -93,43 +70,27 @@ func (bs *BucketSet) Place(c tuple.Cluster, b int) error {
 	if b < 0 || b >= bs.r {
 		return fmt.Errorf("reducer: bucket %d out of range [0,%d)", b, bs.r)
 	}
-	if c.ID > 0 {
-		// Dense path: the per-batch key number indexes a flat array.
-		if int(c.ID) >= len(bs.idBucket) {
-			grown := make([]int32, max(int(c.ID)+1, 2*len(bs.idBucket)))
-			copy(grown, bs.idBucket)
-			bs.idBucket = grown
-		}
-		switch prev := bs.idBucket[c.ID]; {
-		case prev == 0:
-			bs.idBucket[c.ID] = int32(b) + 1
-			bs.nKeys++
-		case int(prev)-1 != b:
-			return fmt.Errorf("reducer: key %q assigned to bucket %d and %d (locality violation)",
-				c.Key, int(prev)-1, b)
-		default:
-			bs.fragments[b]++ // a second fragment of the key: one extra combine
-		}
-	} else if prev, seen := bs.keyBucket[c.Key]; seen {
-		if prev != b {
-			return fmt.Errorf("reducer: key %q assigned to bucket %d and %d (locality violation)",
-				c.Key, prev, b)
-		}
-		bs.fragments[b]++
-	} else {
-		bs.keyBucket[c.Key] = b
-		bs.nKeys++
+	if int(c.ID) >= len(bs.idBucket) {
+		grown := make([]int32, max(int(c.ID)+1, 2*len(bs.idBucket)))
+		copy(grown, bs.idBucket)
+		bs.idBucket = grown
+	}
+	switch prev := bs.idBucket[c.ID]; {
+	case prev == 0:
+		bs.idBucket[c.ID] = int32(b) + 1
+		bs.touched = append(bs.touched, c.ID)
+	case int(prev)-1 != b:
+		return fmt.Errorf("reducer: key %q assigned to bucket %d and %d (locality violation)",
+			c.Key, int(prev)-1, b)
+	default:
+		bs.fragments[b]++ // a second fragment of the key: one extra combine
 	}
 	bs.sizes[b] += c.Size
-	bs.clusters[b]++
 	return nil
 }
 
 // Sizes returns the per-bucket tuple totals (the Reduce task input sizes).
 func (bs *BucketSet) Sizes() []int { return bs.sizes }
-
-// Clusters returns the per-bucket cluster counts.
-func (bs *BucketSet) Clusters() []int { return bs.clusters }
 
 // ExtraFragments returns, per bucket, the number of cluster arrivals beyond
 // each key's first — the cross-Map partial results a Reduce task must
@@ -137,13 +98,4 @@ func (bs *BucketSet) Clusters() []int { return bs.clusters }
 func (bs *BucketSet) ExtraFragments() []int { return bs.fragments }
 
 // Keys returns the number of distinct keys placed so far.
-func (bs *BucketSet) Keys() int { return bs.nKeys }
-
-// BucketOf returns the bucket a key was placed in and whether it was seen.
-// It consults the string-keyed table only, so it reports clusters placed
-// without dense IDs (tests and diagnostics; the engine never needs the
-// reverse lookup).
-func (bs *BucketSet) BucketOf(key string) (int, bool) {
-	b, ok := bs.keyBucket[key]
-	return b, ok
-}
+func (bs *BucketSet) Keys() int { return len(bs.touched) }

@@ -13,7 +13,7 @@ import (
 func clustersOf(sizes ...int) []tuple.Cluster {
 	out := make([]tuple.Cluster, len(sizes))
 	for i, s := range sizes {
-		out[i] = tuple.Cluster{Key: fmt.Sprintf("c%d", i), Size: s}
+		out[i] = tuple.Cluster{Key: fmt.Sprintf("c%d", i), ID: uint32(i), Size: s}
 	}
 	return out
 }
@@ -149,15 +149,15 @@ func TestPromptAllocatorDeterministic(t *testing.T) {
 
 func TestBucketSetLocality(t *testing.T) {
 	bs := NewBucketSet(4)
-	if err := bs.Place(tuple.Cluster{Key: "a", Size: 5}, 1); err != nil {
+	if err := bs.Place(tuple.Cluster{Key: "a", ID: 3, Size: 5}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Same key, same bucket: allowed, counts as an extra fragment.
-	if err := bs.Place(tuple.Cluster{Key: "a", Size: 3}, 1); err != nil {
+	if err := bs.Place(tuple.Cluster{Key: "a", ID: 3, Size: 3}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Same key, different bucket: locality violation.
-	if err := bs.Place(tuple.Cluster{Key: "a", Size: 2}, 2); err == nil {
+	if err := bs.Place(tuple.Cluster{Key: "a", ID: 3, Size: 2}, 2); err == nil {
 		t.Error("BucketSet accepted a key in two buckets")
 	}
 	if got := bs.Sizes()[1]; got != 8 {
@@ -166,16 +166,10 @@ func TestBucketSetLocality(t *testing.T) {
 	if got := bs.ExtraFragments()[1]; got != 1 {
 		t.Errorf("bucket 1 extra fragments %d, want 1", got)
 	}
-	if got := bs.Clusters()[1]; got != 2 {
-		t.Errorf("bucket 1 clusters %d, want 2", got)
-	}
 	if got := bs.Keys(); got != 1 {
 		t.Errorf("keys %d, want 1", got)
 	}
-	if b, ok := bs.BucketOf("a"); !ok || b != 1 {
-		t.Errorf("BucketOf(a) = %d,%v", b, ok)
-	}
-	if err := bs.Place(tuple.Cluster{Key: "b", Size: 1}, 9); err == nil {
+	if err := bs.Place(tuple.Cluster{Key: "b", ID: 0, Size: 1}, 9); err == nil {
 		t.Error("BucketSet accepted out-of-range bucket")
 	}
 }
@@ -183,14 +177,14 @@ func TestBucketSetLocality(t *testing.T) {
 func TestCrossMapTaskLocality(t *testing.T) {
 	// Simulate two map tasks whose blocks share a split key: both must
 	// land it in the same bucket via the allocator.
-	shared := tuple.Cluster{Key: "split", Size: 40}
+	shared := tuple.Cluster{Key: "split", ID: 0, Size: 40}
 	ref := map[string]tuple.SplitInfo{
 		"split": {Split: true, TotalSize: 80, Fragments: 2},
 		"x":     {Split: false, TotalSize: 10, Fragments: 1},
 		"y":     {Split: false, TotalSize: 12, Fragments: 1},
 	}
-	task1 := []tuple.Cluster{shared, {Key: "x", Size: 10}}
-	task2 := []tuple.Cluster{shared, {Key: "y", Size: 12}}
+	task1 := []tuple.Cluster{shared, {Key: "x", ID: 1, Size: 10}}
+	task2 := []tuple.Cluster{shared, {Key: "y", ID: 2, Size: 12}}
 	al := NewPrompt()
 	const r = 6
 	a1, err := al.Assign(0, task1, ref, r)

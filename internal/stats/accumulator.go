@@ -60,12 +60,14 @@ func (c AccumulatorConfig) initialFStep() int {
 	return f
 }
 
-// SortedKey is one element of the accumulator's output: a key with its
-// exact frequency and its buffered tuples as column views. The slice handed
-// to the partitioner is quasi-sorted: descending by the key's last
-// published frequency, not its exact one (see Accumulator.Finalize).
+// SortedKey is one element of the accumulator's output: a key, its
+// dictionary ID, its exact frequency and its buffered tuples as column
+// views. The slice handed to the partitioner is quasi-sorted: descending by
+// the key's last published frequency, not its exact one (see
+// Accumulator.Finalize).
 type SortedKey struct {
 	Key   string
+	ID    uint32
 	Count int
 	Cols  tuple.ColSlice
 }
@@ -321,7 +323,7 @@ func (a *Accumulator) Finalize() ([]SortedKey, BatchStats) {
 	out := a.out[:0]
 	for _, r := range ranks {
 		e := &entries[r.idx]
-		out = append(out, SortedKey{Key: e.Key, Count: e.FreqCurrent, Cols: e.Cols})
+		out = append(out, SortedKey{Key: e.Key, ID: e.ID, Count: e.FreqCurrent, Cols: e.Cols})
 	}
 	a.out = out
 	st := BatchStats{

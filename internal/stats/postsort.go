@@ -63,7 +63,7 @@ func (p *PostSorter) Sort(cb *tuple.ColumnBatch) []SortedKey {
 	out := p.out[:0]
 	for _, id := range p.seen {
 		sl := &p.slots[id]
-		out = append(out, SortedKey{Key: p.dict.Resolve(id), Count: sl.cols.Len(), Cols: sl.cols})
+		out = append(out, SortedKey{Key: p.dict.Resolve(id), ID: id, Count: sl.cols.Len(), Cols: sl.cols})
 	}
 	SortKeysDesc(out)
 	p.out = out

@@ -57,25 +57,19 @@ func NewTuple(ts Time, key string, val float64) Tuple {
 	return Tuple{TS: ts, Key: key, Val: val, Weight: 1}
 }
 
-// KV is a key/value pair emitted by Map functions.
-type KV struct {
-	Key string
-	Val float64
-}
-
 // Cluster is a key cluster: one key's share of a Map task's output,
 // C_k = {(k, v_i)}. Size is the number of tuples the cluster aggregates
 // (its weight), which drives Reduce-stage cost; the folded partial value
 // travels alongside in the engine, so the cluster itself stays a
 // fixed-size descriptor.
 //
-// ID carries the key's per-batch dense number when the partitioner
-// assigned one (see KeySlice.ID); 0 means none. Shuffle structures use it
-// to replace string-keyed maps with flat arrays on the hot path.
+// ID is the key's stream dictionary ID (see KeySlice.ID): the shuffle,
+// the Reduce fold and the window address the key by it. Key stays for the
+// readers of strings, the bucket assigners' split-key hash and tie-break.
 type Cluster struct {
 	Key  string
 	Size int
-	ID   int32
+	ID   uint32
 }
 
 // Batch is the buffered content of one batch interval before partitioning.
@@ -145,14 +139,14 @@ type Block struct {
 // KeySlice is the run of one key's tuples (or one fragment of a split
 // key) placed in a block, as a ColSlice view of its columns.
 //
-// ID is the key's dense per-batch number when the partitioner works from
-// the sorted key list: 1 + the key's index in that list, identical for
-// every fragment of the key across all blocks of the batch. 0 means the
-// partitioner assigned no dense numbers (the per-tuple techniques), and
-// downstream consumers fall back to string-keyed routing.
+// ID is the key's ID in the dictionary the batch was interned in (the
+// engine's, for engine batches): every partitioner sets it, and every
+// fragment of a key carries the same ID in every block. From Map output
+// to the window cell the key is this ID; Key is kept for the user's Map
+// function and the bucket assigners.
 type KeySlice struct {
 	Key  string
-	ID   int32
+	ID   uint32
 	Cols ColSlice
 }
 
@@ -177,10 +171,10 @@ func (bl *Block) PreAllocate(n int) {
 }
 
 // AddDenseCols appends a key run whose total weight the caller already
-// knows, carrying the key's dense per-batch number (see KeySlice.ID; 0 for
-// none). The partitioners hand in views of the buffered columns, so
-// placing a run copies no tuple data.
-func (bl *Block) AddDenseCols(key string, id int32, cols ColSlice, weight int) {
+// knows, carrying the key's dictionary ID (see KeySlice.ID). The
+// partitioners hand in views of the buffered columns, so placing a run
+// copies no tuple data.
+func (bl *Block) AddDenseCols(key string, id uint32, cols ColSlice, weight int) {
 	bl.Keys = append(bl.Keys, KeySlice{Key: key, ID: id, Cols: cols})
 	bl.weight += weight
 	bl.cardOK = false
@@ -224,9 +218,6 @@ type Partitioned struct {
 	// the early-batch-release slack rather than the processing time.
 	PartitionTime Time
 }
-
-// NumBlocks returns the number of data blocks.
-func (p *Partitioned) NumBlocks() int { return len(p.Blocks) }
 
 // Validate checks structural invariants against the row batch: every
 // tuple placed exactly once and reference tables consistent with actual

@@ -9,9 +9,9 @@
 // dictionary's virtual slots (intern.Slots): every retained batch keeps one
 // pair of columns per slot, so a slot — the unit rescaling moves and
 // checkpoints serialize — is detached, exported and attached in time
-// proportional to that slot alone (slot.go). Key strings appear only at the
-// edges: AddBatch's input map, Snapshot, Value, Recompute and the k results
-// of TopK.
+// proportional to that slot alone (slot.go). Batches arrive as ID columns
+// (AddColumns); key strings appear only at the edges: the AddBatch adapter's
+// input map, Snapshot, Value, Recompute and the k results of TopK.
 package window
 
 import (
@@ -93,13 +93,13 @@ type batch struct {
 }
 
 // Aggregator maintains the per-key window state across batch outputs.
-// It is safe for concurrent use: writers (AddBatch and the slot hand-off
-// calls of slot.go) take an exclusive lock while reads (Snapshot, Value,
-// TopK, Recompute) share one, so the parallel runtime can merge different
-// queries' windows on worker goroutines while observers read current
-// answers. Batch ends must still be non-decreasing, so each aggregator has
-// one logical writer per batch — the engine's driver barrier provides that
-// ordering.
+// It is safe for concurrent use: writers (AddColumns, AddBatch and the
+// slot hand-off calls of slot.go) take an exclusive lock while reads
+// (Snapshot, Value, TopK, Recompute) share one, so the parallel runtime
+// can merge different queries' windows on worker goroutines while
+// observers read current answers. Batch ends must still be
+// non-decreasing, so each aggregator has one logical writer per batch —
+// the engine's driver barrier provides that ordering.
 type Aggregator struct {
 	mu      sync.RWMutex
 	spec    Spec
@@ -108,7 +108,7 @@ type Aggregator struct {
 	dict    *intern.Dict
 
 	batches []*batch // retained batch outputs, oldest first
-	// free holds evicted batches: the next AddBatch refills their columns,
+	// free holds evicted batches: the next AddColumns refills their columns,
 	// so steady-state add + evict allocates nothing per key.
 	free  []*batch
 	cells []cell // by intern ID; grown on demand, never shrunk
@@ -153,11 +153,12 @@ func (ag *Aggregator) Batches() int {
 	return len(ag.batches)
 }
 
-// AddBatch merges one batch output (keyed partial aggregates) ending at the
-// given time into the window state and evicts batches that have fallen out
-// of [end-Length, end). Batch ends must be non-decreasing. The map is not
-// retained; a key the dictionary has never seen is interned.
-func (ag *Aggregator) AddBatch(end tuple.Time, result map[string]float64) error {
+// AddColumns merges one batch output ending at the given time into the
+// window state — per-key partial aggregates as a pair of columns, key IDs
+// in the aggregator's dictionary, each once — and evicts batches that have
+// fallen out of [end-Length, end). Batch ends must be non-decreasing. The
+// columns are not retained.
+func (ag *Aggregator) AddColumns(end tuple.Time, ids []uint32, vals []float64) error {
 	ag.mu.Lock()
 	defer ag.mu.Unlock()
 	if n := len(ag.batches); n > 0 && end < ag.batches[n-1].end {
@@ -170,22 +171,34 @@ func (ag *Aggregator) AddBatch(end tuple.Time, result map[string]float64) error 
 		b = new(batch)
 	}
 	b.end = end
-	for k, v := range result {
-		id, slot := ag.dict.InternSlot(k)
-		ag.fold(id, slot, v)
+	for j, id := range ids {
+		slot := ag.dict.Slot(id)
+		ag.fold(id, slot, vals[j])
 		col := &b.cols[slot]
 		col.ids = append(col.ids, id)
-		col.vals = append(col.vals, v)
+		col.vals = append(col.vals, vals[j])
 	}
 	ag.batches = append(ag.batches, b)
 	ag.evict(end)
 	return nil
 }
 
+// AddBatch is AddColumns for a keyed result map, interning keys the
+// dictionary has never seen. The map is not retained.
+func (ag *Aggregator) AddBatch(end tuple.Time, result map[string]float64) error {
+	ids := make([]uint32, 0, len(result))
+	vals := make([]float64, 0, len(result))
+	for k, v := range result {
+		ids = append(ids, ag.dict.Intern(k))
+		vals = append(vals, v)
+	}
+	return ag.AddColumns(end, ids, vals)
+}
+
 // fold merges one contribution into the key's cell, reviving the cell if
-// the key was not live. Every path that builds incremental state — AddBatch,
-// the no-inverse rebuild, AttachSlot — folds through here in batch order, so
-// a key's value never depends on which path produced it.
+// the key was not live. Every path that builds incremental state —
+// AddColumns, the no-inverse rebuild, AttachSlot — folds through here in
+// batch order, so a key's value never depends on which path produced it.
 func (ag *Aggregator) fold(id uint32, slot int, v float64) {
 	if int(id) >= len(ag.cells) {
 		n := max(int(id)+1, ag.dict.Len())

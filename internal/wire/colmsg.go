@@ -5,16 +5,15 @@ import (
 	"prompt/internal/tuple"
 )
 
-// ColKeySlice is one key's tuple run inside a columnar block: the
-// interned key, the partitioner's dense per-batch number (0 = none), and
-// the struct-of-arrays columns. On the wire the timestamp column is
+// ColKeySlice is one key's tuple run inside a columnar block: the key's
+// ID in the engine's dictionary (which the shard mirrors) and the
+// struct-of-arrays columns. On the wire the timestamp column is
 // delta-encoded (first value absolute, then zigzag-varint gaps — batch
 // timestamps are near-sorted and tightly clustered, so gaps compress far
 // better than absolute values), values travel as IEEE bits, and weights
 // as uvarints.
 type ColKeySlice struct {
 	KeyID uint32
-	Dense int32
 	Cols  tuple.ColSlice
 }
 
@@ -34,7 +33,6 @@ func appendColBlock(b []byte, bl *ColBlock) []byte {
 	for i := range bl.Keys {
 		ks := &bl.Keys[i]
 		b = codec.AppendUvarint(b, uint64(ks.KeyID))
-		b = codec.AppendVarint(b, int64(ks.Dense))
 		b = codec.AppendUvarint(b, uint64(ks.Cols.Len()))
 		prev := tuple.Time(0)
 		for _, ts := range ks.Cols.TS {
@@ -51,19 +49,13 @@ func appendColBlock(b []byte, bl *ColBlock) []byte {
 	return b
 }
 
-func decodeColBlock(r *codec.Reader, bl *ColBlock) {
+func decodeColBlock(r *codec.Reader, bl *ColBlock, a *colArena) {
 	bl.ID = r.Int()
-	bl.Keys = make([]ColKeySlice, r.Count(3))
+	bl.Keys = make([]ColKeySlice, r.Count(2))
 	for i := range bl.Keys {
 		ks := &bl.Keys[i]
 		ks.KeyID = r.Uint32()
-		ks.Dense = r.Int32()
-		n := r.Count(10) // TS delta(1+) + Val(8) + W(1+)
-		cols := tuple.ColSlice{
-			TS:   make([]tuple.Time, n),
-			Vals: make([]float64, n),
-			W:    make([]int32, n),
-		}
+		cols := a.take(r.Count(10)) // TS delta(1+) + Val(8) + W(1+)
 		prev := tuple.Time(0)
 		for j := range cols.TS {
 			prev += tuple.Time(r.Varint())
@@ -77,6 +69,31 @@ func decodeColBlock(r *codec.Reader, bl *ColBlock) {
 		}
 		ks.Cols = cols
 	}
+}
+
+// colArena hands out the key runs of one frame as capacity-capped views
+// of one allocation per column, so a frame decodes in three column
+// allocations instead of three per key run.
+type colArena struct {
+	ts   []tuple.Time
+	vals []float64
+	w    []int32
+}
+
+// newColArena holds n rows; a frame's remaining bytes over the 10-byte
+// minimum row bound the rows it can still carry.
+func newColArena(n int) colArena {
+	return colArena{ts: make([]tuple.Time, n), vals: make([]float64, n), w: make([]int32, n)}
+}
+
+// take cuts the next n rows off the arena.
+func (a *colArena) take(n int) tuple.ColSlice {
+	if n > len(a.ts) {
+		*a = newColArena(n)
+	}
+	c := tuple.ColSlice{TS: a.ts[:n:n], Vals: a.vals[:n:n], W: a.w[:n:n]}
+	a.ts, a.vals, a.w = a.ts[n:], a.vals[n:], a.w[n:]
+	return c
 }
 
 // MapTaskCols carries one batch-query-stage's worth of Map work for one
@@ -112,7 +129,8 @@ func (m *MapTaskCols) decode(r *codec.Reader) {
 	m.Query = r.Int()
 	m.Dict.decode(r)
 	m.Blocks = make([]ColBlock, r.Count(2))
+	arena := newColArena(r.Remaining() / 10)
 	for i := range m.Blocks {
-		decodeColBlock(r, &m.Blocks[i])
+		decodeColBlock(r, &m.Blocks[i], &arena)
 	}
 }

@@ -104,11 +104,10 @@ type Tuple struct {
 	Weight int
 }
 
-// KeySlice is one key's tuple run inside a block: the interned key, the
-// partitioner's dense per-batch number (0 = none), and the tuples.
+// KeySlice is one key's tuple run inside a block: the interned key and
+// the tuples.
 type KeySlice struct {
 	KeyID  uint32
-	Dense  int32
 	Tuples []Tuple
 }
 
@@ -124,7 +123,6 @@ func appendBlock(b []byte, bl *Block) []byte {
 	for i := range bl.Keys {
 		ks := &bl.Keys[i]
 		b = codec.AppendUvarint(b, uint64(ks.KeyID))
-		b = codec.AppendVarint(b, int64(ks.Dense))
 		b = codec.AppendUvarint(b, uint64(len(ks.Tuples)))
 		for j := range ks.Tuples {
 			t := &ks.Tuples[j]
@@ -138,11 +136,10 @@ func appendBlock(b []byte, bl *Block) []byte {
 
 func decodeBlock(r *codec.Reader, bl *Block) {
 	bl.ID = r.Int()
-	bl.Keys = make([]KeySlice, r.Count(3))
+	bl.Keys = make([]KeySlice, r.Count(2))
 	for i := range bl.Keys {
 		ks := &bl.Keys[i]
 		ks.KeyID = r.Uint32()
-		ks.Dense = r.Int32()
 		ks.Tuples = make([]Tuple, r.Count(10)) // TS(1+) + Val(8) + Weight(1+)
 		for j := range ks.Tuples {
 			t := &ks.Tuples[j]
@@ -195,7 +192,6 @@ func (m *MapTask) decode(r *codec.Reader) {
 type Cluster struct {
 	KeyID uint32
 	Size  int
-	Dense int32
 	Val   float64
 }
 
@@ -229,7 +225,6 @@ func (m *MapResult) append(b []byte) []byte {
 			c := &cs[j]
 			b = codec.AppendUvarint(b, uint64(c.KeyID))
 			b = codec.AppendVarint(b, int64(c.Size))
-			b = codec.AppendVarint(b, int64(c.Dense))
 			b = codec.AppendFloat(b, c.Val)
 		}
 	}
@@ -242,12 +237,11 @@ func (m *MapResult) decode(r *codec.Reader) {
 	m.Query = r.Int()
 	m.Outs = make([]BlockOut, r.Count(1))
 	for i := range m.Outs {
-		cs := make([]Cluster, r.Count(11)) // KeyID(1+) + Size(1+) + Dense(1+) + Val(8)
+		cs := make([]Cluster, r.Count(10)) // KeyID(1+) + Size(1+) + Val(8)
 		for j := range cs {
 			c := &cs[j]
 			c.KeyID = r.Uint32()
 			c.Size = r.Int()
-			c.Dense = r.Int32()
 			c.Val = r.Float()
 		}
 		m.Outs[i].Clusters = cs

@@ -11,8 +11,9 @@
 // its bounded reader: varint integers (zigzag where signed), length-
 // prefixed strings, float64s as IEEE-754 bits. Key strings cross the wire
 // at most once per connection: task frames carry an intern-dictionary
-// delta (DictDelta) and every later reference is a uint32 id, mirroring
-// the engine's stream-lifetime intern.Dict.
+// delta (DictDelta) and every later reference is a uint32 id: the shard
+// mirrors the engine's stream-lifetime intern.Dict, so wire IDs are engine
+// IDs.
 //
 // A decoder rejects frames whose version it does not speak with
 // ErrVersion instead of misparsing them, checks every length field against
@@ -30,8 +31,9 @@ import (
 	"prompt/internal/codec"
 )
 
-// Version is the frame format version this package speaks.
-const Version = 1
+// Version is the frame format version this package speaks. Version 2
+// dropped the per-batch dense key numbers from key slices and clusters.
+const Version = 2
 
 // MaxFrame bounds a frame body; larger announcements are rejected before
 // allocation. 1 GiB comfortably holds the largest batch the engine

@@ -25,11 +25,11 @@ func sampleMsgs() []Msg {
 				{
 					ID: 0,
 					Keys: []KeySlice{
-						{KeyID: 4, Dense: 1, Tuples: []Tuple{
+						{KeyID: 4, Tuples: []Tuple{
 							{TS: -5, Val: 1.5, Weight: 1},
 							{TS: 1 << 40, Val: -0.25, Weight: 3},
 						}},
-						{KeyID: 5, Dense: -1, Tuples: []Tuple{}},
+						{KeyID: 5, Tuples: []Tuple{}},
 					},
 				},
 				{ID: 3, Keys: []KeySlice{}},
@@ -44,12 +44,12 @@ func sampleMsgs() []Msg {
 				{
 					ID: 1,
 					Keys: []ColKeySlice{
-						{KeyID: 2, Dense: 3, Cols: tuple.ColSlice{
+						{KeyID: 2, Cols: tuple.ColSlice{
 							TS:   []tuple.Time{-5, 1 << 40, 1<<40 + 7},
 							Vals: []float64{1.5, -0.25, 0},
 							W:    []int32{1, 3, 2},
 						}},
-						{KeyID: 0, Dense: -2, Cols: tuple.ColSlice{
+						{KeyID: 0, Cols: tuple.ColSlice{
 							TS:   []tuple.Time{},
 							Vals: []float64{},
 							W:    []int32{},
@@ -65,8 +65,8 @@ func sampleMsgs() []Msg {
 			Query: 1,
 			Outs: []BlockOut{
 				{Clusters: []Cluster{
-					{KeyID: 4, Size: 2, Dense: 1, Val: 1.25},
-					{KeyID: 9, Size: 1, Dense: 0, Val: -3},
+					{KeyID: 4, Size: 2, Val: 1.25},
+					{KeyID: 9, Size: 1, Val: -3},
 				}},
 				{Clusters: []Cluster{}},
 			},
