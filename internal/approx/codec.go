@@ -35,8 +35,11 @@ var ErrCodec = errors.New("approx: bad estimator image")
 // entry list plus the untracked-key offset; HLL stores the non-zero
 // registers as (index, rank) pairs; samplers store the (key, value)
 // items — their hash priorities are recomputed from the spec.
-func (e *Estimator) Encode() []byte {
-	b := []byte{codecVersion}
+func (e *Estimator) Encode() []byte { return e.Append(nil) }
+
+// Append appends the estimator's image (see Encode) to b.
+func (e *Estimator) Append(b []byte) []byte {
+	b = append(b, codecVersion)
 	b = codec.AppendString(b, string(e.spec.Kind))
 	b = codec.AppendUvarint(b, uint64(e.spec.K))
 	b = codec.AppendUvarint(b, uint64(e.spec.Depth))

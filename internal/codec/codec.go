@@ -39,6 +39,20 @@ func AppendBytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
+// AppendFramed appends what fn appends, length-prefixed exactly as
+// AppendBytes(b, fn(nil)) would, but built in place in b: the longest
+// prefix is reserved, fn appends after it, and the payload then moves down
+// over the unused prefix bytes. A large payload so costs b's growth only,
+// not a buffer of its own grown from empty and copied once more.
+func AppendFramed(b []byte, fn func([]byte) []byte) []byte {
+	at := len(b)
+	b = fn(append(b, make([]byte, binary.MaxVarintLen64)...))
+	n := len(b) - at - binary.MaxVarintLen64
+	k := binary.PutUvarint(b[at:], uint64(n))
+	copy(b[at+k:], b[at+binary.MaxVarintLen64:])
+	return b[:at+k+n]
+}
+
 // AppendBool appends v as one byte, 0 or 1.
 func AppendBool(b []byte, v bool) []byte {
 	if v {

@@ -109,3 +109,28 @@ func TestStickyError(t *testing.T) {
 		t.Errorf("error replaced: %v, want %v", r.Err(), first)
 	}
 }
+
+// TestAppendFramedMatchesAppendBytes: building a payload in place writes
+// the bytes AppendBytes writes for the same payload built on its own, at
+// every prefix length (1, 2 and 3 varint bytes) and with or without
+// spare capacity behind b.
+func TestAppendFramedMatchesAppendBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 300, 16383, 16384, 70000} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i*7 + 3)
+		}
+		fill := func(b []byte) []byte { return append(b, payload...) }
+		for _, head := range [][]byte{nil, {9, 8, 7}, append(make([]byte, 0, n+64), 5)} {
+			want := AppendBytes(append([]byte(nil), head...), payload)
+			got := AppendFramed(head, fill)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("payload %d bytes after %d-byte head: framed in place differs from AppendBytes", n, len(head))
+			}
+			r := NewReader(got[len(head):], errTest)
+			if p := r.Bytes(); !bytes.Equal(p, payload) || r.End() != nil {
+				t.Fatalf("payload %d bytes: reads back %d bytes, end %v", n, len(p), r.End())
+			}
+		}
+	}
+}

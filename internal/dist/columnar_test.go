@@ -31,7 +31,7 @@ func runColumnEdge(t *testing.T, cfg engine.Config, queries []engine.Query, coor
 			t.Fatal(err)
 		}
 		cb := &tuple.ColumnBatch{}
-		if err := cb.AppendRows(rows, eng.Dict().Intern); err != nil {
+		if err := cb.Transpose(rows, eng.Dict()); err != nil {
 			t.Fatal(err)
 		}
 		rep, err := eng.StepColumns(cb, start, end)

@@ -516,7 +516,7 @@ func (c *Coordinator) reduceOnShard(batch, qi int, dict *intern.Dict, perBucket 
 		for bi, j := range idxs {
 			sub[bi] = perBucket[j]
 		}
-		for bi, res := range engine.ReduceLocal(nil, c.queries[qi], dict, sub) {
+		for bi, res := range engine.ReduceLocal(nil, c.queries[qi], dict, sub, nil) {
 			partials[idxs[bi]] = res
 		}
 		return nil

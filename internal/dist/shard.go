@@ -275,7 +275,7 @@ func (s *Shard) handleReduce(m *wire.ReduceTask) (wire.Msg, error) {
 			}
 			contribs[k] = engine.Contrib{ID: c.KeyID, Val: c.Val}
 		}
-		res := engine.FoldBucket(q, contribs, s.pos)
+		res := engine.FoldBucket(q, contribs, s.pos, engine.Result{})
 		entries := make([]wire.Contrib, len(res.IDs))
 		for j, id := range res.IDs {
 			entries[j] = wire.Contrib{KeyID: id, Val: res.Vals[j]}

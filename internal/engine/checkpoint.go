@@ -78,7 +78,9 @@ const dictSection = 1
 // point: all per-batch structures are empty at the heartbeat). Equal
 // states write equal bytes.
 func (e *Engine) Checkpoint(w io.Writer) error {
-	b := append(make([]byte, 0, e.checkpointSize), checkpointMagic...)
+	// Consecutive images are close in size; an eighth of headroom absorbs
+	// the variation without regrowing (and copying) the whole image.
+	b := append(make([]byte, 0, e.checkpointSize+e.checkpointSize/8), checkpointMagic...)
 	b = append(b, checkpointVersion)
 	for _, s := range sections {
 		at := len(b)
@@ -506,7 +508,9 @@ func (e *Engine) appendEstimators(b []byte) []byte {
 	}
 	b = codec.AppendUvarint(b, uint64(len(e.approxes)))
 	for _, est := range e.approxes {
-		b = codec.AppendBytes(b, est.Encode())
+		// In place: an estimator image is megabytes, and encoding it into
+		// a buffer of its own grew that buffer from empty.
+		b = codec.AppendFramed(b, est.Append)
 	}
 	return b
 }

@@ -25,7 +25,7 @@ func stepEdge(t *testing.T, eng *Engine, src *workload.Source, columns bool) {
 	}
 	if columns {
 		cb := tuple.GetColumnBatch()
-		if err = cb.AppendRows(tuples, eng.Dict().Intern); err == nil {
+		if err = cb.Transpose(tuples, eng.Dict()); err == nil {
 			_, err = eng.StepColumns(cb, start, end)
 		}
 		tuple.PutColumnBatch(cb)

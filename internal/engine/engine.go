@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"prompt/internal/approx"
 	"prompt/internal/backpressure"
@@ -81,6 +80,13 @@ type Engine struct {
 	// colScratch is the reused batch the row edge transposes into (see
 	// transpose); it is valid only within one Step call.
 	colScratch *tuple.ColumnBatch
+	// blocks is the block set the partition stage rebuilds in place batch
+	// after batch (partition.Input.Blocks); like acc it is frontend
+	// scratch, rotated per in-flight batch by the pipelined driver.
+	blocks []*tuple.Block
+	// jobs is each query's working memory, refilled in place batch after
+	// batch (see jobScratch).
+	jobs []jobScratch
 
 	// pool executes batch-pipeline tasks on real goroutines; nil runs the
 	// classic single-goroutine driver.
@@ -167,6 +173,7 @@ func newMulti(cfg Config, queries []Query, dict *intern.Dict) (*Engine, error) {
 		pool:        poolFor(cfg.Workers),
 		pipeline:    defaultPipeline(),
 		dict:        dict,
+		jobs:        make([]jobScratch, len(queries)),
 	}
 	for i, q := range queries {
 		q = q.normalized()
@@ -540,16 +547,17 @@ func (e *Engine) checkBatch(ctx context.Context, start, end tuple.Time) error {
 }
 
 // transpose is the one place caller rows become columns: it fills the
-// engine's reused column batch, interning keys into the engine dictionary
-// in arrival order. The pipelined driver rotates the scratch per in-flight
-// batch; idx names the batch in errors.
+// engine's reused column batch, interning the batch's keys into the engine
+// dictionary in arrival order, under one dictionary lock. The pipelined
+// driver rotates the scratch per in-flight batch; idx names the batch in
+// errors.
 func (e *Engine) transpose(tuples []tuple.Tuple, idx int) (*tuple.ColumnBatch, error) {
 	if e.colScratch == nil {
 		e.colScratch = &tuple.ColumnBatch{}
 	}
 	cb := e.colScratch
 	cb.Reset()
-	if err := cb.AppendRows(tuples, e.dict.Intern); err != nil {
+	if err := cb.Transpose(tuples, e.dict); err != nil {
 		return nil, fmt.Errorf("engine: batch %d: %w", idx, err)
 	}
 	return cb, nil
@@ -604,39 +612,35 @@ type queryRun struct {
 	retries []metrics.TaskRetry
 }
 
-// queryScratch is the per-job working memory of runQuery, pooled across
-// batches (and safe under concurrent query jobs — each Get hands out a
-// distinct arena). Only slices that never escape into reports live here;
-// anything a BatchReport or queryRun retains is freshly allocated.
-type queryScratch struct {
+// jobScratch is one query's working memory, refilled batch after batch:
+// runQuery's per-task arrays and shuffle buckets, and the local
+// executor's Map outputs and Reduce partials (see localExec). Everything
+// in it is consumed before the batch commits, and a query's jobs run one
+// batch at a time — concurrent jobs are different queries, and replay runs
+// on an engine of its own — so reuse is safe at any pipeline depth.
+// Anything a BatchReport or queryRun retains is freshly allocated.
+type jobScratch struct {
 	mapDurations []tuple.Time
 	mapSpec      []bool
 	reduceSpec   []bool
 	perBucket    [][]Contrib
+	outs         []BlockMapOut
+	errs         []error
+	partials     []Result
 }
 
-var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
-
-func (s *queryScratch) reset(p, r int) {
-	if cap(s.mapDurations) < p {
-		s.mapDurations = make([]tuple.Time, p)
-		s.mapSpec = make([]bool, p)
-	}
-	s.mapDurations = s.mapDurations[:p]
-	s.mapSpec = s.mapSpec[:p]
-	for i := 0; i < p; i++ {
-		s.mapDurations[i] = 0
-		s.mapSpec[i] = false
-	}
-	if cap(s.perBucket) < r {
-		s.perBucket = make([][]Contrib, r)
-		s.reduceSpec = make([]bool, r)
-	}
-	s.perBucket = s.perBucket[:r]
-	s.reduceSpec = s.reduceSpec[:r]
-	for j := 0; j < r; j++ {
+// reset sizes the per-task arrays for p Map and r Reduce tasks, zeroed,
+// and empties every bucket (keeping its storage).
+func (s *jobScratch) reset(p, r int) {
+	s.mapDurations = resize(s.mapDurations, p)
+	s.mapSpec = resize(s.mapSpec, p)
+	s.reduceSpec = resize(s.reduceSpec, r)
+	s.perBucket = resize(s.perBucket, r)
+	clear(s.mapDurations)
+	clear(s.mapSpec)
+	clear(s.reduceSpec)
+	for j := range s.perBucket {
 		s.perBucket[j] = s.perBucket[j][:0]
-		s.reduceSpec[j] = false
 	}
 }
 
@@ -683,8 +687,7 @@ func (e *Engine) runQuery(qi int, blocks []*tuple.Block, seqBase int, spec jobSp
 	// block statistics and task sequence), data-plane folds on the
 	// executor — the worker pool by default, engine shards when a
 	// distributed executor is installed.
-	scratch := queryScratchPool.Get().(*queryScratch)
-	defer queryScratchPool.Put(scratch)
+	scratch := &e.jobs[qi]
 	scratch.reset(p, r)
 	mapDurations := scratch.mapDurations
 	mapSpec := scratch.mapSpec

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 
 	"prompt/internal/cluster"
@@ -112,12 +113,21 @@ func GetPositions(n int) *Positions {
 func PutPositions(p *Positions) { positionsPool.Put(p) }
 
 // MapBlock computes one block's key clusters and folded partial values
-// for a query — the stateless per-block Map fold shared by the local
-// executor and remote shards. Clusters come out in first-seen key order;
-// fragments of one key within the block fold into one cluster.
+// for a query into fresh columns; see BlockMapOut.Map.
 func MapBlock(q Query, bl *tuple.Block) ([]tuple.Cluster, []float64) {
-	clusters := make([]tuple.Cluster, 0, len(bl.Keys))
-	values := make([]float64, 0, len(bl.Keys))
+	var o BlockMapOut
+	o.Map(q, bl)
+	return o.Clusters, o.Values
+}
+
+// Map refills o.Clusters and o.Values with one block's key clusters and
+// folded partial values for a query, reusing their storage — the
+// stateless per-block Map fold shared by the local executor and remote
+// shards. Clusters come out in first-seen key order; fragments of one key
+// within the block fold into one cluster. Assign is left alone.
+func (o *BlockMapOut) Map(q Query, bl *tuple.Block) {
+	clusters := slices.Grow(o.Clusters[:0], len(bl.Keys))
+	values := slices.Grow(o.Values[:0], len(bl.Keys))
 	pp := GetPositions(0)
 	for k := range bl.Keys {
 		ks := &bl.Keys[k]
@@ -155,29 +165,30 @@ func MapBlock(q Query, bl *tuple.Block) ([]tuple.Cluster, []float64) {
 		(*pp)[c.ID] = 0
 	}
 	PutPositions(pp)
-	return clusters, values
+	o.Clusters, o.Values = clusters, values
 }
 
 // localExec is the default executor: Map folds (with fused bucket
 // assignment) and Reduce folds on the engine's worker pool, exactly the
-// single-process hot path. The index-addressed result slices are small
-// (one element per block or bucket) and consumed within the batch, so
-// they are allocated per call rather than pooled.
+// single-process hot path. Its index-addressed outputs live in the
+// engine's per-query jobScratch.
 type localExec struct{ e *Engine }
 
 func (x localExec) MapBlocks(_, qi int, _ *intern.Dict, blocks []*tuple.Block, reduceTasks int) ([]BlockMapOut, error) {
 	e := x.e
 	q := e.queries[qi]
-	outs := make([]BlockMapOut, len(blocks))
-	errs := make([]error, len(blocks))
+	js := &e.jobs[qi]
+	js.outs = resize(js.outs, len(blocks))
+	js.errs = resize(js.errs, len(blocks))
+	outs, errs := js.outs, js.errs
 	e.pool.Do(len(blocks), func(i int) {
 		bl := blocks[i]
-		clusters, values := MapBlock(q, bl)
-		out := BlockMapOut{Clusters: clusters, Values: values}
-		if len(clusters) > 0 {
-			out.Assign, errs[i] = e.cfg.Assigner.Assign(bl.ID, clusters, bl.Ref, reduceTasks)
+		out := &outs[i]
+		out.Map(q, bl)
+		out.Assign, errs[i] = nil, nil
+		if len(out.Clusters) > 0 {
+			out.Assign, errs[i] = e.cfg.Assigner.Assign(bl.ID, out.Clusters, bl.Ref, reduceTasks)
 		}
-		outs[i] = out
 	})
 	for i := range errs {
 		if errs[i] != nil {
@@ -188,18 +199,30 @@ func (x localExec) MapBlocks(_, qi int, _ *intern.Dict, blocks []*tuple.Block, r
 }
 
 func (x localExec) ReduceBuckets(_, qi int, dict *intern.Dict, perBucket [][]Contrib) ([]Result, error) {
-	return ReduceLocal(x.e.pool, x.e.queries[qi], dict, perBucket), nil
+	js := &x.e.jobs[qi]
+	js.partials = ReduceLocal(x.e.pool, x.e.queries[qi], dict, perBucket, js.partials)
+	return js.partials, nil
+}
+
+// resize returns s with length n, keeping its elements (and their storage)
+// when it has the capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // ReduceLocal folds every bucket with FoldBucket on the pool (inline when
-// nil). The buckets share one Positions table: key locality puts each ID
-// in exactly one bucket, so the concurrent folds touch disjoint entries.
-func ReduceLocal(pool *cluster.WorkerPool, q Query, dict *intern.Dict, perBucket [][]Contrib) []Result {
+// nil), into partials' columns when it has them (nil for fresh ones). The
+// buckets share one Positions table: key locality puts each ID in exactly
+// one bucket, so the concurrent folds touch disjoint entries.
+func ReduceLocal(pool *cluster.WorkerPool, q Query, dict *intern.Dict, perBucket [][]Contrib, partials []Result) []Result {
 	pos := GetPositions(dict.Len())
 	defer PutPositions(pos)
-	partials := make([]Result, len(perBucket))
+	partials = resize(partials, len(perBucket))
 	pool.Do(len(perBucket), func(j int) {
-		partials[j] = FoldBucket(q, perBucket[j], *pos)
+		partials[j] = FoldBucket(q, perBucket[j], *pos, partials[j])
 	})
 	return partials
 }
@@ -208,9 +231,12 @@ func ReduceLocal(pool *cluster.WorkerPool, q Query, dict *intern.Dict, perBucket
 // stateless per-bucket Reduce fold shared by the local executor and
 // remote shards. Keys come out in first-seen order. pos must cover every
 // contribution's ID and be all zeros; FoldBucket leaves it so. The result
-// columns are freshly allocated.
-func FoldBucket(q Query, contribs []Contrib, pos Positions) Result {
-	out := Result{IDs: make([]uint32, 0, len(contribs)), Vals: make([]float64, 0, len(contribs))}
+// reuses into's columns (pass a zero Result for fresh ones).
+func FoldBucket(q Query, contribs []Contrib, pos Positions, into Result) Result {
+	out := Result{
+		IDs:  slices.Grow(into.IDs[:0], len(contribs)),
+		Vals: slices.Grow(into.Vals[:0], len(contribs)),
+	}
 	for _, c := range contribs {
 		if j := pos[c.ID] - 1; j >= 0 {
 			out.Vals[j] = q.Reduce(out.Vals[j], c.Val)

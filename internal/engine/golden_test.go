@@ -43,7 +43,7 @@ func legacyStep(e *Engine, tuples []tuple.Tuple, start, end tuple.Time) (BatchRe
 	// Key IDs from Map output to the window cell are the engine
 	// dictionary's, so every batching-phase structure interns there.
 	cols := &tuple.ColumnBatch{Start: start, End: end}
-	if err := cols.AppendRows(tuples, e.dict.Intern); err != nil {
+	if err := cols.Transpose(tuples, e.dict); err != nil {
 		return BatchReport{}, err
 	}
 

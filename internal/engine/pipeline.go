@@ -185,12 +185,13 @@ func (partitionStage) Run(e *Engine, ctx *BatchContext) error {
 	}
 	e.noteEstimates(ctx.Stats)
 
-	blocks, err := e.cfg.Partitioner.Partition(
-		partition.Input{Cols: ctx.Cols, Dict: e.dict, Sorted: ctx.Sorted, Pool: e.pool}, e.cfg.MapTasks)
+	blocks, err := e.cfg.Partitioner.Partition(partition.Input{
+		Cols: ctx.Cols, Dict: e.dict, Sorted: ctx.Sorted, Pool: e.pool, Blocks: e.blocks,
+	}, e.cfg.MapTasks)
 	if err != nil {
 		return fmt.Errorf("engine: partitioning batch %d: %w", ctx.Index, err)
 	}
-	ctx.Blocks = blocks
+	ctx.Blocks, e.blocks = blocks, blocks
 	ctx.PartitionTime = tuple.FromDuration(timeNow().Sub(wallStart))
 
 	if e.cfg.ValidateBatches {

@@ -26,21 +26,22 @@ const MaxPipelineDepth = 8
 // intact while batch k+1 accumulates: slot k mod depth is not reused
 // before batch k has committed, which the depth tokens guarantee.
 type pipeSlot struct {
-	acc  *stats.Accumulator
-	post *stats.PostSorter
-	col  *tuple.ColumnBatch
+	acc    *stats.Accumulator
+	post   *stats.PostSorter
+	col    *tuple.ColumnBatch
+	blocks []*tuple.Block
 }
 
 // stage installs the slot's state as the engine's working scratch; only
 // the frontend goroutine touches these fields during a pipelined run.
 func (sl *pipeSlot) stage(e *Engine) {
-	e.acc, e.post, e.colScratch = sl.acc, sl.post, sl.col
+	e.acc, e.post, e.colScratch, e.blocks = sl.acc, sl.post, sl.col, sl.blocks
 }
 
 // unstage captures the (possibly lazily created or regrown) scratch back
 // into the slot after the batch's frontend work.
 func (sl *pipeSlot) unstage(e *Engine) {
-	sl.acc, sl.post, sl.col = e.acc, e.post, e.colScratch
+	sl.acc, sl.post, sl.col, sl.blocks = e.acc, e.post, e.colScratch, e.blocks
 }
 
 // pipeItem is one batch's frontend→backend handoff.
@@ -105,7 +106,7 @@ func (e *Engine) runPipelined(ctx context.Context, src workload.Stream, n int) (
 	slots := make([]pipeSlot, depth)
 	// Seed slot 0 with the engine's current scratch so a pipelined run
 	// keeps reusing what sequential Steps built up (and vice versa).
-	slots[0] = pipeSlot{acc: e.acc, post: e.post, col: e.colScratch}
+	slots[0] = pipeSlot{acc: e.acc, post: e.post, col: e.colScratch, blocks: e.blocks}
 
 	go func() {
 		defer close(items)

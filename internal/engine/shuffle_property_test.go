@@ -97,7 +97,7 @@ func (sh shuffleShape) batch(t *testing.T, seed int64, dict *intern.Dict) *tuple
 		rows[i] = tuple.NewTuple(ts, ks.Next(rng, ts), rng.Float64()*10-3)
 	}
 	cb := &tuple.ColumnBatch{Start: 0, End: tuple.Time(sh.tuples)}
-	if err := cb.AppendRows(rows, dict.Intern); err != nil {
+	if err := cb.Transpose(rows, dict); err != nil {
 		t.Fatal(err)
 	}
 	return cb
@@ -207,7 +207,13 @@ func checkShuffleByID(t *testing.T, id string, q Query, dict *intern.Dict, block
 		t.Fatalf("%s: %d contributions for %d clusters, %d keys placed for %d homed", id, total, delivered, buckets.Keys(), len(home))
 	}
 
-	partials := ReduceLocal(pool, q, dict, perBucket)
+	// Fold into stale columns, as the local executor does batch after
+	// batch: nothing of them may show through.
+	stale := make([]Result, len(perBucket))
+	for j := range stale {
+		stale[j] = Result{IDs: []uint32{0, 1, 2}, Vals: []float64{7, 8, 9}}
+	}
+	partials := ReduceLocal(pool, q, dict, perBucket, stale)
 	want := make(map[string]float64)
 	for b := range refBucket {
 		for k, v := range refFoldBucket(q, refBucket[b]) {

@@ -13,9 +13,12 @@
 // table replace its string-keyed map with an ID-indexed slot array that
 // is reused batch after batch.
 //
-// A Dict is safe for concurrent interning; resolution is lock-free for
-// IDs observed through a happens-before edge (e.g. handed across the
-// worker pool's barrier).
+// A Dict is safe for concurrent use. Every method takes its lock once per
+// call: Intern, Lookup, Resolve and Slot once per key, InternBatch once
+// per batch (a read lock for the lookups and, only when the batch holds
+// new keys, one write lock for them). Hot loops take the append-only
+// Strings and Slots views once and index them without locking; a view
+// covers every ID issued before it was taken.
 //
 // The dictionary also fixes each key's state placement: keys hash onto
 // Slots virtual slots — the unit the window state is partitioned by and
@@ -60,38 +63,78 @@ func NewDict(hint int) *Dict {
 	}
 }
 
+// noID marks a key InternBatch's read pass did not find. The dictionary
+// never issues it (add refuses the 2^32-1st key).
+const noID = ^uint32(0)
+
 // Intern returns the dense ID for key, assigning the next free ID on
 // first sight. IDs start at 0 and grow by one per distinct key.
 func (d *Dict) Intern(key string) uint32 {
-	id, _ := d.InternSlot(key)
-	return id
-}
-
-// InternSlot is Intern that also returns the key's virtual slot, read
-// from the cache under the same lock acquisition.
-func (d *Dict) InternSlot(key string) (uint32, int) {
 	d.mu.RLock()
 	id, ok := d.ids[key]
-	if ok {
-		slot := int(d.slots[id])
-		d.mu.RUnlock()
-		return id, slot
-	}
 	d.mu.RUnlock()
+	if ok {
+		return id
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if id, ok = d.ids[key]; ok {
-		return id, int(d.slots[id])
+		return id
 	}
+	return d.add(key)
+}
+
+// InternBatch interns a whole batch of keys at once: it sets ids[i] to the
+// ID of key(i) for every i < len(ids). All keys are looked up under one
+// read lock; the misses are then interned in index order under one write
+// lock, each re-checked first (another goroutine, or an earlier miss of
+// the same batch, may have added it meanwhile). The IDs are exactly those
+// len(ids) Intern calls in index order would assign, and a batch of known
+// keys never takes the write lock, so Strings and Slots readers do not
+// wait on it.
+func (d *Dict) InternBatch(ids []uint32, key func(i int) string) {
+	misses := false
+	d.mu.RLock()
+	for i := range ids {
+		id, ok := d.ids[key(i)]
+		if !ok {
+			id, misses = noID, true
+		}
+		ids[i] = id
+	}
+	d.mu.RUnlock()
+	if !misses {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, id := range ids {
+		if id != noID {
+			continue
+		}
+		k := key(i)
+		if id, ok := d.ids[k]; ok {
+			ids[i] = id
+		} else {
+			ids[i] = d.add(k)
+		}
+	}
+}
+
+// add assigns key the next free ID and caches its slot. The caller holds
+// the write lock and has checked that key is new.
+func (d *Dict) add(key string) uint32 {
 	if d.ids == nil {
 		d.ids = make(map[string]uint32)
 	}
-	id = uint32(len(d.strs))
-	slot := SlotOf(key)
+	if len(d.strs) >= int(noID) {
+		panic("intern: dictionary full")
+	}
+	id := uint32(len(d.strs))
 	d.ids[key] = id
 	d.strs = append(d.strs, key)
-	d.slots = append(d.slots, uint8(slot))
-	return id, slot
+	d.slots = append(d.slots, uint8(SlotOf(key)))
+	return id
 }
 
 // Lookup returns the ID for key without interning it.
@@ -123,6 +166,17 @@ func (d *Dict) Strings() []string {
 	strs := d.strs
 	d.mu.RUnlock()
 	return strs
+}
+
+// Slots returns the cached virtual slots in ID order — index i holds the
+// slot of the key with ID i — without copying them. Like Strings it is an
+// append-only view covering the IDs issued before the call: Slot for a
+// caller about to place many IDs.
+func (d *Dict) Slots() []uint8 {
+	d.mu.RLock()
+	slots := d.slots
+	d.mu.RUnlock()
+	return slots
 }
 
 // Slot returns the virtual slot of the key with the given id. Like
@@ -162,9 +216,7 @@ func FromSnapshot(strs []string) (*Dict, error) {
 		if _, dup := d.ids[s]; dup {
 			return nil, fmt.Errorf("intern: snapshot has duplicate key %q at index %d", s, i)
 		}
-		d.ids[s] = uint32(i)
-		d.strs = append(d.strs, s)
-		d.slots = append(d.slots, uint8(SlotOf(s)))
+		d.add(s)
 	}
 	return d, nil
 }

@@ -15,13 +15,28 @@ func blockOf(id int, keys map[string]int) *tuple.Block {
 	return bl
 }
 
-// addRun appends one key run of n unit-weight tuples to bl.
+// addRun appends one key run of n unit-weight tuples to bl, under the
+// key's ID in a test-wide numbering (one ID per distinct key, as a
+// dictionary gives; Block.Cardinality counts IDs).
 func addRun(bl *tuple.Block, key string, n int) {
 	var c tuple.ColSlice
 	for i := 0; i < n; i++ {
 		c = c.Append(tuple.Time(i), 1, 1)
 	}
-	bl.AddDenseCols(key, 0, c, n)
+	bl.AddDenseCols(key, keyID(key), c, n)
+}
+
+var keyIDs = map[string]uint32{}
+
+// keyID returns key's ID in the test-wide numbering, issuing the next one
+// on first sight.
+func keyID(key string) uint32 {
+	id, ok := keyIDs[key]
+	if !ok {
+		id = uint32(len(keyIDs))
+		keyIDs[key] = id
+	}
+	return id
 }
 
 func TestBSI(t *testing.T) {

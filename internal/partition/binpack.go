@@ -74,7 +74,7 @@ func (f *FirstFitDecreasing) Partition(in Input, p int) ([]*tuple.Block, error) 
 			}
 		}
 	}
-	return a.build(), nil
+	return a.build(in.Blocks), nil
 }
 
 // FragMin packs keys in descending size order, placing each item whole into
@@ -137,7 +137,7 @@ func (f *FragMin) Partition(in Input, p int) ([]*tuple.Block, error) {
 			rest, restW = remainder, restW-fw
 		}
 	}
-	return a.build(), nil
+	return a.build(in.Blocks), nil
 }
 
 // lightest returns the index of the bin with the least weight.

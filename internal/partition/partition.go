@@ -30,13 +30,18 @@ import (
 // sorted-input partitioners derive it with a post-sort (the Figure 14a
 // baseline behaviour) and never need the batch otherwise. Pool, when set,
 // lets partitioners parallelize their data-independent passes (the
-// per-key weight computation); a nil pool runs them inline.
+// per-key weight computation); a nil pool runs them inline. Blocks, when
+// set, is a block set an earlier Partition call returned: the partitioner
+// rewinds it and rebuilds the batch's blocks in place (see
+// tuple.Block.Reset), so the caller must be done with that batch's
+// blocks. Without it the blocks are freshly allocated.
 type Input struct {
 	Batch  *tuple.Batch
 	Cols   *tuple.ColumnBatch
 	Dict   *intern.Dict
 	Sorted []stats.SortedKey
 	Pool   *cluster.WorkerPool
+	Blocks []*tuple.Block
 }
 
 // columns returns the batch in column form and the dictionary its IDs
@@ -47,7 +52,7 @@ func (in Input) columns() (*tuple.ColumnBatch, *intern.Dict, error) {
 	}
 	dict := intern.NewDict(0)
 	cb := &tuple.ColumnBatch{Start: in.Batch.Start, End: in.Batch.End}
-	if err := cb.AppendRows(in.Batch.Tuples, dict.Intern); err != nil {
+	if err := cb.Transpose(in.Batch.Tuples, dict); err != nil {
 		return nil, nil, fmt.Errorf("partition: %w", err)
 	}
 	return cb, dict, nil
@@ -91,13 +96,21 @@ func checkArgs(in Input, p int) error {
 	return nil
 }
 
-// newBlocks allocates p empty blocks with ids 0..p-1.
-func newBlocks(p int) []*tuple.Block {
-	blocks := make([]*tuple.Block, p)
-	for i := range blocks {
-		blocks[i] = tuple.NewBlock(i)
+// rewind returns p empty blocks with ids 0..p-1, reusing set's blocks
+// (rewound in place) and allocating only the ones it lacks.
+func rewind(set []*tuple.Block, p int) []*tuple.Block {
+	if cap(set) < p {
+		set = append(set[:cap(set)], make([]*tuple.Block, p-cap(set))...)
 	}
-	return blocks
+	set = set[:p]
+	for i, bl := range set {
+		if bl == nil {
+			set[i] = tuple.NewBlock(i)
+		} else {
+			bl.Reset(i)
+		}
+	}
+	return set
 }
 
 // perTupleBuilder accumulates a per-tuple assignment (row -> block) over
@@ -111,6 +124,7 @@ func newBlocks(p int) []*tuple.Block {
 // per batch, not once per row.
 type perTupleBuilder struct {
 	p      int
+	set    []*tuple.Block // the caller's block set to rebuild (Input.Blocks)
 	cb     *tuple.ColumnBatch
 	keys   []string         // the dictionary's strings, by intern ID
 	local  map[uint32]int32 // intern ID -> batch-local key number
@@ -138,6 +152,7 @@ func newPerTupleBuilder(in Input, p int) (*perTupleBuilder, error) {
 	}
 	return &perTupleBuilder{
 		p:      p,
+		set:    in.Blocks,
 		cb:     cb,
 		keys:   dict.Strings(),
 		local:  make(map[uint32]int32),
@@ -203,7 +218,7 @@ func (b *perTupleBuilder) build() []*tuple.Block {
 			sizes[r.key] += r.cols.Len()
 		}
 	}
-	out := newBlocks(b.p)
+	out := rewind(b.set, b.p)
 	for i := range b.runs {
 		for _, r := range b.runs[i] {
 			key := b.keyString(r.key)
@@ -255,12 +270,9 @@ type keyItem struct {
 // keys is independent and writes its own item slots, making the output
 // identical at any worker count.
 func itemsFromSortedInto(dst []keyItem, sorted []stats.SortedKey, pool *cluster.WorkerPool) []keyItem {
-	var items []keyItem
-	if cap(dst) >= len(sorted) {
-		items = dst[:len(sorted)]
-	} else {
-		items = make([]keyItem, len(sorted))
-	}
+	// Grow with append's headroom: a batch one key wider than any before
+	// must not reallocate the whole arena.
+	items := slices.Grow(dst[:0], len(sorted))[:len(sorted)]
 	pool.DoRanges(len(sorted), 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sk := sorted[i]
@@ -318,8 +330,9 @@ func (a *assignment) place(i int, key string, id uint32, c tuple.ColSlice, w int
 // weightOf returns the current weight of block i.
 func (a *assignment) weightOf(i int) int { return a.weight[i] }
 
-// build materializes blocks with reference tables (split keys only).
-func (a *assignment) build() []*tuple.Block {
+// build materializes blocks with reference tables (split keys only),
+// rebuilding set in place (see rewind).
+func (a *assignment) build(set []*tuple.Block) []*tuple.Block {
 	frags := make(map[string]int)
 	sizes := make(map[string]int)
 	for i := 0; i < a.p; i++ {
@@ -328,7 +341,7 @@ func (a *assignment) build() []*tuple.Block {
 			sizes[k] += c.Len()
 		}
 	}
-	out := newBlocks(a.p)
+	out := rewind(set, a.p)
 	for i := 0; i < a.p; i++ {
 		for _, k := range a.order[i] {
 			c := a.placed[i][k]

@@ -154,10 +154,11 @@ func (b *promptBuilder) fragments(item int) int {
 }
 
 // build materializes the blocks with their reference tables (split keys
-// only). Fragments reference the buffered tuple lists directly; duplicate
-// same-block fragments stay separate KeySlices (Block handles that).
-func (b *promptBuilder) build() []*tuple.Block {
-	out := newBlocks(len(b.perBlock))
+// only), rebuilding set in place (see rewind). Fragments reference the
+// buffered tuple lists directly; duplicate same-block fragments stay
+// separate KeySlices (Block handles that).
+func (b *promptBuilder) build(set []*tuple.Block) []*tuple.Block {
+	out := rewind(set, len(b.perBlock))
 	for blk, frags := range b.perBlock {
 		bl := out[blk]
 		bl.PreAllocate(len(frags))
@@ -195,7 +196,7 @@ func (pr *Prompt) Partition(in Input, p int) ([]*tuple.Block, error) {
 	}
 	k := len(items)
 	if k == 0 {
-		return newBlocks(p), nil
+		return rewind(in.Blocks, p), nil
 	}
 
 	// Partition size, partition cardinality, the key-split cut-off, and
@@ -259,7 +260,7 @@ func (pr *Prompt) Partition(in Input, p int) ([]*tuple.Block, error) {
 				reverse(order)
 			}
 		}
-		return b.build(), nil
+		return b.build(in.Blocks), nil
 	}
 	placed := 0
 	for _, w := range b.weight {
@@ -286,7 +287,7 @@ func (pr *Prompt) Partition(in Input, p int) ([]*tuple.Block, error) {
 		}
 	}
 
-	return b.build(), nil
+	return b.build(in.Blocks), nil
 }
 
 // mergeRemainder merges the unsliced tail of items (already descending by

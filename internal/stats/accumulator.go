@@ -438,7 +438,7 @@ func keyPrefix(key string) uint64 {
 func PostSort(b *tuple.Batch) ([]SortedKey, error) {
 	dict := intern.NewDict(0)
 	cb := &tuple.ColumnBatch{Start: b.Start, End: b.End}
-	if err := cb.AppendRows(b.Tuples, dict.Intern); err != nil {
+	if err := cb.Transpose(b.Tuples, dict); err != nil {
 		return nil, fmt.Errorf("stats: %w", err)
 	}
 	return NewPostSorter(dict).Sort(cb), nil

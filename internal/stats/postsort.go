@@ -61,9 +61,10 @@ func (p *PostSorter) Sort(cb *tuple.ColumnBatch) []SortedKey {
 		sl.cols = sl.cols.Append(cb.TS[i], cb.Vals[i], cb.W[i])
 	}
 	out := p.out[:0]
+	keys := p.dict.Strings() // one lock for the batch, not one per key
 	for _, id := range p.seen {
 		sl := &p.slots[id]
-		out = append(out, SortedKey{Key: p.dict.Resolve(id), ID: id, Count: sl.cols.Len(), Cols: sl.cols})
+		out = append(out, SortedKey{Key: keys[id], ID: id, Count: sl.cols.Len(), Cols: sl.cols})
 	}
 	SortKeysDesc(out)
 	p.out = out

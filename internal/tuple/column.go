@@ -80,24 +80,55 @@ func (cb *ColumnBatch) Append(id uint32, ts Time, val float64, w int32) {
 	cb.W = append(cb.W, w)
 }
 
-// AppendRows is the transpose: it converts row tuples into columns,
-// interning each key through intern (typically the owning engine's
-// dictionary) in arrival order, so ID order is a function of the input
-// alone. Row order is preserved. If any weight does not fit the weight
-// column it returns an error wrapping ErrWeightOverflow before interning
-// or appending anything.
-func (cb *ColumnBatch) AppendRows(rows []Tuple, intern func(string) uint32) error {
-	for i := range rows {
-		if err := CheckWeight(rows[i].Weight); err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
-		}
-	}
+// Interner assigns dictionary IDs to a whole batch of keys at once:
+// InternBatch sets ids[i] to the ID of key(i), issuing new IDs in index
+// order. *intern.Dict implements it, taking its lock once per batch.
+type Interner interface {
+	InternBatch(ids []uint32, key func(i int) string)
+}
+
+// Transpose converts row tuples into columns, appending them to the
+// batch: the value columns in one pass over the rows, then every key
+// interned through in (typically the owning engine's dictionary) in one
+// call, in arrival order, so ID order is a function of the input alone.
+// Row order is preserved. If any weight does not fit the weight column it
+// returns an error wrapping ErrWeightOverflow before interning anything,
+// leaving the batch as it was.
+func (cb *ColumnBatch) Transpose(rows []Tuple, in Interner) error {
+	n := len(cb.IDs)
 	cb.Grow(len(rows))
 	for i := range rows {
 		t := &rows[i]
-		cb.Append(intern(t.Key), t.TS, t.Val, int32(t.Weight))
+		if int(int32(t.Weight)) != t.Weight {
+			cb.TS, cb.Vals, cb.W = cb.TS[:n], cb.Vals[:n], cb.W[:n]
+			return fmt.Errorf("row %d: %w", i, CheckWeight(t.Weight))
+		}
+		cb.TS = append(cb.TS, t.TS)
+		cb.Vals = append(cb.Vals, t.Val)
+		cb.W = append(cb.W, int32(t.Weight))
 	}
+	cb.IDs = cb.IDs[:n+len(rows)]
+	in.InternBatch(cb.IDs[n:], func(i int) string { return rows[i].Key })
 	return nil
+}
+
+// AppendRows is Transpose with a per-key intern function, called once per
+// row.
+//
+// Deprecated: it takes a lock per row through a dictionary's Intern; use
+// Transpose with the dictionary itself. It stays only for the benchmark
+// module's layer probe (bench/layers), which still passes Dict.Intern.
+func (cb *ColumnBatch) AppendRows(rows []Tuple, intern func(string) uint32) error {
+	return cb.Transpose(rows, perKey(intern))
+}
+
+// perKey adapts a per-key intern function to Interner.
+type perKey func(string) uint32
+
+func (f perKey) InternBatch(ids []uint32, key func(i int) string) {
+	for i := range ids {
+		ids[i] = f(key(i))
+	}
 }
 
 // Clone returns a deep copy of the batch.

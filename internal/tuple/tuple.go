@@ -11,6 +11,8 @@ package tuple
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 )
 
@@ -158,16 +160,30 @@ func NewBlock(id int) *Block {
 	return &Block{ID: id, Ref: make(map[string]SplitInfo)}
 }
 
-// PreAllocate sizes the block's key list and reference table for n key
-// slices, avoiding incremental growth on the partitioning hot path. It
-// must be called before the first AddDenseCols.
+// PreAllocate sizes the block's key list for n key slices, avoiding
+// incremental growth on the partitioning hot path. It must be called
+// before the first AddDenseCols. The reference table is left alone: it
+// holds split keys only (see SplitInfo), a handful per batch.
 func (bl *Block) PreAllocate(n int) {
-	if len(bl.Keys) == 0 && cap(bl.Keys) < n {
-		bl.Keys = make([]KeySlice, 0, n)
+	if len(bl.Keys) == 0 {
+		bl.Keys = slices.Grow(bl.Keys, n)
 	}
-	if len(bl.Ref) == 0 {
-		bl.Ref = make(map[string]SplitInfo, n)
+}
+
+// Reset empties the block for reuse as block id: the key list is
+// truncated and the reference table cleared, both keeping their storage,
+// and the weight and cardinality cache start over. Partitioners rebuild a
+// caller's block set in place through it, batch after batch.
+func (bl *Block) Reset(id int) {
+	bl.ID = id
+	bl.Keys = bl.Keys[:0]
+	if bl.Ref == nil {
+		bl.Ref = make(map[string]SplitInfo)
+	} else {
+		clear(bl.Ref)
 	}
+	bl.weight = 0
+	bl.card, bl.cardOK = 0, false
 }
 
 // AddDenseCols appends a key run whose total weight the caller already
@@ -193,21 +209,40 @@ func (bl *Block) Size() int {
 }
 
 // Cardinality is the number of distinct keys with at least one tuple in the
-// block (||block||). A key split into several fragments within the same
-// block (which partitioners avoid but is legal) counts once. The value is
-// cached until the block is next modified.
+// block (||block||), counted by KeySlice.ID. A key split into several
+// fragments within the same block (which partitioners avoid but is legal)
+// counts once. The value is cached until the block is next modified.
 func (bl *Block) Cardinality() int {
 	if bl.cardOK {
 		return bl.card
 	}
-	seen := make(map[string]struct{}, len(bl.Keys))
+	m := markPool.Get().(*marks)
+	n := 0
 	for i := range bl.Keys {
-		seen[bl.Keys[i].Key] = struct{}{}
+		id := bl.Keys[i].ID
+		if int(id) >= len(*m) {
+			*m = append(*m, make([]bool, int(id)+1-len(*m))...)
+		}
+		if !(*m)[id] {
+			(*m)[id] = true
+			n++
+		}
 	}
-	bl.card = len(seen)
+	for i := range bl.Keys {
+		(*m)[bl.Keys[i].ID] = false
+	}
+	markPool.Put(m)
+	bl.card = n
 	bl.cardOK = true
 	return bl.card
 }
+
+// marks is Cardinality's seen-table, indexed by key ID. It is all false
+// between uses: a count clears exactly the entries it set, so a reset
+// costs O(block), never O(dictionary).
+type marks []bool
+
+var markPool = sync.Pool{New: func() any { return new(marks) }}
 
 // Partitioned is a fully partitioned micro-batch: the unit handed from the
 // batching phase to the processing phase.

@@ -6,13 +6,40 @@ import (
 	"time"
 )
 
-// addRows places rows as one key run of bl.
+// addRows places rows as one key run of bl, under the key's ID in a
+// test-wide numbering (one ID per distinct key, as a dictionary gives).
 func addRows(bl *Block, key string, rows ...Tuple) {
 	var c ColSlice
 	for _, t := range rows {
 		c = c.Append(t.TS, t.Val, int32(t.Weight))
 	}
-	bl.AddDenseCols(key, 0, c, c.Weight())
+	bl.AddDenseCols(key, testKeys.id(key), c, c.Weight())
+}
+
+var testKeys sliceInterner
+
+// sliceInterner is a test Interner: it numbers keys in first-arrival
+// order and counts the keys it was asked for.
+type sliceInterner struct {
+	keys  []string
+	asked int
+}
+
+func (s *sliceInterner) id(k string) uint32 {
+	s.asked++
+	for i, have := range s.keys {
+		if have == k {
+			return uint32(i)
+		}
+	}
+	s.keys = append(s.keys, k)
+	return uint32(len(s.keys) - 1)
+}
+
+func (s *sliceInterner) InternBatch(ids []uint32, key func(i int) string) {
+	for i := range ids {
+		ids[i] = s.id(key(i))
+	}
 }
 
 func TestTimeConversions(t *testing.T) {
@@ -156,20 +183,12 @@ func TestPartitionedValidateDetectsDuplicates(t *testing.T) {
 // key.
 func TestKeyFrequency(t *testing.T) {
 	b := makeBatch("x", "y", "x", "x")
-	var keys []string
-	intern := func(k string) uint32 {
-		for i, have := range keys {
-			if have == k {
-				return uint32(i)
-			}
-		}
-		keys = append(keys, k)
-		return uint32(len(keys) - 1)
-	}
+	var in sliceInterner
 	var cb ColumnBatch
-	if err := cb.AppendRows(b.Tuples, intern); err != nil {
+	if err := cb.Transpose(b.Tuples, &in); err != nil {
 		t.Fatal(err)
 	}
+	keys := in.keys
 	if len(keys) != 2 || keys[0] != "x" || keys[1] != "y" {
 		t.Fatalf("keys interned %v, want arrival order [x y]", keys)
 	}
@@ -192,6 +211,20 @@ func TestAppendRowsRejectsWideWeight(t *testing.T) {
 	}
 	if interned != 0 || cb.Len() != 0 {
 		t.Errorf("rejected batch interned %d keys and appended %d rows", interned, cb.Len())
+	}
+	// The same through Transpose, onto a batch already holding a row: the
+	// rejected rows leave every column as it was.
+	var in sliceInterner
+	if err := cb.Transpose(rows[:1], &in); err != nil {
+		t.Fatal(err)
+	}
+	in.asked = 0
+	if err := cb.Transpose(rows, &in); !errors.Is(err, ErrWeightOverflow) {
+		t.Fatalf("Transpose = %v, want ErrWeightOverflow", err)
+	}
+	if in.asked != 0 || cb.Len() != 1 || len(cb.TS) != 1 || len(cb.Vals) != 1 || len(cb.W) != 1 {
+		t.Errorf("rejected batch interned %d keys and left columns %d/%d/%d/%d long, want 1",
+			in.asked, len(cb.IDs), len(cb.TS), len(cb.Vals), len(cb.W))
 	}
 	if err := CheckWeight(-1 << 31); err != nil {
 		t.Errorf("CheckWeight(MinInt32) = %v, want nil", err)

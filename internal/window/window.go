@@ -171,8 +171,11 @@ func (ag *Aggregator) AddColumns(end tuple.Time, ids []uint32, vals []float64) e
 		b = new(batch)
 	}
 	b.end = end
+	// One view of the append-only slot cache covers every ID the caller
+	// can hold: placing a key costs an index, not a lock.
+	slots := ag.dict.Slots()
 	for j, id := range ids {
-		slot := ag.dict.Slot(id)
+		slot := int(slots[id])
 		ag.fold(id, slot, vals[j])
 		col := &b.cols[slot]
 		col.ids = append(col.ids, id)
