@@ -68,6 +68,13 @@ func TestFig11Shape(t *testing.T) {
 	// Headroom above the saturation point so prompt's max is not clipped
 	// by the search ceiling.
 	p.SearchHi = 500_000
+	// A bisection to 10% cannot resolve the 20% margin asserted below:
+	// both maxima land on coarse grid points (prompt 221 562, time
+	// 190 625, ratio 1.16), and whether time holds 190 625 then turns on
+	// its wall-clock partition time against the early-release slack.
+	// At 1% the cost-model maxima show through (prompt 231 230, time at
+	// most 190 625 whatever the machine's speed).
+	p.SearchTol = 0.01
 	res, err := Fig11(p, "tweets", []int{1})
 	if err != nil {
 		t.Fatal(err)
