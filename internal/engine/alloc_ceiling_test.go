@@ -17,10 +17,10 @@ import (
 // shapes; the ceilings then bound what one more batch allocates.
 //
 // The ceilings sit above the figures measured when they were set (about
-// 400 allocations and 450 KB a batch): modest growth does not trip them,
-// while per-key allocation (tens of thousands of allocations) or a
-// per-batch table sized by the batch cardinality (hundreds of kilobytes)
-// fails loudly.
+// 40 allocations and 204 KB a batch): modest growth does not trip them,
+// while per-key buffers (hundreds of allocations a batch as keys outgrow
+// them) or a per-batch table sized by the batch cardinality (hundreds of
+// kilobytes) fail loudly.
 func TestPromptSteadyStateAllocCeiling(t *testing.T) {
 	testSteadyStateAllocCeiling(t, "rows")
 }
@@ -43,9 +43,9 @@ func TestMaxReduceSteadyStateAllocCeiling(t *testing.T) {
 		warm = 32
 		runs = 8
 	)
-	ceiling := 250.0 // allocations per batch, steady state (160 measured)
+	ceiling := 100.0 // allocations per batch, steady state (43 measured)
 	if raceEnabled {
-		ceiling = 1_000 // the race detector's pools drop objects (475 measured)
+		ceiling = 500 // the race detector's pools drop objects (183–245 measured)
 	}
 	hs := hotPathSchemes()[0]
 	src := hotPathSource(t, "zipf", rate, card)
@@ -83,8 +83,8 @@ func TestMaxReduceSteadyStateAllocCeiling(t *testing.T) {
 // TestColumnarSteadyStateAllocCeiling is the columns-edge companion of
 // TestPromptSteadyStateAllocCeiling: the same workload handed in as
 // caller-built struct-of-arrays batches through StepColumns. The
-// accumulator's per-key column buffers and the partitioner's span arenas
-// must reach a steady shape under the same ceiling.
+// accumulator's log and row arena and the partitioner's span arenas must
+// reach a steady shape under the same ceiling.
 func TestColumnarSteadyStateAllocCeiling(t *testing.T) {
 	testSteadyStateAllocCeiling(t, "columns")
 }
@@ -106,15 +106,15 @@ func testSteadyStateAllocCeiling(t *testing.T, edge string) {
 		card        = 20_000
 		warm        = 32
 		runs        = 8
-		byteCeiling = 512 << 10 // bytes per batch, steady state
+		byteCeiling = 256 << 10 // bytes per batch, steady state (204 KB measured)
 	)
 	// Allocations per batch, steady state. Under the race detector the
 	// pools drop a quarter of what they are given, so the scratch they
 	// hold is rebuilt at random: the count gets a wider bound there and
 	// the bytes are only reported.
-	countCeiling := uint64(500)
+	countCeiling := uint64(100) // 40 measured
 	if raceEnabled {
-		countCeiling = 1_000
+		countCeiling = 500 // 219–281 measured
 	}
 	hs := hotPathSchemes()[0]
 	if hs.name != "prompt" {

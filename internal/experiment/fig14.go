@@ -70,6 +70,12 @@ type Fig14bResult struct {
 // Fig14b regenerates Figure 14b: the cost of running Prompt's statistics
 // finalization plus partitioning, as a percentage of a 1-second batch
 // interval, across batch sizes.
+//
+// The tuples are fed one at a time through Accumulator.Add, so the
+// counting scatter that cuts each key's run out of the arrival log runs
+// inside Finalize and is charged to the finalize column. The engine feeds
+// whole column batches through AddColumns, which scatters during the
+// accumulate stage, so its release point pays only the sort.
 func Fig14b(p Params, batchSizes []int) (*Fig14bResult, error) {
 	res := &Fig14bResult{}
 	pr := partition.NewPrompt()

@@ -9,7 +9,7 @@
 // Every partitioner reads the batch as columns and emits blocks of
 // column runs (tuple.ColSlice views): the per-tuple techniques walk the ID
 // column in arrival order, the sorted-input techniques slice the
-// accumulator's per-key columns.
+// accumulator's per-key runs.
 package partition
 
 import (

@@ -4,6 +4,10 @@
 // update budget, so that the total bookkeeping is bounded by Budget
 // publications per key, and which hands the partitioner the keys in the
 // paper's quasi-sorted order (by published frequency) at the heartbeat.
+//
+// The per-key tuple lists are not grown per arrival: the fold counts each
+// arrival against its key's entry and logs the row, and a counting scatter
+// then cuts every key's rows out of one arena as a contiguous run.
 package stats
 
 import (
@@ -82,9 +86,9 @@ type BatchStats struct {
 }
 
 // Accumulator implements Algorithm 1 (Micro-batch Accumulator): it buffers
-// incoming tuples into the HTable and publishes each key's frequency under
-// the budgeted f.step / t.step update discipline; at the heartbeat it
-// hands the partitioner the keys in quasi-sorted order.
+// incoming tuples under their keys and publishes each key's frequency
+// under the budgeted f.step / t.step update discipline; at the heartbeat
+// it hands the partitioner the keys in quasi-sorted order.
 //
 // The paper keeps the published frequencies in a balanced tree (the
 // CountTree) updated online, so that the order is ready the moment the
@@ -93,17 +97,27 @@ type BatchStats struct {
 // yield is a pure function of the final (published frequency, key)
 // pairs, and Finalize computes exactly that order with one sort.
 //
+// The paper's HTable of per-key tuple lists is built in two passes over
+// one arrival log. The fold (pass 1) runs the budget arithmetic per
+// arrival against the key's HTable entry and logs the row with its entry
+// index; the seal (pass 2) gives every entry an offset into one arena per
+// column from the exact counts and scatters the log into it, so that each
+// key's rows are one contiguous run in arrival order. AddColumns seals at
+// its end, inside the accumulate stage; Finalize seals whatever Add
+// logged since. A seal scatters the whole log, so a batch fed through
+// several AddColumns calls re-scatters the earlier ones.
+//
 // An Accumulator is not safe for concurrent use; the receiver owns it.
 //
-// Keys are addressed by their IDs in an intern dictionary, and the fold
-// runs over columns: AddColumns walks a ColumnBatch, and Add is the same
-// fold for one row whose key it interns first. The HTable's entry arena
-// and per-key column buffers, and Finalize's output slice, are reused
-// across Resets, so steady-state ingestion allocates nothing. The hand-off
-// therefore aliases buffers that the next Reset reclaims, which is safe in
-// the engine because a batch is fully processed and reported before the
-// next one accumulates; callers that retain Finalize output across batch
-// intervals must use a fresh accumulator per batch.
+// Keys are addressed by their IDs in an intern dictionary: AddColumns
+// folds a ColumnBatch's ID column, and Add is the same fold for one row
+// whose key it interns first. The HTable, the log, the arena and
+// Finalize's output slice are reused across Resets, so steady-state
+// ingestion allocates nothing. The hand-off therefore aliases buffers that
+// the next batch's seal overwrites, which is safe in the engine because a
+// batch is fully processed and reported before the next one accumulates;
+// callers that retain Finalize output across batch intervals must use a
+// fresh accumulator per batch.
 type Accumulator struct {
 	cfg   AccumulatorConfig
 	dict  *intern.Dict
@@ -112,9 +126,21 @@ type Accumulator struct {
 	start tuple.Time
 	end   tuple.Time
 
-	nTuples      int
-	treeUpdates  int
-	initialF     int
+	nTuples     int
+	treeUpdates int
+	initialF    int
+
+	// The arrival log: every row of the batch in arrival order, with the
+	// HTable index of its key's entry. The last seal scattered its first
+	// sealed rows into the arena.
+	logIdx  []int32
+	logCols tuple.ColSlice
+	sealed  int
+	// The arena holds every key's rows as one run, in entry order; after a
+	// seal cursor[i] is the end of entry i's run.
+	arena  tuple.ColSlice
+	cursor []int32
+
 	ranks, spare []rank      // Finalize sort buffers, reused across batches
 	out          []SortedKey // Finalize output, reused across batches
 }
@@ -179,6 +205,9 @@ func (a *Accumulator) Reset(cfg AccumulatorConfig, start, end tuple.Time) error 
 	}
 	a.cfg = cfg
 	a.ht.Reset()
+	a.logIdx = a.logIdx[:0]
+	a.logCols = a.logCols.Reset()
+	a.sealed = 0
 	a.start, a.end = start, end
 	a.nTuples = 0
 	a.treeUpdates = 0
@@ -200,52 +229,103 @@ func (a *Accumulator) Keys() int { return a.ht.Len() }
 // bounds the total update work.
 func (a *Accumulator) TreeUpdates() int { return a.treeUpdates }
 
-// Add ingests one tuple at arrival time now: it interns the key and runs
-// the column fold for that one row. Tuples outside the batch interval, or
-// whose weight does not fit the weight column, are rejected with an error.
+// Add ingests one tuple at arrival time now: it interns the key, folds
+// the row and logs it; the next Finalize seals it. Tuples outside the
+// batch interval, or whose weight does not fit the weight column, are
+// rejected with an error and leave the accumulator as it was.
 func (a *Accumulator) Add(t tuple.Tuple, now tuple.Time) error {
 	if err := tuple.CheckWeight(t.Weight); err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
-	return a.fold(a.dict.Intern(t.Key), t.TS, now, t.Val, int32(t.Weight))
+	if err := a.checkInterval(t.TS); err != nil {
+		return err
+	}
+	a.logIdx = append(a.logIdx, a.fold(a.dict.Intern(t.Key), now))
+	a.logCols = a.logCols.Append(t.TS, t.Val, int32(t.Weight))
+	return nil
 }
 
 // AddColumns ingests a whole ColumnBatch in row order, each row arriving
-// at its own timestamp. The batch's IDs must have been interned in the
-// accumulator's dictionary.
+// at its own timestamp, and seals the log. The batch's IDs must have been
+// interned in the accumulator's dictionary. A batch with any row outside
+// the batch interval is rejected whole, before any row is folded.
 func (a *Accumulator) AddColumns(cb *tuple.ColumnBatch) error {
-	for i, id := range cb.IDs {
-		ts := cb.TS[i]
-		if err := a.fold(id, ts, ts, cb.Vals[i], cb.W[i]); err != nil {
+	for _, ts := range cb.TS {
+		if err := a.checkInterval(ts); err != nil {
 			return err
 		}
+	}
+	base := len(a.logIdx)
+	a.logIdx = slices.Grow(a.logIdx, len(cb.IDs))[:base+len(cb.IDs)]
+	idx := a.logIdx[base:]
+	ts := cb.TS[:len(idx)]
+	for i, id := range cb.IDs {
+		idx[i] = a.fold(id, ts[i])
+	}
+	a.logCols = a.logCols.AppendCols(tuple.ColSlice{TS: cb.TS, Vals: cb.Vals, W: cb.W})
+	a.seal()
+	return nil
+}
+
+// checkInterval rejects a timestamp outside the batch interval.
+func (a *Accumulator) checkInterval(ts tuple.Time) error {
+	if ts < a.start || ts >= a.end {
+		return fmt.Errorf("stats: tuple ts %v outside batch interval [%v,%v)", ts, a.start, a.end)
 	}
 	return nil
 }
 
-// fold is Algorithm 1's per-arrival step: buffer the row under its key and
-// decide whether the key's frequency is due for a publication.
-func (a *Accumulator) fold(id uint32, ts, now tuple.Time, val float64, w int32) error {
-	if ts < a.start || ts >= a.end {
-		return fmt.Errorf("stats: tuple ts %v outside batch interval [%v,%v)", ts, a.start, a.end)
-	}
+// fold is Algorithm 1's per-arrival step (pass 1): count the arrival
+// under its key, decide whether the key's frequency is due for a
+// publication, and return the key's entry index for the log.
+func (a *Accumulator) fold(id uint32, now tuple.Time) int32 {
 	a.nTuples++
-	e := a.ht.GetID(id)
-	if e == nil {
-		// First sighting: resolve the key string once, through the cached
-		// view of the append-only dictionary (one lock per growth of the
-		// dictionary, not one per key).
-		if int(id) >= len(a.strs) {
-			a.strs = a.dict.Strings()
-		}
-		e = a.ht.PutID(id, a.strs[id])
-		e.Cols = e.Cols.Append(ts, val, w)
-		a.initEntry(e, now)
-		return nil
+	if i := a.ht.Index(id); i >= 0 {
+		a.bump(&a.ht.entries[i], now)
+		return i
 	}
-	e.Cols = e.Cols.Append(ts, val, w)
-	a.bump(e, now)
-	return nil
+	// First sighting: resolve the key string once, through the cached
+	// view of the append-only dictionary (one lock per growth of the
+	// dictionary, not one per key).
+	if int(id) >= len(a.strs) {
+		a.strs = a.dict.Strings()
+	}
+	i := a.ht.PutID(id, a.strs[id])
+	a.initEntry(&a.ht.entries[i], now)
+	return i
+}
+
+// seal is pass 2, a counting scatter: the exact counts give every entry
+// an offset into the arena, and one pass over the log writes each row at
+// its key's cursor, so each key's rows form one run in arrival order.
+// It scatters the whole log, and does nothing if no row arrived since the
+// last seal.
+func (a *Accumulator) seal() {
+	n := len(a.logIdx)
+	if n == a.sealed {
+		return
+	}
+	entries := a.ht.entries
+	cursor := slices.Grow(a.cursor[:0], len(entries))[:len(entries)]
+	var off int32
+	for i := range entries {
+		cursor[i] = off
+		off += int32(entries[i].FreqCurrent)
+	}
+	arena := tuple.ColSlice{
+		TS:   slices.Grow(a.arena.TS[:0], n)[:n],
+		Vals: slices.Grow(a.arena.Vals[:0], n)[:n],
+		W:    slices.Grow(a.arena.W[:0], n)[:n],
+	}
+	log := a.logCols
+	for r, k := range a.logIdx {
+		p := cursor[k]
+		cursor[k] = p + 1
+		arena.TS[p] = log.TS[r]
+		arena.Vals[p] = log.Vals[r]
+		arena.W[p] = log.W[r]
+	}
+	a.cursor, a.arena, a.sealed = cursor, arena, n
 }
 
 // bump counts one more arrival of an existing key at time now and decides
@@ -281,9 +361,8 @@ func (a *Accumulator) bump(e *KeyEntry, now tuple.Time) {
 	}
 }
 
-// initEntry seeds the budget statistics of a first-sighting entry whose
-// first tuple the caller already buffered (Algorithm 1's insert arm),
-// publishing count 1.
+// initEntry seeds the budget statistics of a first-sighting entry
+// (Algorithm 1's insert arm), publishing count 1.
 func (a *Accumulator) initEntry(e *KeyEntry, now tuple.Time) {
 	e.FreqCurrent = 1
 	e.FreqUpdated = 1
@@ -309,21 +388,28 @@ func (a *Accumulator) publish(e *KeyEntry, now tuple.Time) {
 // reverse in-order walk of the paper's CountTree over the same (count,
 // key) pairs. The tie-break is the reverse of SortKeysDesc's.
 //
-// The returned slice is owned by the accumulator and valid until the next
-// Reset.
+// Each key's Cols is its run in the arena, capped at its own length, so
+// a consumer that appends to it copies instead of overwriting the next
+// key's rows. The returned slice and the runs are owned by the
+// accumulator and valid until the next Reset, Add or AddColumns.
 func (a *Accumulator) Finalize() ([]SortedKey, BatchStats) {
+	a.seal()
 	entries := a.ht.entries
 	ranks := a.ranks[:0]
 	for i := range entries {
-		e := &entries[i]
-		ranks = append(ranks, rank{freq: ^uint64(e.FreqUpdated), prefix: ^e.prefix, idx: int32(i)})
+		ranks = append(ranks, rank{freq: ^uint64(entries[i].FreqUpdated), prefix: ^a.ht.prefixes[i], idx: int32(i)})
 	}
 	a.ranks = ranks
 	ranks = a.sortRanks()
 	out := a.out[:0]
+	ar := a.arena
 	for _, r := range ranks {
 		e := &entries[r.idx]
-		out = append(out, SortedKey{Key: e.Key, ID: e.ID, Count: e.FreqCurrent, Cols: e.Cols})
+		hi := int(a.cursor[r.idx])
+		lo := hi - e.FreqCurrent
+		out = append(out, SortedKey{Key: a.ht.keys[r.idx], ID: e.ID, Count: e.FreqCurrent, Cols: tuple.ColSlice{
+			TS: ar.TS[lo:hi:hi], Vals: ar.Vals[lo:hi:hi], W: ar.W[lo:hi:hi],
+		}})
 	}
 	a.out = out
 	st := BatchStats{
@@ -354,7 +440,7 @@ func (a *Accumulator) sortRanks() []rank {
 // keys differ. Keys still tied when all are exhausted differ only in
 // trailing NUL bytes, and the longer is the greater.
 func (a *Accumulator) breakTies(ranks, spare []rank, off int) {
-	entries := a.ht.entries
+	keys := a.ht.keys
 	for i := 0; i < len(ranks); {
 		j := i + 1
 		for j < len(ranks) && ranks[j].freq == ranks[i].freq && ranks[j].prefix == ranks[i].prefix {
@@ -367,13 +453,13 @@ func (a *Accumulator) breakTies(ranks, spare []rank, off int) {
 		}
 		longest := 0
 		for k := range run {
-			key := entries[run[k].idx].Key
+			key := keys[run[k].idx]
 			longest = max(longest, len(key))
 			run[k].prefix = ^keyPrefix(key[min(off, len(key)):])
 		}
 		if longest <= off {
 			slices.SortFunc(run, func(x, y rank) int {
-				return len(entries[y.idx].Key) - len(entries[x.idx].Key)
+				return len(keys[y.idx]) - len(keys[x.idx])
 			})
 			continue
 		}

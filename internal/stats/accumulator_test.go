@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -27,10 +28,48 @@ func TestAccumulatorRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestAccumulatorRejectsOutOfInterval checks that a row outside the batch
+// interval is rejected, and that a column batch holding one is rejected
+// whole: the rows before it are not folded, so the counts, the statistics
+// and Finalize's output are those from before the call.
 func TestAccumulatorRejectsOutOfInterval(t *testing.T) {
 	a := defaultAcc(t)
 	if err := a.Add(tuple.NewTuple(2*tuple.Second, "k", 1), 2*tuple.Second); err == nil {
 		t.Error("accepted tuple outside the batch interval")
+	}
+
+	in := accShape{name: "late-row", keys: 500, zipf: 1.0, tuples: 4_000, batches: 1}.input()
+	cb := in.batches[0]
+	b, err := NewAccumulatorDict(DefaultAccumulatorConfig(), in.dict, cb.Start, cb.End)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := cb.Len() / 2
+	if err := b.AddColumns(&tuple.ColumnBatch{Start: cb.Start, End: cb.End,
+		IDs: cb.IDs[:half], TS: cb.TS[:half], Vals: cb.Vals[:half], W: cb.W[:half]}); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() (int, int, int, []byte) {
+		out, st := b.Finalize()
+		return b.Tuples(), b.Keys(), b.TreeUpdates(), appendDigest(nil, out, st)
+	}
+	tuples, keys, updates, digest := snapshot()
+
+	late := &tuple.ColumnBatch{Start: cb.Start, End: cb.End}
+	for i := half; i < cb.Len(); i++ {
+		late.Append(cb.IDs[i], cb.TS[i], cb.Vals[i], cb.W[i])
+	}
+	late.TS[len(late.TS)-1] = cb.End // one late row, the last
+	if err := b.AddColumns(late); err == nil {
+		t.Fatal("accepted a column batch with a row outside the batch interval")
+	}
+	gotTuples, gotKeys, gotUpdates, gotDigest := snapshot()
+	if gotTuples != tuples || gotKeys != keys || gotUpdates != updates {
+		t.Errorf("after the rejected batch: tuples %d keys %d updates %d, before %d %d %d",
+			gotTuples, gotKeys, gotUpdates, tuples, keys, updates)
+	}
+	if !bytes.Equal(gotDigest, digest) {
+		t.Error("Finalize output changed across the rejected batch")
 	}
 }
 

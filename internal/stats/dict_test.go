@@ -31,9 +31,9 @@ func dictTestTuples(r *rand.Rand, n int, start, end tuple.Time) []tuple.Tuple {
 
 // TestDictAccumulatorMatchesMapMode drives an accumulator over a shared
 // dictionary and one over NewAccumulator's private dictionary through
-// several batch intervals (exercising entry-arena and column-buffer reuse
-// across Resets) and asserts their Finalize outputs are deeply identical
-// every batch.
+// several batch intervals (exercising the reuse of the entry arena, the
+// log and the row arena across Resets) and asserts their Finalize outputs
+// are deeply identical every batch.
 func TestDictAccumulatorMatchesMapMode(t *testing.T) {
 	cfg := AccumulatorConfig{Budget: 4, EstimatedTuples: 2000, EstimatedKeys: 50}
 	dict := intern.NewDict(0)
@@ -83,8 +83,8 @@ func TestDictAccumulatorMatchesMapMode(t *testing.T) {
 // TestDictAccumulatorSteadyStateReuse checks the memory contract: after
 // the first batch established capacity, a repeat batch with the same key
 // set must get Finalize's output in the same backing slice, with exact
-// counts. TestAccumulatorSteadyStateAllocsZero checks that the HTable
-// arena and Finalize's sort scratch do not grow either.
+// counts. TestAccumulatorSteadyStateZeroAlloc checks that the HTable,
+// the arena and Finalize's sort scratch do not grow either.
 func TestDictAccumulatorSteadyStateReuse(t *testing.T) {
 	cfg := AccumulatorConfig{Budget: 4, EstimatedTuples: 1000, EstimatedKeys: 10}
 	a, err := NewAccumulatorDict(cfg, intern.NewDict(0), 0, tuple.Second)
@@ -121,33 +121,5 @@ func TestDictAccumulatorSteadyStateReuse(t *testing.T) {
 		if second[i].Count != 100 {
 			t.Fatalf("key %s count %d, want 100", second[i].Key, second[i].Count)
 		}
-	}
-}
-
-// TestAccumulatorSteadyStateAllocsZero checks that the steady state the
-// engine runs — Reset, AddColumns and Finalize on a batch whose keys the
-// accumulator has seen — allocates nothing: the entry arena, the per-key
-// column buffers, the sort scratch and the output slice are all reused.
-func TestAccumulatorSteadyStateAllocsZero(t *testing.T) {
-	in := accShape{name: "allocs", keys: 2_000, zipf: 1.0, tuples: 20_000, batches: 1}.input()
-	cb := in.batches[0]
-	cfg := DefaultAccumulatorConfig()
-	a, err := NewAccumulatorDict(cfg, in.dict, cb.Start, cb.End)
-	if err != nil {
-		t.Fatal(err)
-	}
-	step := func() {
-		if err := a.Reset(cfg, cb.Start, cb.End); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.AddColumns(cb); err != nil {
-			t.Fatal(err)
-		}
-		_, st := a.Finalize()
-		cfg.EstimatedTuples, cfg.EstimatedKeys = st.Tuples, st.Keys
-	}
-	step() // establish capacity
-	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
-		t.Errorf("steady-state Reset+AddColumns+Finalize allocates %.0f times, want 0", allocs)
 	}
 }

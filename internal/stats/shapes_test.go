@@ -113,10 +113,46 @@ func (s accShape) input() *shapeInput {
 	return in
 }
 
+// feedFunc hands one batch to an accumulator: addColumns as the engine
+// does, or addRows, addMixed.
+type feedFunc func(a *Accumulator, cb *tuple.ColumnBatch) error
+
+func addColumns(a *Accumulator, cb *tuple.ColumnBatch) error { return a.AddColumns(cb) }
+
+// addRows feeds the batch one row at a time through Add, re-interning
+// each key by its string, each row arriving at its own timestamp.
+func addRows(a *Accumulator, cb *tuple.ColumnBatch) error {
+	return addRowRange(a, cb, 0, cb.Len())
+}
+
+// addMixed feeds the first half of the batch through AddColumns and the
+// rest row by row through Add, so Finalize seals a log both forms wrote.
+func addMixed(a *Accumulator, cb *tuple.ColumnBatch) error {
+	h := cb.Len() / 2
+	head := &tuple.ColumnBatch{Start: cb.Start, End: cb.End,
+		IDs: cb.IDs[:h], TS: cb.TS[:h], Vals: cb.Vals[:h], W: cb.W[:h]}
+	if err := a.AddColumns(head); err != nil {
+		return err
+	}
+	return addRowRange(a, cb, h, cb.Len())
+}
+
+// addRowRange feeds rows [from, to) of the batch through Add.
+func addRowRange(a *Accumulator, cb *tuple.ColumnBatch, from, to int) error {
+	keys := a.dict.Strings()
+	cols := tuple.ColSlice{TS: cb.TS, Vals: cb.Vals, W: cb.W}
+	for i := from; i < to; i++ {
+		if err := a.Add(cols.Tuple(keys[cb.IDs[i]], i), cb.TS[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // run folds every batch of the shape through one accumulator the way the
 // engine does — Reset with the previous batch's (N, |K|) as estimates,
-// AddColumns, Finalize — and hands each batch's output to visit.
-func (in *shapeInput) run(tb testing.TB, visit func([]SortedKey, BatchStats)) {
+// feed, Finalize — and hands each batch's output to visit.
+func (in *shapeInput) run(tb testing.TB, feed feedFunc, visit func([]SortedKey, BatchStats)) {
 	tb.Helper()
 	cfg := DefaultAccumulatorConfig()
 	var a *Accumulator
@@ -130,7 +166,7 @@ func (in *shapeInput) run(tb testing.TB, visit func([]SortedKey, BatchStats)) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if err := a.AddColumns(cb); err != nil {
+		if err := feed(a, cb); err != nil {
 			tb.Fatal(err)
 		}
 		out, st := a.Finalize()
@@ -141,28 +177,33 @@ func (in *shapeInput) run(tb testing.TB, visit func([]SortedKey, BatchStats)) {
 
 // finalizeDigest is the SHA-256 of every batch's statistics and Finalize
 // output, in order: per key its string, Count and every (TS, Vals, W) row.
-func (in *shapeInput) finalizeDigest(tb testing.TB) string {
+func (in *shapeInput) finalizeDigest(tb testing.TB, feed feedFunc) string {
 	h := sha256.New()
 	var buf []byte
-	in.run(tb, func(out []SortedKey, st BatchStats) {
-		buf = buf[:0]
-		for _, v := range []int64{int64(st.Tuples), int64(st.Keys), int64(st.TreeUpdates), int64(st.Start), int64(st.End)} {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		}
-		for _, sk := range out {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(sk.Key)))
-			buf = append(buf, sk.Key...)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(sk.Count))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(sk.Cols.Len()))
-			for i := range sk.Cols.TS {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(sk.Cols.TS[i]))
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sk.Cols.Vals[i]))
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(sk.Cols.W[i]))
-			}
-		}
+	in.run(tb, feed, func(out []SortedKey, st BatchStats) {
+		buf = appendDigest(buf[:0], out, st)
 		h.Write(buf)
 	})
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// appendDigest appends the bytes finalizeDigest hashes for one batch.
+func appendDigest(buf []byte, out []SortedKey, st BatchStats) []byte {
+	for _, v := range []int64{int64(st.Tuples), int64(st.Keys), int64(st.TreeUpdates), int64(st.Start), int64(st.End)} {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	}
+	for _, sk := range out {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(sk.Key)))
+		buf = append(buf, sk.Key...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(sk.Count))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(sk.Cols.Len()))
+		for i := range sk.Cols.TS {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(sk.Cols.TS[i]))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sk.Cols.Vals[i]))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(sk.Cols.W[i]))
+		}
+	}
+	return buf
 }
 
 // TestFinalizeOrderPinned pins Algorithm 1's observable output — the
@@ -187,8 +228,63 @@ func TestFinalizeOrderPinned(t *testing.T) {
 	}
 	for _, s := range accShapes() {
 		t.Run(s.name, func(t *testing.T) {
-			if got := s.input().finalizeDigest(t); got != want[s.name] {
+			if got := s.input().finalizeDigest(t, addColumns); got != want[s.name] {
 				t.Errorf("Finalize digest %s, want %s", got, want[s.name])
+			}
+		})
+	}
+}
+
+// TestAccumulatorRowsMatchColumns pins the row form to the column form:
+// on every shape, feeding the rows one at a time through Add, or half
+// through AddColumns and the rest through Add, logs and scatters the same
+// rows, so Finalize's output hashes the same as the engine's AddColumns.
+func TestAccumulatorRowsMatchColumns(t *testing.T) {
+	for _, s := range accShapes() {
+		t.Run(s.name, func(t *testing.T) {
+			in := s.input()
+			want := in.finalizeDigest(t, addColumns)
+			if got := in.finalizeDigest(t, addRows); got != want {
+				t.Errorf("rows through Add: digest %s, AddColumns %s", got, want)
+			}
+			if got := in.finalizeDigest(t, addMixed); got != want {
+				t.Errorf("AddColumns then Add: digest %s, AddColumns %s", got, want)
+			}
+		})
+	}
+}
+
+// TestAccumulatorSteadyStateZeroAlloc checks that the steady state the
+// engine runs — Reset, AddColumns and Finalize on batches whose keys the
+// accumulator has seen — allocates nothing on the bench shapes: the
+// HTable and its cold columns, the log, the arena, the sort scratch and
+// the output slice are all reused.
+func TestAccumulatorSteadyStateZeroAlloc(t *testing.T) {
+	for _, s := range accShapes()[:3] {
+		t.Run(s.name, func(t *testing.T) {
+			in := s.input()
+			cfg := DefaultAccumulatorConfig()
+			first := in.batches[0]
+			a, err := NewAccumulatorDict(cfg, in.dict, first.Start, first.End)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pass := func() {
+				for _, cb := range in.batches {
+					if err := a.Reset(cfg, cb.Start, cb.End); err != nil {
+						t.Fatal(err)
+					}
+					if err := a.AddColumns(cb); err != nil {
+						t.Fatal(err)
+					}
+					_, st := a.Finalize()
+					cfg.EstimatedTuples, cfg.EstimatedKeys = st.Tuples, st.Keys
+				}
+			}
+			pass() // establish capacity
+			if allocs := testing.AllocsPerRun(3, pass); allocs != 0 {
+				t.Errorf("steady-state Reset+AddColumns+Finalize allocates %.0f times a pass of %d batches, want 0",
+					allocs, len(in.batches))
 			}
 		})
 	}
