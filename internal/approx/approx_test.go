@@ -7,10 +7,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strconv"
 	"testing"
 
 	"prompt/internal/codec"
+	"prompt/internal/intern"
 	"prompt/internal/tuple"
 )
 
@@ -404,8 +407,89 @@ func rankedKeys(batch map[string]float64) []string {
 		vals[i] = batch[k]
 	}
 	out := make([]string, len(keys))
-	for i, j := range rankOrder(keys, vals) {
+	for i, j := range rankOrder(vals) {
 		out[i] = keys[j]
 	}
 	return out
+}
+
+// TestEstimatorColumnsMatchMap pins the approximate tier's canonical
+// fold: for every kind, AddColumns with the IDs in shuffled order must
+// encode to the same bytes as AddBatch over the same result as a map,
+// batch after batch, on keys that share 8- and 16-byte prefixes, differ
+// in trailing NULs, are empty or hold bytes >= 0x80, and were interned
+// out of key order.
+func TestEstimatorColumnsMatchMap(t *testing.T) {
+	const p8, p16 = "abcdefgh", "abcdefghijklmnop"
+	var keys []string
+	for _, stem := range []string{"", "\x00", "ab", "ab\x00", "\x80", "\xff", p8, p8 + "\x00", p16, p16 + "\x80"} {
+		for _, suffix := range []string{"", "\x00", "\x00\x00", "a", "\x80", "\xff\x00", "k12345678"} {
+			if k := stem + suffix; !slices.Contains(keys, k) {
+				keys = append(keys, k)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	dict := intern.NewDict(0)
+	for _, k := range keys {
+		dict.Intern(k)
+	}
+	for _, kind := range Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			spec := Spec{Kind: kind, K: 12, Depth: 3, Width: 64, Precision: 8, Seed: 77}
+			cols, err := NewEstimator(spec, 3*tuple.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byMap, _ := NewEstimator(spec, 3*tuple.Second)
+			for b := 1; b <= 8; b++ {
+				perm := rng.Perm(len(keys))[:1+rng.Intn(len(keys))]
+				ids := make([]uint32, len(perm))
+				vals := make([]float64, len(perm))
+				result := make(map[string]float64, len(perm))
+				for i, j := range perm {
+					// Values tie, and their sums round differently in another order.
+					ids[i], vals[i] = uint32(j), []float64{1, 2, 0.1, 0.7, 1e16, 3}[rng.Intn(6)]
+					result[keys[j]] = vals[i]
+				}
+				end := tuple.Time(b) * tuple.Second
+				if err := cols.AddColumns(end, dict, ids, vals); err != nil {
+					t.Fatal(err)
+				}
+				if err := byMap.AddBatch(end, result); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(cols.Encode(), byMap.Encode()) {
+					t.Fatalf("batch %d (%d keys): AddColumns image differs from AddBatch's", b, len(ids))
+				}
+			}
+		})
+	}
+}
+
+// TestRankOrderMatchesSSLess checks Space-Saving's offer order, a stable
+// sort by value over ascending keys, against ssLess's (value desc, key
+// asc) on tied and NaN values.
+func TestRankOrderMatchesSSLess(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		keys := make([]string, rng.Intn(50))
+		vals := make([]float64, len(keys))
+		for i := range keys {
+			keys[i] = fmt.Sprintf("k%03d", i)
+			vals[i] = []float64{1, 2, 3, math.NaN(), math.Inf(-1), 0}[rng.Intn(6)]
+		}
+		want := make([]int, len(keys))
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			return ssLess(keys[a], vals[a], keys[b], vals[b])
+		})
+		if got := rankOrder(vals); !slices.Equal(got, want) {
+			t.Fatalf("rankOrder %v, want %v", got, want)
+		}
+	}
 }

@@ -3,11 +3,10 @@ package approx
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 
 	"prompt/internal/intern"
 	"prompt/internal/tuple"
+	"prompt/internal/window"
 )
 
 // partial is one batch's summary while the batch is inside the window —
@@ -42,6 +41,12 @@ type Estimator struct {
 	ss   *SpaceSaving
 	hll  *HLL
 	samp *Sample
+
+	// AddColumns' key order and the sorted columns it folds, reused
+	// batch to batch.
+	order intern.Sorter
+	keys  []string
+	vals  []float64
 }
 
 // NewEstimator builds an estimator for the given window length (use the
@@ -77,15 +82,17 @@ func (e *Estimator) Window() tuple.Time { return e.win }
 // order, whatever the column order.
 func (e *Estimator) AddColumns(end tuple.Time, dict *intern.Dict, ids []uint32, vals []float64) error {
 	strs := dict.Strings()
-	order := make([]int, len(ids))
-	for i := range order {
-		order[i] = i
+	items := e.order.Items[:0]
+	for j, id := range ids {
+		items = append(items, intern.Item{Prefix: intern.KeyPrefix(strs[id]), Idx: int32(j)})
 	}
-	slices.SortFunc(order, func(a, b int) int { return strings.Compare(strs[ids[a]], strs[ids[b]]) })
-	keys, sorted := make([]string, len(ids)), make([]float64, len(ids))
-	for i, j := range order {
-		keys[i], sorted[i] = strs[ids[j]], vals[j]
+	e.order.Items = items
+	keys, sorted := e.keys[:0], e.vals[:0]
+	for _, it := range e.order.Sort(func(j int32) string { return strs[ids[j]] }) {
+		keys = append(keys, strs[ids[it.Idx]])
+		sorted = append(sorted, vals[it.Idx])
 	}
+	e.keys, e.vals = keys, sorted
 	return e.add(end, keys, sorted)
 }
 
@@ -129,7 +136,7 @@ func (e *Estimator) buildPartial(end tuple.Time, keys []string, vals []float64) 
 		p.ss = NewSpaceSaving(e.spec.K)
 		// Offer heavy keys first (value desc, key asc): a static batch
 		// folds into a partial whose top counters are exact.
-		for _, i := range rankOrder(keys, vals) {
+		for _, i := range rankOrder(vals) {
 			p.ss.Offer(keys[i], vals[i])
 		}
 	case HLLKind:
@@ -152,16 +159,14 @@ func (e *Estimator) buildPartial(end tuple.Time, keys []string, vals []float64) 
 }
 
 // rankOrder returns the Space-Saving offer order of a batch whose keys
-// ascend: their indices by (value desc, key asc).
-func rankOrder(keys []string, vals []float64) []int {
-	order := make([]int, len(keys))
+// ascend: their indices by (value desc, key asc). The keys ascend with
+// their indices, so a stable sort by value keeps ties in key order.
+func rankOrder(vals []float64) []int {
+	order := make([]int, len(vals))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		return ssLess(keys[a], vals[a], keys[b], vals[b])
-	})
+	slices.SortStableFunc(order, func(a, b int) int { return window.CompareValDesc(vals[a], vals[b]) })
 	return order
 }
 

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 	"strings"
 
 	"prompt/internal/approx"
@@ -243,24 +242,24 @@ func decodeDict(payload []byte) (*intern.Dict, error) {
 // appendLastResults writes each query's last result (or its absence) as a
 // key column in ascending order and the matching value column.
 func (e *Engine) appendLastResults(b []byte) []byte {
+	strs := e.dict.Strings()
+	var order intern.Sorter
 	b = codec.AppendUvarint(b, uint64(len(e.lastResults)))
 	for _, last := range e.lastResults {
 		b = codec.AppendBool(b, last != nil)
-		var res map[string]float64
+		order.Items = order.Items[:0]
 		if last != nil {
-			res = last.Map(e.dict)
+			for j, id := range last.IDs {
+				order.Items = append(order.Items, intern.Item{Prefix: intern.KeyPrefix(strs[id]), Idx: int32(j)})
+			}
 		}
-		keys := make([]string, 0, len(res))
-		for k := range res {
-			keys = append(keys, k)
+		sorted := order.Sort(func(j int32) string { return strs[last.IDs[j]] })
+		b = codec.AppendUvarint(b, uint64(len(sorted)))
+		for _, it := range sorted {
+			b = codec.AppendString(b, strs[last.IDs[it.Idx]])
 		}
-		slices.Sort(keys)
-		b = codec.AppendUvarint(b, uint64(len(keys)))
-		for _, k := range keys {
-			b = codec.AppendString(b, k)
-		}
-		for _, k := range keys {
-			b = codec.AppendFloat(b, res[k])
+		for _, it := range sorted {
+			b = codec.AppendFloat(b, last.Vals[it.Idx])
 		}
 	}
 	return b

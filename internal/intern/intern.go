@@ -25,6 +25,13 @@
 // that rescaling moves between owners — and because the dictionary is
 // append-only the slot is computed once, at intern time, and cached
 // beside the string, so no later layer hashes a key for placement again.
+//
+// The package also owns the key order. Sorter is the one key-ordered sort
+// of the batch path — Algorithm 1's heartbeat order, Algorithm 3's cluster
+// order, the approximate tier's fold and the checkpoint's result columns —
+// a radix sort over a caller's primary key and the key's 8-byte prefix
+// that reads later key bytes only to break prefix ties, and orders keys
+// exactly as strings.Compare does.
 package intern
 
 import (

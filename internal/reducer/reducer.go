@@ -7,11 +7,10 @@ package reducer
 
 import (
 	"fmt"
-	"slices"
-	"strings"
 	"sync"
 
 	"prompt/internal/hashutil"
+	"prompt/internal/intern"
 	"prompt/internal/tuple"
 )
 
@@ -99,7 +98,7 @@ func (p *PromptAllocator) Name() string {
 // never pooled — it escapes to the shuffle.
 type assignScratch struct {
 	load      []int
-	nonSplit  []int
+	nonSplit  intern.Sorter // non-split clusters, Idx the cluster index
 	available []bool
 }
 
@@ -115,7 +114,7 @@ func (s *assignScratch) reset(r int) {
 	for i := 0; i < r; i++ {
 		s.load[i] = 0
 	}
-	s.nonSplit = s.nonSplit[:0]
+	s.nonSplit.Items = s.nonSplit.Items[:0]
 }
 
 // Assign implements Assigner.
@@ -144,28 +143,23 @@ func (p *PromptAllocator) Assign(taskID int, clusters []tuple.Cluster, ref map[s
 
 	// Step 1: split keys route by hashing; their load is charged up front
 	// so the residual capacities below reflect it.
-	nonSplit := scratch.nonSplit // cluster indices
+	items := scratch.nonSplit.Items
 	for i := range clusters {
-		info, ok := ref[clusters[i].Key]
+		c := &clusters[i]
+		info, ok := ref[c.Key]
 		if ok && info.Split {
-			b := hashutil.Bucket(clusters[i].Key, r)
+			b := hashutil.Bucket(c.Key, r)
 			out[i] = b
-			load[b] += clusters[i].Size
+			load[b] += c.Size
 		} else {
-			nonSplit = append(nonSplit, i)
+			items = append(items, intern.Item{Hi: ^uint64(c.Size), Prefix: intern.KeyPrefix(c.Key), Idx: int32(i)})
 		}
 	}
-	scratch.nonSplit = nonSplit
+	scratch.nonSplit.Items = items
 
 	// Step 2: sort non-split clusters by size descending (key ascending as
 	// tie-break for determinism).
-	slices.SortFunc(nonSplit, func(a, b int) int {
-		ca, cb := clusters[a], clusters[b]
-		if ca.Size != cb.Size {
-			return cb.Size - ca.Size
-		}
-		return strings.Compare(ca.Key, cb.Key)
-	})
+	nonSplit := scratch.nonSplit.Sort(func(i int32) string { return clusters[i].Key })
 
 	// Step 3: Worst-Fit with rotation. available marks candidate buckets;
 	// once a bucket takes a cluster it waits until all others have too.
@@ -177,7 +171,8 @@ func (p *PromptAllocator) Assign(taskID int, clusters []tuple.Cluster, ref map[s
 	}
 	resetAvail()
 	remaining := r
-	for _, ci := range nonSplit {
+	for _, it := range nonSplit {
+		ci := it.Idx
 		// Worst fit among available buckets: max residual capacity
 		// (bucketSize - load); ties broken by the task-rotated order.
 		best, bestRoom := -1, 0

@@ -1,10 +1,14 @@
 package reducer
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"prompt/internal/hashutil"
 	"prompt/internal/metrics"
 	"prompt/internal/tuple"
 )
@@ -214,5 +218,92 @@ func TestPromptAllocatorEmpty(t *testing.T) {
 	}
 	if len(out) != 0 {
 		t.Errorf("got %d assignments for no clusters", len(out))
+	}
+}
+
+// oracleAssign is Algorithm 3 as it was written with a comparator sort —
+// size descending, then strings.Compare on the keys — kept as the oracle
+// of PromptAllocator.Assign's shared key order.
+func oracleAssign(noRotation bool, taskID int, clusters []tuple.Cluster, ref map[string]tuple.SplitInfo, r int) []int {
+	offset := taskID % r
+	out := make([]int, len(clusters))
+	total := 0
+	for _, c := range clusters {
+		total += c.Size
+	}
+	bucketSize := (total + r - 1) / r
+	load := make([]int, r)
+	var nonSplit []int
+	for i, c := range clusters {
+		if ref[c.Key].Split {
+			out[i] = hashutil.Bucket(c.Key, r)
+			load[out[i]] += c.Size
+		} else {
+			nonSplit = append(nonSplit, i)
+		}
+	}
+	slices.SortFunc(nonSplit, func(a, b int) int {
+		if c := cmp.Compare(clusters[b].Size, clusters[a].Size); c != 0 {
+			return c
+		}
+		return strings.Compare(clusters[a].Key, clusters[b].Key)
+	})
+	served := make([]bool, r)
+	remaining := r
+	for _, ci := range nonSplit {
+		best := -1
+		for i := 0; i < r; i++ {
+			b := (offset + i) % r
+			if !served[b] && (best == -1 || bucketSize-load[b] > bucketSize-load[best]) {
+				best = b
+			}
+		}
+		out[ci] = best
+		load[best] += clusters[ci].Size
+		if noRotation {
+			continue
+		}
+		served[best] = true
+		if remaining--; remaining == 0 {
+			clear(served)
+			remaining = r
+		}
+	}
+	return out
+}
+
+// TestPromptAllocatorMatchesComparatorOracle checks Assign against its
+// comparator-sorted oracle on random clusters whose sizes tie and whose
+// keys share 8- and 16-byte prefixes, differ in trailing NULs, are empty
+// or hold bytes >= 0x80, with and without rotation and split keys.
+func TestPromptAllocatorMatchesComparatorOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	stems := []string{"", "\x00", "ab", "ab\x00", "\x80", "\xff", "abcdefgh", "abcdefgh\x00", "abcdefghijklmnop", "abcdefghijklmnop\x80"}
+	for trial := 0; trial < 400; trial++ {
+		seen := make(map[string]bool)
+		var cs []tuple.Cluster
+		ref := make(map[string]tuple.SplitInfo)
+		for n := rng.Intn(80); len(cs) < n; { // of 100 distinct keys
+			key := stems[rng.Intn(len(stems))]
+			if rng.Intn(3) > 0 {
+				key += string([]byte{byte(rng.Intn(3)), "a\x80\xff"[rng.Intn(3)]})
+			}
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			c := tuple.Cluster{Key: key, ID: uint32(len(cs)), Size: 1 + rng.Intn(4)}
+			cs = append(cs, c)
+			ref[key] = tuple.SplitInfo{Split: rng.Intn(8) == 0, TotalSize: c.Size, Fragments: 1}
+		}
+		r := 1 + rng.Intn(6)
+		p := &PromptAllocator{NoRotation: trial%4 == 3}
+		got, err := p.Assign(trial, cs, ref, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleAssign(p.NoRotation, trial, cs, ref, r); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (r=%d, %d clusters): Assign %v, oracle %v", trial, r, len(cs), got, want)
+		}
 	}
 }

@@ -7,11 +7,14 @@
 //
 // The per-key tuple lists are not grown per arrival: the fold counts each
 // arrival against its key's entry and logs the row, and a counting scatter
-// then cuts every key's rows out of one arena as a contiguous run.
+// then cuts every key's rows out of one arena as a contiguous run. The
+// heartbeat order comes from the batch path's one key order,
+// intern.Sorter, a radix sort over the published frequency and the key's
+// cached 8-byte prefix; only the post-sort baselines (SortKeysDesc)
+// compare key strings.
 package stats
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -95,7 +98,8 @@ type BatchStats struct {
 // interval ends. Here a batch arrives whole and is folded on one
 // goroutine, so online upkeep hides nothing; the order the tree would
 // yield is a pure function of the final (published frequency, key)
-// pairs, and Finalize computes exactly that order with one sort.
+// pairs, and Finalize computes exactly that order with one radix sort
+// (intern.Sorter).
 //
 // The paper's HTable of per-key tuple lists is built in two passes over
 // one arrival log. The fold (pass 1) runs the budget arithmetic per
@@ -141,26 +145,8 @@ type Accumulator struct {
 	arena  tuple.ColSlice
 	cursor []int32
 
-	ranks, spare []rank      // Finalize sort buffers, reused across batches
-	out          []SortedKey // Finalize output, reused across batches
-}
-
-// rank is one key's Finalize sort key, complemented so that ascending is
-// the order Finalize wants: its published frequency, the first eight
-// bytes of its string, and its HTable arena index.
-type rank struct {
-	freq   uint64 // ^FreqUpdated
-	prefix uint64 // ^keyPrefix(Key)
-	idx    int32
-}
-
-// digit returns byte d of the rank's sort key, d = 0 the least
-// significant: bytes 0–7 are the prefix's, 8–15 the frequency's.
-func (r *rank) digit(d int) uint8 {
-	if d < 8 {
-		return uint8(r.prefix >> (8 * d))
-	}
-	return uint8(r.freq >> (8 * (d - 8)))
+	order intern.Sorter // Finalize's sort, reused across batches
+	out   []SortedKey   // Finalize output, reused across batches
 }
 
 // NewAccumulator returns an accumulator for the batch interval
@@ -395,19 +381,21 @@ func (a *Accumulator) publish(e *KeyEntry, now tuple.Time) {
 func (a *Accumulator) Finalize() ([]SortedKey, BatchStats) {
 	a.seal()
 	entries := a.ht.entries
-	ranks := a.ranks[:0]
+	items := a.order.Items[:0]
 	for i := range entries {
-		ranks = append(ranks, rank{freq: ^uint64(entries[i].FreqUpdated), prefix: ^a.ht.prefixes[i], idx: int32(i)})
+		items = append(items, intern.Item{Hi: uint64(entries[i].FreqUpdated), Prefix: a.ht.prefixes[i], Idx: int32(i)})
 	}
-	a.ranks = ranks
-	ranks = a.sortRanks()
+	a.order.Items = items
+	keys := a.ht.keys
+	sorted := a.order.Sort(func(i int32) string { return keys[i] })
 	out := a.out[:0]
 	ar := a.arena
-	for _, r := range ranks {
-		e := &entries[r.idx]
-		hi := int(a.cursor[r.idx])
+	for k := len(sorted) - 1; k >= 0; k-- { // descending
+		it := sorted[k]
+		e := &entries[it.Idx]
+		hi := int(a.cursor[it.Idx])
 		lo := hi - e.FreqCurrent
-		out = append(out, SortedKey{Key: a.ht.keys[r.idx], ID: e.ID, Count: e.FreqCurrent, Cols: tuple.ColSlice{
+		out = append(out, SortedKey{Key: keys[it.Idx], ID: e.ID, Count: e.FreqCurrent, Cols: tuple.ColSlice{
 			TS: ar.TS[lo:hi:hi], Vals: ar.Vals[lo:hi:hi], W: ar.W[lo:hi:hi],
 		}})
 	}
@@ -420,99 +408,6 @@ func (a *Accumulator) Finalize() ([]SortedKey, BatchStats) {
 		End:         a.end,
 	}
 	return out, st
-}
-
-// sortRanks sorts a.ranks ascending — published frequency descending,
-// then key descending — and returns them, in either of its two buffers.
-func (a *Accumulator) sortRanks() []rank {
-	n := len(a.ranks)
-	if cap(a.spare) < n {
-		a.spare = make([]rank, n)
-	}
-	sorted, spare := radixSort(a.ranks, a.spare[:n])
-	a.breakTies(sorted, spare, 8)
-	a.ranks, a.spare = sorted, spare
-	return sorted
-}
-
-// breakTies orders each run of ranks that agree on (freq, prefix) by the
-// next eight bytes of their keys, from byte off on, recursing until the
-// keys differ. Keys still tied when all are exhausted differ only in
-// trailing NUL bytes, and the longer is the greater.
-func (a *Accumulator) breakTies(ranks, spare []rank, off int) {
-	keys := a.ht.keys
-	for i := 0; i < len(ranks); {
-		j := i + 1
-		for j < len(ranks) && ranks[j].freq == ranks[i].freq && ranks[j].prefix == ranks[i].prefix {
-			j++
-		}
-		run := ranks[i:j]
-		i = j
-		if len(run) < 2 {
-			continue
-		}
-		longest := 0
-		for k := range run {
-			key := keys[run[k].idx]
-			longest = max(longest, len(key))
-			run[k].prefix = ^keyPrefix(key[min(off, len(key)):])
-		}
-		if longest <= off {
-			slices.SortFunc(run, func(x, y rank) int {
-				return len(keys[y.idx]) - len(keys[x.idx])
-			})
-			continue
-		}
-		if sorted, _ := radixSort(run, spare[:len(run)]); &sorted[0] != &run[0] {
-			copy(run, sorted)
-		}
-		a.breakTies(run, spare, off+8)
-	}
-}
-
-// radixSort sorts ranks ascending by (freq, prefix) with an LSD radix
-// sort: one stable counting pass per byte that not every rank shares
-// (short keys' zero padding and a frequency's high bytes are skipped),
-// scattering between ranks and tmp, a buffer of the same length. It
-// returns the buffer holding the result first and the other second.
-func radixSort(ranks, tmp []rank) (sorted, spare []rank) {
-	andF, andP := ^uint64(0), ^uint64(0)
-	var orF, orP uint64
-	for i := range ranks {
-		andF, orF = andF&ranks[i].freq, orF|ranks[i].freq
-		andP, orP = andP&ranks[i].prefix, orP|ranks[i].prefix
-	}
-	varying := [2]uint64{andP ^ orP, andF ^ orF}
-	var counts [256]int32
-	for d := 0; d < 16; d++ {
-		if uint8(varying[d/8]>>(8*(d%8))) == 0 {
-			continue // every rank has the same byte here
-		}
-		clear(counts[:])
-		for i := range ranks {
-			counts[ranks[i].digit(d)]++
-		}
-		var sum int32
-		for b := range counts {
-			counts[b], sum = sum, sum+counts[b]
-		}
-		for i := range ranks {
-			b := ranks[i].digit(d)
-			tmp[counts[b]] = ranks[i]
-			counts[b]++
-		}
-		ranks, tmp = tmp, ranks
-	}
-	return ranks, tmp
-}
-
-// keyPrefix is the first eight bytes of key, big-endian and zero-padded:
-// prefixes in descending order are keys in descending order, and keys
-// with equal prefixes need the full comparison.
-func keyPrefix(key string) uint64 {
-	var b [8]byte
-	copy(b[:], key)
-	return binary.BigEndian.Uint64(b[:])
 }
 
 // PostSort is the baseline the paper compares against in Figure 14a: buffer

@@ -45,7 +45,7 @@ type HTable struct {
 	slot     []int32    // intern ID -> entry index + 1; 0 = absent this batch
 	entries  []KeyEntry // dense per-batch entry arena, reused across batches
 	keys     []string   // entry index -> key string (cold)
-	prefixes []uint64   // entry index -> keyPrefix(key) (cold)
+	prefixes []uint64   // entry index -> intern.KeyPrefix(key) (cold)
 }
 
 // NewHTableDict returns an empty table addressing entries by their intern
@@ -81,7 +81,7 @@ func (h *HTable) PutID(id uint32, key string) int32 {
 	n := int32(len(h.entries))
 	h.entries = append(h.entries, KeyEntry{ID: id})
 	h.keys = append(h.keys, key)
-	h.prefixes = append(h.prefixes, keyPrefix(key))
+	h.prefixes = append(h.prefixes, intern.KeyPrefix(key))
 	h.slot[id] = n + 1
 	return n
 }
