@@ -15,6 +15,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -48,7 +49,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "real worker goroutines (0 = single-goroutine driver, -1 = GOMAXPROCS)")
 		pipeline    = flag.Int("pipeline", 1, "inter-batch pipeline depth: overlap up to N consecutive batches (answers unchanged, wall-clock only)")
 		elasticOn   = flag.Bool("elastic", false, "enable the auto-scale controller (Algorithm 4)")
-		elasticPol  = flag.String("elastic-policy", "threshold", "auto-scale policy with -elastic: threshold|predictive|cost")
+		elasticPol  = flag.String("elastic-policy", "threshold", "auto-scale policy with -elastic: "+strings.Join(elastic.Names(), "|"))
 		seed        = flag.Int64("seed", 1, "workload seed")
 		input       = flag.String("input", "", "replay a recorded CSV trace (streamgen format) instead of generating")
 		csvOut      = flag.String("csv", "", "also write the per-batch reports as CSV to this file")
@@ -209,18 +210,7 @@ func main() {
 			fatal(err)
 		}
 	case *elasticOn:
-		var ctrl elastic.Policy
-		var err error
-		switch *elasticPol {
-		case "threshold":
-			ctrl, err = elastic.NewController(elastic.DefaultConfig(), *mapTasks, *reduceTasks)
-		case "predictive":
-			ctrl, err = elastic.NewPredictive(elastic.DefaultConfig(), *mapTasks, *reduceTasks)
-		case "cost":
-			ctrl, err = elastic.NewCostAware(elastic.DefaultConfig(), cfg.Cost, cfg.BatchInterval, *mapTasks, *reduceTasks)
-		default:
-			err = fmt.Errorf("unknown -elastic-policy %q (threshold|predictive|cost)", *elasticPol)
-		}
+		ctrl, err := elastic.New(*elasticPol, elastic.DefaultConfig(), cfg.Cost, cfg.BatchInterval, *mapTasks, *reduceTasks)
 		if err != nil {
 			fatal(err)
 		}

@@ -118,7 +118,7 @@ func (s *Stream) ProcessReceivedContext(ctx context.Context, r *Receiver) (Batch
 		return BatchReport{}, err
 	}
 	br := newBatchReport(s.scheme.Name, rep)
-	if err := s.observeElastic(br); err != nil {
+	if err := s.observeElastic(rep); err != nil {
 		return br, err
 	}
 	return br, nil

@@ -61,8 +61,8 @@
 //
 // # Elasticity
 //
-// WithElasticity attaches a latency-aware auto-scale policy (threshold,
-// predictive, or cost-aware) that observes every batch report and resizes
+// WithElasticity attaches a latency-aware auto-scale policy (threshold or
+// cost-aware) that observes every batch report and resizes
 // the Map/Reduce parallelism within [min, max]. Every resize — and every
 // explicit Rescale call — changes the key-range owner count at a batch
 // boundary: the affected window state is extracted, serialized, and

@@ -2,13 +2,16 @@ package prompt
 
 import (
 	"fmt"
+	"slices"
 
+	"prompt/internal/core"
 	"prompt/internal/elastic"
 	"prompt/internal/engine"
 )
 
-// ElasticPolicy names an autoscaling policy for WithElasticity. Policies
-// are deterministic functions of the per-batch reports, so elastic runs
+// ElasticPolicy names an autoscaling policy for WithElasticity:
+// ElasticThreshold (the default) or ElasticCostAware. Policies are
+// deterministic functions of the per-batch reports, so elastic runs
 // replay bit-identically; the migration machinery keeps windowed answers
 // bit-identical to a static run regardless of how often the policy acts.
 type ElasticPolicy string
@@ -17,13 +20,10 @@ type ElasticPolicy string
 const (
 	// ElasticThreshold is the paper's Algorithm 4: scale out after the
 	// stability ratio W exceeds the threshold for d consecutive batches,
-	// scale in after it stays below threshold-step for d batches. The
-	// default.
+	// scale in after it stays below threshold-step for d batches — one
+	// task per stage at a time, and only if W scaled by the release would
+	// stay under the threshold. The default.
 	ElasticThreshold ElasticPolicy = "threshold"
-	// ElasticPredictive extrapolates the arrival-rate trend one batch
-	// ahead (least-squares slope) and feeds the predicted stability ratio
-	// to the threshold machinery, acting before the overload it forecasts.
-	ElasticPredictive ElasticPolicy = "predictive"
 	// ElasticCostAware plans with the simulator's cost model: each batch
 	// it searches the (map, reduce) grid for the cheapest configuration
 	// whose predicted W sits inside the stability band, calibrated
@@ -41,19 +41,17 @@ func (p ElasticPolicy) String() string {
 
 // ElasticPolicies lists the built-in policies in stable order.
 func ElasticPolicies() []ElasticPolicy {
-	return []ElasticPolicy{ElasticThreshold, ElasticPredictive, ElasticCostAware}
+	return []ElasticPolicy{ElasticThreshold, ElasticCostAware}
 }
 
 // ParseElasticPolicy resolves a policy name; the empty string selects
 // ElasticThreshold. Unknown names wrap ErrBadConfig.
 func ParseElasticPolicy(s string) (ElasticPolicy, error) {
-	switch ElasticPolicy(s) {
-	case "", ElasticThreshold:
+	if s == "" {
 		return ElasticThreshold, nil
-	case ElasticPredictive:
-		return ElasticPredictive, nil
-	case ElasticCostAware:
-		return ElasticCostAware, nil
+	}
+	if p := ElasticPolicy(s); slices.Contains(ElasticPolicies(), p) {
+		return p, nil
 	}
 	return "", fmt.Errorf("%w: unknown elastic policy %q (have %v)", ErrBadConfig, s, ElasticPolicies())
 }
@@ -76,9 +74,10 @@ func (e Elasticity) enabled() bool {
 	return e.Policy != "" || e.MinTasks > 0 || e.MaxTasks > 0
 }
 
-// build resolves the elasticity settings against the engine's resolved
-// configuration into a running policy; errors wrap ErrBadConfig.
-func (e Elasticity) build(ec engine.Config) (elastic.Policy, error) {
+// build resolves the elasticity settings against the engine into the
+// driver that observes every committed batch and applies the policy's
+// decisions; nil when elasticity is off. Errors wrap ErrBadConfig.
+func (e Elasticity) build(eng *engine.Engine) (*core.ElasticDriver, error) {
 	if !e.enabled() {
 		return nil, nil
 	}
@@ -89,6 +88,7 @@ func (e Elasticity) build(ec engine.Config) (elastic.Policy, error) {
 	if min < 1 || (max != 0 && max < min) {
 		return nil, fmt.Errorf("%w: elasticity bounds [%d, %d] are inverted", ErrBadConfig, e.MinTasks, e.MaxTasks)
 	}
+	ec := eng.Config()
 	m, r := ec.MapTasks, ec.ReduceTasks
 	if m < min || r < min || (max != 0 && (m > max || r > max)) {
 		return nil, fmt.Errorf("%w: initial parallelism p=%d r=%d outside elasticity bounds [%d, %d]",
@@ -97,23 +97,13 @@ func (e Elasticity) build(ec engine.Config) (elastic.Policy, error) {
 	cfg := elastic.DefaultConfig()
 	cfg.MinMapTasks, cfg.MinReduceTasks = min, min
 	cfg.MaxMapTasks, cfg.MaxReduceTasks = max, max
-
-	var (
-		p   elastic.Policy
-		err error
-	)
-	switch e.Policy {
-	case "", ElasticThreshold:
-		p, err = elastic.NewController(cfg, m, r)
-	case ElasticPredictive:
-		p, err = elastic.NewPredictive(cfg, m, r)
-	case ElasticCostAware:
-		p, err = elastic.NewCostAware(cfg, ec.Cost, ec.BatchInterval, m, r)
-	default:
-		return nil, fmt.Errorf("%w: unknown elastic policy %q (have %v)", ErrBadConfig, e.Policy, ElasticPolicies())
-	}
+	p, err := elastic.New(string(e.Policy), cfg, ec.Cost, ec.BatchInterval, m, r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	return p, nil
+	d, err := core.NewElasticDriver(eng, p, nil)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
+	return d, nil
 }

@@ -82,13 +82,13 @@ func TestIntegrationElasticWithRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Replicate, process, let the controller act.
-		if _, err := re.Step(ts, start, end); err != nil {
+		// Replicate, process, let the driver apply the controller's
+		// decision (parallelism, ownership, cores).
+		rep, err := re.Step(ts, start, end)
+		if err != nil {
 			t.Fatal(err)
 		}
-		rep := re.Reports()[len(re.Reports())-1]
-		act := ctrl.Observe(elastic.Observation{W: rep.W, Tuples: rep.Tuples, Keys: rep.Keys})
-		if err := re.SetParallelism(act.MapTasks, act.ReduceTasks); err != nil {
+		if _, err := driver.Observe(rep); err != nil {
 			t.Fatal(err)
 		}
 		cp := map[string]float64{}
@@ -113,11 +113,20 @@ func TestIntegrationElasticWithRecovery(t *testing.T) {
 			}
 		}
 	}
-	_ = driver
 	// Scale-out happened under the 7.5x ramp.
 	last := re.Reports()[len(re.Reports())-1]
 	if last.MapTasks <= 2 && last.ReduceTasks <= 2 {
 		t.Errorf("controller never scaled out: %+v", last)
+	}
+	// The pool's cores cover the widest stage of the next batch, and the
+	// engine runs on them; key-range ownership follows the Map task count.
+	if next := re.Config(); pool.Cores() < max(next.MapTasks, next.ReduceTasks) || next.Cores != pool.Cores() {
+		t.Errorf("engine cores %d, pool cores %d, next batch p=%d r=%d",
+			next.Cores, pool.Cores(), next.MapTasks, next.ReduceTasks)
+	}
+	if re.Owners() != last.MapTasks || re.Migrations() == 0 {
+		t.Errorf("owners %d after %d migrations, want the Map task count %d",
+			re.Owners(), re.Migrations(), last.MapTasks)
 	}
 }
 

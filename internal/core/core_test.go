@@ -216,8 +216,16 @@ func TestElasticDriverScalesOutUnderRisingLoad(t *testing.T) {
 	if pool.Cores() < wide {
 		t.Errorf("pool cores %d below widest stage %d", pool.Cores(), wide)
 	}
-	if len(d.Actions()) != 20 {
-		t.Errorf("recorded %d actions, want 20", len(d.Actions()))
+	// Every decision reached the engine: policy and engine agree on the
+	// parallelism the next batch would run at.
+	pm, pr := d.Policy.Parallelism()
+	if cfg := d.Engine.Config(); cfg.MapTasks != pm || cfg.ReduceTasks != pr {
+		t.Errorf("engine at p=%d r=%d, policy at p=%d r=%d", cfg.MapTasks, cfg.ReduceTasks, pm, pr)
+	}
+	// Key-range ownership follows the Map task count: the owners a
+	// decision requests take over at the end of the batch it first runs.
+	if got := d.Engine.Owners(); got != last.MapTasks {
+		t.Errorf("owners %d, want the last batch's Map task count %d", got, last.MapTasks)
 	}
 }
 
@@ -244,5 +252,75 @@ func TestElasticDriverScalesInUnderFallingLoad(t *testing.T) {
 	}
 	if pool.Held() >= held0 {
 		t.Errorf("executors not released: %d -> %d", held0, pool.Held())
+	}
+}
+
+// scripted is a Policy that replays fixed actions, then holds.
+type scripted struct {
+	m, r int
+	acts []elastic.Action
+}
+
+func (s *scripted) Parallelism() (int, int) { return s.m, s.r }
+
+func (s *scripted) Observe(elastic.Observation) elastic.Action {
+	if len(s.acts) == 0 {
+		return elastic.Action{MapTasks: s.m, ReduceTasks: s.r, Reason: "hold"}
+	}
+	act := s.acts[0]
+	s.acts = s.acts[1:]
+	s.m, s.r = act.MapTasks, act.ReduceTasks
+	return act
+}
+
+// TestElasticDriverObserveAppliesAction: Observe is the one place an
+// Action becomes engine state. A decision sets the parallelism, fits the
+// pool's cores to the widest stage, and moves key-range ownership to the
+// Map task count even where that differs from the core count; a hold
+// changes nothing, and a nil pool leaves the cores alone.
+func TestElasticDriverObserveAppliesAction(t *testing.T) {
+	keys, err := workload.NewUniformSampler("k", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, withPool := range []bool{true, false} {
+		cfg := PromptScheme().Apply(engine.Config{BatchInterval: tuple.Second, MapTasks: 2, ReduceTasks: 2, Cores: 2})
+		eng, err := engine.New(cfg, engine.WordCount(window.Sliding(5*tuple.Second, tuple.Second)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pool *cluster.ExecutorPool
+		if withPool {
+			if pool, err = cluster.NewExecutorPool(8, 2, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		policy := &scripted{m: 2, r: 2, acts: []elastic.Action{
+			{MapTasks: 3, ReduceTasks: 5, Direction: +1},
+			{MapTasks: 4, ReduceTasks: 7, Direction: +1},
+		}}
+		d, err := NewElasticDriver(eng, policy, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &workload.Source{Name: "flat", Rate: workload.ConstantRate(2000), Keys: keys, Seed: 9}
+		reports, err := d.RunBatches(src, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two-core executors: three cover five Reduce tasks, four cover
+		// seven.
+		six, eight := 6, 8
+		if !withPool {
+			six, eight = 2, 2
+		}
+		for i, want := range [][3]int{{2, 2, 2}, {3, 5, six}, {4, 7, eight}, {4, 7, eight}} {
+			if got := [3]int{reports[i].MapTasks, reports[i].ReduceTasks, reports[i].Cores}; got != want {
+				t.Errorf("pool %v, batch %d ran at p, r, cores = %v, want %v", withPool, i, got, want)
+			}
+		}
+		if eng.Owners() != 4 {
+			t.Errorf("pool %v: %d owners, want the Map task count 4", withPool, eng.Owners())
+		}
 	}
 }

@@ -11,24 +11,21 @@ import (
 )
 
 // ElasticDriver couples an engine with an auto-scale policy (the
-// threshold controller of Algorithm 4, or the predictive / cost-aware
-// variants) and an executor pool: after every batch the policy observes
-// W and the batch statistics, decides the next parallelism, and the
-// driver acquires or releases executors so the core count tracks the
-// task count — the Figure 12 setup.
+// threshold controller of Algorithm 4, or the cost-aware planner) and,
+// optionally, an executor pool: after every batch the policy observes W
+// and the batch statistics, decides the next parallelism, and Observe
+// applies it — the Figure 12 setup, and the public API's elastic streams.
 type ElasticDriver struct {
 	Engine *engine.Engine
 	Policy elastic.Policy
-	Pool   *cluster.ExecutorPool
-
-	actions []elastic.Action
+	Pool   *cluster.ExecutorPool // nil leaves the engine's cores alone
 }
 
-// NewElasticDriver wires the three components. The engine's initial
-// parallelism must match the policy's.
+// NewElasticDriver wires the components; p may be nil. The engine's
+// initial parallelism must match the policy's.
 func NewElasticDriver(e *engine.Engine, c elastic.Policy, p *cluster.ExecutorPool) (*ElasticDriver, error) {
-	if e == nil || c == nil || p == nil {
-		return nil, fmt.Errorf("core: elastic driver needs engine, policy and pool")
+	if e == nil || c == nil {
+		return nil, fmt.Errorf("core: elastic driver needs an engine and a policy")
 	}
 	cm, cr := c.Parallelism()
 	if cfg := e.Config(); cfg.MapTasks != cm || cfg.ReduceTasks != cr {
@@ -36,17 +33,14 @@ func NewElasticDriver(e *engine.Engine, c elastic.Policy, p *cluster.ExecutorPoo
 			cfg.MapTasks, cfg.ReduceTasks, cm, cr)
 	}
 	d := &ElasticDriver{Engine: e, Policy: c, Pool: p}
-	if err := d.resize(cm, cr); err != nil {
+	if err := d.fitCores(cm, cr); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// Actions returns the controller decisions so far, one per batch.
-func (d *ElasticDriver) Actions() []elastic.Action { return d.actions }
-
 // RunBatches processes n consecutive batches from the source, applying the
-// controller's decision between batches.
+// policy's decision between batches.
 func (d *ElasticDriver) RunBatches(src workload.Stream, n int) ([]engine.BatchReport, error) {
 	reports := make([]engine.BatchReport, 0, n)
 	for i := 0; i < n; i++ {
@@ -56,7 +50,7 @@ func (d *ElasticDriver) RunBatches(src workload.Stream, n int) ([]engine.BatchRe
 		if err != nil {
 			return reports, err
 		}
-		rep, err := d.Step(tuples, start, end)
+		rep, _, err := d.Step(tuples, start, end)
 		if err != nil {
 			return reports, err
 		}
@@ -65,32 +59,48 @@ func (d *ElasticDriver) RunBatches(src workload.Stream, n int) ([]engine.BatchRe
 	return reports, nil
 }
 
-// Step processes one batch and applies the resulting scaling decision.
-func (d *ElasticDriver) Step(tuples []tuple.Tuple, start, end tuple.Time) (engine.BatchReport, error) {
+// Step processes one batch, then applies and returns the resulting
+// scaling decision (Observe).
+func (d *ElasticDriver) Step(tuples []tuple.Tuple, start, end tuple.Time) (engine.BatchReport, elastic.Action, error) {
 	rep, err := d.Engine.Step(tuples, start, end)
 	if err != nil {
-		return rep, err
+		return rep, elastic.Action{}, err
 	}
-	act := d.Policy.Observe(elastic.Observation{W: rep.W, Tuples: rep.Tuples, Keys: rep.Keys})
-	d.actions = append(d.actions, act)
-	if err := d.resize(act.MapTasks, act.ReduceTasks); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	act, err := d.Observe(rep)
+	return rep, act, err
 }
 
-// resize sets the engine parallelism and adjusts the executor pool so the
-// held cores cover the widest stage.
-func (d *ElasticDriver) resize(mapTasks, reduceTasks int) error {
-	if err := d.Engine.SetParallelism(mapTasks, reduceTasks); err != nil {
-		return err
+// Observe feeds one committed batch's report to the policy and applies
+// its decision for subsequent batches: the new parallelism, with a pool
+// the executors and cores, and key-range ownership following the Map task
+// count (the window state of moved ranges hands off bit-identically at
+// the next batch boundary). A hold changes nothing. It is the only code
+// that turns an elastic.Action into engine state.
+func (d *ElasticDriver) Observe(rep engine.BatchReport) (elastic.Action, error) {
+	act := d.Policy.Observe(elastic.Observation{W: rep.W, Tuples: rep.Tuples, Keys: rep.Keys})
+	if act.Direction == 0 {
+		return act, nil
 	}
-	needCores := mapTasks
-	if reduceTasks > needCores {
-		needCores = reduceTasks
+	if err := d.Engine.SetParallelism(act.MapTasks, act.ReduceTasks); err != nil {
+		return act, err
+	}
+	// Cores before ownership: under ownership tracking SetCores requests
+	// one owner per core, and the Map task count must win.
+	if err := d.fitCores(act.MapTasks, act.ReduceTasks); err != nil {
+		return act, err
+	}
+	return act, d.Engine.Rescale(act.MapTasks)
+}
+
+// fitCores acquires or releases executors so the held cores cover the
+// widest stage, and hands the engine that core budget. Without a pool it
+// does nothing.
+func (d *ElasticDriver) fitCores(mapTasks, reduceTasks int) error {
+	if d.Pool == nil {
+		return nil
 	}
 	per := d.Pool.CoresPerExecutor()
-	needExec := (needCores + per - 1) / per
+	needExec := (max(mapTasks, reduceTasks) + per - 1) / per
 	if needExec < 1 {
 		needExec = 1
 	}

@@ -4,10 +4,11 @@
 // and adjusts the degree of execution parallelism. The controller defines
 // three elasticity zones (Figure 9b): in Zone 3 (W above the threshold for
 // d consecutive batches) it scales out; in Zone 1 (W below threshold-step
-// for d batches) it scales in; Zone 2 between them absorbs load spikes
-// without action. Rate growth adds Map tasks, distribution (distinct-key)
-// growth adds Reduce tasks, and a grace period of d batches follows every
-// action so no reverse decision is made immediately.
+// for d batches) it scales in, unless the release would push W back over
+// the threshold; Zone 2 between them absorbs load spikes without action.
+// Rate growth adds Map tasks, distribution (distinct-key) growth adds
+// Reduce tasks, and a grace period of d batches follows every action so
+// no reverse decision is made immediately.
 package elastic
 
 import "fmt"
@@ -37,7 +38,9 @@ func DefaultConfig() Config {
 	return Config{Threshold: 0.9, Step: 0.1, D: 3, MinMapTasks: 1, MinReduceTasks: 1}
 }
 
-func (c Config) withDefaults() Config {
+// resolve fills the zero fields with the defaults, validates the result,
+// and checks that a policy may start at the given parallelism.
+func (c Config) resolve(mapTasks, reduceTasks int) (Config, error) {
 	if c.Threshold == 0 {
 		c.Threshold = 0.9
 	}
@@ -53,7 +56,13 @@ func (c Config) withDefaults() Config {
 	if c.MinReduceTasks == 0 {
 		c.MinReduceTasks = 1
 	}
-	return c
+	if err := c.Validate(); err != nil {
+		return c, err
+	}
+	if mapTasks < c.MinMapTasks || reduceTasks < c.MinReduceTasks {
+		return c, fmt.Errorf("elastic: initial parallelism p=%d r=%d below minimums", mapTasks, reduceTasks)
+	}
+	return c, nil
 }
 
 // Validate rejects inconsistent settings.
@@ -121,18 +130,12 @@ type Controller struct {
 
 // NewController returns a controller starting at the given parallelism.
 func NewController(cfg Config, mapTasks, reduceTasks int) (*Controller, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	cfg, err := cfg.resolve(mapTasks, reduceTasks)
+	if err != nil {
 		return nil, err
-	}
-	if mapTasks < cfg.MinMapTasks || reduceTasks < cfg.MinReduceTasks {
-		return nil, fmt.Errorf("elastic: initial parallelism p=%d r=%d below minimums", mapTasks, reduceTasks)
 	}
 	return &Controller{cfg: cfg, mapTasks: mapTasks, reduceTasks: reduceTasks}, nil
 }
-
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Parallelism returns the current task counts.
 func (c *Controller) Parallelism() (mapTasks, reduceTasks int) {
@@ -193,8 +196,10 @@ func (c *Controller) Observe(o Observation) Action {
 // to rate and/or distribution growth over the last d batches. Scale-out is
 // proportional to the overload — the pseudocode's "the process repeats
 // until W <= thres", collapsed into one decision so the system responds
-// swiftly to spikes; scale-in stays lazy at one task per decision, per the
-// paper's Zone-1 description.
+// swiftly to spikes. Scale-in releases one task per stage, per the
+// paper's Zone-1 description, and only if W times the largest old/new
+// task ratio stays at or under the threshold: the same rule inverted, so
+// a release never plans the next batch into Zone 3.
 func (c *Controller) scale(dir int, w float64) Action {
 	rateUp, keysUp := c.trends()
 	reason := ""
@@ -241,9 +246,17 @@ func (c *Controller) scale(dir int, w float64) Action {
 	}
 	c.clamp()
 	c.overCount, c.underCount = 0, 0
+	if dir < 0 {
+		shrink := max(float64(oldMap)/float64(c.mapTasks), float64(oldReduce)/float64(c.reduceTasks))
+		if predicted := w * shrink; predicted > c.cfg.Threshold {
+			c.mapTasks, c.reduceTasks = oldMap, oldReduce
+			reason = fmt.Sprintf("%s; predicted W %.2f after release above threshold", reason, predicted)
+		}
+	}
 	if c.mapTasks == oldMap && c.reduceTasks == oldReduce {
-		// Attribution or bounds left the plan unchanged: report a hold and
-		// skip the grace period so a genuine trend can act promptly.
+		// Attribution, bounds or the scale-in guard left the plan
+		// unchanged: report a hold and skip the grace period so a genuine
+		// trend can act promptly.
 		return Action{MapTasks: c.mapTasks, ReduceTasks: c.reduceTasks, Direction: 0,
 			Reason: "no-op (" + reason + ")"}
 	}

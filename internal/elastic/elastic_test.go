@@ -1,6 +1,9 @@
 package elastic
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
@@ -142,6 +145,65 @@ func TestScaleInWhenUnderUtilized(t *testing.T) {
 	}
 	if act.MapTasks != 5 || act.ReduceTasks != 5 {
 		t.Errorf("scale-in to p=%d r=%d, want 5/5", act.MapTasks, act.ReduceTasks)
+	}
+}
+
+// TestScaleInHoldsWhenReleaseWouldOverload: at two Map and three Reduce
+// tasks a one-task release multiplies per-task load by up to 2, so a
+// Zone-1 W of 0.75 would plan the next batch over the threshold. The
+// controller holds, without a grace period, and releases once W is low
+// enough for the release to fit.
+func TestScaleInHoldsWhenReleaseWouldOverload(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.D = 2
+	c, err := NewController(cfg, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flat signals: neither trend rises, so both stages would shrink, to
+	// 1 and 2 tasks — a ratio of 2, predicting W 1.5.
+	obs := Observation{W: 0.75, Tuples: 1000, Keys: 100}
+	var act Action
+	for i := 0; i < cfg.D; i++ {
+		act = c.Observe(obs)
+	}
+	if act.Direction != 0 || act.MapTasks != 2 || act.ReduceTasks != 3 {
+		t.Fatalf("released at W 0.75: %+v", act)
+	}
+	if !strings.HasPrefix(act.Reason, "no-op") {
+		t.Errorf("guarded scale-in reason %q, want a no-op", act.Reason)
+	}
+	// No grace period: D batches at W 0.4 (predicting 0.8) release at
+	// once.
+	obs.W = 0.4
+	for i := 0; i < cfg.D; i++ {
+		act = c.Observe(obs)
+	}
+	if act.Direction != -1 || act.MapTasks != 1 || act.ReduceTasks != 2 {
+		t.Fatalf("no release at W 0.4 right after the guarded hold: %+v", act)
+	}
+
+	// With the Map stage at its floor only Reduce can shrink, 3 -> 2: a
+	// ratio of 1.5, so W 0.75 (1.125) holds and W 0.5 (0.75) releases.
+	cfg.MinMapTasks = 2
+	c, err = NewController(cfg, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		w    float64
+		want int
+	}{{0.75, 0}, {0.5, -1}} {
+		obs.W = tc.w
+		for i := 0; i < cfg.D; i++ {
+			act = c.Observe(obs)
+		}
+		if act.Direction != tc.want {
+			t.Fatalf("W %v at p=2 (floor) r=3: %+v, want direction %d", tc.w, act, tc.want)
+		}
+	}
+	if act.MapTasks != 2 || act.ReduceTasks != 2 {
+		t.Errorf("released to p=%d r=%d, want 2/2", act.MapTasks, act.ReduceTasks)
 	}
 }
 

@@ -2,17 +2,17 @@ package elastic
 
 import (
 	"fmt"
+	"strings"
 
 	"prompt/internal/metrics"
 	"prompt/internal/tuple"
 )
 
-// Policy is the decision interface of the elastic drivers: feed one
-// batch's signals, get the parallelism for the next batch. All three
-// built-in policies — the paper's threshold Controller (Algorithm 4),
-// the Predictive slope extrapolator, and the CostAware planner — are
-// deterministic functions of the observation sequence, so elastic runs
-// replay bit-identically.
+// Policy is the decision interface of the elastic driver: feed one
+// batch's signals, get the parallelism for the next batch. Both built-in
+// policies — the paper's threshold Controller (Algorithm 4) and the
+// CostAware planner — are deterministic functions of the observation
+// sequence, so elastic runs replay bit-identically.
 type Policy interface {
 	Observe(Observation) Action
 	Parallelism() (mapTasks, reduceTasks int)
@@ -21,72 +21,30 @@ type Policy interface {
 // The threshold controller is the reference policy.
 var _ Policy = (*Controller)(nil)
 
-// Predictive wraps the threshold controller with arrival-rate slope
-// extrapolation: instead of judging the observed stability ratio W, it
-// judges the W the *next* batch would see if the per-batch tuple trend
-// continues (a least-squares slope over the rolling history, W scaling
-// linearly with rate). On a ramp it therefore scales out ahead of the
-// overload the threshold policy waits to confirm, and on a decaying
-// load it releases executors sooner.
-type Predictive struct {
-	inner *Controller
-	hist  []float64
-}
+// Names lists the policies New builds, the default first.
+func Names() []string { return []string{"threshold", "cost"} }
 
-// NewPredictive returns a predictive policy starting at the given
-// parallelism. cfg tunes the underlying threshold machinery.
-func NewPredictive(cfg Config, mapTasks, reduceTasks int) (*Predictive, error) {
-	inner, err := NewController(cfg, mapTasks, reduceTasks)
+// New builds the named policy starting at mapTasks and reduceTasks: ""
+// and "threshold" select the Controller, "cost" the CostAware planner
+// with the given cost model and batch interval (which the threshold
+// controller ignores).
+func New(name string, cfg Config, cost metrics.CostModel, interval tuple.Time, mapTasks, reduceTasks int) (Policy, error) {
+	var (
+		p   Policy
+		err error
+	)
+	switch name {
+	case "", "threshold":
+		p, err = NewController(cfg, mapTasks, reduceTasks)
+	case "cost":
+		p, err = NewCostAware(cfg, cost, interval, mapTasks, reduceTasks)
+	default:
+		return nil, fmt.Errorf("elastic: unknown policy %q (have %s)", name, strings.Join(Names(), "|"))
+	}
 	if err != nil {
-		return nil, err
+		return nil, err // not p: a typed nil would compare non-nil
 	}
-	return &Predictive{inner: inner}, nil
-}
-
-// Parallelism implements Policy.
-func (p *Predictive) Parallelism() (int, int) { return p.inner.Parallelism() }
-
-// Observe implements Policy: extrapolate the arrival rate one batch
-// ahead and feed the scaled W to the threshold controller.
-func (p *Predictive) Observe(o Observation) Action {
-	p.hist = append(p.hist, float64(o.Tuples))
-	if max := 2 * p.inner.Config().D; len(p.hist) > max {
-		p.hist = p.hist[len(p.hist)-max:]
-	}
-	adjusted := o
-	if slope, ok := slopeOf(p.hist); ok && o.Tuples > 0 {
-		predicted := float64(o.Tuples) + slope
-		if predicted > 0 {
-			adjusted.W = o.W * predicted / float64(o.Tuples)
-		}
-	}
-	act := p.inner.Observe(adjusted)
-	if act.Direction != 0 {
-		act.Reason = "predictive: " + act.Reason
-	}
-	return act
-}
-
-// slopeOf fits a least-squares line through (i, hist[i]) and returns its
-// per-batch slope; ok is false with fewer than two points.
-func slopeOf(hist []float64) (slope float64, ok bool) {
-	n := len(hist)
-	if n < 2 {
-		return 0, false
-	}
-	var sx, sy, sxx, sxy float64
-	for i, y := range hist {
-		x := float64(i)
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
-	}
-	den := float64(n)*sxx - sx*sx
-	if den == 0 {
-		return 0, false
-	}
-	return (float64(n)*sxy - sx*sy) / den, true
+	return p, nil
 }
 
 // CostAware plans parallelism with the simulator's cost model: each
@@ -94,9 +52,9 @@ func slopeOf(hist []float64) (slope float64, ok bool) {
 // configuration would produce for the observed tuple and key counts —
 // calibrated so the current configuration's estimate matches the
 // observed W — and moves to the cheapest configuration whose predicted
-// W sits inside the stability band. Unlike the reactive policies it can
-// release several tasks at once when the load no longer justifies them,
-// and it never scales past the point the model says would help.
+// W sits inside the stability band. Unlike the threshold controller it
+// can release several tasks at once when the load no longer justifies
+// them, and it never scales past the point the model says would help.
 type CostAware struct {
 	cfg      Config
 	model    metrics.CostModel
@@ -111,8 +69,8 @@ type CostAware struct {
 // interval the stability ratio is judged against; model zero-values fall
 // back to the default calibration.
 func NewCostAware(cfg Config, model metrics.CostModel, interval tuple.Time, mapTasks, reduceTasks int) (*CostAware, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	cfg, err := cfg.resolve(mapTasks, reduceTasks)
+	if err != nil {
 		return nil, err
 	}
 	if interval <= 0 {
@@ -123,9 +81,6 @@ func NewCostAware(cfg Config, model metrics.CostModel, interval tuple.Time, mapT
 	}
 	if err := model.Validate(); err != nil {
 		return nil, err
-	}
-	if mapTasks < cfg.MinMapTasks || reduceTasks < cfg.MinReduceTasks {
-		return nil, fmt.Errorf("elastic: initial parallelism p=%d r=%d below minimums", mapTasks, reduceTasks)
 	}
 	return &CostAware{cfg: cfg, model: model, interval: interval, mapTasks: mapTasks, reduceTasks: reduceTasks}, nil
 }

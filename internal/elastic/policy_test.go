@@ -2,68 +2,44 @@ package elastic
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"prompt/internal/metrics"
 	"prompt/internal/tuple"
 )
 
-// ramp feeds a policy a steadily growing load and returns the first
-// batch index with a scale-out decision (-1 if none).
-func firstScaleOut(p Policy, batches int) int {
-	for i := 0; i < batches; i++ {
-		w := 0.5 + 0.05*float64(i) // crosses the 0.9 threshold at i=8
-		tuples := 1000 + 200*i
-		act := p.Observe(Observation{W: w, Tuples: tuples, Keys: 100 + 10*i})
-		if act.Direction > 0 {
-			return i
-		}
-	}
-	return -1
-}
-
-// TestPredictiveScalesOutBeforeThreshold: on a steady ramp the
-// predictive policy must act no later than the threshold controller,
-// and strictly earlier on this ramp (the extrapolated W crosses the
-// threshold before the observed one).
-func TestPredictiveScalesOutBeforeThreshold(t *testing.T) {
-	thr, err := NewController(DefaultConfig(), 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := NewPredictive(DefaultConfig(), 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := firstScaleOut(thr, 30)
-	pt := firstScaleOut(pred, 30)
-	if at < 0 || pt < 0 {
-		t.Fatalf("ramp never triggered: threshold=%d predictive=%d", at, pt)
-	}
-	if pt >= at {
-		t.Fatalf("predictive acted at batch %d, threshold at %d — no anticipation", pt, at)
-	}
-}
-
-// TestPredictiveIsDeterministic: same observation sequence, same actions.
-func TestPredictiveIsDeterministic(t *testing.T) {
-	run := func() []Action {
-		p, err := NewPredictive(DefaultConfig(), 2, 2)
+// TestNewSelectsByName: New resolves every policy name the public API
+// and promptsim accept, and rejects the rest naming what remains.
+func TestNewSelectsByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Policy
+	}{
+		{"threshold", (*Controller)(nil)},
+		{"", (*Controller)(nil)},
+		{"cost", (*CostAware)(nil)},
+	} {
+		p, err := New(tc.name, DefaultConfig(), metrics.CostModel{}, tuple.Second, 2, 3)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("New(%q): %v", tc.name, err)
 		}
-		var acts []Action
-		for i := 0; i < 20; i++ {
-			acts = append(acts, p.Observe(Observation{
-				W:      0.4 + 0.04*float64(i%13),
-				Tuples: 500 + 37*(i%7),
-				Keys:   50 + i,
-			}))
+		if reflect.TypeOf(p) != reflect.TypeOf(tc.want) {
+			t.Errorf("New(%q) = %T, want %T", tc.name, p, tc.want)
 		}
-		return acts
+		if m, r := p.Parallelism(); m != 2 || r != 3 {
+			t.Errorf("New(%q) starts at p=%d r=%d, want 2/3", tc.name, m, r)
+		}
 	}
-	if !reflect.DeepEqual(run(), run()) {
-		t.Fatal("predictive policy is not deterministic")
+	p, err := New("predictive", DefaultConfig(), metrics.CostModel{}, tuple.Second, 2, 3)
+	if err == nil || p != nil {
+		t.Fatalf("New(\"predictive\") = %v, %v; want an error", p, err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "threshold") || !strings.Contains(msg, "cost") {
+		t.Errorf("unknown-policy error %q does not list the remaining names", msg)
+	}
+	if p, err := New("threshold", DefaultConfig(), metrics.CostModel{}, tuple.Second, 0, 3); err == nil || p != nil {
+		t.Errorf("New with parallelism below minimum = %v, %v; want nil and an error", p, err)
 	}
 }
 
@@ -142,13 +118,12 @@ func TestCostAwareValidation(t *testing.T) {
 	}
 }
 
-// TestPoliciesShareTheInterface: all three policies drive through the
-// same Policy interface the public API's WithElasticity accepts.
+// TestPoliciesShareTheInterface: both policies drive through the same
+// Policy interface the public API's WithElasticity accepts.
 func TestPoliciesShareTheInterface(t *testing.T) {
 	thr, _ := NewController(DefaultConfig(), 2, 2)
-	pred, _ := NewPredictive(DefaultConfig(), 2, 2)
 	cost, _ := NewCostAware(DefaultConfig(), metrics.CostModel{}, tuple.Second, 2, 2)
-	for _, p := range []Policy{thr, pred, cost} {
+	for _, p := range []Policy{thr, cost} {
 		m, r := p.Parallelism()
 		if m != 2 || r != 2 {
 			t.Fatalf("%T starts at p=%d r=%d, want 2/2", p, m, r)

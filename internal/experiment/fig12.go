@@ -26,17 +26,57 @@ type Fig12Point struct {
 	Direction   int // controller decision: +1/-1/0
 }
 
+// Fig12Policy scores one auto-scale policy on the Figure 12 trace.
+type Fig12Policy struct {
+	Policy      string
+	Unstable    int     // batches with W > 1: processing outran the interval
+	TaskSeconds float64 // Map plus Reduce tasks held, summed over the batches
+	TuplesLost  float64 // summed shortfall of processed/s under offered/s
+}
+
 // Fig12Result is the full elasticity trace: a rising phase that forces
 // scale-out (Figures 12a/12b), then a falling phase that triggers scale-in
-// and map/reduce ratio adaptation (Figures 12c/12d).
+// and map/reduce ratio adaptation (Figures 12c/12d). Points is the
+// threshold policy's (Algorithm 4's) trace; Policies scores every
+// built-in policy on the same workload.
 type Fig12Result struct {
-	Points []Fig12Point
+	Points   []Fig12Point
+	Policies []Fig12Policy
 }
 
 // Fig12 regenerates Figure 12: Prompt under the auto-scale controller with
 // back-pressure disabled, against a workload whose data rate and key
-// cardinality first grow and then fall.
+// cardinality first grow and then fall — once per built-in policy.
 func Fig12(p Params) (*Fig12Result, error) {
+	res := &Fig12Result{}
+	for _, name := range elastic.Names() {
+		pts, err := fig12Trace(p, name)
+		if err != nil {
+			return nil, err
+		}
+		if name == "threshold" {
+			res.Points = pts
+		}
+		// Batches are one second long, so per-batch task counts and rate
+		// shortfalls sum directly to task-seconds and tuples.
+		score := Fig12Policy{Policy: name}
+		for _, pt := range pts {
+			if pt.W > 1 {
+				score.Unstable++
+			}
+			score.TaskSeconds += float64(pt.MapTasks + pt.ReduceTasks)
+			if short := pt.OfferedRate - pt.Throughput; short > 0 {
+				score.TuplesLost += short
+			}
+		}
+		res.Policies = append(res.Policies, score)
+	}
+	return res, nil
+}
+
+// fig12Trace runs the Figure 12 workload, one-second batches, under the
+// named policy.
+func fig12Trace(p Params, policy string) ([]Fig12Point, error) {
 	const (
 		initialTasks = 2
 		batches      = 48
@@ -66,7 +106,7 @@ func Fig12(p Params) (*Fig12Result, error) {
 	ecfg.D = 2
 	ecfg.MaxMapTasks = p.Cores * 8
 	ecfg.MaxReduceTasks = p.Cores * 8
-	ctrl, err := elastic.NewController(ecfg, initialTasks, initialTasks)
+	pol, err := elastic.New(policy, ecfg, cfg.Cost, tuple.Second, initialTasks, initialTasks)
 	if err != nil {
 		return nil, err
 	}
@@ -74,12 +114,12 @@ func Fig12(p Params) (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	driver, err := core.NewElasticDriver(eng, ctrl, pool)
+	driver, err := core.NewElasticDriver(eng, pol, pool)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Fig12Result{}
+	pts := make([]Fig12Point, 0, batches)
 	for i := 0; i < batches; i++ {
 		start := eng.Now()
 		end := start + tuple.Second
@@ -87,11 +127,10 @@ func Fig12(p Params) (*Fig12Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := driver.Step(ts, start, end)
+		rep, act, err := driver.Step(ts, start, end)
 		if err != nil {
 			return nil, err
 		}
-		act := driver.Actions()[len(driver.Actions())-1]
 		// Throughput is the pipeline's completion rate: batching overlaps
 		// processing, so while stable (processing <= interval) a batch
 		// completes every interval and throughput equals the offered
@@ -101,7 +140,7 @@ func Fig12(p Params) (*Fig12Result, error) {
 			bottleneck = rep.ProcessingTime
 		}
 		thr := float64(rep.Tuples) / bottleneck.Seconds()
-		res.Points = append(res.Points, Fig12Point{
+		pts = append(pts, Fig12Point{
 			Batch:       rep.Index,
 			OfferedRate: rate.RateAt(start + tuple.Second/2),
 			Throughput:  thr,
@@ -113,7 +152,7 @@ func Fig12(p Params) (*Fig12Result, error) {
 			Direction:   act.Direction,
 		})
 	}
-	return res, nil
+	return pts, nil
 }
 
 // compositeRamp rises then falls.
@@ -146,6 +185,11 @@ func (r *Fig12Result) Print(w io.Writer) {
 		fmt.Fprintf(tw, "%d\t%s\t%s\t%.2f\t%d\t%d\t%d\t%d\t%s\n",
 			pt.Batch, fmtF(pt.OfferedRate), fmtF(pt.Throughput), pt.W,
 			pt.MapTasks, pt.ReduceTasks, pt.Cores, pt.Keys, dir)
+	}
+	fmt.Fprintln(tw)
+	fmt.Fprintln(tw, "policy\tW > 1 batches\ttask-s\ttuples lost")
+	for _, sc := range r.Policies {
+		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.0f\n", sc.Policy, sc.Unstable, sc.TaskSeconds, sc.TuplesLost)
 	}
 	tw.Flush()
 }

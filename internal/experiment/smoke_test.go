@@ -157,6 +157,44 @@ func TestFig12Shape(t *testing.T) {
 	if last.MapTasks+last.ReduceTasks >= peak.MapTasks+peak.ReduceTasks {
 		t.Error("task count never shrank after the peak")
 	}
+
+	// Figure 12c: tasks are released while throughput still matches the
+	// input. Fig12 runs Algorithm 4 with D = 2.
+	const d = 2
+	for i, pt := range res.Points {
+		if pt.Direction == 0 {
+			continue
+		}
+		for j := i + 1; j < len(res.Points) && j <= i+2*d; j++ {
+			next := res.Points[j]
+			if pt.Direction < 0 && j <= i+d && next.W > 1 {
+				t.Errorf("batch %d: W %.2f within %d batches of the scale-in at batch %d", next.Batch, next.W, d, pt.Batch)
+			}
+			if next.Direction == -pt.Direction {
+				t.Errorf("batch %d reverses batch %d's decision within 2·D batches", next.Batch, pt.Batch)
+			}
+		}
+	}
+	// Per batch the offered rate is the ramp's mean and the arrivals are
+	// Poisson around it (about 1 % apart at these rates, whatever W is), so
+	// the falling phase is compared in total.
+	var offered, processed float64
+	for _, pt := range res.Points[len(res.Points)/2:] {
+		offered += pt.OfferedRate
+		processed += pt.Throughput
+	}
+	if processed < 0.99*offered {
+		t.Errorf("falling phase processed %.0f tuples of %.0f offered (%.1f %% short)",
+			processed, offered, 100*(1-processed/offered))
+	}
+	policies := map[string]bool{}
+	for _, sc := range res.Policies {
+		policies[sc.Policy] = true
+	}
+	if !policies["threshold"] || !policies["cost"] || len(res.Policies) != 2 {
+		t.Errorf("policy rows %+v, want threshold and cost", res.Policies)
+	}
+
 	var buf bytes.Buffer
 	res.Print(&buf)
 	if buf.Len() == 0 {

@@ -172,7 +172,8 @@ func WithCost(cm CostModel) Option {
 // scale-out unbounded). Key-range ownership follows the Map task count,
 // and the window state of reassigned ranges migrates bit-identically at
 // the batch boundary — elastic runs report the same answers as static
-// ones. See ElasticThreshold, ElasticPredictive, and ElasticCostAware.
+// ones. Cores are left as configured. See ElasticThreshold and
+// ElasticCostAware.
 func WithElasticity(policy ElasticPolicy, min, max int) Option {
 	return func(c *Config) error {
 		if _, err := ParseElasticPolicy(string(policy)); err != nil {

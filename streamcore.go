@@ -9,13 +9,12 @@ import (
 
 	"prompt/internal/core"
 	"prompt/internal/dist"
-	"prompt/internal/elastic"
 	"prompt/internal/engine"
 )
 
 // streamCore is the shared runtime behind Stream and MultiStream: the
 // engine, the partitioning scheme, the optional cluster coordinator, the
-// resolved configuration, and the elastic policy. Both public types embed
+// resolved configuration, and the elastic driver. Both public types embed
 // it, so the batch lifecycle, runtime reconfiguration, elasticity, and
 // the cluster surface behave identically whether one query runs or many.
 type streamCore struct {
@@ -26,8 +25,8 @@ type streamCore struct {
 	// Config with the runtime-changeable fields (parallelism, cores,
 	// workers, observer) updated as Reconfigure and the elastic policy
 	// act. Reconfigure diffs requested options against it.
-	cfg    Config
-	policy elastic.Policy // non-nil when cfg.Elasticity is enabled
+	cfg     Config
+	elastic *core.ElasticDriver // non-nil when cfg.Elasticity is enabled
 	// imageLen is the length of the last Checkpoint image; the next one
 	// starts with a buffer that size instead of growing into it.
 	imageLen int
@@ -68,7 +67,7 @@ func finishCore(cfg Config, eng *engine.Engine, scheme core.Scheme, queries []Qu
 	if err != nil {
 		return streamCore{}, err
 	}
-	policy, err := cfg.Elasticity.build(eng.Config())
+	driver, err := cfg.Elasticity.build(eng)
 	if err != nil {
 		if coord != nil {
 			coord.Close()
@@ -90,7 +89,7 @@ func finishCore(cfg Config, eng *engine.Engine, scheme core.Scheme, queries []Qu
 	if cfg.BatchInterval == 0 {
 		cfg.BatchInterval = time.Duration(ec.BatchInterval) * time.Microsecond
 	}
-	return streamCore{eng: eng, scheme: scheme, coord: coord, cfg: cfg, policy: policy}, nil
+	return streamCore{eng: eng, scheme: scheme, coord: coord, cfg: cfg, elastic: driver}, nil
 }
 
 // SchemeName reports which partitioning scheme the stream runs.
@@ -135,7 +134,7 @@ func (c *streamCore) ProcessBatchContext(ctx context.Context, tuples []Tuple) (B
 		return BatchReport{}, err
 	}
 	br := newBatchReport(c.scheme.Name, rep)
-	if err := c.observeElastic(br); err != nil {
+	if err := c.observeElastic(rep); err != nil {
 		return br, err
 	}
 	return br, nil
@@ -154,7 +153,7 @@ func (c *streamCore) Run(src BatchSource, n int) ([]BatchReport, error) {
 // reports of the batches already committed. Nothing of the in-flight
 // batch is committed and no goroutines are left behind.
 func (c *streamCore) RunContext(ctx context.Context, src BatchSource, n int) ([]BatchReport, error) {
-	if c.policy == nil && c.eng.PipelineDepth() > 1 {
+	if c.elastic == nil && c.eng.PipelineDepth() > 1 {
 		// Pipelined driver: the engine overlaps consecutive batches up to
 		// the configured depth, committing strictly in batch order. An
 		// elastic stream never takes this path — its policy must observe
@@ -181,7 +180,7 @@ func (c *streamCore) RunContext(ctx context.Context, src BatchSource, n int) ([]
 		}
 		br := newBatchReport(c.scheme.Name, rep)
 		out = append(out, br)
-		if err := c.observeElastic(br); err != nil {
+		if err := c.observeElastic(rep); err != nil {
 			return out, err
 		}
 	}
@@ -198,26 +197,17 @@ func (s batchSourceStream) Slice(start, end Time) ([]Tuple, error) { return s.sr
 
 func (s batchSourceStream) Reset() {}
 
-// observeElastic feeds one committed batch's report to the elastic
-// policy and applies its decision: new parallelism for subsequent
-// batches, with key-range ownership following the Map task count so the
-// actual window-state handoff happens — bit-identically — at the next
-// batch boundary.
-func (c *streamCore) observeElastic(rep BatchReport) error {
-	if c.policy == nil {
+// observeElastic hands one committed batch's report to the elastic
+// driver, which applies the policy's decision for subsequent batches, and
+// tracks the parallelism it leaves behind.
+func (c *streamCore) observeElastic(rep engine.BatchReport) error {
+	if c.elastic == nil {
 		return nil
 	}
-	act := c.policy.Observe(elastic.Observation{W: rep.W, Tuples: rep.Tuples, Keys: rep.Keys})
-	if act.Direction == 0 {
-		return nil
-	}
-	if err := c.eng.SetParallelism(act.MapTasks, act.ReduceTasks); err != nil {
+	if _, err := c.elastic.Observe(rep); err != nil {
 		return fmt.Errorf("%w: elastic action: %v", ErrBadConfig, err)
 	}
-	if err := c.eng.Rescale(act.MapTasks); err != nil {
-		return fmt.Errorf("%w: elastic action: %v", ErrBadConfig, err)
-	}
-	c.cfg.MapTasks, c.cfg.ReduceTasks = act.MapTasks, act.ReduceTasks
+	c.cfg.MapTasks, c.cfg.ReduceTasks = c.Parallelism()
 	return nil
 }
 
