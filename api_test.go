@@ -308,6 +308,40 @@ func TestUnifiedSurface(t *testing.T) {
 	}
 }
 
+// TestElasticCoresLeaveOwnership: Rescale is the only thing that moves
+// key-range ownership. Re-provisioning cores through Reconfigure after a
+// Rescale(2) leaves two owners, and no slot moves, at the next batch.
+func TestElasticCoresLeaveOwnership(t *testing.T) {
+	for name, build := range apiConstructors(prompt.WithCores(4)) {
+		t.Run(name, func(t *testing.T) {
+			s, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Rescale(2); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.ProcessBatch(surfaceBatch(s, 0, 200)); err != nil {
+				t.Fatal(err)
+			}
+			migrations := s.Migrations()
+			if err := s.Reconfigure(prompt.WithCores(8)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.ProcessBatch(surfaceBatch(s, 1, 200)); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Owners(); got != 2 {
+				t.Fatalf("Owners() = %d after Reconfigure(WithCores(8)), want 2", got)
+			}
+			if got := s.Migrations(); got != migrations {
+				t.Fatalf("Reconfigure(WithCores(8)) moved slots: %d handoffs, want %d", got, migrations)
+			}
+		})
+	}
+}
+
 // TestElasticStreamIsAnswerNeutral: an elastic run whose policy actually
 // scales mid-stream produces the same windowed answer as a static run of
 // the same input.

@@ -84,8 +84,6 @@ func (d *ElasticDriver) Observe(rep engine.BatchReport) (elastic.Action, error) 
 	if err := d.Engine.SetParallelism(act.MapTasks, act.ReduceTasks); err != nil {
 		return act, err
 	}
-	// Cores before ownership: under ownership tracking SetCores requests
-	// one owner per core, and the Map task count must win.
 	if err := d.fitCores(act.MapTasks, act.ReduceTasks); err != nil {
 		return act, err
 	}

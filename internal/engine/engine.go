@@ -98,17 +98,16 @@ type Engine struct {
 	// touching the simulation, so reports are identical under any of them.
 	exec JobExecutor
 
-	// pipeline is the staged batch lifecycle Step drives; see stage.go.
-	pipeline []Stage
-
 	// taskSeq numbers every simulated task across batches and stages, so
 	// straggler injection afflicts a deterministic, evenly spread subset.
 	taskSeq int
 
 	// injector indexes the scripted fault plan; nil injects nothing.
 	injector *fault.Injector
-	// store replicates batch inputs when faults are enabled, so scripted
-	// output losses can be recomputed (the paper's §8 consistency path).
+	// store replicates every batch's input at the start of back, so lost
+	// outputs can be recomputed (the paper's §8 consistency path). A fault
+	// plan builds it; NewRecoverable installs it otherwise. Nil replicates
+	// nothing.
 	store *BatchStore
 	// coresLost is how many simulated cores injected kills have removed.
 	// It persists across batches until the resource manager re-provisions
@@ -171,7 +170,6 @@ func newMulti(cfg Config, queries []Query, dict *intern.Dict) (*Engine, error) {
 		aggs:        make([]*window.Aggregator, len(queries)),
 		lastResults: make([]*Result, len(queries)),
 		pool:        poolFor(cfg.Workers),
-		pipeline:    defaultPipeline(),
 		dict:        dict,
 		jobs:        make([]jobScratch, len(queries)),
 	}
@@ -204,17 +202,25 @@ func newMulti(cfg Config, queries []Query, dict *intern.Dict) (*Engine, error) {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 		e.injector = in
-		// Replicate inputs as long as any query window can still need
-		// them; windowless queries need only the batch itself.
-		retain := cfg.BatchInterval
-		for _, q := range e.queries {
-			if q.Window.Length > retain {
-				retain = q.Window.Length
-			}
-		}
-		e.store = NewBatchStore(retain, dict)
+		e.replicate()
 	}
 	return e, nil
+}
+
+// replicate installs the replica store unless one is installed already.
+// Inputs are retained as long as any query window can still need them;
+// windowless queries need only the batch itself.
+func (e *Engine) replicate() {
+	if e.store != nil {
+		return
+	}
+	retain := e.cfg.BatchInterval
+	for _, q := range e.queries {
+		if q.Window.Length > retain {
+			retain = q.Window.Length
+		}
+	}
+	e.store = NewBatchStore(retain, e.dict)
 }
 
 // Config returns the engine's current configuration.
@@ -244,19 +250,14 @@ func (e *Engine) SetParallelism(mapTasks, reduceTasks int) error {
 
 // SetCores adjusts the simulated core count for subsequent batches. It is
 // the resource manager's re-provisioning act, so it also restores any
-// cores lost to injected executor kills.
+// cores lost to injected executor kills. It never moves key-range
+// ownership: only Rescale does.
 func (e *Engine) SetCores(cores int) error {
 	if cores <= 0 {
 		return fmt.Errorf("engine: cores must be positive, got %d", cores)
 	}
 	e.cfg.Cores = cores
 	e.coresLost = 0
-	// Under ownership tracking, re-provisioning is a scale event: the
-	// key ranges of the joining or leaving executors migrate at the next
-	// batch boundary instead of being silently re-provisioned in place.
-	if e.owners > 0 {
-		e.pendingOwners = cores
-	}
 	return nil
 }
 
@@ -449,9 +450,11 @@ func (e *Engine) RunBatches(src workload.Stream, n int) ([]BatchReport, error) {
 
 // RunBatchesContext is RunBatches with cooperative cancellation: once ctx
 // is done the run stops between stages with the context's error and the
-// reports of the batches already committed.
+// reports of the batches already committed. It is the one drive loop:
+// with a pipeline depth above 1 and more than one batch to run it overlaps
+// batches (runPipelined), otherwise it steps them one at a time.
 func (e *Engine) RunBatchesContext(ctx context.Context, src workload.Stream, n int) ([]BatchReport, error) {
-	if e.PipelineDepth() > 1 {
+	if e.PipelineDepth() > 1 && n > 1 {
 		return e.runPipelined(ctx, src, n)
 	}
 	out := make([]BatchReport, 0, n)
@@ -481,10 +484,10 @@ func (e *Engine) RunBatchesContext(ctx context.Context, src workload.Stream, n i
 // Tuples must carry timestamps inside the interval. Step is the row edge:
 // it transposes the tuples once into the engine's reused column batch —
 // interning keys in arrival order — and from there the batch is columns
-// only. It then composes the staged pipeline (stage.go): Accumulate
-// (Algorithm 1), Partition (Algorithm 2), Shuffle+Process (Algorithm 3),
-// Recover (fault answers), and Window commit each run as an explicit
-// Stage over a shared BatchContext, with observer events around every
+// only. It then runs the batch's two halves over one BatchContext: front,
+// the batching half (Accumulate, Algorithm 1; Partition, Algorithm 2),
+// and back, the processing half (Shuffle+Process, Algorithm 3; Recover,
+// the fault answers; Window commit), with observer events around every
 // stage.
 func (e *Engine) Step(tuples []tuple.Tuple, start, end tuple.Time) (BatchReport, error) {
 	return e.StepContext(context.Background(), tuples, start, end)
@@ -563,40 +566,16 @@ func (e *Engine) transpose(tuples []tuple.Tuple, idx int) (*tuple.ColumnBatch, e
 	return cb, nil
 }
 
-// step is the one batch core behind both edges: it runs the pipeline over
-// a checked column batch and commits the report.
-func (e *Engine) step(ctx context.Context, cb *tuple.ColumnBatch, start, end tuple.Time) (rep BatchReport, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			tp, ok := v.(*cluster.TaskPanic)
-			if !ok {
-				panic(v)
-			}
-			rep, err = BatchReport{}, fmt.Errorf("engine: batch %d: %w", e.batchIdx, tp)
-		}
-	}()
-	cb.Start, cb.End = start, end
-	if e.store != nil {
-		// Replicate the raw input before any processing: the recover
-		// stage recomputes lost outputs from this copy (Put copies, so the
-		// reused column scratch is safe to hand over).
-		e.store.Put(e.batchIdx, cb)
-	}
-	bc := &BatchContext{
-		Index: e.batchIdx,
-		Ctx:   ctx,
-		Cols:  cb,
-		// The batch's own interval: normally cfg.BatchInterval, but the
-		// adaptive batch-sizing extension may vary it per batch, and all
-		// stability accounting follows the actual interval.
-		Interval: end - start,
-	}
-	if err := e.runPipeline(bc); err != nil {
+// step is the one batch core behind both edges: it runs both halves of
+// a checked column batch inline, committing the report.
+func (e *Engine) step(ctx context.Context, cb *tuple.ColumnBatch, start, end tuple.Time) (BatchReport, error) {
+	bc := newBatch(ctx, e.batchIdx, cb, start, end)
+	if err := e.front(bc); err != nil {
 		return BatchReport{}, err
 	}
-	e.recordReport(bc.Report)
-	e.batchIdx++
-	e.now = end
+	if err := e.back(bc); err != nil {
+		return BatchReport{}, err
+	}
 	return bc.Report, nil
 }
 

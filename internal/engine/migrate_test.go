@@ -104,10 +104,10 @@ func TestRescaleNoOp(t *testing.T) {
 	}
 }
 
-// TestSetCoresTriggersMigrationUnderTracking: once ownership tracking is
-// on, the resource manager's SetCores is a scale event; before that it
-// stays the silent re-provision every pre-elasticity test relies on.
-func TestSetCoresTriggersMigrationUnderTracking(t *testing.T) {
+// TestSetCoresLeavesOwnershipUnderTracking: Rescale is the only thing
+// that moves key-range ownership. The resource manager's SetCores
+// re-provisions cores and nothing else, with or without tracking.
+func TestSetCoresLeavesOwnershipUnderTracking(t *testing.T) {
 	eng, err := New(testConfig(), WordCount(window.Sliding(4*tuple.Second, tuple.Second)))
 	if err != nil {
 		t.Fatal(err)
@@ -140,15 +140,17 @@ func TestSetCoresTriggersMigrationUnderTracking(t *testing.T) {
 		t.Fatal(err)
 	}
 	step(0)
+	owners, migrations := eng2.Owners(), eng2.Migrations()
+	if owners != 2 || migrations == 0 {
+		t.Fatalf("Rescale(2) left owners %d after %d handoffs", owners, migrations)
+	}
 	if err := eng2.SetCores(3); err != nil {
 		t.Fatal(err)
 	}
 	step(1)
-	if eng2.Owners() != 3 {
-		t.Fatalf("owners = %d after SetCores(3) under tracking", eng2.Owners())
-	}
-	if eng2.Migrations() == 0 {
-		t.Fatal("SetCores under tracking migrated nothing")
+	if eng2.Owners() != owners || eng2.Migrations() != migrations {
+		t.Fatalf("SetCores(3) under tracking moved ownership: owners %d -> %d, handoffs %d -> %d",
+			owners, eng2.Owners(), migrations, eng2.Migrations())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"prompt/internal/cluster"
 	"prompt/internal/metrics"
 	"prompt/internal/partition"
 	"prompt/internal/stats"
@@ -27,13 +28,6 @@ func StubClock(fn func() time.Time) (restore func()) {
 	return func() { timeNow = prev }
 }
 
-// defaultPipeline is the standard batch lifecycle. Engines copy it at
-// construction; future work can splice stages (e.g. a spill stage or a
-// pipelined-overlap boundary) without touching Step.
-func defaultPipeline() []Stage {
-	return []Stage{accumulateStage{}, partitionStage{}, processStage{}, recoverStage{}, commitStage{}}
-}
-
 // stageContext resolves the batch's cancellation context, which is nil
 // when the caller used the plain (non-context) entry points.
 func (ctx *BatchContext) stageContext() context.Context {
@@ -51,43 +45,111 @@ func (ctx *BatchContext) cancelled() error {
 	return nil
 }
 
-// runPipeline drives one batch through the engine's stages, emitting
-// observer events around each. With no observer registered the loop
-// degenerates to plain sequential stage calls: no timings are recorded
-// and nothing beyond the stages' own work is allocated. Cancellation is
-// checked between stages, so an abandoned batch never commits.
-func (e *Engine) runPipeline(ctx *BatchContext) error {
-	obs := e.cfg.Observer
-	if obs == nil {
-		for _, st := range e.pipeline {
-			if err := ctx.cancelled(); err != nil {
-				return err
-			}
-			if err := st.Run(e, ctx); err != nil {
-				return err
-			}
-		}
-		return nil
+// newBatch opens the context of batch idx over the checked column batch
+// cb, stamping it with its interval.
+func newBatch(ctx context.Context, idx int, cb *tuple.ColumnBatch, start, end tuple.Time) *BatchContext {
+	cb.Start, cb.End = start, end
+	return &BatchContext{
+		Index: idx,
+		Ctx:   ctx,
+		Cols:  cb,
+		// The batch's own interval: normally cfg.BatchInterval, but the
+		// adaptive batch-sizing extension may vary it per batch, and all
+		// stability accounting follows the actual interval.
+		Interval: end - start,
 	}
+}
 
-	e.observeBatchStart(obs, ctx)
-	ctx.Timings = make([]StageTiming, 0, len(e.pipeline))
-	for _, st := range e.pipeline {
-		if err := ctx.cancelled(); err != nil {
-			return err
-		}
-		if err := e.runStage(obs, ctx, st); err != nil {
-			return err
-		}
+// front is a batch's batching half: Algorithm 1's accumulate, then
+// Algorithm 2's partition. It touches only the frontend scratch (acc,
+// post, blocks) and the estimate feedback, so the pipelined driver may
+// run batch k+1's front while batch k's back is in flight.
+func (e *Engine) front(bc *BatchContext) (err error) {
+	defer catchTaskPanic(bc.Index, &err)
+	obs := e.cfg.Observer
+	if obs != nil {
+		e.observeBatchStart(obs, bc)
 	}
-	e.observeBatchEnd(obs, ctx)
+	if err := runStage(obs, bc, StageAccumulate, e.accumulateStage); err != nil {
+		return err
+	}
+	return runStage(obs, bc, StagePartition, e.partitionStage)
+}
+
+// back is a batch's processing half: input replication, then process
+// (Map, Algorithm 3's shuffle, Reduce), recover and commit, and finally
+// the engine's committed position advances. Batches enter back strictly
+// in order, so the replica store sees them in commit order and every
+// simulated-time feedback edge (procFree, coresLost, taskSeq, pending
+// drops and rescales) lives here.
+func (e *Engine) back(bc *BatchContext) (err error) {
+	defer catchTaskPanic(bc.Index, &err)
+	if e.store != nil {
+		// Replicate the raw input before processing: the recover stage
+		// recomputes lost outputs from this copy (Put copies, so the reused
+		// column scratch is safe to hand over).
+		e.store.Put(bc.Index, bc.Cols)
+	}
+	obs := e.cfg.Observer
+	if err := runStage(obs, bc, StageProcess, e.processStage); err != nil {
+		return err
+	}
+	if err := runStage(obs, bc, StageRecover, e.recoverStage); err != nil {
+		return err
+	}
+	if err := runStage(obs, bc, StageCommit, e.commitStage); err != nil {
+		return err
+	}
+	if obs != nil {
+		e.observeBatchEnd(obs, bc)
+	}
+	e.recordReport(bc.Report)
+	e.batchIdx++
+	e.now = bc.Cols.End
+	return nil
+}
+
+// catchTaskPanic, deferred by each batch half, converts a pipeline task's
+// re-raised *cluster.TaskPanic into the batch's error instead of
+// unwinding the caller; any other panic propagates.
+func catchTaskPanic(idx int, err *error) {
+	if v := recover(); v != nil {
+		tp, ok := v.(*cluster.TaskPanic)
+		if !ok {
+			panic(v)
+		}
+		*err = fmt.Errorf("engine: batch %d: %w", idx, tp)
+	}
+}
+
+// runStage runs one stage of a batch once the batch's context is still
+// live. Only with an observer does it time the stage and emit its
+// OnStageEnd event, so the unobserved hot path adds nothing to the
+// stage's own work.
+func runStage(obs Observer, bc *BatchContext, name StageName, stage func(*BatchContext) error) error {
+	if err := bc.cancelled(); err != nil {
+		return err
+	}
+	if obs == nil {
+		return stage(bc)
+	}
+	stageStart := timeNow()
+	if err := stage(bc); err != nil {
+		return err
+	}
+	obs.OnStageEnd(metrics.StageEnd{
+		Batch:     bc.Index,
+		Stage:     string(name),
+		Wall:      timeNow().Sub(stageStart),
+		Simulated: bc.simulated(name),
+	})
 	return nil
 }
 
 // observeBatchStart emits the batch-start event and stamps the batch's
-// wall-clock start on the context, so the pipelined driver (which splits
-// the stage loop across two goroutines) reports the same end-to-end wall
-// time runPipeline would.
+// wall-clock start on the context, so the batch-end event reports the
+// same end-to-end wall time whether front and back run inline or on the
+// pipelined driver's two lanes.
 func (e *Engine) observeBatchStart(obs Observer, ctx *BatchContext) {
 	ctx.wallStart = timeNow()
 	obs.OnBatchStart(metrics.BatchStart{
@@ -96,29 +158,6 @@ func (e *Engine) observeBatchStart(obs Observer, ctx *BatchContext) {
 		End:    ctx.Cols.End,
 		Tuples: ctx.Cols.Len(),
 	})
-}
-
-// runStage executes one stage with observer instrumentation, appending
-// its timing to the context. runPipeline and the pipelined driver share
-// it so both emit identical per-stage event streams.
-func (e *Engine) runStage(obs Observer, ctx *BatchContext, st Stage) error {
-	stageStart := timeNow()
-	if err := st.Run(e, ctx); err != nil {
-		return err
-	}
-	timing := StageTiming{
-		Stage:     st.Name(),
-		Wall:      timeNow().Sub(stageStart),
-		Simulated: st.Simulated(ctx),
-	}
-	ctx.Timings = append(ctx.Timings, timing)
-	obs.OnStageEnd(metrics.StageEnd{
-		Batch:     ctx.Index,
-		Stage:     string(timing.Stage),
-		Wall:      timing.Wall,
-		Simulated: timing.Simulated,
-	})
-	return nil
 }
 
 // observeBatchEnd emits the batch-end event from the committed report.
@@ -140,11 +179,7 @@ func (e *Engine) observeBatchEnd(obs Observer, ctx *BatchContext) {
 // accumulator while the batch buffers. In post-sort mode it is a no-op:
 // the baseline buffers blindly and pays its sorting cost at the release
 // point, inside the partition stage's measured window.
-type accumulateStage struct{}
-
-func (accumulateStage) Name() StageName { return StageAccumulate }
-
-func (accumulateStage) Run(e *Engine, ctx *BatchContext) error {
+func (e *Engine) accumulateStage(ctx *BatchContext) error {
 	switch e.cfg.Accum {
 	case FrequencyAware:
 		return e.accumulate(ctx.Cols)
@@ -155,21 +190,13 @@ func (accumulateStage) Run(e *Engine, ctx *BatchContext) error {
 	}
 }
 
-// Simulated is zero: per-tuple accumulation overlaps the batching
-// interval, so it charges nothing at the release point.
-func (accumulateStage) Simulated(*BatchContext) tuple.Time { return 0 }
-
 // --- Partition (Algorithm 2) --------------------------------------------
 
 // partitionStage finalizes the batch statistics (or post-sorts the raw
 // batch) and splits the batch into data blocks. Its measured wall time is
 // the partitioning cost charged against the early-release slack; the
 // excess becomes Overflow and delays processing.
-type partitionStage struct{}
-
-func (partitionStage) Name() StageName { return StagePartition }
-
-func (partitionStage) Run(e *Engine, ctx *BatchContext) error {
+func (e *Engine) partitionStage(ctx *BatchContext) error {
 	wallStart := timeNow()
 	switch e.cfg.Accum {
 	case FrequencyAware:
@@ -208,8 +235,6 @@ func (partitionStage) Run(e *Engine, ctx *BatchContext) error {
 	return nil
 }
 
-func (partitionStage) Simulated(ctx *BatchContext) tuple.Time { return ctx.PartitionTime }
-
 // --- Shuffle + Process (Algorithm 3) ------------------------------------
 
 // processStage runs one Map-Reduce job per query over the shared blocks:
@@ -219,11 +244,7 @@ func (partitionStage) Simulated(ctx *BatchContext) tuple.Time { return ctx.Parti
 // straggler injection afflicts the same tasks the sequential driver
 // would, and per-query results land in index-addressed slots for
 // deterministic merging.
-type processStage struct{}
-
-func (processStage) Name() StageName { return StageProcess }
-
-func (processStage) Run(e *Engine, ctx *BatchContext) error {
+func (e *Engine) processStage(ctx *BatchContext) error {
 	for _, bl := range ctx.Blocks {
 		// Warm the cardinality caches: concurrent jobs then share the
 		// blocks strictly read-only.
@@ -287,7 +308,6 @@ func (processStage) Run(e *Engine, ctx *BatchContext) error {
 		}
 	}
 	if spec.hasKill {
-		ctx.killed = true
 		e.loseCores(spec.kill.Cores)
 	}
 
@@ -299,8 +319,6 @@ func (processStage) Run(e *Engine, ctx *BatchContext) error {
 	return nil
 }
 
-func (processStage) Simulated(ctx *BatchContext) tuple.Time { return ctx.Processing }
-
 // --- Recover (fault answers) ---------------------------------------------
 
 // recoverStage answers a scripted output loss: the batch's results are
@@ -309,11 +327,7 @@ func (processStage) Simulated(ctx *BatchContext) tuple.Time { return ctx.Process
 // failed attempt charges a full recompute pass plus the retry backoff;
 // exceeding the retry budget fails the batch. Without a fault plan (or
 // without a loss for this batch) the stage is a no-op.
-type recoverStage struct{}
-
-func (recoverStage) Name() StageName { return StageRecover }
-
-func (recoverStage) Run(e *Engine, ctx *BatchContext) error {
+func (e *Engine) recoverStage(ctx *BatchContext) error {
 	if e.injector == nil {
 		return nil
 	}
@@ -358,18 +372,12 @@ func (recoverStage) Run(e *Engine, ctx *BatchContext) error {
 	return nil
 }
 
-func (recoverStage) Simulated(ctx *BatchContext) tuple.Time { return ctx.RecoveryTime }
-
 // --- Window commit -------------------------------------------------------
 
 // commitStage merges each query's batch output into its window state,
 // settles queueing and stability against the processing-pipeline
 // occupancy, and assembles the BatchReport.
-type commitStage struct{}
-
-func (commitStage) Name() StageName { return StageCommit }
-
-func (commitStage) Run(e *Engine, ctx *BatchContext) error {
+func (e *Engine) commitStage(ctx *BatchContext) error {
 	// Window maintenance: each query's window merge is independent, so
 	// the merges run on the pool too.
 	aggErrs := make([]error, len(e.queries))
@@ -463,5 +471,3 @@ func (commitStage) Run(e *Engine, ctx *BatchContext) error {
 	// rescale can only move state between owners, never change answers.
 	return e.applyRescale(ctx.Index)
 }
-
-func (commitStage) Simulated(*BatchContext) tuple.Time { return 0 }

@@ -153,38 +153,36 @@ func TestSetObserverMidRun(t *testing.T) {
 
 // TestPipelineZeroAllocWithoutObserver pins the acceptance criterion that
 // an unobserved pipeline adds nothing to the hot path: with no observer
-// registered, the stage-composition harness itself (runPipeline minus the
-// stages' own work) performs zero allocations, and no timings are
-// recorded.
+// registered, the stage harness itself (runStage minus the stage's own
+// work) performs zero allocations and emits nothing.
 func TestPipelineZeroAllocWithoutObserver(t *testing.T) {
-	eng, err := New(testConfig(), WordCount(window.Spec{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An empty stage list isolates the harness overhead from the stages'
-	// own (observer-independent) allocations.
-	eng.pipeline = nil
-	ctx := &BatchContext{Cols: &tuple.ColumnBatch{}}
+	// A no-op stage isolates the harness overhead from the stages' own
+	// (observer-independent) allocations.
+	calls := 0
+	noop := func(*BatchContext) error { calls++; return nil }
+	bc := &BatchContext{Index: 7, Cols: &tuple.ColumnBatch{}, PartitionTime: 5}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if err := eng.runPipeline(ctx); err != nil {
+		if err := runStage(nil, bc, StagePartition, noop); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("unobserved pipeline harness allocates %.1f objects per batch, want 0", allocs)
+		t.Errorf("unobserved stage harness allocates %.1f objects per stage, want 0", allocs)
 	}
-	if ctx.Timings != nil {
-		t.Error("unobserved pipeline recorded stage timings")
+	if calls == 0 {
+		t.Fatal("unobserved harness never ran the stage")
 	}
 
-	// Control: with an observer the same harness records timings (it may
-	// allocate; that cost is opt-in).
-	eng.SetObserver(metrics.NewCollector())
-	ctx2 := &BatchContext{Cols: &tuple.ColumnBatch{}}
-	if err := eng.runPipeline(ctx2); err != nil {
+	// Control: with an observer the same harness emits the stage's event,
+	// carrying the simulated time the stage charged.
+	rec := &recordingObserver{}
+	if err := runStage(rec, bc, StagePartition, noop); err != nil {
 		t.Fatal(err)
 	}
-	if ctx2.Timings == nil {
-		t.Error("observed pipeline recorded no stage timings")
+	if len(rec.stages) != 1 {
+		t.Fatalf("observed harness emitted %d stage events, want 1", len(rec.stages))
+	}
+	if ev := rec.stages[0]; ev.Batch != 7 || ev.Stage != string(StagePartition) || ev.Simulated != 5 {
+		t.Errorf("observed stage event = %+v, want batch 7, partition, simulated 5", ev)
 	}
 }
 

@@ -2,10 +2,8 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"time"
 
-	"prompt/internal/cluster"
 	"prompt/internal/metrics"
 	"prompt/internal/stats"
 	"prompt/internal/tuple"
@@ -55,26 +53,14 @@ type pipeItem struct {
 	frontWall  time.Duration
 }
 
-// frontSplit returns how many leading pipeline stages belong to the
-// frontend lane: everything before the process stage (accumulate and
-// partition in the default pipeline). Stages from the process stage on —
-// process, recover, commit — form the backend lane.
-func (e *Engine) frontSplit() int {
-	for i, st := range e.pipeline {
-		if st.Name() == StageProcess {
-			return i
-		}
-	}
-	return 0
-}
-
 // runPipelined is the depth-bounded inter-batch pipelining driver behind
 // RunBatches when PipelineDepth > 1.
 //
-// Two lanes share the batch pipeline: the frontend goroutine runs each
-// batch's accumulate and partition stages (Algorithms 1 and 2) over that
-// batch's own pipeSlot, in batch order; the backend — the calling
-// goroutine — runs process, recover, and commit, also in batch order.
+// It runs the same two halves as step, on two lanes: the frontend
+// goroutine runs each batch's front (accumulate and partition, Algorithms
+// 1 and 2) over that batch's own pipeSlot, in batch order; the backend —
+// the calling goroutine — runs back (replicate, process, recover, commit),
+// also in batch order.
 // Commit order is therefore exactly the sequential driver's, and every
 // feedback edge is consumed at the boundary it was produced for:
 //
@@ -92,7 +78,6 @@ func (e *Engine) frontSplit() int {
 func (e *Engine) runPipelined(ctx context.Context, src workload.Stream, n int) ([]BatchReport, error) {
 	depth := e.PipelineDepth()
 	obs := e.cfg.Observer
-	split := e.frontSplit()
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -138,7 +123,7 @@ func (e *Engine) runPipelined(ctx context.Context, src workload.Stream, n int) (
 			sl := &slots[i%depth]
 			sl.stage(e)
 			frontStart := timeNow()
-			bc, err := e.frontendBatch(cctx, base+i, tuples, start, end, split, obs)
+			bc, err := e.frontendBatch(cctx, base+i, tuples, start, end)
 			sl.unstage(e)
 			if err != nil {
 				items <- &pipeItem{err: err}
@@ -165,7 +150,7 @@ func (e *Engine) runPipelined(ctx context.Context, src workload.Stream, n int) (
 			continue
 		}
 		backStart := timeNow()
-		if err := e.backendBatch(item.bc, split, obs); err != nil {
+		if err := e.back(item.bc); err != nil {
 			runErr = err
 			cancel()
 			continue
@@ -194,86 +179,16 @@ func (e *Engine) runPipelined(ctx context.Context, src workload.Stream, n int) (
 	return out, nil
 }
 
-// frontendBatch runs one batch's frontend lane: the transpose into the
-// slot's column batch, then the stages before the process stage. It
-// mirrors the frontend half of step, including TaskPanic conversion, and
-// returns the handoff context for the backend lane.
-func (e *Engine) frontendBatch(cctx context.Context, idx int, tuples []tuple.Tuple, start, end tuple.Time, split int, obs Observer) (bc *BatchContext, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			tp, ok := v.(*cluster.TaskPanic)
-			if !ok {
-				panic(v)
-			}
-			bc, err = nil, fmt.Errorf("engine: batch %d: %w", idx, tp)
-		}
-	}()
+// frontendBatch is the frontend lane's share of one batch: the transpose
+// into the slot's column batch, then front.
+func (e *Engine) frontendBatch(cctx context.Context, idx int, tuples []tuple.Tuple, start, end tuple.Time) (*BatchContext, error) {
 	cb, err := e.transpose(tuples, idx)
 	if err != nil {
 		return nil, err
 	}
-	cb.Start, cb.End = start, end
-	bc = &BatchContext{
-		Index:    idx,
-		Ctx:      cctx,
-		Cols:     cb,
-		Interval: end - start,
-	}
-	if obs != nil {
-		e.observeBatchStart(obs, bc)
-		bc.Timings = make([]StageTiming, 0, len(e.pipeline))
-	}
-	for _, st := range e.pipeline[:split] {
-		if err := bc.cancelled(); err != nil {
-			return nil, err
-		}
-		if obs == nil {
-			if err := st.Run(e, bc); err != nil {
-				return nil, err
-			}
-		} else if err := e.runStage(obs, bc, st); err != nil {
-			return nil, err
-		}
+	bc := newBatch(cctx, idx, cb, start, end)
+	if err := e.front(bc); err != nil {
+		return nil, err
 	}
 	return bc, nil
-}
-
-// backendBatch runs one batch's backend lane — input replication for the
-// fault store, then the process/recover/commit stages — and advances the
-// engine's committed position. It mirrors the backend half of step.
-func (e *Engine) backendBatch(bc *BatchContext, split int, obs Observer) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			tp, ok := v.(*cluster.TaskPanic)
-			if !ok {
-				panic(v)
-			}
-			err = fmt.Errorf("engine: batch %d: %w", bc.Index, tp)
-		}
-	}()
-	if e.store != nil {
-		// Replicate in commit order, just before the first stage that can
-		// consume the copy (the recover stage's replay), so eviction
-		// horizons advance exactly as in the sequential driver.
-		e.store.Put(bc.Index, bc.Cols)
-	}
-	for _, st := range e.pipeline[split:] {
-		if err := bc.cancelled(); err != nil {
-			return err
-		}
-		if obs == nil {
-			if err := st.Run(e, bc); err != nil {
-				return err
-			}
-		} else if err := e.runStage(obs, bc, st); err != nil {
-			return err
-		}
-	}
-	if obs != nil {
-		e.observeBatchEnd(obs, bc)
-	}
-	e.recordReport(bc.Report)
-	e.batchIdx++
-	e.now = bc.Cols.End
-	return nil
 }

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"prompt/internal/metrics"
 	"prompt/internal/partition"
 	"prompt/internal/reducer"
 	"prompt/internal/tuple"
@@ -249,5 +254,138 @@ func TestPipelinedFaultEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(got.win, ref.win) {
 			t.Errorf("plan %q: depth-2 window diverges", plan)
 		}
+	}
+}
+
+// batchEvents is one batch's lifecycle events as an observer saw them.
+type batchEvents struct {
+	start  metrics.BatchStart
+	stages []metrics.StageEnd
+	end    metrics.BatchEnd
+}
+
+// perBatchObserver files lifecycle events by batch. The pipelined driver
+// emits a batch's front events on the frontend lane and its back events
+// on the calling goroutine, so events of different batches interleave;
+// within one batch they stay ordered.
+type perBatchObserver struct {
+	metrics.NopObserver
+	mu      sync.Mutex
+	batches map[int]*batchEvents
+}
+
+func (o *perBatchObserver) batch(i int) *batchEvents {
+	if o.batches == nil {
+		o.batches = make(map[int]*batchEvents)
+	}
+	if o.batches[i] == nil {
+		o.batches[i] = &batchEvents{}
+	}
+	return o.batches[i]
+}
+
+func (o *perBatchObserver) OnBatchStart(b metrics.BatchStart) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.batch(b.Batch).start = b
+}
+
+func (o *perBatchObserver) OnStageEnd(s metrics.StageEnd) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	ev := o.batch(s.Batch)
+	ev.stages = append(ev.stages, s)
+}
+
+func (o *perBatchObserver) OnBatchEnd(b metrics.BatchEnd) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.batch(b.Batch).end = b
+}
+
+// TestPipelinedObserverEventsMatchDepthOne: at depths 2 and 3 every
+// batch's stage events (names, order, simulated time) and its batch-start
+// and batch-end payloads equal depth 1's, across schemes and fault plans.
+// Only the interleaving across batches may differ. Traced runs read their
+// per-stage spans from these events.
+func TestPipelinedObserverEventsMatchDepthOne(t *testing.T) {
+	freezeClock(t)
+	const n = 6
+	run := func(sc pipeScenario, depth int) map[int]*batchEvents {
+		cfg := sc.config(testConfig())
+		cfg.PipelineDepth = depth
+		if sc.faults != "" {
+			cfg.Faults = mustPlan(t, sc.faults)
+		}
+		obs := &perBatchObserver{}
+		cfg.Observer = obs
+		eng, err := New(cfg, WordCount(window.Sliding(10*tuple.Second, tuple.Second)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.RunBatches(testSource(6000, 60, 17), n); err != nil {
+			t.Fatal(err)
+		}
+		return obs.batches
+	}
+	for _, sc := range pipeScenarios() {
+		ref := run(sc, 1)
+		if len(ref) != n {
+			t.Fatalf("%s: depth 1 observed %d batches, want %d", sc.name, len(ref), n)
+		}
+		for _, depth := range []int{2, 3} {
+			got := run(sc, depth)
+			for i := 0; i < n; i++ {
+				if !reflect.DeepEqual(got[i], ref[i]) {
+					t.Errorf("%s depth %d batch %d: events %+v, want %+v", sc.name, depth, i, got[i], ref[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPipelinedConvertsTaskPanics mirrors TestStepConvertsTaskPanics on the
+// pipelined driver: a Map panic in batch 2 fails the run with an error
+// naming the panic, returns the reports of the batches committed before
+// it, and leaves no goroutine of either lane behind.
+func TestPipelinedConvertsTaskPanics(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, depth := range []int{2, 3} {
+		for _, workers := range []int{0, 4} {
+			cfg := testConfig()
+			cfg.Workers = workers
+			cfg.PipelineDepth = depth
+			boom := Query{
+				Name: "boom",
+				Map: func(tp tuple.Tuple) (float64, bool) {
+					if tp.TS >= 2*tuple.Second && tp.TS < 3*tuple.Second {
+						panic("map exploded")
+					}
+					return 1, true
+				},
+			}
+			eng, err := New(cfg, boom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps, rerr := eng.RunBatches(testSource(5000, 40, 3), 5)
+			if rerr == nil || !strings.Contains(rerr.Error(), "panicked") {
+				t.Fatalf("depth=%d workers=%d: error %v does not report the panic", depth, workers, rerr)
+			}
+			if len(reps) != 2 || reps[0].Index != 0 || reps[1].Index != 1 {
+				t.Fatalf("depth=%d workers=%d: got %d reports, want batches 0-1", depth, workers, len(reps))
+			}
+			if eng.Now() != 2*tuple.Second {
+				t.Errorf("depth=%d workers=%d: committed position %v, want 2s", depth, workers, eng.Now())
+			}
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after panicking runs", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -120,41 +120,27 @@ func (s *BatchStore) Replay(index int, cfg Config, queries []Query) ([]Result, t
 	return results, rep.ProcessingTime, nil
 }
 
-// RecoverableEngine couples an engine with a batch store so every ingested
-// batch is replicated before processing — the deployment mode the paper's
-// consistency section describes.
+// RecoverableEngine couples an engine with a batch store so every batch
+// is replicated before processing — the deployment mode the paper's
+// consistency section describes. The store is the engine's own: every
+// edge and driver (Step, StepColumns, RunBatches at any pipeline depth)
+// replicates each batch just before processing it, so any batch still
+// inside the window can be recovered.
 type RecoverableEngine struct {
 	*Engine
 	Store *BatchStore
 }
 
-// NewRecoverable wraps an engine with input replication sized to the
+// NewRecoverable builds an engine with input replication sized to the
 // query's window (falling back to one batch interval for windowless
-// queries).
+// queries). Under a fault plan it shares the store the plan already built.
 func NewRecoverable(cfg Config, q Query) (*RecoverableEngine, error) {
 	eng, err := New(cfg, q)
 	if err != nil {
 		return nil, err
 	}
-	retain := eng.cfg.BatchInterval
-	if q.Window.Length > retain {
-		retain = q.Window.Length
-	}
-	return &RecoverableEngine{Engine: eng, Store: NewBatchStore(retain, eng.dict)}, nil
-}
-
-// Step transposes and replicates the batch input, then processes it.
-func (r *RecoverableEngine) Step(tuples []tuple.Tuple, start, end tuple.Time) (BatchReport, error) {
-	if err := r.checkBatch(nil, start, end); err != nil {
-		return BatchReport{}, err
-	}
-	cb, err := r.transpose(tuples, r.batchIdx)
-	if err != nil {
-		return BatchReport{}, err
-	}
-	cb.Start, cb.End = start, end
-	r.Store.Put(r.batchIdx, cb)
-	return r.step(nil, cb, start, end)
+	eng.replicate()
+	return &RecoverableEngine{Engine: eng, Store: eng.store}, nil
 }
 
 // Recover recomputes the primary query's output for a batch after

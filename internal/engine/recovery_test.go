@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"prompt/internal/intern"
 	"prompt/internal/tuple"
 	"prompt/internal/window"
+	"prompt/internal/workload"
 )
 
 // storeBatch is a one-row column batch for [start, end) with key ID id.
@@ -132,5 +134,93 @@ func TestRecoverableRetainTracksWindow(t *testing.T) {
 	// be, since its output no longer contributes to any answer.
 	if _, err := re.Recover(0); err == nil {
 		t.Error("recovered a batch that exited the window")
+	}
+}
+
+// TestRecoverableEngineReplicatesEveryEdge: a RecoverableEngine's store is
+// the engine's own replication point, so every edge and driver leaves
+// every batch still inside the window recoverable — RunBatches inline and
+// pipelined, StepColumns, and a fault-planned engine whose plan built the
+// store — and each recovery is bit-identical to the batch's original
+// output.
+func TestRecoverableEngineReplicatesEveryEdge(t *testing.T) {
+	const n = 4
+	q := WordCount(window.Sliding(8*tuple.Second, tuple.Second))
+	src := func() *workload.Source { return testSource(4000, 60, 31) }
+
+	// Reference: each batch's output from a plain, unreplicated engine.
+	ref, err := New(testConfig(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]map[string]float64, n)
+	refSrc := src()
+	for i := range want {
+		start := ref.Now()
+		ts, err := refSrc.Slice(start, start+tuple.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Step(ts, start, start+tuple.Second); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = ref.LastResult()
+	}
+
+	runBatches := func(re *RecoverableEngine) error {
+		_, err := re.RunBatches(src(), n)
+		return err
+	}
+	for _, tc := range []struct {
+		name   string
+		config func(Config) Config
+		drive  func(*RecoverableEngine) error
+	}{
+		{"run-depth1", func(c Config) Config { return c }, runBatches},
+		{"run-depth2", func(c Config) Config { c.PipelineDepth = 2; return c }, runBatches},
+		{"step-columns", func(c Config) Config { return c }, func(re *RecoverableEngine) error {
+			s := src()
+			for i := 0; i < n; i++ {
+				start := re.Now()
+				ts, err := s.Slice(start, start+tuple.Second)
+				if err != nil {
+					return err
+				}
+				cb := &tuple.ColumnBatch{}
+				if err := cb.Transpose(ts, re.Dict()); err != nil {
+					return err
+				}
+				if _, err := re.StepColumns(cb, start, start+tuple.Second); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"faults", func(c Config) Config {
+			c.Faults = mustPlan(t, "lose@2:fails=1;straggle@1:factor=3")
+			return c
+		}, runBatches},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			re, err := NewRecoverable(tc.config(testConfig()), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.drive(re); err != nil {
+				t.Fatal(err)
+			}
+			if got := re.Store.Len(); got != n {
+				t.Errorf("store holds %d batches, want %d", got, n)
+			}
+			for i := 0; i < n; i++ {
+				got, err := re.Recover(i)
+				if err != nil {
+					t.Fatalf("batch %d: %v", i, err)
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("batch %d: recovered output differs from the original", i)
+				}
+			}
+		})
 	}
 }

@@ -12,8 +12,10 @@ import (
 // StageName identifies one step of the batch lifecycle.
 type StageName string
 
-// The four stages of the staged batch pipeline, in execution order. Each
-// maps onto one of the paper's extension points.
+// The five stages of a batch, in execution order: front runs accumulate
+// and partition (the batching phase), back runs process, recover and
+// commit (the processing phase). Each maps onto one of the paper's
+// extension points.
 const (
 	// StageAccumulate is the receiver/buffering step (Algorithm 1 when
 	// frequency-aware accumulation is on; a no-op for post-sort mode,
@@ -38,19 +40,10 @@ const (
 	StageCommit StageName = "commit"
 )
 
-// StageTiming is one stage's recorded cost for one batch: measured host
-// time and the virtual time the stage charged to the batch. Timings are
-// only collected when an observer is registered.
-type StageTiming struct {
-	Stage     StageName
-	Wall      time.Duration
-	Simulated tuple.Time
-}
-
-// BatchContext carries one micro-batch through the staged pipeline. Each
-// stage reads the products of its predecessors and fills in its own;
-// after the commit stage, Report holds the finished BatchReport. The
-// context lives for exactly one Engine.Step call.
+// BatchContext carries one micro-batch through its two halves (front, then
+// back). Each stage reads the products of its predecessors and fills in
+// its own; after the commit stage, Report holds the finished BatchReport.
+// The context lives for exactly one batch.
 type BatchContext struct {
 	// Index is the batch sequence number (0-based).
 	Index int
@@ -92,38 +85,33 @@ type BatchContext struct {
 	// retries are the simulated task re-executions this batch suffered
 	// (executor losses and speculative backups), in (query, task) order.
 	retries []metrics.TaskRetry
-	// killed notes an executor kill fired this batch; the lost cores are
-	// charged to the engine after the process stage.
-	killed bool
 	// RecoveryAttempts and RecoveryTime are the recover stage products:
 	// how many recomputation attempts a scripted output loss took and the
 	// simulated time they added to Processing.
 	RecoveryAttempts int
 	RecoveryTime     tuple.Time
 
-	// Timings records per-stage costs when an observer is registered;
-	// nil otherwise (the no-observer hot path allocates nothing extra).
-	Timings []StageTiming
 	// wallStart is the batch's wall-clock start, stamped with the
 	// batch-start observer event so the batch-end event can report
-	// end-to-end wall time even when the stage loop is split across the
-	// pipelined driver's two lanes.
+	// end-to-end wall time even when front and back run on the pipelined
+	// driver's two lanes.
 	wallStart time.Time
 
 	// Report is the finished batch report, filled by the commit stage.
 	Report BatchReport
 }
 
-// Stage is one composable step of the batch pipeline. Stages run in order
-// on the driver goroutine; a stage may fan work out to the engine's
-// worker pool, but all BatchContext mutation happens between stages'
-// sequential Run calls.
-type Stage interface {
-	// Name identifies the stage in timings and observer events.
-	Name() StageName
-	// Run executes the stage for one batch.
-	Run(e *Engine, ctx *BatchContext) error
-	// Simulated reports the virtual time the stage charged to the batch,
-	// read after Run for observer events.
-	Simulated(ctx *BatchContext) tuple.Time
+// simulated is the virtual time stage name charged to the batch, read
+// after the stage ran for its observer event. Accumulation overlaps the
+// batching interval and commit is bookkeeping, so both charge nothing.
+func (ctx *BatchContext) simulated(name StageName) tuple.Time {
+	switch name {
+	case StagePartition:
+		return ctx.PartitionTime
+	case StageProcess:
+		return ctx.Processing
+	case StageRecover:
+		return ctx.RecoveryTime
+	}
+	return 0
 }

@@ -153,34 +153,24 @@ func (c *streamCore) Run(src BatchSource, n int) ([]BatchReport, error) {
 // reports of the batches already committed. Nothing of the in-flight
 // batch is committed and no goroutines are left behind.
 func (c *streamCore) RunContext(ctx context.Context, src BatchSource, n int) ([]BatchReport, error) {
-	if c.elastic == nil && c.eng.PipelineDepth() > 1 {
-		// Pipelined driver: the engine overlaps consecutive batches up to
-		// the configured depth, committing strictly in batch order. An
-		// elastic stream never takes this path — its policy must observe
-		// each report before the next batch is admitted.
-		reps, err := c.eng.RunBatchesContext(ctx, batchSourceStream{src: src}, n)
+	stream := batchSourceStream{src: src}
+	if c.elastic == nil {
+		// The engine's drive loop, at any pipeline depth: it overlaps
+		// consecutive batches up to the configured depth, committing
+		// strictly in batch order.
+		reps, err := c.eng.RunBatchesContext(ctx, stream, n)
 		return newBatchReports(c.scheme.Name, reps), err
 	}
+	// An elastic stream steps one batch at a time: its policy must observe
+	// each report before the next batch is admitted.
 	out := make([]BatchReport, 0, n)
 	for i := 0; i < n; i++ {
-		// Check before pulling from the source, so a cancelled run never
-		// consumes an interval it will not process.
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		start := c.eng.Now()
-		end := start + c.eng.Config().BatchInterval
-		tuples, err := src(start, end)
+		reps, err := c.eng.RunBatchesContext(ctx, stream, 1)
 		if err != nil {
 			return out, err
 		}
-		rep, err := c.eng.StepContext(ctx, tuples, start, end)
-		if err != nil {
-			return out, err
-		}
-		br := newBatchReport(c.scheme.Name, rep)
-		out = append(out, br)
-		if err := c.observeElastic(rep); err != nil {
+		out = append(out, newBatchReport(c.scheme.Name, reps[0]))
+		if err := c.observeElastic(reps[0]); err != nil {
 			return out, err
 		}
 	}
@@ -188,9 +178,8 @@ func (c *streamCore) RunContext(ctx context.Context, src BatchSource, n int) ([]
 }
 
 // batchSourceStream adapts the public BatchSource to the engine's pull
-// interface so Run can hand the whole drive loop to the pipelined
-// driver. The engine pulls intervals sequentially, exactly as the
-// sequential loop does; Reset is never called on a live run.
+// interface so Run can hand the drive loop to the engine. The engine
+// pulls intervals sequentially; Reset is never called on a live run.
 type batchSourceStream struct{ src BatchSource }
 
 func (s batchSourceStream) Slice(start, end Time) ([]Tuple, error) { return s.src(start, end) }
