@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"prompt/internal/experiment"
+	"prompt/internal/intern"
 	"prompt/internal/partition"
 	"prompt/internal/reducer"
 	"prompt/internal/stats"
@@ -258,20 +259,29 @@ func BenchmarkPostSortBaseline(b *testing.B) {
 
 // --- Micro-benchmarks: Algorithm 2 and baselines ------------------------------
 
+// BenchmarkPartitioners runs every registered partitioner the way the
+// engine does: the batch as columns over one dictionary, the sorted key
+// list from that dictionary, and the previous call's block set rebuilt in
+// place, so no scheme pays a transpose or a fresh block set per call.
 func BenchmarkPartitioners(b *testing.B) {
 	batch := benchBatch(b, 100_000)
-	sorted, err := stats.PostSort(batch)
-	if err != nil {
+	dict := intern.NewDict(0)
+	cols := &tuple.ColumnBatch{Start: batch.Start, End: batch.End}
+	if err := cols.Transpose(batch.Tuples, dict); err != nil {
 		b.Fatal(err)
 	}
-	in := partition.Input{Batch: batch, Sorted: sorted}
+	sorted := stats.NewPostSorter(dict).Sort(cols)
 	for _, name := range partition.Names() {
 		pt := partition.Registry()[name]
 		b.Run(name, func(b *testing.B) {
+			in := partition.Input{Cols: cols, Dict: dict, Sorted: sorted}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := pt.Partition(in, 16); err != nil {
+				blocks, err := pt.Partition(in, 16)
+				if err != nil {
 					b.Fatal(err)
 				}
+				in.Blocks = blocks
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"prompt/internal/approx"
@@ -24,7 +25,36 @@ import (
 // them) or a per-batch table sized by the batch cardinality (hundreds of
 // kilobytes) fail loudly.
 func TestPromptSteadyStateAllocCeiling(t *testing.T) {
-	testSteadyStateAllocCeiling(t, "rows")
+	testSteadyStateAllocCeiling(t, "prompt", "rows", promptCeiling)
+}
+
+// promptCeiling bounds the prompt scheme at either ingest edge: about 40
+// allocations and 204 KB a batch were measured when it was set. Under the
+// race detector the pools drop a quarter of what they are given, so the
+// scratch they hold is rebuilt at random: the count gets a wider bound
+// there (219–281 measured) and the bytes are only reported.
+var promptCeiling = allocCeiling{count: 100, raceCount: 500, bytes: 256 << 10}
+
+// TestHashSteadyStateAllocCeiling is the same measurement for the hash
+// baseline (post-sorted statistics, per-tuple partitioning, hashed
+// buckets): its blocks' runs are scattered into the block set's own
+// arenas, so a per-row or per-key allocation in the per-tuple block
+// builder fails the count.
+func TestHashSteadyStateAllocCeiling(t *testing.T) {
+	// 588 allocations and 216 KB measured (703 allocations under -race),
+	// almost all of them the post-sort's per-key groups; 51 725 and
+	// 7 116 KB with a run grown by append per row.
+	testSteadyStateAllocCeiling(t, "hash", "rows", allocCeiling{count: 1000, raceCount: 2000, bytes: 288 << 10})
+}
+
+// TestPK5SteadyStateAllocCeiling is TestHashSteadyStateAllocCeiling for
+// PK-5, whose keys split over up to five blocks and whose five candidate
+// blocks per key are hashed into reused scratch.
+func TestPK5SteadyStateAllocCeiling(t *testing.T) {
+	// 588 allocations and 257 KB measured (703 allocations under -race);
+	// 75 783 and 9 943 KB with a run grown by append per row and a slice of
+	// candidates per key.
+	testSteadyStateAllocCeiling(t, "pk5", "rows", allocCeiling{count: 1000, raceCount: 2000, bytes: 320 << 10})
 }
 
 // TestMaxReduceSteadyStateAllocCeiling is the non-invertible companion of
@@ -88,40 +118,42 @@ func TestMaxReduceSteadyStateAllocCeiling(t *testing.T) {
 // accumulator's log and row arena and the partitioner's span arenas must
 // reach a steady shape under the same ceiling.
 func TestColumnarSteadyStateAllocCeiling(t *testing.T) {
-	testSteadyStateAllocCeiling(t, "columns")
+	testSteadyStateAllocCeiling(t, "prompt", "columns", promptCeiling)
 }
 
-// testSteadyStateAllocCeiling measures the prompt scheme's steady-state
-// allocations per batch at one ingest edge: "rows" (Step) or "columns"
-// (StepColumns), at the zipf-hot bench shape (50 000 tuples a batch over
-// 20 000 Zipf keys). It bounds both the count and the bytes
+// allocCeiling is a steady-state budget per batch: allocations (count,
+// or raceCount under the race detector) and bytes allocated.
+type allocCeiling struct {
+	count, raceCount, bytes uint64
+}
+
+// testSteadyStateAllocCeiling measures one hotPathSchemes scheme's
+// steady-state allocations per batch at one ingest edge: "rows" (Step) or
+// "columns" (StepColumns), at the zipf-hot bench shape (50 000 tuples a
+// batch over 20 000 Zipf keys). It bounds both the count and the bytes
 // (runtime.MemStats.TotalAlloc): a per-batch table sized by the batch
 // cardinality — a reference map per block, fresh Map columns — costs few
 // allocations but hundreds of kilobytes, which only the byte ceiling sees.
-func testSteadyStateAllocCeiling(t *testing.T, edge string) {
+func testSteadyStateAllocCeiling(t *testing.T, scheme, edge string, ceiling allocCeiling) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("allocation measurement skipped in -short mode")
 	}
 	const (
-		rate        = 50_000
-		card        = 20_000
-		warm        = 32
-		runs        = 8
-		byteCeiling = 256 << 10 // bytes per batch, steady state (204 KB measured)
+		rate = 50_000
+		card = 20_000
+		warm = 32
+		runs = 8
 	)
-	// Allocations per batch, steady state. Under the race detector the
-	// pools drop a quarter of what they are given, so the scratch they
-	// hold is rebuilt at random: the count gets a wider bound there and
-	// the bytes are only reported.
-	countCeiling := uint64(100) // 40 measured
+	countCeiling := ceiling.count
 	if raceEnabled {
-		countCeiling = 500 // 219–281 measured
+		countCeiling = ceiling.raceCount
 	}
-	hs := hotPathSchemes()[0]
-	if hs.name != "prompt" {
-		t.Fatalf("expected prompt scheme first, got %s", hs.name)
+	i := slices.IndexFunc(hotPathSchemes(), func(hs hotPathScheme) bool { return hs.name == scheme })
+	if i < 0 {
+		t.Fatalf("no hot-path scheme %q", scheme)
 	}
+	hs := hotPathSchemes()[i]
 	src := hotPathSource(t, "zipf", rate, card)
 	batches := hotPathBatches(t, src, warm+runs, tuple.Second)
 	eng := newHotPathEngine(t, hs, 0)
@@ -147,7 +179,7 @@ func testSteadyStateAllocCeiling(t *testing.T, edge string) {
 		}
 	}
 	allocs, bytes := steadyStatePerBatch(warm, runs, step)
-	checkSteadyState(t, "prompt ("+edge+")", allocs, bytes, countCeiling, byteCeiling)
+	checkSteadyState(t, scheme+" ("+edge+")", allocs, bytes, countCeiling, ceiling.bytes)
 }
 
 // steadyStatePerBatch runs step over batches 0..warm-1, then returns the

@@ -48,13 +48,13 @@ func SeededBucket(s string, seed uint64, n int) int {
 	return int(Seeded(s, seed) % uint64(n))
 }
 
-// Candidates returns the d candidate buckets for key s among n buckets, as
-// used by PK-d style key-splitting partitioners. Candidates may collide for
-// small n; callers treat the returned slice as a multiset.
-func Candidates(s string, d, n int) []int {
-	out := make([]int, d)
+// AppendCandidates appends the d candidate buckets for key s among n
+// buckets to dst and returns the extended slice, as used by PK-d style
+// key-splitting partitioners. Candidates may collide for small n; callers
+// treat them as a multiset.
+func AppendCandidates(dst []int, s string, d, n int) []int {
 	for i := 0; i < d; i++ {
-		out[i] = SeededBucket(s, uint64(i+1), n)
+		dst = append(dst, SeededBucket(s, uint64(i+1), n))
 	}
-	return out
+	return dst
 }

@@ -66,8 +66,8 @@ func TestBucketDistribution(t *testing.T) {
 	}
 }
 
-func TestCandidates(t *testing.T) {
-	c := Candidates("foo", 5, 64)
+func TestAppendCandidates(t *testing.T) {
+	c := AppendCandidates(nil, "foo", 5, 64)
 	if len(c) != 5 {
 		t.Fatalf("got %d candidates, want 5", len(c))
 	}
@@ -76,11 +76,14 @@ func TestCandidates(t *testing.T) {
 			t.Errorf("candidate %d out of range", idx)
 		}
 	}
-	// Deterministic.
-	c2 := Candidates("foo", 5, 64)
+	// Deterministic, and appended after what dst holds.
+	c2 := AppendCandidates([]int{-1}, "foo", 5, 64)
+	if len(c2) != 6 || c2[0] != -1 {
+		t.Fatalf("AppendCandidates overwrote dst: %v", c2)
+	}
 	for i := range c {
-		if c[i] != c2[i] {
-			t.Error("Candidates not deterministic")
+		if c[i] != c2[i+1] {
+			t.Error("AppendCandidates not deterministic")
 		}
 	}
 	// With 64 buckets and 5 draws, at least two distinct candidates is

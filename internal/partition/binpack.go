@@ -34,47 +34,45 @@ func (*FirstFitDecreasing) Name() string { return "ffd" }
 
 // Partition implements Partitioner.
 func (f *FirstFitDecreasing) Partition(in Input, p int) ([]*tuple.Block, error) {
-	if err := checkArgs(in, p); err != nil {
-		return nil, err
-	}
-	items, err := in.items()
+	b, err := packBuilder(in, p)
 	if err != nil {
 		return nil, err
 	}
+	defer b.release()
 	total := 0
-	for i := range items {
-		total += items[i].size
+	for i := range b.items {
+		total += b.items[i].size
 	}
 	cap := capacity(total, p)
-	a := newAssignment(p)
-	for _, it := range items {
+	for i := range b.items {
+		it := &b.items[i]
 		rest := it.cols
 		restW := it.size
 		for restW > 0 {
 			// First bin with spare capacity.
 			bin := -1
 			for j := 0; j < p; j++ {
-				if a.weightOf(j) < cap {
+				if b.weightOf(j) < cap {
 					bin = j
 					break
 				}
 			}
 			if bin == -1 {
 				// All bins at capacity (rounding): spill into the lightest.
-				bin = lightest(a)
+				bin = b.lightest()
 			}
-			room := cap - a.weightOf(bin)
+			room := cap - b.weightOf(bin)
 			if room <= 0 || room >= restW {
-				a.place(bin, it.key, it.id, rest, restW)
+				b.place(bin, i, rest, restW)
 				restW = 0
 			} else {
 				frag, remainder, fw := splitCols(rest, room)
-				a.place(bin, it.key, it.id, frag, fw)
+				b.place(bin, i, frag, fw)
 				rest, restW = remainder, restW-fw
 			}
 		}
 	}
-	return a.build(in.Blocks), nil
+	return b.build(in.Blocks), nil
 }
 
 // FragMin packs keys in descending size order, placing each item whole into
@@ -93,60 +91,47 @@ func (*FragMin) Name() string { return "fragmin" }
 
 // Partition implements Partitioner.
 func (f *FragMin) Partition(in Input, p int) ([]*tuple.Block, error) {
-	if err := checkArgs(in, p); err != nil {
-		return nil, err
-	}
-	items, err := in.items()
+	b, err := packBuilder(in, p)
 	if err != nil {
 		return nil, err
 	}
+	defer b.release()
 	total := 0
-	for i := range items {
-		total += items[i].size
+	for i := range b.items {
+		total += b.items[i].size
 	}
 	cap := capacity(total, p)
-	a := newAssignment(p)
-	for _, it := range items {
+	for i := range b.items {
+		it := &b.items[i]
 		rest := it.cols
 		restW := it.size
 		for restW > 0 {
 			// Best fit: tightest bin that holds the whole residual.
 			bin, room := -1, 0
 			for j := 0; j < p; j++ {
-				r := cap - a.weightOf(j)
+				r := cap - b.weightOf(j)
 				if r >= restW && (bin == -1 || r < room) {
 					bin, room = j, r
 				}
 			}
 			if bin >= 0 {
-				a.place(bin, it.key, it.id, rest, restW)
+				b.place(bin, i, rest, restW)
 				restW = 0
 				continue
 			}
 			// No bin fits the whole item: fill the emptiest bin.
-			bin = lightest(a)
-			room = cap - a.weightOf(bin)
+			bin = b.lightest()
+			room = cap - b.weightOf(bin)
 			if room <= 0 {
 				// Rounding corner case: place the rest in the lightest bin.
-				a.place(bin, it.key, it.id, rest, restW)
+				b.place(bin, i, rest, restW)
 				restW = 0
 				continue
 			}
 			frag, remainder, fw := splitCols(rest, room)
-			a.place(bin, it.key, it.id, frag, fw)
+			b.place(bin, i, frag, fw)
 			rest, restW = remainder, restW-fw
 		}
 	}
-	return a.build(in.Blocks), nil
-}
-
-// lightest returns the index of the bin with the least weight.
-func lightest(a *assignment) int {
-	best, bestW := 0, a.weightOf(0)
-	for j := 1; j < a.p; j++ {
-		if w := a.weightOf(j); w < bestW {
-			best, bestW = j, w
-		}
-	}
-	return best
+	return b.build(in.Blocks), nil
 }

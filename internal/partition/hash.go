@@ -19,17 +19,17 @@ func (*Hash) Name() string { return "hash" }
 
 // Partition implements Partitioner.
 func (h *Hash) Partition(in Input, p int) ([]*tuple.Block, error) {
-	b, err := newPerTupleBuilder(in, p)
+	b, err := rowBuilder(in, p)
 	if err != nil {
 		return nil, err
 	}
-	var block []int // batch-local key number -> block, hashed on first arrival
+	defer b.release()
 	for row := range b.cb.IDs {
 		k, first := b.key(row)
-		if first {
-			block = append(block, hashutil.Bucket(b.keyString(k), p))
+		if first { // memo: the key's block, hashed on first arrival
+			b.memo = append(b.memo, hashutil.Bucket(b.keyString(k), p))
 		}
-		b.add(block[k], k, row)
+		b.add(b.memo[k], k, row)
 	}
-	return b.build(), nil
+	return b.build(in.Blocks), nil
 }

@@ -31,25 +31,25 @@ func (pk *PKd) Partition(in Input, p int) ([]*tuple.Block, error) {
 	if pk.d < 1 {
 		return nil, fmt.Errorf("partition: pk-d needs d >= 1, got %d", pk.d)
 	}
-	b, err := newPerTupleBuilder(in, p)
+	b, err := rowBuilder(in, p)
 	if err != nil {
 		return nil, err
 	}
-	var cands []int // batch-local key number k -> cands[k*d : (k+1)*d]
+	defer b.release()
 	for row := range b.cb.IDs {
 		k, first := b.key(row)
-		if first {
-			cands = append(cands, hashutil.Candidates(b.keyString(k), pk.d, p)...)
+		if first { // memo[k*d : (k+1)*d]: the key's candidate blocks
+			b.memo = hashutil.AppendCandidates(b.memo, b.keyString(k), pk.d, p)
 		}
 		best, bestW := -1, 0
-		for _, idx := range cands[int(k)*pk.d : int(k+1)*pk.d] {
+		for _, idx := range b.memo[int(k)*pk.d : int(k+1)*pk.d] {
 			if w := b.weightOf(idx); best == -1 || w < bestW {
 				best, bestW = idx, w
 			}
 		}
 		b.add(best, k, row)
 	}
-	return b.build(), nil
+	return b.build(in.Blocks), nil
 }
 
 // CAM implements the cardinality-aware key-splitting of Katsipoulakis et
@@ -80,22 +80,22 @@ func (c *CAM) Partition(in Input, p int) ([]*tuple.Block, error) {
 	if c.d < 1 {
 		return nil, fmt.Errorf("partition: cam needs d >= 1, got %d", c.d)
 	}
-	b, err := newPerTupleBuilder(in, p)
+	b, err := rowBuilder(in, p)
 	if err != nil {
 		return nil, err
 	}
-	var cands []int // batch-local key number k -> cands[k*d : (k+1)*d]
+	defer b.release()
 	n := 0
 	for row, w := range b.cb.W {
 		k, first := b.key(row)
-		if first {
-			cands = append(cands, hashutil.Candidates(b.keyString(k), c.d, p)...)
+		if first { // memo[k*d : (k+1)*d]: the key's candidate blocks
+			b.memo = hashutil.AppendCandidates(b.memo, b.keyString(k), c.d, p)
 		}
 		n += int(w)
 		avg := float64(n) / float64(p)
 		best := -1
 		bestScore := 0.0
-		for _, idx := range cands[int(k)*c.d : int(k+1)*c.d] {
+		for _, idx := range b.memo[int(k)*c.d : int(k+1)*c.d] {
 			// Size term: how loaded the candidate already is, relative to
 			// the running average. Cardinality term: the aggregation cost
 			// of opening a new fragment of this key in the candidate.
@@ -109,5 +109,5 @@ func (c *CAM) Partition(in Input, p int) ([]*tuple.Block, error) {
 		}
 		b.add(best, k, row)
 	}
-	return b.build(), nil
+	return b.build(in.Blocks), nil
 }

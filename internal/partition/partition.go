@@ -6,10 +6,14 @@
 // Fragmentation-Minimization), and Prompt's own B-BPFI heuristic
 // (Algorithm 2).
 //
-// Every partitioner reads the batch as columns and emits blocks of
-// column runs (tuple.ColSlice views): the per-tuple techniques walk the ID
-// column in arrival order, the sorted-input techniques slice the
-// accumulator's per-key runs.
+// Every partitioner reads the batch as columns and feeds one pooled block
+// builder, which emits blocks of column runs (tuple.ColSlice). The
+// sorted-input techniques (Prompt, FFD, FragMin) place views of the
+// accumulator's per-key runs and copy no tuple data. The per-tuple
+// techniques walk the ID column in arrival order and choose a block per
+// row; one counting scatter then lays each (block, key) run contiguously
+// into the block's own arena (tuple.Block.Arena), which the block set
+// owns and rebuilds in place, batch after batch.
 package partition
 
 import (
@@ -113,128 +117,6 @@ func rewind(set []*tuple.Block, p int) []*tuple.Block {
 	return set
 }
 
-// perTupleBuilder accumulates a per-tuple assignment (row -> block) over
-// the batch's ID column and materializes blocks of per-key column runs,
-// each block's runs in first-seen key order. It is shared by the online
-// partitioners (time-based, shuffle, hash, PK-d, cAM), which decide block
-// placement tuple-at-a-time.
-//
-// Keys get batch-local numbers in first-arrival order (key), so the
-// partitioners can memoize per-key work — a key's string is hashed once
-// per batch, not once per row.
-type perTupleBuilder struct {
-	p      int
-	set    []*tuple.Block // the caller's block set to rebuild (Input.Blocks)
-	cb     *tuple.ColumnBatch
-	keys   []string         // the dictionary's strings, by intern ID
-	local  map[uint32]int32 // intern ID -> batch-local key number
-	ids    []uint32         // batch-local key number -> intern ID
-	runs   [][]keyRun       // per block, first-seen key order
-	at     [][]int32        // per block: local key -> run index + 1 (0 = none)
-	weight []int
-}
-
-// keyRun is one key's rows placed in one block.
-type keyRun struct {
-	key  int32 // batch-local key number
-	cols tuple.ColSlice
-}
-
-// newPerTupleBuilder checks the input and returns a builder over its
-// columns.
-func newPerTupleBuilder(in Input, p int) (*perTupleBuilder, error) {
-	if err := checkArgs(in, p); err != nil {
-		return nil, err
-	}
-	cb, dict, err := in.columns()
-	if err != nil {
-		return nil, err
-	}
-	return &perTupleBuilder{
-		p:      p,
-		set:    in.Blocks,
-		cb:     cb,
-		keys:   dict.Strings(),
-		local:  make(map[uint32]int32),
-		runs:   make([][]keyRun, p),
-		at:     make([][]int32, p),
-		weight: make([]int, p),
-	}, nil
-}
-
-// key returns the batch-local number of row's key and whether this row is
-// the key's first arrival.
-func (b *perTupleBuilder) key(row int) (k int32, first bool) {
-	id := b.cb.IDs[row]
-	if k, ok := b.local[id]; ok {
-		return k, false
-	}
-	k = int32(len(b.ids))
-	b.local[id] = k
-	b.ids = append(b.ids, id)
-	return k, true
-}
-
-// keyString returns the key string of a batch-local key number.
-func (b *perTupleBuilder) keyString(k int32) string { return b.keys[b.ids[k]] }
-
-// add places one row, whose key has batch-local number k, into block i.
-func (b *perTupleBuilder) add(i int, k int32, row int) {
-	at := b.at[i]
-	for len(at) <= int(k) {
-		at = append(at, 0)
-	}
-	b.at[i] = at
-	if at[k] == 0 {
-		b.runs[i] = append(b.runs[i], keyRun{key: k})
-		at[k] = int32(len(b.runs[i]))
-	}
-	r := &b.runs[i][at[k]-1]
-	r.cols = r.cols.Append(b.cb.TS[row], b.cb.Vals[row], b.cb.W[row])
-	b.weight[i] += int(b.cb.W[row])
-}
-
-// weightOf returns the current tuple weight of block i.
-func (b *perTupleBuilder) weightOf(i int) int { return b.weight[i] }
-
-// cardinalityOf returns the current distinct-key count of block i.
-func (b *perTupleBuilder) cardinalityOf(i int) int { return len(b.runs[i]) }
-
-// contains reports whether block i already holds the key with batch-local
-// number k.
-func (b *perTupleBuilder) contains(i int, k int32) bool {
-	return int(k) < len(b.at[i]) && b.at[i][k] != 0
-}
-
-// build materializes the blocks and their reference tables (split keys
-// only; see tuple.SplitInfo).
-func (b *perTupleBuilder) build() []*tuple.Block {
-	// Fragment counts across all blocks determine split labels.
-	frags := make([]int, len(b.ids))
-	sizes := make([]int, len(b.ids))
-	for i := range b.runs {
-		for _, r := range b.runs[i] {
-			frags[r.key]++
-			sizes[r.key] += r.cols.Len()
-		}
-	}
-	out := rewind(b.set, b.p)
-	for i := range b.runs {
-		for _, r := range b.runs[i] {
-			key := b.keyString(r.key)
-			out[i].AddDenseCols(key, b.ids[r.key], r.cols, r.cols.Weight())
-			if frags[r.key] > 1 {
-				out[i].Ref[key] = tuple.SplitInfo{
-					Split:     true,
-					TotalSize: sizes[r.key],
-					Fragments: frags[r.key],
-				}
-			}
-		}
-	}
-	return out
-}
-
 // splitCols cuts w units of weight off the front of c, returning the
 // fragment, the remainder, and the fragment's actual weight (which may
 // exceed w by at most one tuple's weight minus one, since tuples are
@@ -280,82 +162,6 @@ func itemsFromSortedInto(dst []keyItem, sorted []stats.SortedKey, pool *cluster.
 		}
 	})
 	return items
-}
-
-// items returns the input's packing items, computing weights on the
-// input's pool.
-func (in Input) items() ([]keyItem, error) {
-	sorted, err := in.sortedKeys()
-	if err != nil {
-		return nil, err
-	}
-	return itemsFromSortedInto(nil, sorted, in.Pool), nil
-}
-
-// assignment records fragment placements key -> block -> tuples during
-// bin packing, then materializes blocks.
-type assignment struct {
-	p      int
-	placed []map[string]tuple.ColSlice
-	order  [][]string
-	ids    map[string]uint32 // each placed key's dictionary ID
-	weight []int
-}
-
-func newAssignment(p int) *assignment {
-	a := &assignment{
-		p:      p,
-		placed: make([]map[string]tuple.ColSlice, p),
-		order:  make([][]string, p),
-		ids:    make(map[string]uint32),
-		weight: make([]int, p),
-	}
-	for i := 0; i < p; i++ {
-		a.placed[i] = make(map[string]tuple.ColSlice)
-	}
-	return a
-}
-
-// place puts a fragment of the item (columns c with weight w) into block
-// i.
-func (a *assignment) place(i int, key string, id uint32, c tuple.ColSlice, w int) {
-	if _, seen := a.placed[i][key]; !seen {
-		a.order[i] = append(a.order[i], key)
-	}
-	a.placed[i][key] = a.placed[i][key].AppendCols(c)
-	a.ids[key] = id
-	a.weight[i] += w
-}
-
-// weightOf returns the current weight of block i.
-func (a *assignment) weightOf(i int) int { return a.weight[i] }
-
-// build materializes blocks with reference tables (split keys only),
-// rebuilding set in place (see rewind).
-func (a *assignment) build(set []*tuple.Block) []*tuple.Block {
-	frags := make(map[string]int)
-	sizes := make(map[string]int)
-	for i := 0; i < a.p; i++ {
-		for k, c := range a.placed[i] {
-			frags[k]++
-			sizes[k] += c.Len()
-		}
-	}
-	out := rewind(set, a.p)
-	for i := 0; i < a.p; i++ {
-		for _, k := range a.order[i] {
-			c := a.placed[i][k]
-			out[i].AddDenseCols(k, a.ids[k], c, c.Weight())
-			if frags[k] > 1 {
-				out[i].Ref[k] = tuple.SplitInfo{
-					Split:     true,
-					TotalSize: sizes[k],
-					Fragments: frags[k],
-				}
-			}
-		}
-	}
-	return out
 }
 
 // Registry returns the standard set of partitioners used throughout the

@@ -2,7 +2,6 @@ package partition
 
 import (
 	"slices"
-	"sync"
 
 	"prompt/internal/tuple"
 )
@@ -65,138 +64,21 @@ func (pr *Prompt) Name() string {
 	return "prompt"
 }
 
-// fragItem is a whole key or a key fragment addressed by item index.
-type fragItem struct {
-	item int
-	cols tuple.ColSlice
-	w    int
-}
-
-// promptBuilder holds Algorithm 2's working state: the packing items,
-// per-block fragment lists, block weights, and per-item placement
-// tracking. Builders are pooled and reused across batches — reset rewinds
-// every slice in place — so steady-state partitioning allocates nothing.
-// Nothing in the built blocks references the builder's memory.
-type promptBuilder struct {
-	items    []keyItem
-	perBlock [][]fragItem
-	weight   []int
-	// firstBlock is the first block holding each item (-1 when unplaced);
-	// extraBlocks lists further blocks for split items only.
-	firstBlock  []int32
-	extraBlocks map[int][]int32
-
-	residuals []fragItem
-	rest      []fragItem
-	order     []int
-}
-
-var promptBuilderPool = sync.Pool{New: func() any { return new(promptBuilder) }}
-
-// reset prepares the pooled builder for p blocks over the given items.
-func (b *promptBuilder) reset(p int, items []keyItem) {
-	b.items = items
-	if cap(b.perBlock) < p {
-		b.perBlock = make([][]fragItem, p)
-		b.weight = make([]int, p)
-		b.order = make([]int, p)
-	}
-	b.perBlock = b.perBlock[:p]
-	b.weight = b.weight[:p]
-	b.order = b.order[:p]
-	for i := 0; i < p; i++ {
-		b.perBlock[i] = b.perBlock[i][:0]
-		b.weight[i] = 0
-		b.order[i] = i
-	}
-	if cap(b.firstBlock) < len(items) {
-		b.firstBlock = make([]int32, len(items))
-	}
-	b.firstBlock = b.firstBlock[:len(items)]
-	for i := range b.firstBlock {
-		b.firstBlock[i] = -1
-	}
-	if b.extraBlocks == nil {
-		b.extraBlocks = make(map[int][]int32)
-	} else {
-		clear(b.extraBlocks)
-	}
-	b.residuals = b.residuals[:0]
-	b.rest = b.rest[:0]
-}
-
-// place records a fragment of item in block blk.
-func (b *promptBuilder) place(blk, item int, cols tuple.ColSlice, w int) {
-	b.perBlock[blk] = append(b.perBlock[blk], fragItem{item: item, cols: cols, w: w})
-	b.weight[blk] += w
-	switch first := b.firstBlock[item]; {
-	case first == -1:
-		b.firstBlock[item] = int32(blk)
-	case first == int32(blk):
-		// Same-block continuation: not a new fragment.
-	default:
-		extras := b.extraBlocks[item]
-		for _, x := range extras {
-			if x == int32(blk) {
-				return
-			}
-		}
-		b.extraBlocks[item] = append(extras, int32(blk))
-	}
-}
-
-// fragments reports how many distinct blocks hold the item.
-func (b *promptBuilder) fragments(item int) int {
-	if b.firstBlock[item] == -1 {
-		return 0
-	}
-	return 1 + len(b.extraBlocks[item])
-}
-
-// build materializes the blocks with their reference tables (split keys
-// only), rebuilding set in place (see rewind). Fragments reference the
-// buffered tuple lists directly; duplicate same-block fragments stay
-// separate KeySlices (Block handles that).
-func (b *promptBuilder) build(set []*tuple.Block) []*tuple.Block {
-	out := rewind(set, len(b.perBlock))
-	for blk, frags := range b.perBlock {
-		bl := out[blk]
-		bl.PreAllocate(len(frags))
-		for _, fr := range frags {
-			it := &b.items[fr.item]
-			bl.AddDenseCols(it.key, it.id, fr.cols, fr.w)
-			if n := b.fragments(fr.item); n > 1 {
-				bl.Ref[it.key] = tuple.SplitInfo{
-					Split:     true,
-					TotalSize: it.cols.Len(),
-					Fragments: n,
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Partition implements Partitioner.
 func (pr *Prompt) Partition(in Input, p int) ([]*tuple.Block, error) {
-	if err := checkArgs(in, p); err != nil {
-		return nil, err
-	}
-	sorted, err := in.sortedKeys()
+	b, err := packBuilder(in, p)
 	if err != nil {
 		return nil, err
 	}
-	b := promptBuilderPool.Get().(*promptBuilder)
-	defer promptBuilderPool.Put(b)
-	items := itemsFromSortedInto(b.items[:0], sorted, in.Pool)
-	b.reset(p, items)
+	defer b.release()
+	items := b.items
 	total := 0
 	for i := range items {
 		total += items[i].size
 	}
 	k := len(items)
 	if k == 0 {
-		return rewind(in.Blocks, p), nil
+		return b.build(in.Blocks), nil
 	}
 
 	// Partition size, partition cardinality, the key-split cut-off, and
@@ -293,7 +175,7 @@ func (pr *Prompt) Partition(in Input, p int) ([]*tuple.Block, error) {
 // mergeRemainder merges the unsliced tail of items (already descending by
 // size) with the residual fragments into one descending list, built in the
 // builder's reused rest buffer.
-func (b *promptBuilder) mergeRemainder(next int) []fragItem {
+func (b *builder) mergeRemainder(next int) []fragItem {
 	tail := b.items[next:]
 	residuals := b.residuals
 	if len(residuals) > 1 {

@@ -16,13 +16,14 @@ func (*Shuffle) Name() string { return "shuffle" }
 
 // Partition implements Partitioner.
 func (s *Shuffle) Partition(in Input, p int) ([]*tuple.Block, error) {
-	b, err := newPerTupleBuilder(in, p)
+	b, err := rowBuilder(in, p)
 	if err != nil {
 		return nil, err
 	}
+	defer b.release()
 	for row := range b.cb.IDs {
 		k, _ := b.key(row)
 		b.add(row%p, k, row)
 	}
-	return b.build(), nil
+	return b.build(in.Blocks), nil
 }

@@ -17,10 +17,11 @@ func (*TimeBased) Name() string { return "time" }
 
 // Partition implements Partitioner.
 func (tb *TimeBased) Partition(in Input, p int) ([]*tuple.Block, error) {
-	b, err := newPerTupleBuilder(in, p)
+	b, err := rowBuilder(in, p)
 	if err != nil {
 		return nil, err
 	}
+	defer b.release()
 	span := b.cb.End - b.cb.Start
 	for row, ts := range b.cb.TS {
 		var idx int
@@ -36,5 +37,5 @@ func (tb *TimeBased) Partition(in Input, p int) ([]*tuple.Block, error) {
 		k, _ := b.key(row)
 		b.add(idx, k, row)
 	}
-	return b.build(), nil
+	return b.build(in.Blocks), nil
 }

@@ -133,6 +133,8 @@ type Block struct {
 	Keys   []KeySlice
 	Ref    map[string]SplitInfo
 	weight int
+	// arena is the block's own row storage (see Arena).
+	arena ColSlice
 
 	card   int
 	cardOK bool
@@ -170,13 +172,14 @@ func (bl *Block) PreAllocate(n int) {
 	}
 }
 
-// Reset empties the block for reuse as block id: the key list is
-// truncated and the reference table cleared, both keeping their storage,
-// and the weight and cardinality cache start over. Partitioners rebuild a
-// caller's block set in place through it, batch after batch.
+// Reset empties the block for reuse as block id: the key list and the
+// arena are truncated and the reference table cleared, all keeping their
+// storage, and the weight and cardinality cache start over. Partitioners
+// rebuild a caller's block set in place through it, batch after batch.
 func (bl *Block) Reset(id int) {
 	bl.ID = id
 	bl.Keys = bl.Keys[:0]
+	bl.arena = bl.arena.Reset()
 	if bl.Ref == nil {
 		bl.Ref = make(map[string]SplitInfo)
 	} else {
@@ -184,6 +187,21 @@ func (bl *Block) Reset(id int) {
 	}
 	bl.weight = 0
 	bl.card, bl.cardOK = 0, false
+}
+
+// Arena returns n rows of the block's own column storage, reusing what
+// the block held before its last Reset. A partitioner that copies rows
+// rather than placing views of buffered columns lays them out here, so
+// the rows live exactly as long as the block's contents: until its next
+// Reset. Arena is called at most once between Resets.
+func (bl *Block) Arena(n int) ColSlice {
+	a := bl.arena
+	bl.arena = ColSlice{
+		TS:   slices.Grow(a.TS[:0], n)[:n],
+		Vals: slices.Grow(a.Vals[:0], n)[:n],
+		W:    slices.Grow(a.W[:0], n)[:n],
+	}
+	return bl.arena
 }
 
 // AddDenseCols appends a key run whose total weight the caller already
