@@ -193,7 +193,7 @@ func (bl *Block) Reset(id int) {
 // the block held before its last Reset. A partitioner that copies rows
 // rather than placing views of buffered columns lays them out here, so
 // the rows live exactly as long as the block's contents: until its next
-// Reset. Arena is called at most once between Resets.
+// Reset. A second call before Reset hands out the same storage again.
 func (bl *Block) Arena(n int) ColSlice {
 	a := bl.arena
 	bl.arena = ColSlice{
