@@ -55,7 +55,7 @@ func TestCoordinatorRejectsBadReplies(t *testing.T) {
 			return &wire.MapResult{Batch: m.Batch, Query: m.Query, Outs: []wire.BlockOut{{Clusters: cs}}, Factor: 1}
 		}
 	}
-	reduceCase := func(es ...wire.Contrib) func(*wire.ReduceTask) *wire.ReduceResult {
+	reduceCase := func(es ...tuple.Contrib) func(*wire.ReduceTask) *wire.ReduceResult {
 		return func(m *wire.ReduceTask) *wire.ReduceResult {
 			return &wire.ReduceResult{Batch: m.Batch, Query: m.Query, Outs: []wire.BucketOut{{Bucket: 0, Entries: es}}, Factor: 1}
 		}
@@ -74,10 +74,10 @@ func TestCoordinatorRejectsBadReplies(t *testing.T) {
 		{"map header", forger{mapReply: func(m *wire.MapTaskCols) *wire.MapResult {
 			return &wire.MapResult{Batch: m.Batch + 1, Query: m.Query, Outs: []wire.BlockOut{{}}, Factor: 1}
 		}}},
-		{"reduce id beyond the dictionary", forger{reduceReply: reduceCase(wire.Contrib{KeyID: 0}, wire.Contrib{KeyID: 1<<31 - 1})}},
-		{"reduce id not contributed", forger{reduceReply: reduceCase(wire.Contrib{KeyID: 0}, wire.Contrib{KeyID: 2})}},
-		{"reduce id repeated", forger{reduceReply: reduceCase(wire.Contrib{KeyID: 0}, wire.Contrib{KeyID: 0})}},
-		{"reduce entry missing", forger{reduceReply: reduceCase(wire.Contrib{KeyID: 1})}},
+		{"reduce id beyond the dictionary", forger{reduceReply: reduceCase(tuple.Contrib{ID: 0}, tuple.Contrib{ID: 1<<31 - 1})}},
+		{"reduce id not contributed", forger{reduceReply: reduceCase(tuple.Contrib{ID: 0}, tuple.Contrib{ID: 2})}},
+		{"reduce id repeated", forger{reduceReply: reduceCase(tuple.Contrib{ID: 0}, tuple.Contrib{ID: 0})}},
+		{"reduce entry missing", forger{reduceReply: reduceCase(tuple.Contrib{ID: 1})}},
 		{"reduce bucket", forger{reduceReply: func(m *wire.ReduceTask) *wire.ReduceResult {
 			return &wire.ReduceResult{Batch: m.Batch, Query: m.Query, Outs: []wire.BucketOut{{Bucket: 5}}, Factor: 1}
 		}}},
@@ -127,8 +127,8 @@ func TestCoordinatorAcceptsWellFormedReplies(t *testing.T) {
 			}}}, Factor: 1}
 		},
 		reduceReply: func(m *wire.ReduceTask) *wire.ReduceResult {
-			return &wire.ReduceResult{Batch: m.Batch, Query: m.Query, Outs: []wire.BucketOut{{Bucket: 0, Entries: []wire.Contrib{
-				{KeyID: b, Val: 4}, {KeyID: a, Val: 2},
+			return &wire.ReduceResult{Batch: m.Batch, Query: m.Query, Outs: []wire.BucketOut{{Bucket: 0, Entries: []tuple.Contrib{
+				{ID: b, Val: 4}, {ID: a, Val: 2},
 			}}}, Factor: 1}
 		},
 	}

@@ -412,15 +412,10 @@ func (c *Coordinator) mapOnShard(batch, qi int, dict *intern.Dict, blocks []*tup
 
 	// Key runs travel as the blocks hold them — engine key IDs and column
 	// views, delta-encoded by the codec — so neither side materializes
-	// rows.
+	// rows, and the frame is encoded from the blocks' own runs.
 	wbs := make([]wire.ColBlock, len(idxs))
 	for bi, i := range idxs {
-		bl := blocks[i]
-		wb := wire.ColBlock{ID: bl.ID, Keys: make([]wire.ColKeySlice, len(bl.Keys))}
-		for k := range bl.Keys {
-			wb.Keys[k] = wire.ColKeySlice{KeyID: bl.Keys[k].ID, Cols: bl.Keys[k].Cols}
-		}
-		wbs[bi] = wb
+		wbs[bi] = wire.ColBlock{ID: blocks[i].ID, Keys: blocks[i].Keys}
 	}
 
 	reply, err := c.exchange(l, dict, func(d wire.DictDelta) wire.Msg {
@@ -495,13 +490,10 @@ func (c *Coordinator) ReduceBuckets(batch, qi int, dict *intern.Dict, perBucket 
 func (c *Coordinator) reduceOnShard(batch, qi int, dict *intern.Dict, perBucket [][]engine.Contrib, idxs []int, partials []engine.Result) error {
 	l := c.links[idxs[0]%len(c.links)]
 
+	// Contributions travel as the engine holds them.
 	wbks := make([]wire.Bucket, len(idxs))
 	for bi, j := range idxs {
-		contribs := make([]wire.Contrib, len(perBucket[j]))
-		for k, ct := range perBucket[j] {
-			contribs[k] = wire.Contrib{KeyID: ct.ID, Val: ct.Val}
-		}
-		wbks[bi] = wire.Bucket{Bucket: j, Contribs: contribs}
+		wbks[bi] = wire.Bucket{Bucket: j, Contribs: perBucket[j]}
 	}
 
 	reply, err := c.exchange(l, dict, func(d wire.DictDelta) wire.Msg {
@@ -542,7 +534,7 @@ func (c *Coordinator) reduceOnShard(batch, qi int, dict *intern.Dict, perBucket 
 		}
 		res := engine.Result{IDs: make([]uint32, len(o.Entries)), Vals: make([]float64, len(o.Entries))}
 		for k, en := range o.Entries {
-			res.IDs[k], res.Vals[k] = en.KeyID, en.Val
+			res.IDs[k], res.Vals[k] = en.ID, en.Val
 		}
 		partials[j] = res
 	}
@@ -552,7 +544,7 @@ func (c *Coordinator) reduceOnShard(batch, qi int, dict *intern.Dict, perBucket 
 // checkEntries verifies a bucket's Reduce reply: one entry per distinct
 // contributed key. marks covers every contributed ID, is all zeros on
 // entry and is left so.
-func checkEntries(marks engine.Positions, contribs []engine.Contrib, entries []wire.Contrib) error {
+func checkEntries(marks engine.Positions, contribs, entries []engine.Contrib) error {
 	keys := 0
 	for _, ct := range contribs {
 		if marks[ct.ID] == 0 {
@@ -569,10 +561,10 @@ func checkEntries(marks engine.Positions, contribs []engine.Contrib, entries []w
 		return fmt.Errorf("%d entries for %d keys", len(entries), keys)
 	}
 	for _, en := range entries {
-		if int(en.KeyID) >= len(marks) || marks[en.KeyID] != 1 {
-			return fmt.Errorf("entry key id %d is not a contributed key or repeats one", en.KeyID)
+		if int(en.ID) >= len(marks) || marks[en.ID] != 1 {
+			return fmt.Errorf("entry key id %d is not a contributed key or repeats one", en.ID)
 		}
-		marks[en.KeyID] = 2
+		marks[en.ID] = 2
 	}
 	return nil
 }

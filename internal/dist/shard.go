@@ -12,7 +12,7 @@
 // dictionary. The coordinator has no dictionary of its own — it mirrors
 // the engine's to each shard in deltas piggybacked on task frames — so
 // block key runs, clusters, Reduce contributions and results all travel
-// as engine IDs, and shards run the engine's own folds (MapBlock,
+// as engine IDs, and shards run the engine's own folds (BlockMapOut.Map,
 // FoldBucket) on them. The coordinator checks every reply entry against
 // the task before anything indexes by its ID (ErrBadReply).
 //
@@ -52,6 +52,12 @@ type Shard struct {
 	aimd     *backpressure.AIMD
 	curBatch int
 	busy     time.Duration
+	// block, mapped and folded are the Map and Reduce folds' storage,
+	// reused block after block: a fold's output is copied into its reply
+	// before s.mu is released.
+	block  *tuple.Block
+	mapped engine.BlockMapOut
+	folded engine.Result
 	// stripes holds the slot state images migrated to this shard, newest
 	// per slot — the recipient half of an elastic handoff. They are a
 	// redundancy layer (the coordinator's driver keeps the authoritative
@@ -67,6 +73,7 @@ func NewShard(index int, queries []engine.Query) *Shard {
 		names:    make([]string, len(queries)),
 		aimd:     backpressure.NewAIMD(),
 		curBatch: -1,
+		block:    tuple.NewBlock(0),
 	}
 	for i, q := range queries {
 		s.queries[i] = q.Normalized()
@@ -209,7 +216,8 @@ func (s *Shard) task(d wire.DictDelta, batch, qi int) (engine.Query, error) {
 
 // handleMap runs a Map task frame: block key runs arrive as dense
 // columns and feed the Map fold directly — no row materialization on the
-// shard.
+// shard. Each block is folded through the shard's one reused block, and
+// the frame's clusters share one allocation.
 func (s *Shard) handleMap(m *wire.MapTaskCols) (wire.Msg, error) {
 	q, err := s.task(m.Dict, m.Batch, m.Query)
 	if err != nil {
@@ -217,24 +225,28 @@ func (s *Shard) handleMap(m *wire.MapTaskCols) (wire.Msg, error) {
 	}
 	t0 := time.Now()
 
+	runs := 0
+	for i := range m.Blocks {
+		runs += len(m.Blocks[i].Keys)
+	}
 	outs := make([]wire.BlockOut, len(m.Blocks))
+	all := make([]wire.Cluster, 0, runs) // a block has at most one cluster per run
 	for i := range m.Blocks {
 		wb := &m.Blocks[i]
-		bl := tuple.NewBlock(wb.ID)
-		bl.PreAllocate(len(wb.Keys))
+		s.block.Reset(wb.ID)
 		for k := range wb.Keys {
 			ks := &wb.Keys[k]
-			if err := s.checkKey(ks.KeyID); err != nil {
+			if err := s.checkKey(ks.ID); err != nil {
 				return nil, err
 			}
-			bl.AddDenseCols(s.mirror[ks.KeyID], ks.KeyID, ks.Cols, ks.Cols.Weight())
+			s.block.AddDenseCols(s.mirror[ks.ID], ks.ID, ks.Cols, ks.Cols.Weight())
 		}
-		clusters, values := engine.MapBlock(q, bl)
-		cs := make([]wire.Cluster, len(clusters))
-		for ci, c := range clusters {
-			cs[ci] = wire.Cluster{KeyID: c.ID, Size: c.Size, Val: values[ci]}
+		s.mapped.Map(q, s.block)
+		at := len(all)
+		for ci, c := range s.mapped.Clusters {
+			all = append(all, wire.Cluster{KeyID: c.ID, Size: c.Size, Val: s.mapped.Values[ci]})
 		}
-		outs[i] = wire.BlockOut{Clusters: cs}
+		outs[i] = wire.BlockOut{Clusters: all[at:len(all):len(all)]}
 	}
 
 	s.busy += time.Since(t0)
@@ -265,22 +277,25 @@ func (s *Shard) handleReduce(m *wire.ReduceTask) (wire.Msg, error) {
 	t0 := time.Now()
 
 	s.pos.Cover(len(s.mirror))
-	outs := make([]wire.BucketOut, len(m.Buckets))
+	contribs := 0
 	for i := range m.Buckets {
-		bk := &m.Buckets[i]
-		contribs := make([]engine.Contrib, len(bk.Contribs))
-		for k, c := range bk.Contribs {
-			if err := s.checkKey(c.KeyID); err != nil {
+		for _, c := range m.Buckets[i].Contribs {
+			if err := s.checkKey(c.ID); err != nil {
 				return nil, err
 			}
-			contribs[k] = engine.Contrib{ID: c.KeyID, Val: c.Val}
 		}
-		res := engine.FoldBucket(q, contribs, s.pos, engine.Result{})
-		entries := make([]wire.Contrib, len(res.IDs))
-		for j, id := range res.IDs {
-			entries[j] = wire.Contrib{KeyID: id, Val: res.Vals[j]}
+		contribs += len(m.Buckets[i].Contribs)
+	}
+	outs := make([]wire.BucketOut, len(m.Buckets))
+	all := make([]tuple.Contrib, 0, contribs) // a bucket has at most one entry per contribution
+	for i := range m.Buckets {
+		bk := &m.Buckets[i]
+		s.folded = engine.FoldBucket(q, bk.Contribs, s.pos, s.folded)
+		at := len(all)
+		for j, id := range s.folded.IDs {
+			all = append(all, tuple.Contrib{ID: id, Val: s.folded.Vals[j]})
 		}
-		outs[i] = wire.BucketOut{Bucket: bk.Bucket, Entries: entries}
+		outs[i] = wire.BucketOut{Bucket: bk.Bucket, Entries: all[at:len(all):len(all)]}
 	}
 
 	s.busy += time.Since(t0)

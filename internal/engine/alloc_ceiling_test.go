@@ -37,24 +37,25 @@ var promptCeiling = allocCeiling{count: 100, raceCount: 500, bytes: 256 << 10}
 
 // TestHashSteadyStateAllocCeiling is the same measurement for the hash
 // baseline (post-sorted statistics, per-tuple partitioning, hashed
-// buckets): its blocks' runs are scattered into the block set's own
-// arenas, so a per-row or per-key allocation in the per-tuple block
-// builder fails the count.
+// buckets): the post-sort and the block builder both scatter rows into
+// reused arenas, so a per-row or per-key allocation in either fails the
+// count.
 func TestHashSteadyStateAllocCeiling(t *testing.T) {
-	// 588 allocations and 216 KB measured (703 allocations under -race),
-	// almost all of them the post-sort's per-key groups; 51 725 and
-	// 7 116 KB with a run grown by append per row.
-	testSteadyStateAllocCeiling(t, "hash", "rows", allocCeiling{count: 1000, raceCount: 2000, bytes: 288 << 10})
+	// 32 allocations and 199 KB measured (193 allocations under -race); 588
+	// and 216 KB with the post-sort's per-key groups grown row by row,
+	// 51 725 and 7 116 KB with a block run grown by append per row.
+	testSteadyStateAllocCeiling(t, "hash", "rows", allocCeiling{count: 100, raceCount: 500, bytes: 256 << 10})
 }
 
 // TestPK5SteadyStateAllocCeiling is TestHashSteadyStateAllocCeiling for
 // PK-5, whose keys split over up to five blocks and whose five candidate
 // blocks per key are hashed into reused scratch.
 func TestPK5SteadyStateAllocCeiling(t *testing.T) {
-	// 588 allocations and 257 KB measured (703 allocations under -race);
-	// 75 783 and 9 943 KB with a run grown by append per row and a slice of
-	// candidates per key.
-	testSteadyStateAllocCeiling(t, "pk5", "rows", allocCeiling{count: 1000, raceCount: 2000, bytes: 320 << 10})
+	// 32 allocations and 239 KB measured (154 allocations under -race); 588
+	// and 257 KB with the post-sort's per-key groups grown row by row,
+	// 75 783 and 9 943 KB with a block run grown by append per row and a
+	// slice of candidates per key.
+	testSteadyStateAllocCeiling(t, "pk5", "rows", allocCeiling{count: 100, raceCount: 500, bytes: 288 << 10})
 }
 
 // TestMaxReduceSteadyStateAllocCeiling is the non-invertible companion of

@@ -26,14 +26,10 @@ type BlockMapOut struct {
 	Assign []int
 }
 
-// Contrib is one cluster's contribution to a Reduce bucket: the key's
-// dictionary ID and its block-local folded partial. Per-bucket
-// contribution order is fixed by global block order, so non-commutative
-// reduce functions fold identically wherever the fold runs.
-type Contrib struct {
-	ID  uint32
-	Val float64
-}
+// Contrib is one cluster's contribution to a Reduce bucket (see
+// tuple.Contrib): the engine's shuffle currency, and what a Reduce task
+// frame carries.
+type Contrib = tuple.Contrib
 
 // Result is per-key output as a pair of columns: key IDs in the stream
 // dictionary and their values. A Reduce bucket's fold is one, keys in

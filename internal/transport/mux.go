@@ -98,11 +98,6 @@ func (m *muxConn) Begin(req wire.Msg) (Pending, error) {
 	m.pending[corr] = ch
 	m.mu.Unlock()
 
-	env, err := wire.WrapMux(corr, req)
-	if err != nil {
-		m.abandon(corr)
-		return nil, err
-	}
 	if m.timeout > 0 {
 		if derr := m.c.SetWriteDeadline(time.Now().Add(m.timeout)); derr != nil {
 			m.abandon(corr)
@@ -110,11 +105,15 @@ func (m *muxConn) Begin(req wire.Msg) (Pending, error) {
 			return nil, derr
 		}
 	}
-	if err := m.enc.Encode(env); err != nil {
-		// A partial write poisons the frame stream; fail the connection
-		// rather than risk the peer misparsing the next frame.
+	// The envelope is built in place in the encoder's buffer.
+	if err := m.enc.Encode(wire.WrapMux(corr, req)); err != nil {
 		m.abandon(corr)
-		m.fail(err)
+		// An oversized frame is refused before anything is written. A
+		// partial write poisons the frame stream; fail the connection
+		// rather than risk the peer misparsing the next frame.
+		if !errors.Is(err, wire.ErrFrameSize) {
+			m.fail(err)
+		}
 		return nil, err
 	}
 	return &muxPending{m: m, corr: corr, ch: ch}, nil
@@ -178,6 +177,9 @@ func (m *muxConn) readLoop() {
 			m.fail(fmt.Errorf("transport: unexpected %v frame on multiplexed connection", msg.WireType()))
 			return
 		}
+		// The envelope's Body aliases the decoder's buffer, so it is
+		// unwrapped before the next Decode, into a message of its own:
+		// the waiter reads it after this loop has moved on.
 		inner, err := env.Unwrap()
 		if err != nil {
 			m.fail(err)

@@ -1,12 +1,14 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"prompt/internal/tuple"
 	"prompt/internal/wire"
 )
 
@@ -152,4 +154,92 @@ func TestMuxAwaitTimeout(t *testing.T) {
 		t.Error("Exchange after timeout succeeded; want sticky failure")
 	}
 	close(h.gate)
+}
+
+// TestServeBackToBackMapFrames sends two map frames of different shapes
+// back to back through one serve loop over Pipe, with an echo handler, so
+// each reply is built from the request's decoded storage. The serve loop
+// decodes a frame into the storage the last one left; the first reply
+// must still be, byte for byte, what it is when its frame travels alone,
+// and so must the second.
+func TestServeBackToBackMapFrames(t *testing.T) {
+	echo := HandlerFunc(func(req wire.Msg) (wire.Msg, error) { return req, nil })
+	first, second := colTask(1, 3, 40, 7), colTask(2, 5, 25, 3)
+	alone := func(req wire.Msg) []byte {
+		tr := NewPipe(5*time.Second, echo)
+		defer tr.Close()
+		conn, err := tr.Dial(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := conn.Exchange(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := wire.Marshal(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	want1, want2 := alone(first), alone(second)
+
+	tr := NewPipe(5*time.Second, echo)
+	defer tr.Close()
+	conn, err := tr.Dial(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg := conn.(Beginner)
+	p1, err := bg.Begin(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := bg.Begin(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := p1.Await()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := p2.Await() // the second reply is in: r1 must not have moved
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct {
+		got  wire.Msg
+		want []byte
+	}{{r1, want1}, {r2, want2}} {
+		frame, err := wire.Marshal(c.got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(frame, c.want) {
+			t.Errorf("reply %d back to back differs from the reply alone (%d vs %d bytes)", i+1, len(frame), len(c.want))
+		}
+	}
+}
+
+// colTask builds a map frame of blocks blocks, each of runs key runs of
+// up to rows rows, its values and timestamps drawn from seed.
+func colTask(seed, blocks, runs, rows int) *wire.MapTaskCols {
+	m := &wire.MapTaskCols{Batch: seed, Dict: wire.DictDelta{Keys: []string{}}}
+	x := uint32(seed)
+	next := func() uint32 { x = x*1664525 + 1013904223; return x >> 8 }
+	for b := 0; b < blocks; b++ {
+		bl := wire.ColBlock{ID: b}
+		for k := 0; k < runs; k++ {
+			n := 1 + int(next())%rows
+			cols := tuple.ColSlice{TS: make([]tuple.Time, n), Vals: make([]float64, n), W: make([]int32, n)}
+			for i := 0; i < n; i++ {
+				cols.TS[i] = tuple.Time(next() % 1_000_000)
+				cols.Vals[i] = float64(next()) / 7
+				cols.W[i] = int32(1 + next()%3)
+			}
+			bl.Keys = append(bl.Keys, tuple.KeySlice{ID: next() % 1000, Cols: cols})
+		}
+		m.Blocks = append(m.Blocks, bl)
+	}
+	return m
 }

@@ -21,6 +21,11 @@ import (
 // A wire.Mux request is unwrapped, handled, and its reply wrapped under
 // the same correlation ID, so one connection serves several in-flight
 // exchanges; bare frames get bare replies (strict request-reply).
+//
+// One frame is in hand at a time — decode, handle, encode — so the
+// request lives in the connection's decoder storage (wire.Decoder): a map
+// task's blocks and columns are decoded into the last one's. A handler
+// must not keep a request, or slices of it, past its Handle call.
 func Serve(c net.Conn, h Handler) error {
 	dec := wire.NewDecoder(bufio.NewReaderSize(c, 64<<10))
 	enc := wire.NewEncoder(c)
@@ -34,7 +39,7 @@ func Serve(c net.Conn, h Handler) error {
 		}
 		env, muxed := req.(*wire.Mux)
 		if muxed {
-			if req, err = env.Unwrap(); err != nil {
+			if req, err = dec.Unwrap(env); err != nil {
 				return err
 			}
 		}
@@ -43,11 +48,7 @@ func Serve(c net.Conn, h Handler) error {
 			reply = &wire.Error{Msg: herr.Error()}
 		}
 		if muxed {
-			wrapped, werr := wire.WrapMux(env.Corr, reply)
-			if werr != nil {
-				return werr
-			}
-			reply = wrapped
+			reply = wire.WrapMux(env.Corr, reply)
 		}
 		if err := enc.Encode(reply); err != nil {
 			return err

@@ -66,8 +66,9 @@ type Transport interface {
 // Loopback is the deterministic in-process backend: Dial(i) yields a
 // connection whose Exchange marshals the request through the wire codec,
 // calls shard i's handler on the calling goroutine, and unmarshals the
-// reply. No goroutines, no buffers shared between frames — the reference
-// backend the others are differentially tested against.
+// reply. No goroutines, and every decoded message owns its storage (the
+// frame bytes go through one buffer per connection, reused) — the
+// reference backend the others are differentially tested against.
 type Loopback struct {
 	handlers []Handler
 }
@@ -94,6 +95,8 @@ func (l *Loopback) Close() error { return nil }
 type loopConn struct {
 	mu sync.Mutex
 	h  Handler
+	// buf holds the frame in flight, reused exchange after exchange.
+	buf []byte
 }
 
 func (c *loopConn) Exchange(req wire.Msg) (wire.Msg, error) {
@@ -101,11 +104,7 @@ func (c *loopConn) Exchange(req wire.Msg) (wire.Msg, error) {
 	defer c.mu.Unlock()
 	// Round-trip the request through the codec so loopback runs exercise
 	// the exact bytes a socket would carry.
-	frame, err := wire.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	decoded, err := wire.UnmarshalFrame(frame)
+	decoded, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
@@ -113,11 +112,7 @@ func (c *loopConn) Exchange(req wire.Msg) (wire.Msg, error) {
 	if herr != nil {
 		reply = &wire.Error{Msg: herr.Error()}
 	}
-	frame, err = wire.Marshal(reply)
-	if err != nil {
-		return nil, err
-	}
-	out, err := wire.UnmarshalFrame(frame)
+	out, err := c.roundTrip(reply)
 	if err != nil {
 		return nil, err
 	}
@@ -125,6 +120,17 @@ func (c *loopConn) Exchange(req wire.Msg) (wire.Msg, error) {
 		return nil, e
 	}
 	return out, nil
+}
+
+// roundTrip encodes m into the connection's frame buffer and decodes it
+// back into a message of its own.
+func (c *loopConn) roundTrip(m wire.Msg) (wire.Msg, error) {
+	frame, err := wire.AppendFrame(c.buf[:0], m)
+	if err != nil {
+		return nil, err
+	}
+	c.buf = frame
+	return wire.UnmarshalFrame(frame)
 }
 
 func (c *loopConn) Close() error { return nil }

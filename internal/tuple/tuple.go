@@ -74,6 +74,16 @@ type Cluster struct {
 	ID   uint32
 }
 
+// Contrib is one cluster's contribution to a Reduce bucket: the key's
+// dictionary ID and its block-local folded partial. Per-bucket
+// contribution order is fixed by global block order, so non-commutative
+// reduce functions fold identically wherever the fold runs — in the
+// engine or, sent as is, on a shard.
+type Contrib struct {
+	ID  uint32
+	Val float64
+}
+
 // Batch is the buffered content of one batch interval before partitioning.
 type Batch struct {
 	// Interval bounds: tuples with Start <= TS < End belong to this batch.

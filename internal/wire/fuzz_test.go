@@ -17,6 +17,11 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		f.Add(frame[4:])
 	}
+	env, err := Marshal(WrapMux(300, sampleMsgs()[5])) // a map task in its envelope
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(env[4:])
 	f.Add([]byte{})
 	f.Add([]byte{Version})
 	f.Add([]byte{Version, byte(TypeMapTask)})

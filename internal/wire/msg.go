@@ -91,7 +91,7 @@ func (m *DictDelta) append(b []byte) []byte {
 
 func (m *DictDelta) decode(r *codec.Reader) {
 	m.First = r.Uint32()
-	m.Keys = make([]string, r.Count(1))
+	m.Keys = reuse(m.Keys, r.Count(1))
 	for i := range m.Keys {
 		m.Keys[i] = r.Str()
 	}
@@ -249,17 +249,11 @@ func (m *MapResult) decode(r *codec.Reader) {
 	m.Factor = r.Float()
 }
 
-// Contrib is one cluster's contribution to a Reduce bucket.
-type Contrib struct {
-	KeyID uint32
-	Val   float64
-}
-
 // Bucket is one Reduce bucket's contribution list in global fold order
 // (non-commutative reduce functions depend on it).
 type Bucket struct {
 	Bucket   int
-	Contribs []Contrib
+	Contribs []tuple.Contrib
 }
 
 // ReduceTask carries one shard's Reduce work for a batch-query stage:
@@ -291,28 +285,29 @@ func (m *ReduceTask) decode(r *codec.Reader) {
 	m.Batch = r.Int()
 	m.Query = r.Int()
 	m.Dict.decode(r)
-	m.Buckets = make([]Bucket, r.Count(2))
+	m.Buckets = reuse(m.Buckets, r.Count(2))
 	for i := range m.Buckets {
 		bk := &m.Buckets[i]
 		bk.Bucket = r.Int()
-		bk.Contribs = decodeContribs(r)
+		bk.Contribs = decodeContribs(r, bk.Contribs)
 	}
 }
 
-// appendContribs writes a (KeyID, Val) list; decodeContribs reads one.
-func appendContribs(b []byte, cs []Contrib) []byte {
+// appendContribs writes an (ID, Val) list; decodeContribs reads one.
+func appendContribs(b []byte, cs []tuple.Contrib) []byte {
 	b = codec.AppendUvarint(b, uint64(len(cs)))
 	for j := range cs {
-		b = codec.AppendUvarint(b, uint64(cs[j].KeyID))
+		b = codec.AppendUvarint(b, uint64(cs[j].ID))
 		b = codec.AppendFloat(b, cs[j].Val)
 	}
 	return b
 }
 
-func decodeContribs(r *codec.Reader) []Contrib {
-	cs := make([]Contrib, r.Count(9)) // KeyID(1+) + Val(8)
+// decodeContribs reuses cs's storage.
+func decodeContribs(r *codec.Reader, cs []tuple.Contrib) []tuple.Contrib {
+	cs = reuse(cs, r.Count(9)) // ID(1+) + Val(8)
 	for j := range cs {
-		cs[j].KeyID = r.Uint32()
+		cs[j].ID = r.Uint32()
 		cs[j].Val = r.Float()
 	}
 	return cs
@@ -323,7 +318,7 @@ func decodeContribs(r *codec.Reader) []Contrib {
 // deterministic without sorting).
 type BucketOut struct {
 	Bucket  int
-	Entries []Contrib
+	Entries []tuple.Contrib
 }
 
 // ReduceResult answers a ReduceTask, one BucketOut per task bucket,
@@ -359,7 +354,7 @@ func (m *ReduceResult) decode(r *codec.Reader) {
 	for i := range m.Outs {
 		o := &m.Outs[i]
 		o.Bucket = r.Int()
-		o.Entries = decodeContribs(r)
+		o.Entries = decodeContribs(r, nil)
 	}
 	m.Factor = r.Float()
 }

@@ -20,6 +20,19 @@
 // the remaining payload before allocating, and accepts only the minimal
 // encoding of every value, so a frame that decodes re-marshals to the same
 // bytes (fuzzed by FuzzWireFrame).
+//
+// Who owns the bytes. An Encoder builds each frame in its own reused
+// buffer, a Mux envelope's inner frame in place behind the correlation ID
+// (WrapMux), and task frames are encoded straight from the engine's
+// storage: a ColBlock's runs are the engine's tuple.KeySlices and a
+// bucket's contributions its tuple.Contribs. A Decoder owns what it
+// returns until its next Decode: a Mux's Body aliases the decoder's frame
+// buffer, and the decoder's Unwrap decodes a task frame's lists and
+// columns into storage it reuses frame after frame. Unmarshal,
+// UnmarshalFrame and Mux.Unwrap return messages that own their storage —
+// a Mux from Unmarshal aside, whose Body aliases the input — for callers
+// that keep a message longer, such as a reader goroutine handing replies
+// to their waiters.
 package wire
 
 import (
@@ -133,47 +146,59 @@ func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 
 // Encode frames and writes one message.
 func (e *Encoder) Encode(m Msg) error {
-	b := e.buf[:0]
-	b = append(b, 0, 0, 0, 0) // length placeholder
-	b = append(b, Version, byte(m.WireType()))
-	b = m.append(b)
-	body := len(b) - 4
-	if body > MaxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameSize, body)
+	b, err := AppendFrame(e.buf[:0], m)
+	if err != nil {
+		return err
 	}
-	binary.LittleEndian.PutUint32(b[:4], uint32(body))
 	e.buf = b[:0] // recycle the arena across frames
-	_, err := e.w.Write(b)
+	_, err = e.w.Write(b)
 	return err
 }
 
-// Marshal encodes one message into a standalone frame (header included).
-// It is Encode without a stream — the transports that carry whole frames
-// as discrete messages (Loopback) use it.
-func Marshal(m Msg) ([]byte, error) {
-	b := make([]byte, 4, 64)
-	b = append(b, Version, byte(m.WireType()))
+// AppendFrame appends m's frame (header included) to b and returns the
+// extended slice: Encode without a stream, for callers that reuse one
+// buffer frame after frame. On error b is returned unextended.
+func AppendFrame(b []byte, m Msg) ([]byte, error) {
+	at := len(b)
+	b = append(b, 0, 0, 0, 0, Version, byte(m.WireType())) // length placeholder
 	b = m.append(b)
-	body := len(b) - 4
+	body := len(b) - at - 4
 	if body > MaxFrame {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameSize, body)
+		return b[:at], fmt.Errorf("%w: %d bytes", ErrFrameSize, body)
 	}
-	binary.LittleEndian.PutUint32(b[:4], uint32(body))
+	binary.LittleEndian.PutUint32(b[at:], uint32(body))
 	return b, nil
 }
 
+// Marshal encodes one message into a standalone frame (header included).
+func Marshal(m Msg) ([]byte, error) {
+	return AppendFrame(make([]byte, 0, 64), m)
+}
+
 // Decoder reads frames from a stream. Not safe for concurrent use.
+//
+// A decoder owns the storage of what it returns, and reuses it: a
+// message from Decode, a Mux's Body and a message from the decoder's
+// Unwrap are valid until the next Decode. A caller that keeps an inner
+// message longer (hands it to another goroutine, say) unwraps with
+// Mux.Unwrap instead, whose messages own their storage.
 type Decoder struct {
 	r   io.Reader
 	hdr [4]byte
 	buf []byte
+	// task, arena and reduce hold the last task frames' lists and
+	// columns, reused by the next.
+	task   MapTaskCols
+	arena  colArena
+	reduce ReduceTask
 }
 
 // NewDecoder returns a decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
 
 // Decode reads and parses one frame. io.EOF is returned unwrapped when
-// the stream ends cleanly between frames.
+// the stream ends cleanly between frames. The message is valid until the
+// next Decode.
 func (d *Decoder) Decode() (Msg, error) {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		if err == io.EOF {
@@ -195,12 +220,21 @@ func (d *Decoder) Decode() (Msg, error) {
 	if _, err := io.ReadFull(d.r, body); err != nil {
 		return nil, fmt.Errorf("wire: reading frame body: %w", err)
 	}
-	return Unmarshal(body)
+	return unmarshal(body, d)
 }
 
+// Unwrap decodes the inner message of m, an envelope this decoder
+// returned, into the decoder's storage: valid until the next Decode.
+func (d *Decoder) Unwrap(m *Mux) (Msg, error) { return m.unwrap(d) }
+
 // Unmarshal parses one frame body (version byte onward, without the
-// length prefix).
-func Unmarshal(body []byte) (Msg, error) {
+// length prefix). The message owns its storage, apart from a Mux's Body,
+// which aliases body.
+func Unmarshal(body []byte) (Msg, error) { return unmarshal(body, nil) }
+
+// unmarshal is Unmarshal, decoding a task frame into d's reused storage
+// when d is not nil.
+func unmarshal(body []byte, d *Decoder) (Msg, error) {
 	if len(body) < 2 {
 		return nil, ErrTruncated
 	}
@@ -218,13 +252,21 @@ func Unmarshal(body []byte) (Msg, error) {
 	case TypeMapResult:
 		m = &MapResult{}
 	case TypeReduceTask:
-		m = &ReduceTask{}
+		if d != nil {
+			m = &d.reduce
+		} else {
+			m = &ReduceTask{}
+		}
 	case TypeReduceResult:
 		m = &ReduceResult{}
 	case TypeError:
 		m = &Error{}
 	case TypeMapTaskCols:
-		m = &MapTaskCols{}
+		if d != nil {
+			m = &d.task
+		} else {
+			m = &MapTaskCols{}
+		}
 	case TypeMigrate:
 		m = &Migrate{}
 	case TypeMigrateAck:
@@ -235,7 +277,11 @@ func Unmarshal(body []byte) (Msg, error) {
 		return nil, fmt.Errorf("%w: %d", ErrType, body[1])
 	}
 	r := codec.NewReader(body[2:], ErrTruncated)
-	m.decode(r)
+	if task, ok := m.(*MapTaskCols); ok && d != nil {
+		task.decodeInto(r, &d.arena)
+	} else {
+		m.decode(r)
+	}
 	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("wire: %v payload: %w", m.WireType(), err)
 	}

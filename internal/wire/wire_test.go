@@ -43,20 +43,20 @@ func sampleMsgs() []Msg {
 			Blocks: []ColBlock{
 				{
 					ID: 1,
-					Keys: []ColKeySlice{
-						{KeyID: 2, Cols: tuple.ColSlice{
+					Keys: []tuple.KeySlice{
+						{ID: 2, Cols: tuple.ColSlice{
 							TS:   []tuple.Time{-5, 1 << 40, 1<<40 + 7},
 							Vals: []float64{1.5, -0.25, 0},
 							W:    []int32{1, 3, 2},
 						}},
-						{KeyID: 0, Cols: tuple.ColSlice{
+						{ID: 0, Cols: tuple.ColSlice{
 							TS:   []tuple.Time{},
 							Vals: []float64{},
 							W:    []int32{},
 						}},
 					},
 				},
-				{ID: 4, Keys: []ColKeySlice{}},
+				{ID: 4, Keys: []tuple.KeySlice{}},
 			},
 		},
 		&MapTaskCols{Dict: DictDelta{Keys: []string{}}, Blocks: []ColBlock{}},
@@ -77,15 +77,15 @@ func sampleMsgs() []Msg {
 			Query: 0,
 			Dict:  DictDelta{First: 0, Keys: []string{"k"}},
 			Buckets: []Bucket{
-				{Bucket: 2, Contribs: []Contrib{{KeyID: 0, Val: 4.5}, {KeyID: 7, Val: -1}}},
-				{Bucket: 5, Contribs: []Contrib{}},
+				{Bucket: 2, Contribs: []tuple.Contrib{{ID: 0, Val: 4.5}, {ID: 7, Val: -1}}},
+				{Bucket: 5, Contribs: []tuple.Contrib{}},
 			},
 		},
 		&ReduceResult{
 			Batch: 8,
 			Query: 0,
 			Outs: []BucketOut{
-				{Bucket: 2, Entries: []Contrib{{KeyID: 0, Val: 3.5}}},
+				{Bucket: 2, Entries: []tuple.Contrib{{ID: 0, Val: 3.5}}},
 			},
 			Factor: 1,
 		},
@@ -119,6 +119,95 @@ func TestRoundTripAllMessages(t *testing.T) {
 	}
 	if _, err := dec.Decode(); err != io.EOF {
 		t.Errorf("after all frames: got %v, want io.EOF", err)
+	}
+}
+
+// TestMuxEnvelopeInPlace pins the envelope's bytes: built in place
+// around every message, alone or through an encoder whose buffer carries
+// the frames before it, it is byte for byte the envelope of the inner
+// frame marshalled on its own, and it unwraps to the message it wraps.
+func TestMuxEnvelopeInPlace(t *testing.T) {
+	var stream bytes.Buffer
+	enc := NewEncoder(&stream)
+	var want []byte
+	for i, m := range sampleMsgs() {
+		corr := uint64(i) << (7 * (i % 6)) // one- to six-byte varints
+		inner, err := Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied, err := Marshal(&Mux{Corr: corr, Body: inner[4:]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Marshal(WrapMux(corr, m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, copied) {
+			t.Fatalf("%v envelope built in place:\n got  %x\n want %x", m.WireType(), got, copied)
+		}
+		if err := enc.Encode(WrapMux(corr, m)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, copied...)
+
+		env, err := UnmarshalFrame(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := env.(*Mux).Unwrap()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.(*Mux).Corr != corr || !reflect.DeepEqual(back, m) {
+			t.Errorf("%v envelope unwraps to corr %d %#v", m.WireType(), env.(*Mux).Corr, back)
+		}
+	}
+	if !bytes.Equal(stream.Bytes(), want) {
+		t.Error("envelopes encoded through one encoder differ from the envelopes marshalled alone")
+	}
+}
+
+// TestDecoderReusesTaskStorage: a decoder decodes each task frame into
+// the storage the last one of its kind left, and what it returns reads
+// back as the frame it decoded, however the frames before it were shaped.
+func TestDecoderReusesTaskStorage(t *testing.T) {
+	var msgs []Msg
+	for _, m := range sampleMsgs() {
+		switch m.(type) {
+		case *MapTaskCols, *ReduceTask:
+			msgs = append(msgs, m)
+		}
+	}
+	msgs = append(msgs, msgs...) // every shape follows every other
+	msgs = append(msgs, msgs[0])
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	for _, m := range msgs {
+		if err := enc.Encode(WrapMux(1, m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec := NewDecoder(&buf)
+	var first Msg
+	for i, want := range msgs {
+		env, err := dec.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dec.Unwrap(env.(*Mux))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("frame %d (%v): got %#v, want %#v", i, want.WireType(), got, want)
+		}
+		if i == 0 {
+			first = got
+		} else if _, ok := got.(*MapTaskCols); ok && got != first {
+			t.Errorf("frame %d: map task decoded into fresh storage", i)
+		}
 	}
 }
 
